@@ -17,16 +17,14 @@ from .wavelet import (
     synthesize_level,
 )
 from .network import (
-    ForwardRecord,
+    ForwardTrace,
     SharingMode,
     ThresholdPair,
     WaveletNet,
-    build_model,
     default_levels_for,
     ht_activation,
     loss,
     model_forward,
-    parameter_count,
 )
 from .training import (
     AdamState,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UndefinedMetricError
-from .network import SharingMode, WaveletNet, loss, model_forward
+from .network import SharingMode, WaveletNet, loss, model_forward, sigmoid
 from .training import TrainConfig, TrainReport, train
 
 
@@ -42,7 +42,7 @@ def extract_features(signal, model: WaveletNet) -> LatentFeatures:
     signal = np.asarray(signal, dtype=float)
     record = model_forward(signal, model)
     residual = np.abs(signal - record.reconstruction)
-    details = record.pyramid.details
+    details = record.details
     return LatentFeatures(
         res_mean=float(residual.mean()),
         res_max=float(residual.max()),
@@ -53,15 +53,6 @@ def extract_features(signal, model: WaveletNet) -> LatentFeatures:
 
 # ---------------------------------------------------------------------------
 # one-class scoring
-
-def _sigmoid(t):
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
 
 @dataclass
 class OneClassElm:
@@ -83,7 +74,7 @@ class OneClassElm:
 
     def _hidden(self, x: np.ndarray) -> np.ndarray:
         z = (x - self.scaler_mean) / self.scaler_std
-        return _sigmoid(z @ self.hidden_weights + self.hidden_bias)
+        return sigmoid(z @ self.hidden_weights + self.hidden_bias)
 
     def predict(self, features: LatentFeatures) -> float:
         x = features.vector()
@@ -116,7 +107,7 @@ def elm_fit(features: list[LatentFeatures], neurons: int = 50,
     scale = 1.0 / np.sqrt(x.shape[1])
     w = rng.uniform(-1.0, 1.0, size=(x.shape[1], neurons)) * scale
     b = rng.uniform(-1.0, 1.0, size=neurons) * scale
-    h = _sigmoid(((x - mean) / std) @ w + b)
+    h = sigmoid(((x - mean) / std) @ w + b)
     gram = h.T @ h + ridge_lambda * np.eye(neurons)
     beta = np.linalg.solve(gram, h.T @ np.ones(x.shape[0]))
     return OneClassElm(hidden_weights=w, hidden_bias=b, output_weights=beta,

@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis, datasets, persist
 from .audio import read_wav, write_wav
 from .errors import ConfigError, WavelearnError
-from .network import SharingMode, default_levels_for, model_forward
+from .network import SharingMode, model_forward
 from .training import TrainConfig, gradient_check, train
 
 MODE_NAMES = [m.value for m in SharingMode]
@@ -37,14 +37,11 @@ def _add_training_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _train_config(args, window_size: int) -> TrainConfig:
-    if args.levels == "auto":
-        levels = default_levels_for(window_size)
-    else:
-        levels = int(args.levels)
+def _train_config(args) -> TrainConfig:
     return TrainConfig(
         epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch,
-        seed=args.seed, gamma=args.gamma, levels=levels,
+        seed=args.seed, gamma=args.gamma,
+        levels=None if args.levels == "auto" else int(args.levels),
         kernel_size=args.kernel_size,
     )
 
@@ -87,7 +84,7 @@ def cmd_train(args) -> int:
     windows = datasets.load_windows(manifest, split="train")
     if not windows:
         raise ConfigError("manifest has no training windows")
-    config = _train_config(args, manifest.window_size)
+    config = _train_config(args)
     report = train([w.samples for w in windows], SharingMode.from_name(args.mode),
                    config)
     persist.save_model(report.final_model, args.out)
@@ -183,7 +180,7 @@ def cmd_classify_train(args) -> int:
         if w.label is None:
             raise ConfigError(f"unlabeled training window {w.id}")
         grouped.setdefault(w.label, []).append(w.samples)
-    config = _train_config(args, manifest.window_size)
+    config = _train_config(args)
     dictionary, _reports = analysis.dict_train(
         grouped, SharingMode.from_name(args.mode), config)
     persist.save_dictionary(dictionary, args.out)
@@ -305,10 +302,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WavelearnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (WavelearnError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

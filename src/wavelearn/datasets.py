@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import decimate, read_wav, window_split
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 
 @dataclass
@@ -66,17 +66,27 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
+def _typed(doc, key: str, kind: type):
+    """doc[key] if it has type `kind` (booleans are not integers here)."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise FormatError(
+            f"manifest field {key!r} must be of type {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     doc = json.loads(path.read_text())
     manifest = DatasetManifest(
-        sample_rate=int(doc["sample_rate"]),
-        window_size=int(doc["window_size"]),
+        sample_rate=_typed(doc, "sample_rate", int),
+        window_size=_typed(doc, "window_size", int),
         decimate=int(doc.get("decimate", 1)),
         entries=[
-            ManifestEntry(path=e["path"], label=e.get("label"),
+            ManifestEntry(path=_typed(e, "path", str), label=e.get("label"),
                           split=e.get("split", "train"))
-            for e in doc["entries"]
+            for e in _typed(doc, "entries", list)
         ],
         base_dir=path.parent,
     )

@@ -1,9 +1,15 @@
 """Learnable wavelet cascade model.
 
-A model owns per-level kernels (constrained by the chosen sharing mode) and a
-pair of soft hard-threshold biases per level. The forward pass is a cascade
-encoder (strided correlations, details gated by the threshold activation)
-followed by the mirror decoder fed through skip connections.
+A model owns per-level kernels and a pair of soft hard-threshold biases per
+level. The forward pass is a cascade encoder (strided correlations, details
+gated by the threshold activation) followed by the mirror decoder fed
+through skip connections.
+
+The sharing modes differ only in their kernel scheme: which kernels of a
+level train, and how the level's filter bank follows from them. The table
+`KERNEL_SCHEMES` is the one place those relations live; construction, the
+forward pass, the gradient and persistence read it and never branch on the
+mode.
 """
 
 from __future__ import annotations
@@ -11,65 +17,92 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InvalidDepthError, InvalidSignalError
+from .errors import ConfigError, InvalidSignalError
 from .wavelet import (
-    CoefficientPyramid,
     FilterBank,
     DB4_SCALING,
     HAAR_SCALING,
-    alternating_flip,
+    analysis_cascade,
     as_kernel,
+    cascade_input,
+    cqf_fold,
     cqf_from_scaling,
     cqf_partial,
     db4_filterbank,
     max_depth,
-    strided_corr,
-    upsample_conv,
-    _pad_even,
+    synthesis_cascade,
 )
 
 DEFAULT_SHARPNESS = 10.0
 
 
+@dataclass(frozen=True)
+class KernelScheme:
+    """How one level's filter bank follows from its trainable kernels, of
+    the `kinds` (``h``, ``g``, ``hb``, ``gb``; one set for all levels when
+    `shared`). `derive(*kernels)` builds the bank, and its transpose
+    `fold(bank_grad)` returns the kernels' gradients, both in `kinds` order.
+    `kernel_size`, when set, pins the kernel length."""
+
+    kinds: tuple[str, ...]
+    derive: Callable[..., FilterBank]
+    fold: Callable[[FilterBank], tuple]
+    shared: bool = False
+    kernel_size: int | None = None
+
+    def names(self, level: int) -> list[str]:
+        """Parameter names of the kernels level `level` is derived from."""
+        suffix = "shared" if self.shared else str(level)
+        return [f"{kind}.{suffix}" for kind in self.kinds]
+
+
+# the lambdas look their functions up at call time, so a rebound module
+# name (a tracer's or a test's wrapper) is what the table calls
+KERNEL_SCHEMES = {
+    "fixed": KernelScheme(
+        (), lambda: db4_filterbank(), lambda grad: (),
+        kernel_size=DB4_SCALING.size),
+    "shared_h": KernelScheme(
+        ("h",), lambda h: cqf_from_scaling(h), lambda grad: (cqf_fold(grad),),
+        shared=True),
+    "per_level_h": KernelScheme(
+        ("h",), lambda h: cqf_from_scaling(h), lambda grad: (cqf_fold(grad),)),
+    "per_level_hg": KernelScheme(
+        ("h", "g"), lambda h, g: cqf_partial(h, g),
+        lambda grad: (grad.h + grad.h_bar[::-1], grad.g + grad.g_bar[::-1])),
+    "per_level_all": KernelScheme(
+        ("h", "g", "hb", "gb"),
+        lambda *kernels: FilterBank(*(as_kernel(k) for k in kernels)),
+        lambda grad: (grad.h, grad.g, grad.h_bar, grad.g_bar)),
+}
+
+
 class SharingMode(enum.Enum):
-    """Which tensors are trainable and how synthesis kernels are derived.
+    """Which tensors are trainable and how synthesis kernels are derived:
+    a kernel scheme plus whether the thresholds train.
 
     Value strings double as the CLI names.
     """
 
-    DB4_FIXED = "db4"                  # fixed db4 bank, no thresholds
-    DB4_FIXED_HT = "db4-ht"            # fixed db4 bank, learnable thresholds
-    SHARED_CQF = "cwn"                 # one scaling kernel for all levels
-    SHARED_CQF_HT = "decwn"            # shared kernel + thresholds
-    PER_LEVEL_CQF = "lcwn"             # one scaling kernel per level
-    PER_LEVEL_CQF_HT = "despawn"       # per-level kernel + thresholds
-    PER_LEVEL_TWO_KERNEL_HT = "despawn2"  # per-level (h, g), synthesis reversed
-    FREE_HT = "free"                   # all four kernels free per level
+    DB4_FIXED = "db4", "fixed", False                   # fixed db4 bank, no thresholds
+    DB4_FIXED_HT = "db4-ht", "fixed", True              # fixed db4 bank, learnable thresholds
+    SHARED_CQF = "cwn", "shared_h", False               # one scaling kernel for all levels
+    SHARED_CQF_HT = "decwn", "shared_h", True           # shared kernel + thresholds
+    PER_LEVEL_CQF = "lcwn", "per_level_h", False        # one scaling kernel per level
+    PER_LEVEL_CQF_HT = "despawn", "per_level_h", True   # per-level kernel + thresholds
+    PER_LEVEL_TWO_KERNEL_HT = "despawn2", "per_level_hg", True  # per-level (h, g), synthesis reversed
+    FREE_HT = "free", "per_level_all", True             # all four kernels free per level
 
-    @property
-    def trains_thresholds(self) -> bool:
-        return self in (
-            SharingMode.DB4_FIXED_HT,
-            SharingMode.SHARED_CQF_HT,
-            SharingMode.PER_LEVEL_CQF_HT,
-            SharingMode.PER_LEVEL_TWO_KERNEL_HT,
-            SharingMode.FREE_HT,
-        )
-
-    @property
-    def kernel_scheme(self) -> str:
-        if self in (SharingMode.DB4_FIXED, SharingMode.DB4_FIXED_HT):
-            return "fixed"
-        if self in (SharingMode.SHARED_CQF, SharingMode.SHARED_CQF_HT):
-            return "shared_h"
-        if self in (SharingMode.PER_LEVEL_CQF, SharingMode.PER_LEVEL_CQF_HT):
-            return "per_level_h"
-        if self is SharingMode.PER_LEVEL_TWO_KERNEL_HT:
-            return "per_level_hg"
-        return "per_level_all"
+    def __new__(cls, name: str, scheme: str, trains_thresholds: bool):
+        mode = object.__new__(cls)
+        mode._value_ = name
+        mode.scheme = KERNEL_SCHEMES[scheme]
+        mode.trains_thresholds = trains_thresholds
+        return mode
 
     @classmethod
     def from_name(cls, name: str) -> "SharingMode":
@@ -92,7 +125,7 @@ class ThresholdPair:
     sharpness: float = DEFAULT_SHARPNESS
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
+def sigmoid(t: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty_like(t)
@@ -115,7 +148,7 @@ def ht_activation(x, t: ThresholdPair):
         out = x.copy()
     else:
         a = t.sharpness
-        gate = _sigmoid(-a * (x + t.b_minus)) + _sigmoid(a * (x - t.b_plus))
+        gate = sigmoid(-a * (x + t.b_minus)) + sigmoid(a * (x - t.b_plus))
         out = x * gate
     return float(out[0]) if scalar else out
 
@@ -126,8 +159,8 @@ def ht_gate_derivatives(x: np.ndarray, t: ThresholdPair):
     Returns (dy/dx, dy/db_plus, dy/db_minus) evaluated elementwise.
     """
     a = t.sharpness
-    p = _sigmoid(a * (x - t.b_plus))
-    q = _sigmoid(-a * (x + t.b_minus))
+    p = sigmoid(a * (x - t.b_plus))
+    q = sigmoid(-a * (x + t.b_minus))
     dp = p * (1.0 - p)
     dq = q * (1.0 - q)
     dy_dx = (p + q) + a * x * (dp - dq)
@@ -149,49 +182,34 @@ def _init_scaling(k_n: int) -> np.ndarray:
 class WaveletNet:
     """Learnable cascade auto-encoder.
 
-    Parameters are stored in `params`, keyed per the sharing mode:
+    Parameters are stored in `params`, keyed per the mode's kernel scheme:
     ``h.shared`` or ``h.<level>``, ``g.<level>``, ``hb.<level>``,
     ``gb.<level>``, plus the threshold vectors ``b_plus`` / ``b_minus``
-    (length L, trainable only in HT modes).
+    (length L, trainable only in HT modes). A fresh model starts at the db4
+    bank (or a padded Haar for short kernels) with zero thresholds, so its
+    forward pass is a plain fixed-filter transform.
     """
 
     def __init__(self, levels: int, kernel_size: int, mode: SharingMode,
-                 gamma: float = 1.0, seed: int = 0,
-                 sharpness: float = DEFAULT_SHARPNESS):
+                 gamma: float = 1.0, sharpness: float = DEFAULT_SHARPNESS):
         if levels < 1:
             raise ConfigError(f"levels must be >= 1, got {levels}")
         if kernel_size < 2 or kernel_size % 2:
             raise ConfigError(
                 f"kernel size must be even and >= 2, got {kernel_size}"
             )
-        if mode.kernel_scheme == "fixed":
-            kernel_size = DB4_SCALING.size  # bank is pinned to db4
         self.levels = levels
-        self.kernel_size = kernel_size
+        self.kernel_size = mode.scheme.kernel_size or kernel_size
         self.mode = mode
         self.gamma = float(gamma)
-        self.seed = seed  # reserved for training-time shuffling
         self.sharpness = float(sharpness)
 
-        h0 = _init_scaling(kernel_size)
-        bank0 = cqf_from_scaling(h0)
+        bank0 = cqf_from_scaling(_init_scaling(self.kernel_size))
+        init = {"h": bank0.h, "g": bank0.g, "hb": bank0.h_bar, "gb": bank0.g_bar}
         self.params: dict[str, np.ndarray] = {}
-        scheme = mode.kernel_scheme
-        if scheme == "shared_h":
-            self.params["h.shared"] = h0.copy()
-        elif scheme == "per_level_h":
-            for l in range(levels):
-                self.params[f"h.{l}"] = h0.copy()
-        elif scheme == "per_level_hg":
-            for l in range(levels):
-                self.params[f"h.{l}"] = h0.copy()
-                self.params[f"g.{l}"] = bank0.g.copy()
-        elif scheme == "per_level_all":
-            for l in range(levels):
-                self.params[f"h.{l}"] = h0.copy()
-                self.params[f"g.{l}"] = bank0.g.copy()
-                self.params[f"hb.{l}"] = bank0.h_bar.copy()
-                self.params[f"gb.{l}"] = bank0.g_bar.copy()
+        for l in range(levels):
+            for name in mode.scheme.names(l):
+                self.params.setdefault(name, init[name.split(".")[0]].copy())
         # thresholds always exist; they stay at zero unless the mode trains them
         self.params["b_plus"] = np.zeros(levels)
         self.params["b_minus"] = np.zeros(levels)
@@ -208,10 +226,15 @@ class WaveletNet:
         return sum(self.params[name].size for name in self.trainable_names())
 
     def get_parameters(self) -> np.ndarray:
+        return self.flatten(self.params)
+
+    def flatten(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
+        """The trainable entries of `tensors`, keyed like `params`, as one
+        flat vector in `get_parameters` order."""
         names = self.trainable_names()
         if not names:
             return np.zeros(0)
-        return np.concatenate([self.params[n].ravel() for n in names])
+        return np.concatenate([tensors[n].ravel() for n in names])
 
     def set_parameters(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
@@ -226,35 +249,13 @@ class WaveletNet:
             self.params[name] = flat[pos:pos + size].copy()
             pos += size
 
-    def parameter_slices(self) -> list[tuple[str, slice]]:
-        out = []
-        pos = 0
-        for name in self.trainable_names():
-            size = self.params[name].size
-            out.append((name, slice(pos, pos + size)))
-            pos += size
-        return out
-
     # -- derived structure ----------------------------------------------------
 
     def bank_for_level(self, level: int) -> FilterBank:
-        """Kernels of one level, re-derived from the trainables on every call
-        so the constraint relations can never drift."""
-        scheme = self.mode.kernel_scheme
-        if scheme == "fixed":
-            return db4_filterbank()
-        if scheme == "shared_h":
-            return cqf_from_scaling(self.params["h.shared"])
-        if scheme == "per_level_h":
-            return cqf_from_scaling(self.params[f"h.{level}"])
-        if scheme == "per_level_hg":
-            return cqf_partial(self.params[f"h.{level}"], self.params[f"g.{level}"])
-        return FilterBank(
-            h=as_kernel(self.params[f"h.{level}"]),
-            g=as_kernel(self.params[f"g.{level}"]),
-            h_bar=as_kernel(self.params[f"hb.{level}"]),
-            g_bar=as_kernel(self.params[f"gb.{level}"]),
-        )
+        """Kernels of one level, derived from the trainables through the
+        mode's scheme so the constraint relations can never drift."""
+        scheme = self.mode.scheme
+        return scheme.derive(*(self.params[n] for n in scheme.names(level)))
 
     def threshold_for_level(self, level: int) -> ThresholdPair:
         return ThresholdPair(
@@ -273,32 +274,12 @@ class WaveletNet:
         return out
 
 
-def build_model(levels: int, kernel_size: int, mode: SharingMode,
-                gamma: float = 1.0, seed: int = 0) -> WaveletNet:
-    """Fresh model: kernels start at the db4 bank (or a padded Haar for short
-    kernels) and thresholds at zero, so the initial forward pass is a plain
-    fixed-filter transform."""
-    return WaveletNet(levels, kernel_size, mode, gamma=gamma, seed=seed)
-
-
-def parameter_count(model: WaveletNet) -> int:
-    return model.parameter_count()
-
-
-@dataclass
-class ForwardRecord:
-    """Output of one forward pass: gated coefficient pyramid and the
-    reconstruction (always of the input's exact length)."""
-
-    pyramid: CoefficientPyramid
-    reconstruction: np.ndarray
-    input_length: int
-
-
 @dataclass
 class ForwardTrace:
-    """Every intermediate needed by the manual backward pass."""
+    """One forward pass: the gated coefficients, the reconstruction (of the
+    input's exact length) and every intermediate the backward pass needs."""
 
+    banks: list[FilterBank]           # filter bank of each level, derived once per pass
     padded_inputs: list[np.ndarray]   # encoder input of each level, post-pad
     pre_lengths: list[int]            # encoder input length of each level, pre-pad
     details_pre: list[np.ndarray]     # detail coefficients before gating
@@ -306,91 +287,51 @@ class ForwardTrace:
     approx: np.ndarray
     recon_chain: list[np.ndarray]     # decoder outputs, index l = signal at depth l
 
-
-def _encode(model: WaveletNet, signal: np.ndarray):
-    padded, pre_lengths, details_pre, details = [], [], [], []
-    a = signal
-    use_ht = model.mode.trains_thresholds
-    for l in range(model.levels):
-        bank = model.bank_for_level(l)
-        pre_lengths.append(a.size)
-        a_pad = _pad_even(a)
-        padded.append(a_pad)
-        a = strided_corr(a_pad, bank.h)
-        d_pre = strided_corr(a_pad, bank.g)
-        details_pre.append(d_pre)
-        if use_ht:
-            details.append(ht_activation(d_pre, model.threshold_for_level(l)))
-        else:
-            details.append(d_pre)
-    return padded, pre_lengths, details_pre, details, a
-
-
-def _decode(model: WaveletNet, details, approx, pre_lengths):
-    chain = [None] * (model.levels + 1)
-    chain[model.levels] = approx
-    x = approx
-    for l in range(model.levels - 1, -1, -1):
-        bank = model.bank_for_level(l)
-        n = 2 * x.size
-        y = upsample_conv(x, bank.h_bar[::-1], n) + \
-            upsample_conv(details[l], bank.g_bar[::-1], n)
-        x = y[:pre_lengths[l]]
-        chain[l] = x
-    return chain
+    @property
+    def reconstruction(self) -> np.ndarray:
+        return self.recon_chain[0]
 
 
 def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
-    signal = np.asarray(signal, dtype=float)
-    if signal.ndim != 1 or signal.size < 2:
-        raise InvalidSignalError("signal must be 1-D with at least 2 samples")
-    if model.levels > max_depth(signal.size):
-        raise InvalidDepthError(
-            f"{model.levels} levels exceed the maximum depth "
-            f"{max_depth(signal.size)} for length {signal.size}"
-        )
-    padded, pre_lengths, details_pre, details, approx = _encode(model, signal)
-    chain = _decode(model, details, approx, pre_lengths)
+    """Encoder-decoder pass: details are gated before being stored and
+    skip-connected, the final approximation is passed through untouched."""
+    signal = cascade_input(signal, model.levels)
+    banks = [model.bank_for_level(l) for l in range(model.levels)]
+    padded, pre_lengths, details_pre, approx = analysis_cascade(signal, banks)
+    details = details_pre
+    if model.mode.trains_thresholds:
+        details = [ht_activation(d, model.threshold_for_level(l))
+                   for l, d in enumerate(details_pre)]
     return ForwardTrace(
+        banks=banks,
         padded_inputs=padded,
         pre_lengths=pre_lengths,
         details_pre=details_pre,
         details=details,
         approx=approx,
-        recon_chain=chain,
+        recon_chain=synthesis_cascade(approx, details, pre_lengths, banks),
     )
 
 
-def model_forward(signal, model: WaveletNet) -> ForwardRecord:
-    """Encoder-decoder pass: details are gated before being stored and
-    skip-connected, the final approximation is passed through untouched."""
-    trace = forward_trace(model, signal)
-    pyramid = CoefficientPyramid(
-        details=trace.details,
-        approx=trace.approx,
-        level_lengths=trace.pre_lengths,
-    )
-    return ForwardRecord(
-        pyramid=pyramid,
-        reconstruction=trace.recon_chain[0],
-        input_length=trace.pre_lengths[0],
-    )
+def model_forward(signal, model: WaveletNet) -> ForwardTrace:
+    """`forward_trace` taking the signal first, like the analysis helpers."""
+    return forward_trace(model, signal)
 
 
-def loss(record: ForwardRecord, signal, gamma: float):
+def loss(trace: ForwardTrace, signal, gamma: float):
     """(total, reconstruction, sparsity): mean absolute residual plus
     gamma times the mean absolute value over all retained coefficients
     (details and final approximation together)."""
     signal = np.asarray(signal, dtype=float)
-    if signal.shape != record.reconstruction.shape:
+    if signal.shape != trace.reconstruction.shape:
         raise InvalidSignalError(
             f"signal length {signal.size} != reconstruction "
-            f"{record.reconstruction.size}"
+            f"{trace.reconstruction.size}"
         )
-    recon = float(np.mean(np.abs(signal - record.reconstruction)))
-    coeff_sum = float(sum(np.sum(np.abs(d)) for d in record.pyramid.details))
-    coeff_sum += float(np.sum(np.abs(record.pyramid.approx)))
-    count = sum(d.size for d in record.pyramid.details) + record.pyramid.approx.size
+    recon = float(np.mean(np.abs(signal - trace.reconstruction)))
+    coeff_sum = float(sum(np.sum(np.abs(d)) for d in trace.details))
+    coeff_sum += float(np.sum(np.abs(trace.approx)))
+    count = sum(d.size for d in trace.details) + trace.approx.size
     sparsity = coeff_sum / count
     total = recon + gamma * sparsity
     return total, recon, sparsity

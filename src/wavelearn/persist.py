@@ -3,7 +3,11 @@ and score tables as CSV.
 
 Floats go through Python's shortest-round-trip repr, so every load reproduces
 the saved values bit-exactly.
-"""
+
+A model document keys each kernel by its parameter name (``h.shared`` as
+``shared_h``; ``h``/``g``/``hb``/``gb`` of level l as ``h``/``g``/``h_bar``/
+``g_bar`` in ``level_params[l]``), so it never depends on the mode. The
+``seed`` key older versions wrote is ignored."""
 
 from __future__ import annotations
 
@@ -15,9 +19,26 @@ import numpy as np
 
 from .analysis import DictionaryModel, LatentFeatures, OneClassElm
 from .errors import ConfigError, FormatError
-from .network import SharingMode, WaveletNet
+from .network import DEFAULT_SHARPNESS, SharingMode, WaveletNet
 
 MODEL_FORMAT_VERSION = 1
+_KIND_KEYS = {"h": "h", "g": "g", "hb": "h_bar", "gb": "g_bar"}
+
+
+def _kernel_slots(doc: dict, model: WaveletNet):
+    """(record, key, parameter name) of every kernel the model stores."""
+    for name in model.params:
+        kind, _, where = name.partition(".")
+        if where == "shared":
+            yield doc, f"shared_{kind}", name
+        elif where:
+            yield doc["level_params"][int(where)], _KIND_KEYS[kind], name
+
+
+def _field(record, key: str):
+    if not isinstance(record, dict) or key not in record:
+        raise FormatError(f"model document lacks {key!r}")
+    return record[key]
 
 
 def _model_doc(model: WaveletNet) -> dict:
@@ -28,55 +49,44 @@ def _model_doc(model: WaveletNet) -> dict:
         "kernel_size": model.kernel_size,
         "alpha": model.sharpness,
         "gamma": model.gamma,
-        "seed": model.seed,
-        "level_params": [],
+        "level_params": [
+            {"b_plus": float(model.params["b_plus"][l]),
+             "b_minus": float(model.params["b_minus"][l])}
+            for l in range(model.levels)
+        ],
     }
-    scheme = model.mode.kernel_scheme
-    if scheme == "shared_h":
-        doc["shared_h"] = model.params["h.shared"].tolist()
-    for l in range(model.levels):
-        rec = {
-            "b_plus": float(model.params["b_plus"][l]),
-            "b_minus": float(model.params["b_minus"][l]),
-        }
-        if scheme in ("per_level_h", "per_level_hg", "per_level_all"):
-            rec["h"] = model.params[f"h.{l}"].tolist()
-        if scheme in ("per_level_hg", "per_level_all"):
-            rec["g"] = model.params[f"g.{l}"].tolist()
-        if scheme == "per_level_all":
-            rec["h_bar"] = model.params[f"hb.{l}"].tolist()
-            rec["g_bar"] = model.params[f"gb.{l}"].tolist()
-        doc["level_params"].append(rec)
+    for record, key, name in _kernel_slots(doc, model):
+        record[key] = model.params[name].tolist()
     return doc
 
 
 def _model_from_doc(doc: dict) -> WaveletNet:
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
+    if _field(doc, "format_version") != MODEL_FORMAT_VERSION:
         raise FormatError(
             f"unsupported model format version {doc.get('format_version')!r}"
         )
-    mode = SharingMode.from_name(doc["mode"])
     model = WaveletNet(
-        levels=int(doc["levels"]),
-        kernel_size=int(doc["kernel_size"]),
-        mode=mode,
-        gamma=float(doc["gamma"]),
-        seed=int(doc.get("seed", 0)),
-        sharpness=float(doc.get("alpha", 10.0)),
+        levels=int(_field(doc, "levels")),
+        kernel_size=int(_field(doc, "kernel_size")),
+        mode=SharingMode.from_name(_field(doc, "mode")),
+        gamma=float(_field(doc, "gamma")),
+        sharpness=float(doc.get("alpha", DEFAULT_SHARPNESS)),
     )
-    scheme = mode.kernel_scheme
-    if scheme == "shared_h":
-        model.params["h.shared"] = np.asarray(doc["shared_h"], dtype=float)
-    for l, rec in enumerate(doc["level_params"]):
-        model.params["b_plus"][l] = rec["b_plus"]
-        model.params["b_minus"][l] = rec["b_minus"]
-        if scheme in ("per_level_h", "per_level_hg", "per_level_all"):
-            model.params[f"h.{l}"] = np.asarray(rec["h"], dtype=float)
-        if scheme in ("per_level_hg", "per_level_all"):
-            model.params[f"g.{l}"] = np.asarray(rec["g"], dtype=float)
-        if scheme == "per_level_all":
-            model.params[f"hb.{l}"] = np.asarray(rec["h_bar"], dtype=float)
-            model.params[f"gb.{l}"] = np.asarray(rec["g_bar"], dtype=float)
+    records = _field(doc, "level_params")
+    if not isinstance(records, list) or len(records) != model.levels:
+        raise FormatError(
+            f"level_params must hold one record per level ({model.levels})"
+        )
+    for l, record in enumerate(records):
+        model.params["b_plus"][l] = float(_field(record, "b_plus"))
+        model.params["b_minus"][l] = float(_field(record, "b_minus"))
+    for record, key, name in _kernel_slots(doc, model):
+        taps = np.asarray(_field(record, key), dtype=float)
+        if taps.shape != (model.kernel_size,) or not np.all(np.isfinite(taps)):
+            raise FormatError(
+                f"kernel {key!r} of {name} must hold {model.kernel_size} finite taps"
+            )
+        model.params[name] = taps
     return model
 
 

@@ -1,12 +1,14 @@
 """Gradient machinery and the unsupervised training loop.
 
-`backward` computes the exact gradient of the training loss with respect to
-every trainable scalar by reverse traversal of the cascade: absolute-value
-terms contribute their sign (with sign(0) = 0), gating layers their analytic
-partials, the strided correlations transpose to zero-interpolated periodic
-convolutions, and derived-kernel gradients are folded back into the source
-kernel through the constraint relations. `finite_difference_grad` is the
-independent brute-force oracle used to verify all of it.
+`backward_full` computes the exact gradient of the training loss with
+respect to every trainable scalar by reverse traversal of the cascade:
+absolute-value terms contribute their sign (with sign(0) = 0), gating layers
+their analytic partials, and the strided correlations transpose to
+zero-interpolated periodic convolutions. That yields a gradient on each
+level's filter bank, which the mode's kernel scheme (`KERNEL_SCHEMES` in
+`network.py`) folds back onto the trainable kernels; nothing here depends on
+which mode is trained. `finite_difference_grad` is the independent
+brute-force oracle used to verify all of it.
 """
 
 from __future__ import annotations
@@ -20,69 +22,49 @@ from .errors import ConfigError
 from .network import (
     SharingMode,
     WaveletNet,
-    build_model,
     default_levels_for,
     forward_trace,
     ht_gate_derivatives,
+    loss,
 )
-from .wavelet import kernel_grad, strided_corr, upsample_conv
-
-
-def _loss_from_trace(trace, signal, gamma):
-    n = trace.pre_lengths[0]
-    recon = float(np.mean(np.abs(signal - trace.recon_chain[0])))
-    m = sum(d.size for d in trace.details) + trace.approx.size
-    coeff = sum(float(np.sum(np.abs(d))) for d in trace.details)
-    coeff += float(np.sum(np.abs(trace.approx)))
-    sparsity = coeff / m
-    return recon + gamma * sparsity, recon, sparsity, n, m
-
-
-def _cqf_fold(gh, gg, ghb, ggb):
-    """Fold gradients of the three derived kernels into the scaling kernel.
-
-    For g[n] = (-1)^n h[K-1-n], h_bar[n] = h[K-1-n], g_bar[n] = (-1)^(n+1) h[n]
-    the transposed maps are gh - signs*rev(gg) + rev(ghb) - signs*ggb with
-    signs[m] = (-1)^m (kernel length even).
-    """
-    k = gh.size
-    signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
-    return gh - signs * gg[::-1] + ghb[::-1] - signs * ggb
+from .wavelet import FilterBank, kernel_grad, strided_corr, upsample_conv
 
 
 def backward_full(signal, model: WaveletNet, gamma: float):
-    """Loss triple plus the flat gradient vector (layout per
-    `model.parameter_slices`)."""
+    """Loss triple plus the flat gradient vector, aligned with
+    `model.get_parameters()`."""
     signal = np.asarray(signal, dtype=float)
     trace = forward_trace(model, signal)
-    total, recon, sparsity, n_sig, m_coeff = _loss_from_trace(trace, signal, gamma)
+    total, recon, sparsity = loss(trace, signal, gamma)
+    m_coeff = sum(d.size for d in trace.details) + trace.approx.size
 
     levels = model.levels
     trains_ht = model.mode.trains_thresholds
-    scheme = model.mode.kernel_scheme
+    scheme = model.mode.scheme
+    need_kernel_grads = bool(scheme.kinds)
 
-    # per-level kernel gradient accumulators (folded into trainables at the end)
-    acc = [{"h": None, "g": None, "hb": None, "gb": None} for _ in range(levels)]
-    grad_bp = np.zeros(levels)
-    grad_bm = np.zeros(levels)
+    grads = {name: np.zeros_like(model.params[name])
+             for name in model.trainable_names()}
+    # per-level gradients on the synthesis (decoder) and analysis kernels
+    synth_grads = [None] * levels
+    bank_grads = [None] * levels
 
     # residual term
-    g_x = -np.sign(signal - trace.recon_chain[0]) / n_sig
+    g_x = -np.sign(signal - trace.reconstruction) / signal.size
     # sparsity term on the gated details and the approximation
     grad_d = [gamma / m_coeff * np.sign(d) for d in trace.details]
 
     # decoder, shallow to deep: chain[l] was built from chain[l+1] and details[l]
-    need_kernel_grads = scheme != "fixed"
     for l in range(levels):
-        bank = model.bank_for_level(l)
+        bank = trace.banks[l]
         v = trace.recon_chain[l + 1]
         n = 2 * v.size
         gy = np.zeros(n)
         gy[: trace.pre_lengths[l]] = g_x
         if need_kernel_grads:
             k = bank.h.size
-            acc[l]["hb"] = kernel_grad(v, gy, k)[::-1]
-            acc[l]["gb"] = kernel_grad(trace.details[l], gy, k)[::-1]
+            synth_grads[l] = (kernel_grad(v, gy, k)[::-1],
+                              kernel_grad(trace.details[l], gy, k)[::-1])
         grad_d[l] = grad_d[l] + strided_corr(gy, bank.g_bar[::-1])
         g_x = strided_corr(gy, bank.h_bar[::-1])
 
@@ -91,53 +73,31 @@ def backward_full(signal, model: WaveletNet, gamma: float):
 
     # encoder, deep to shallow
     for l in range(levels - 1, -1, -1):
-        bank = model.bank_for_level(l)
+        bank = trace.banks[l]
         if trains_ht:
             tp = model.threshold_for_level(l)
             dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(trace.details_pre[l], tp)
             g_dpre = grad_d[l] * dy_dx
-            grad_bp[l] = float(np.dot(grad_d[l], dy_dbp))
-            grad_bm[l] = float(np.dot(grad_d[l], dy_dbm))
+            grads["b_plus"][l] = float(np.dot(grad_d[l], dy_dbp))
+            grads["b_minus"][l] = float(np.dot(grad_d[l], dy_dbm))
         else:
             g_dpre = grad_d[l]
         x_pad = trace.padded_inputs[l]
         if need_kernel_grads:
             k = bank.h.size
-            acc[l]["h"] = kernel_grad(g_a, x_pad, k)
-            acc[l]["g"] = kernel_grad(g_dpre, x_pad, k)
+            bank_grads[l] = FilterBank(kernel_grad(g_a, x_pad, k),
+                                       kernel_grad(g_dpre, x_pad, k),
+                                       *synth_grads[l])
         g_pad = upsample_conv(g_a, bank.h, x_pad.size) + \
             upsample_conv(g_dpre, bank.g, x_pad.size)
         g_a = g_pad[: trace.pre_lengths[l]]
 
-    # fold constraint-derived kernels into the trainable sources
-    grads = {name: np.zeros_like(model.params[name])
-             for name in model.trainable_names()}
-    if scheme == "shared_h":
-        total_h = np.zeros(model.kernel_size)
-        for a in acc:
-            total_h += _cqf_fold(a["h"], a["g"], a["hb"], a["gb"])
-        grads["h.shared"] = total_h
-    elif scheme == "per_level_h":
-        for l, a in enumerate(acc):
-            grads[f"h.{l}"] = _cqf_fold(a["h"], a["g"], a["hb"], a["gb"])
-    elif scheme == "per_level_hg":
-        for l, a in enumerate(acc):
-            grads[f"h.{l}"] = a["h"] + a["hb"][::-1]
-            grads[f"g.{l}"] = a["g"] + a["gb"][::-1]
-    elif scheme == "per_level_all":
-        for l, a in enumerate(acc):
-            grads[f"h.{l}"] = a["h"]
-            grads[f"g.{l}"] = a["g"]
-            grads[f"hb.{l}"] = a["hb"]
-            grads[f"gb.{l}"] = a["gb"]
-    if trains_ht:
-        grads["b_plus"] = grad_bp
-        grads["b_minus"] = grad_bm
-
-    names = model.trainable_names()
-    flat = (np.concatenate([grads[n].ravel() for n in names])
-            if names else np.zeros(0))
-    return (total, recon, sparsity), flat
+    # fold each level's bank gradient onto the kernels it was derived from,
+    # in level order (a shared kernel sums the levels' contributions)
+    for l, bank_grad in enumerate(bank_grads):
+        for name, grad in zip(scheme.names(l), scheme.fold(bank_grad)):
+            grads[name] += grad
+    return (total, recon, sparsity), model.flatten(grads)
 
 
 def backward(signal, model: WaveletNet, gamma: float):
@@ -151,8 +111,6 @@ def finite_difference_grad(signal, model: WaveletNet, gamma: float,
                            param_index: int, step: float) -> float:
     """Central difference of the total loss along one trainable scalar;
     the brute-force oracle for `backward`."""
-    from .network import loss, model_forward
-
     vec = model.get_parameters()
     if param_index < 0 or param_index >= vec.size:
         raise IndexError(
@@ -164,8 +122,7 @@ def finite_difference_grad(signal, model: WaveletNet, gamma: float,
         bumped = vec.copy()
         bumped[param_index] += delta
         model.set_parameters(bumped)
-        record = model_forward(signal, model)
-        values.append(loss(record, signal, gamma)[0])
+        values.append(loss(forward_trace(model, signal), signal, gamma)[0])
     model.set_parameters(vec)
     return (values[0] - values[1]) / (2.0 * step)
 
@@ -201,7 +158,7 @@ def gradient_check(mode: SharingMode, seed: int = 0, n_seeds: int = 5,
     max_ratio = 0.0
     for s in seeds:
         rng = np.random.default_rng(s)
-        model = build_model(default_levels_for(length), 8, mode, gamma=gamma)
+        model = WaveletNet(default_levels_for(length), 8, mode, gamma=gamma)
         vec = model.get_parameters()
         if vec.size:
             model.set_parameters(vec + rng.normal(0.0, perturb, vec.size))
@@ -298,8 +255,7 @@ def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
     levels = config.levels
     if levels is None:
         levels = default_levels_for(signals[0].size)
-    model = build_model(levels, config.kernel_size, mode,
-                        gamma=config.gamma, seed=config.seed)
+    model = WaveletNet(levels, config.kernel_size, mode, gamma=config.gamma)
     state = AdamState.zeros(model.get_parameters().size)
     rng = np.random.default_rng(config.seed)
     history: list[tuple[float, float, float]] = []

@@ -73,12 +73,6 @@ class FilterBank:
     g_bar: np.ndarray
 
 
-def alternating_flip(h: np.ndarray) -> np.ndarray:
-    """g[n] = (-1)^n * h[K-1-n]."""
-    signs = np.where(np.arange(h.size) % 2 == 0, 1.0, -1.0)
-    return signs * h[::-1]
-
-
 def cqf_from_scaling(h) -> FilterBank:
     """Derive the full conjugate-quadrature bank from one scaling filter.
 
@@ -90,6 +84,14 @@ def cqf_from_scaling(h) -> FilterBank:
     h_bar = h[::-1].copy()
     g_bar = -signs * h
     return FilterBank(h=h, g=g, h_bar=h_bar, g_bar=g_bar)
+
+
+def cqf_fold(grad: FilterBank) -> np.ndarray:
+    """Transpose of `cqf_from_scaling`: folds a gradient on the four derived
+    kernels into the scaling kernel, gh - signs*rev(gg) + rev(ghb) - signs*ggb
+    with signs[m] = (-1)^m (kernel length even)."""
+    signs = np.where(np.arange(grad.h.size) % 2 == 0, 1.0, -1.0)
+    return grad.h - signs * grad.g[::-1] + grad.h_bar[::-1] - signs * grad.g_bar
 
 
 def cqf_partial(h, g) -> FilterBank:
@@ -162,7 +164,6 @@ def _periodic_ext(x: np.ndarray, extra: int) -> np.ndarray:
 
 def strided_corr(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """out[k] = sum_n f[n] * x[(2k + n) mod N] for k in [0, N/2).  N even."""
-    n = x.size
     ext = _periodic_ext(x, f.size - 1) if f.size > 1 else x
     return np.correlate(ext, f, mode="valid")[::2]
 
@@ -199,6 +200,19 @@ def _pad_even(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _analysis_step(a_pad: np.ndarray, h: np.ndarray, g: np.ndarray):
+    """Approximation and detail of one even-length input."""
+    return strided_corr(a_pad, h), strided_corr(a_pad, g)
+
+
+def _synthesis_step(a_next, d, h_bar, g_bar, n_out: int) -> np.ndarray:
+    """Zero-interpolate both inputs, periodically convolve with the
+    index-reversed synthesis kernels, sum, and truncate to `n_out`."""
+    n = 2 * a_next.size
+    y = upsample_conv(a_next, h_bar[::-1], n) + upsample_conv(d, g_bar[::-1], n)
+    return y[:n_out]
+
+
 def analyze_level(a, h, g) -> tuple[np.ndarray, np.ndarray]:
     """One decomposition step: strided periodic correlation with the low- and
     high-pass kernels, downsampling by two.
@@ -209,33 +223,18 @@ def analyze_level(a, h, g) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise InvalidSignalError("input signal must be a non-empty 1-D vector")
-    h = as_kernel(h)
-    g = as_kernel(g)
-    a = _pad_even(a)
-    return strided_corr(a, h), strided_corr(a, g)
+    return _analysis_step(_pad_even(a), as_kernel(h), as_kernel(g))
 
 
 def synthesize_level(a_next, d, h_bar, g_bar, original_length: int) -> np.ndarray:
-    """One reconstruction step: zero-interpolate both inputs, periodically
-    convolve with the index-reversed synthesis kernels, sum, and truncate to
-    the recorded pre-pad length."""
-    a_next = np.asarray(a_next, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if a_next.shape != d.shape:
-        raise InvalidPyramidError(
-            f"approximation and detail lengths differ: {a_next.size} vs {d.size}"
-        )
-    if a_next.size == 0:
-        raise InvalidPyramidError("empty coefficient vectors")
-    n = 2 * a_next.size
-    if original_length not in (n - 1, n):
-        raise InvalidPyramidError(
-            f"original length {original_length} incompatible with {a_next.size} coefficients"
-        )
-    h_bar = as_kernel(h_bar)
-    g_bar = as_kernel(g_bar)
-    x = upsample_conv(a_next, h_bar[::-1], n) + upsample_conv(d, g_bar[::-1], n)
-    return x[:original_length]
+    """One reconstruction step, the inverse of `analyze_level` for a
+    perfect-reconstruction bank, truncated to the recorded pre-pad length."""
+    level = CoefficientPyramid(details=[np.asarray(d, dtype=float)],
+                               approx=np.asarray(a_next, dtype=float),
+                               level_lengths=[original_length])
+    level.validate()
+    return _synthesis_step(level.approx, level.details[0], as_kernel(h_bar),
+                           as_kernel(g_bar), original_length)
 
 
 # ---------------------------------------------------------------------------
@@ -252,40 +251,62 @@ def max_depth(length: int) -> int:
     return depth
 
 
-def default_levels(length: int) -> int:
-    """Nearest integer to log2 of the signal length, the customary depth."""
-    if length < 2:
-        raise InvalidSignalError(f"signal too short: {length}")
-    return min(max(1, round(math.log2(length))), max_depth(length))
+def analysis_cascade(signal: np.ndarray, banks: list[FilterBank]):
+    """Encoder: level l analyses the previous approximation with `banks[l]`.
+    Returns (padded inputs, pre-pad lengths, details, final approximation).
+    """
+    padded, lengths, details = [], [], []
+    a = signal
+    for bank in banks:
+        lengths.append(a.size)
+        a_pad = _pad_even(a)
+        padded.append(a_pad)
+        a, d = _analysis_step(a_pad, bank.h, bank.g)
+        details.append(d)
+    return padded, lengths, details, a
 
 
-def fdwt(signal, bank: FilterBank, levels: int) -> CoefficientPyramid:
-    """Cascade decomposition: `levels` applications of `analyze_level`, each
-    feeding its approximation to the next."""
+def synthesis_cascade(approx, details, lengths, banks: list[FilterBank]) -> list:
+    """Decoder from the deepest level up. Entry l of the result is the
+    signal at depth l (entry 0 the reconstruction, the last one `approx`)."""
+    chain = [approx]
+    for l in range(len(banks) - 1, -1, -1):
+        bank = banks[l]
+        chain.append(_synthesis_step(chain[-1], details[l], bank.h_bar,
+                                     bank.g_bar, lengths[l]))
+    return chain[::-1]
+
+
+def cascade_input(signal, levels: int) -> np.ndarray:
+    """`signal` as a float vector, checked for a `levels`-deep cascade."""
     a = np.asarray(signal, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise InvalidSignalError("signal must be 1-D with at least 2 samples")
-    if levels < 1:
-        raise InvalidDepthError(f"levels must be >= 1, got {levels}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidSignalError("signal holds non-finite samples")
     if levels > max_depth(a.size):
         raise InvalidDepthError(
             f"{levels} levels exceed the maximum depth {max_depth(a.size)} "
             f"for length {a.size}"
         )
-    details: list[np.ndarray] = []
-    lengths: list[int] = []
-    for _ in range(levels):
-        lengths.append(a.size)
-        a, d = analyze_level(a, bank.h, bank.g)
-        details.append(d)
-    return CoefficientPyramid(details=details, approx=a, level_lengths=lengths)
+    return a
+
+
+def fdwt(signal, bank: FilterBank, levels: int) -> CoefficientPyramid:
+    """Cascade decomposition: `levels` analysis steps with one bank, each
+    feeding its approximation to the next."""
+    if levels < 1:
+        raise InvalidDepthError(f"levels must be >= 1, got {levels}")
+    a = cascade_input(signal, levels)
+    as_kernel(bank.h), as_kernel(bank.g)
+    _, lengths, details, approx = analysis_cascade(a, [bank] * levels)
+    return CoefficientPyramid(details=details, approx=approx, level_lengths=lengths)
 
 
 def ifdwt(pyramid: CoefficientPyramid, bank: FilterBank) -> np.ndarray:
     """Invert `fdwt` from the deepest level down, truncating each step to the
     recorded pre-pad length."""
     pyramid.validate()
-    x = pyramid.approx
-    for d, n in zip(reversed(pyramid.details), reversed(pyramid.level_lengths)):
-        x = synthesize_level(x, d, bank.h_bar, bank.g_bar, n)
-    return x
+    as_kernel(bank.h_bar), as_kernel(bank.g_bar)
+    return synthesis_cascade(pyramid.approx, pyramid.details,
+                             pyramid.level_lengths, [bank] * pyramid.levels)[0]

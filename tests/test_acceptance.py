@@ -15,11 +15,10 @@ from wavelearn.audio import read_wav, window_split
 from wavelearn.network import (
     SharingMode,
     ThresholdPair,
-    build_model,
+    WaveletNet,
     default_levels_for,
     ht_activation,
     model_forward,
-    parameter_count,
 )
 from wavelearn.training import TrainConfig, gradient_check, train
 from wavelearn.wavelet import db4_filterbank, haar_filterbank
@@ -35,7 +34,7 @@ def test_c01_perfect_reconstruction():
     rng = np.random.default_rng(100)
     worst = 0.0
     for length in (1024, 625, 4096):
-        model = build_model(default_levels_for(length), 8, SharingMode.DB4_FIXED)
+        model = WaveletNet(default_levels_for(length), 8, SharingMode.DB4_FIXED)
         for _ in range(100):
             x = rng.normal(size=length)
             rec = model_forward(x, model)
@@ -81,8 +80,8 @@ def test_c03_ht_identities():
 
 
 def test_c04_parameter_count():
-    model = build_model(17, 8, SharingMode.PER_LEVEL_CQF_HT)
-    count = parameter_count(model)
+    model = WaveletNet(17, 8, SharingMode.PER_LEVEL_CQF_HT)
+    count = model.parameter_count()
     _verdict(4, count == 170, f"despawn k=8 L=17 reports {count} trainables")
 
 

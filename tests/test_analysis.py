@@ -15,26 +15,26 @@ from wavelearn.analysis import (
     roc_auc,
 )
 from wavelearn.errors import ConfigError, UndefinedMetricError
-from wavelearn.network import SharingMode, build_model
+from wavelearn.network import SharingMode, WaveletNet
 
 S = math.sqrt(0.5)
 
 
 class TestExtractFeatures:
     def test_perfect_reconstruction_gives_zero_residual(self):
-        model = build_model(5, 8, SharingMode.DB4_FIXED)
+        model = WaveletNet(5, 8, SharingMode.DB4_FIXED)
         x = np.random.default_rng(0).normal(size=512)
         feats = extract_features(x, model)
         assert feats.res_mean <= 1e-8 and feats.res_max <= 1e-8
 
     def test_constant_signal_has_near_zero_details(self):
-        model = build_model(4, 8, SharingMode.DB4_FIXED)
+        model = WaveletNet(4, 8, SharingMode.DB4_FIXED)
         feats = extract_features(np.full(256, 3.0), model)
         assert np.all(feats.l1_mean <= 1e-9)
         assert np.all(feats.l1_max <= 1e-9)
 
     def test_two_tap_hand_example(self):
-        model = build_model(1, 2, SharingMode.PER_LEVEL_CQF)
+        model = WaveletNet(1, 2, SharingMode.PER_LEVEL_CQF)
         feats = extract_features(np.array([1.0, 2.0, 3.0, 4.0]), model)
         assert feats.l1_mean[0] == pytest.approx(S, abs=1e-12)
         assert feats.l1_max[0] == pytest.approx(S, abs=1e-12)
@@ -42,7 +42,7 @@ class TestExtractFeatures:
     def test_dimension_is_two_plus_two_levels(self):
         rng = np.random.default_rng(1)
         for levels, n in ((3, 64), (5, 512), (7, 200)):
-            model = build_model(levels, 8, SharingMode.DB4_FIXED)
+            model = WaveletNet(levels, 8, SharingMode.DB4_FIXED)
             feats = extract_features(rng.normal(size=n), model)
             assert feats.vector().size == 2 + 2 * levels
 
@@ -165,8 +165,8 @@ class TestRocAuc:
 
 class TestDictClassify:
     def test_identical_models_tie_break_lexicographic(self):
-        model_a = build_model(3, 8, SharingMode.DB4_FIXED)
-        model_b = build_model(3, 8, SharingMode.DB4_FIXED)
+        model_a = WaveletNet(3, 8, SharingMode.DB4_FIXED)
+        model_b = WaveletNet(3, 8, SharingMode.DB4_FIXED)
         dictionary = DictionaryModel(
             class_models={"b": model_b, "a": model_a}, gamma=1.0)
         x = np.random.default_rng(11).normal(size=64)
@@ -177,8 +177,8 @@ class TestDictClassify:
     def test_lower_loss_model_wins(self):
         # class A reconstructs (fixed bank); class B annihilates details and
         # pays a large residual on a detail-heavy signal
-        model_a = build_model(3, 8, SharingMode.DB4_FIXED_HT)
-        model_b = build_model(3, 8, SharingMode.DB4_FIXED_HT)
+        model_a = WaveletNet(3, 8, SharingMode.DB4_FIXED_HT)
+        model_b = WaveletNet(3, 8, SharingMode.DB4_FIXED_HT)
         model_b.params["b_plus"][:] = 1e6
         model_b.params["b_minus"][:] = 1e6
         rng = np.random.default_rng(12)
@@ -190,8 +190,8 @@ class TestDictClassify:
         assert losses["A"] < losses["B"]
 
     def test_label_permutation_consistency(self):
-        model_a = build_model(3, 8, SharingMode.DB4_FIXED_HT)
-        model_b = build_model(3, 8, SharingMode.DB4_FIXED_HT)
+        model_a = WaveletNet(3, 8, SharingMode.DB4_FIXED_HT)
+        model_b = WaveletNet(3, 8, SharingMode.DB4_FIXED_HT)
         model_b.params["b_plus"][:] = 10.0
         x = np.random.default_rng(13).normal(size=64)
         d1 = DictionaryModel(class_models={"u": model_a, "v": model_b}, gamma=1.0)

@@ -136,6 +136,31 @@ class TestErrorPaths:
         assert code == 2
         assert "error" in err
 
+    def test_inconsistent_model_document_exits_2(self, detect_dir, tmp_path,
+                                                 capsys):
+        model = str(tmp_path / "model.json")
+        assert run(["train", "--manifest", str(detect_dir / "manifest.json"),
+                    "--epochs", "1", "--out", model], capsys)[0] == 0
+        doc = json.loads(open(model).read())
+        doc["level_params"].pop()
+        open(model, "w").write(json.dumps(doc))
+        wav = next(detect_dir.glob("*.wav"))
+        code, _, err = run(["reconstruct", "--model", model, "--input", str(wav)],
+                           capsys)
+        assert code == 2
+        assert "error" in err and "Traceback" not in err
+
+    def test_manifest_without_sample_rate_exits_2(self, detect_dir, tmp_path,
+                                                  capsys):
+        doc = json.loads((detect_dir / "manifest.json").read_text())
+        del doc["sample_rate"]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        code, _, err = run(["train", "--manifest", str(manifest), "--epochs", "1",
+                            "--out", str(tmp_path / "m.json")], capsys)
+        assert code == 2
+        assert "sample_rate" in err and "Traceback" not in err
+
     def test_bad_mode_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["train", "--manifest", "m.json", "--mode", "not-a-mode",

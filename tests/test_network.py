@@ -9,12 +9,11 @@ from wavelearn.errors import ConfigError, InvalidDepthError, InvalidSignalError
 from wavelearn.network import (
     SharingMode,
     ThresholdPair,
-    build_model,
+    WaveletNet,
     ht_activation,
     ht_gate_derivatives,
     loss,
     model_forward,
-    parameter_count,
 )
 from wavelearn.wavelet import (
     CoefficientPyramid,
@@ -73,24 +72,24 @@ class TestBuildModel:
     def test_initial_forward_reproduces_fixed_transform(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=1024)
-        fresh = build_model(10, 8, SharingMode.PER_LEVEL_CQF_HT)
-        fixed = build_model(10, 8, SharingMode.DB4_FIXED)
+        fresh = WaveletNet(10, 8, SharingMode.PER_LEVEL_CQF_HT)
+        fixed = WaveletNet(10, 8, SharingMode.DB4_FIXED)
         rec_a = model_forward(x, fresh)
         rec_b = model_forward(x, fixed)
         assert np.array_equal(rec_a.reconstruction, rec_b.reconstruction)
-        for da, db in zip(rec_a.pyramid.details, rec_b.pyramid.details):
+        for da, db in zip(rec_a.details, rec_b.details):
             assert np.array_equal(da, db)
-        assert np.array_equal(rec_a.pyramid.approx, rec_b.pyramid.approx)
+        assert np.array_equal(rec_a.approx, rec_b.approx)
 
     def test_same_seed_identical_model(self):
-        m1 = build_model(5, 8, SharingMode.FREE_HT, seed=9)
-        m2 = build_model(5, 8, SharingMode.FREE_HT, seed=9)
+        m1 = WaveletNet(5, 8, SharingMode.FREE_HT)
+        m2 = WaveletNet(5, 8, SharingMode.FREE_HT)
         assert m1.params.keys() == m2.params.keys()
         for key in m1.params:
             assert np.array_equal(m1.params[key], m2.params[key])
 
     def test_two_tap_model_is_haar(self):
-        m = build_model(3, 2, SharingMode.PER_LEVEL_CQF)
+        m = WaveletNet(3, 2, SharingMode.PER_LEVEL_CQF)
         np.testing.assert_allclose(m.params["h.0"], [S, S], rtol=0, atol=0)
         x = np.random.default_rng(0).normal(size=16)
         rec = model_forward(x, m)
@@ -98,9 +97,9 @@ class TestBuildModel:
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ConfigError):
-            build_model(0, 8, SharingMode.PER_LEVEL_CQF_HT)
+            WaveletNet(0, 8, SharingMode.PER_LEVEL_CQF_HT)
         with pytest.raises(ConfigError):
-            build_model(3, 7, SharingMode.PER_LEVEL_CQF_HT)
+            WaveletNet(3, 7, SharingMode.PER_LEVEL_CQF_HT)
 
     def test_mode_names_roundtrip(self):
         for mode in SharingMode:
@@ -121,19 +120,19 @@ class TestParameterCount:
         (SharingMode.FREE_HT, (4 * 8 + 2) * 17),
     ])
     def test_count_formula(self, mode, expected):
-        model = build_model(17, 8, mode)
-        assert parameter_count(model) == expected
+        model = WaveletNet(17, 8, mode)
+        assert model.parameter_count() == expected
 
     def test_reference_configuration(self):
         # kernel size 8 with 17 levels: ten trainables per level
-        model = build_model(17, 8, SharingMode.PER_LEVEL_CQF_HT)
-        assert parameter_count(model) == 170
+        model = WaveletNet(17, 8, SharingMode.PER_LEVEL_CQF_HT)
+        assert model.parameter_count() == 170
 
     def test_flat_vector_roundtrip(self):
         for mode in SharingMode:
-            model = build_model(4, 8, mode, seed=1)
+            model = WaveletNet(4, 8, mode)
             vec = model.get_parameters()
-            assert vec.size == parameter_count(model)
+            assert vec.size == model.parameter_count()
             bumped = vec + 0.25
             model.set_parameters(bumped)
             assert np.array_equal(model.get_parameters(), bumped)
@@ -143,32 +142,32 @@ class TestModelForward:
     def test_fixed_mode_reduces_to_plain_transform(self):
         rng = np.random.default_rng(2)
         bank = db4_filterbank()
-        model = build_model(5, 8, SharingMode.DB4_FIXED)
+        model = WaveletNet(5, 8, SharingMode.DB4_FIXED)
         for n in (64, 625, 1024):
             x = rng.normal(size=n)
             rec = model_forward(x, model)
             pyramid = fdwt(x, bank, 5)
             assert np.abs(rec.reconstruction - x).max() <= 1e-8
-            for da, db in zip(rec.pyramid.details, pyramid.details):
+            for da, db in zip(rec.details, pyramid.details):
                 np.testing.assert_allclose(da, db, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(rec.pyramid.approx, pyramid.approx,
+            np.testing.assert_allclose(rec.approx, pyramid.approx,
                                        rtol=0, atol=1e-12)
-            assert rec.reconstruction.size == rec.input_length == n
+            assert rec.reconstruction.size == rec.pre_lengths[0] == n
 
     def test_saturated_thresholds_keep_only_approximation(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=256)
-        model = build_model(4, 8, SharingMode.PER_LEVEL_CQF_HT)
+        model = WaveletNet(4, 8, SharingMode.PER_LEVEL_CQF_HT)
         model.params["b_plus"][:] = 1e6
         model.params["b_minus"][:] = 1e6
         rec = model_forward(x, model)
-        for d in rec.pyramid.details:
+        for d in rec.details:
             assert np.array_equal(d, np.zeros_like(d))
         expected = ifdwt(
             CoefficientPyramid(
-                details=[np.zeros_like(d) for d in rec.pyramid.details],
-                approx=rec.pyramid.approx,
-                level_lengths=rec.pyramid.level_lengths,
+                details=[np.zeros_like(d) for d in rec.details],
+                approx=rec.approx,
+                level_lengths=rec.pre_lengths,
             ),
             db4_filterbank(),
         )
@@ -177,7 +176,7 @@ class TestModelForward:
     def test_constraint_maintained_after_any_assignment(self):
         rng = np.random.default_rng(8)
         for mode in (SharingMode.SHARED_CQF_HT, SharingMode.PER_LEVEL_CQF_HT):
-            model = build_model(4, 8, mode)
+            model = WaveletNet(4, 8, mode)
             model.set_parameters(rng.normal(size=model.parameter_count()))
             for level in range(model.levels):
                 bank = model.bank_for_level(level)
@@ -185,7 +184,7 @@ class TestModelForward:
                 assert np.array_equal(bank.g, (-1.0) ** n * bank.h[::-1])
                 assert np.array_equal(bank.h_bar, bank.h[::-1])
                 assert np.array_equal(bank.g_bar, (-1.0) ** (n + 1) * bank.h)
-        model = build_model(4, 8, SharingMode.PER_LEVEL_TWO_KERNEL_HT)
+        model = WaveletNet(4, 8, SharingMode.PER_LEVEL_TWO_KERNEL_HT)
         model.set_parameters(rng.normal(size=model.parameter_count()))
         for level in range(model.levels):
             bank = model.bank_for_level(level)
@@ -193,7 +192,7 @@ class TestModelForward:
             assert np.array_equal(bank.g_bar, bank.g[::-1])
 
     def test_depth_and_signal_validation(self):
-        model = build_model(8, 8, SharingMode.DB4_FIXED)
+        model = WaveletNet(8, 8, SharingMode.DB4_FIXED)
         with pytest.raises(InvalidDepthError):
             model_forward(np.zeros(100), model)  # max depth 7
         with pytest.raises(InvalidSignalError):
@@ -203,7 +202,7 @@ class TestModelForward:
 class TestLoss:
     def test_perfect_zero_case(self):
         x = np.zeros(8)
-        model = build_model(2, 8, SharingMode.DB4_FIXED)
+        model = WaveletNet(2, 8, SharingMode.DB4_FIXED)
         rec = model_forward(x, model)
         assert loss(rec, x, 1.0) == (0.0, 0.0, 0.0)
 
@@ -224,7 +223,7 @@ class TestLoss:
 
     def test_non_negativity(self):
         rng = np.random.default_rng(5)
-        model = build_model(5, 8, SharingMode.PER_LEVEL_CQF_HT, seed=0)
+        model = WaveletNet(5, 8, SharingMode.PER_LEVEL_CQF_HT)
         model.set_parameters(
             model.get_parameters() + rng.normal(0, 0.1, model.parameter_count()))
         for _ in range(10):
@@ -234,18 +233,17 @@ class TestLoss:
             assert total == pytest.approx(recon + 0.7 * spars, rel=1e-15)
 
     def test_length_mismatch_rejected(self):
-        model = build_model(2, 8, SharingMode.DB4_FIXED)
+        model = WaveletNet(2, 8, SharingMode.DB4_FIXED)
         rec = model_forward(np.ones(16), model)
         with pytest.raises(InvalidSignalError):
             loss(rec, np.ones(17), 1.0)
 
 
 def _record(details, approx, lengths, recon):
-    from wavelearn.network import ForwardRecord
+    from wavelearn.network import ForwardTrace
 
-    return ForwardRecord(
-        pyramid=CoefficientPyramid(details=details, approx=approx,
-                                   level_lengths=lengths),
-        reconstruction=recon,
-        input_length=recon.size,
+    return ForwardTrace(
+        banks=[], padded_inputs=[], pre_lengths=lengths,
+        details_pre=details, details=details, approx=approx,
+        recon_chain=[recon],
     )

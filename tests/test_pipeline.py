@@ -18,7 +18,7 @@ from wavelearn.datasets import (
     save_manifest,
 )
 from wavelearn.errors import ConfigError, FormatError
-from wavelearn.network import SharingMode, build_model, model_forward
+from wavelearn.network import SharingMode, WaveletNet, model_forward
 from wavelearn.persist import (
     feature_header,
     load_dictionary,
@@ -33,6 +33,33 @@ from wavelearn.persist import (
     write_scores_csv,
 )
 from wavelearn.analysis import DictionaryModel, elm_fit, extract_features
+
+
+# model documents as written before the kernel-scheme table, with the
+# `seed` key the loader now ignores
+EARLIER_DOCS = {
+    "shared_h": {
+        "format_version": 1, "mode": "decwn", "levels": 2, "kernel_size": 2,
+        "alpha": 10.0, "gamma": 0.5, "seed": 7,
+        "level_params": [
+            {"b_plus": 0.1663723991391197, "b_minus": -0.16413972945846467},
+            {"b_plus": 0.0659147749832255, "b_minus": -0.0005203264171931977}],
+        "shared_h": [0.6419276659253786, 0.6896350519539699]},
+    "per_level_all": {
+        "format_version": 1, "mode": "free", "levels": 2, "kernel_size": 2,
+        "alpha": 10.0, "gamma": 0.5, "seed": 7,
+        "level_params": [
+            {"b_plus": 0.03801890922489917, "b_minus": 0.1482571163033857,
+             "h": [0.6447604070877082, 0.7219699335117502],
+             "g": [0.5462880027679087, -0.6829295934988624],
+             "h_bar": [0.730644873060293, 0.8646693843296939],
+             "g_bar": [-0.6754422795393573, 0.7581614473563117]},
+            {"b_plus": -0.011005869527805159, "b_minus": -0.1829604023445351,
+             "h": [0.5577951126901243, 0.9323796936589503],
+             "g": [0.5155422253907175, -0.5969265956042992],
+             "h_bar": [0.6741163737991626, 0.6190421293937679],
+             "g_bar": [-0.7727352822794507, 0.639905313120682]}]},
+}
 
 
 def _pcm16_wav(samples16, channels=1, rate=16000, codec=1, bits=16):
@@ -216,12 +243,28 @@ class TestManifest:
         with pytest.raises(ConfigError):
             manifest.validate()
 
+    @pytest.mark.parametrize("key,value", [
+        ("sample_rate", None), ("sample_rate", "16000"),
+        ("window_size", None), ("window_size", 32.5),
+        ("entries", None), ("entries", {"path": "w0.wav"}),
+    ])
+    def test_missing_or_ill_typed_field_rejected(self, tmp_path, key, value):
+        save_manifest(self._manifest(tmp_path), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=key):
+            load_manifest(tmp_path / "m.json")
+
 
 class TestModelPersistence:
     @pytest.mark.parametrize("mode", list(SharingMode), ids=lambda m: m.value)
     def test_roundtrip_bit_exact(self, mode, tmp_path):
         rng = np.random.default_rng(3)
-        model = build_model(4, 8, mode, gamma=0.7, seed=5)
+        model = WaveletNet(4, 8, mode, gamma=0.7)
         if model.parameter_count():
             model.set_parameters(
                 model.get_parameters()
@@ -241,7 +284,7 @@ class TestModelPersistence:
         assert np.array_equal(r1.reconstruction, r2.reconstruction)
 
     def test_version_gate(self, tmp_path):
-        model = build_model(2, 8, SharingMode.DB4_FIXED)
+        model = WaveletNet(2, 8, SharingMode.DB4_FIXED)
         path = tmp_path / "m.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
@@ -251,10 +294,45 @@ class TestModelPersistence:
             load_model(path)
 
 
+    @pytest.mark.parametrize("mode,corrupt", [
+        ("free", lambda doc: doc["level_params"].pop()),
+        ("free", lambda doc: doc["level_params"].append(doc["level_params"][0])),
+        ("free", lambda doc: doc["level_params"][1].pop("h")),
+        ("free", lambda doc: doc["level_params"][2].pop("g_bar")),
+        ("decwn", lambda doc: doc.pop("shared_h")),
+        ("despawn", lambda doc: doc["level_params"][0].update(
+            h=doc["level_params"][0]["h"][:6])),
+        ("despawn2", lambda doc: doc["level_params"][1]["g"].__setitem__(
+            3, float("nan"))),
+        ("decwn", lambda doc: doc["shared_h"].__setitem__(0, float("inf"))),
+        ("db4-ht", lambda doc: doc["level_params"][0].pop("b_minus")),
+    ], ids=["short_levels", "long_levels", "missing_h", "missing_g_bar",
+            "missing_shared_h", "six_taps", "nan_tap", "inf_tap",
+            "missing_threshold"])
+    def test_inconsistent_document_rejected(self, mode, corrupt, tmp_path):
+        model = WaveletNet(3, 8, SharingMode.from_name(mode))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("doc", list(EARLIER_DOCS.values()),
+                             ids=list(EARLIER_DOCS))
+    def test_earlier_documents_load_bit_exactly(self, doc, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        save_model(load_model(path), tmp_path / "new.json")
+        resaved = json.loads((tmp_path / "new.json").read_text())
+        assert resaved == {k: v for k, v in doc.items() if k != "seed"}
+
+
 class TestTablePersistence:
     def test_features_csv_schema_and_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
-        model = build_model(5, 8, SharingMode.DB4_FIXED)
+        model = WaveletNet(5, 8, SharingMode.DB4_FIXED)
         rows = [(f"sig:{i}", extract_features(rng.normal(size=128), model))
                 for i in range(7)]
         path = tmp_path / "features.csv"
@@ -275,7 +353,7 @@ class TestTablePersistence:
 
     def test_elm_roundtrip_preserves_scores(self, tmp_path):
         rng = np.random.default_rng(5)
-        model = build_model(4, 8, SharingMode.DB4_FIXED)
+        model = WaveletNet(4, 8, SharingMode.DB4_FIXED)
         feats = [extract_features(rng.normal(size=64), model) for _ in range(30)]
         elm = elm_fit(feats, neurons=10, ridge_lambda=1e-3, seed=2)
         path = tmp_path / "elm.json"
@@ -289,8 +367,8 @@ class TestTablePersistence:
     def test_dictionary_roundtrip(self, tmp_path):
         d = DictionaryModel(
             class_models={
-                "A": build_model(3, 8, SharingMode.DB4_FIXED_HT),
-                "B": build_model(3, 8, SharingMode.DB4_FIXED_HT),
+                "A": WaveletNet(3, 8, SharingMode.DB4_FIXED_HT),
+                "B": WaveletNet(3, 8, SharingMode.DB4_FIXED_HT),
             },
             gamma=1.0,
         )

@@ -4,10 +4,10 @@ behavior, and the training loop contract."""
 import numpy as np
 import pytest
 
-from wavelearn.errors import ConfigError
+from wavelearn.errors import ConfigError, InvalidSignalError
 from wavelearn.network import (
     SharingMode,
-    build_model,
+    WaveletNet,
     forward_trace,
     ht_gate_derivatives,
     model_forward,
@@ -17,6 +17,7 @@ from wavelearn.training import (
     TrainConfig,
     adam_step,
     backward,
+    backward_full,
     finite_difference_grad,
     gradient_check,
     train,
@@ -28,14 +29,14 @@ TRAINABLE_MODES = [m for m in SharingMode if m is not SharingMode.DB4_FIXED]
 class TestBackward:
     def test_zero_signal_gives_zero_gradients(self):
         for mode in TRAINABLE_MODES:
-            model = build_model(4, 8, mode)
+            model = WaveletNet(4, 8, mode)
             total, grads = backward(np.zeros(64), model, 1.0)
             assert total == 0.0
             assert np.array_equal(grads, np.zeros_like(grads))
 
     def test_gradient_shape_matches_mode(self):
         for mode in SharingMode:
-            model = build_model(6, 8, mode)
+            model = WaveletNet(6, 8, mode)
             _, grads = backward(np.random.default_rng(0).normal(size=128),
                                 model, 1.0)
             assert grads.shape == (model.parameter_count(),)
@@ -53,7 +54,7 @@ class TestBackward:
         # (1/M) sum sign(d_l) * dHT/db+ evaluated termwise.
         rng = np.random.default_rng(12)
         signal = rng.normal(size=256)
-        model = build_model(4, 8, SharingMode.DB4_FIXED_HT)
+        model = WaveletNet(4, 8, SharingMode.DB4_FIXED_HT)
         model.params["b_plus"][:] = np.abs(rng.normal(0, 0.05, 4))
         model.params["b_minus"][:] = np.abs(rng.normal(0, 0.05, 4))
         _, g1 = backward(signal, model, 1.0)
@@ -74,7 +75,7 @@ class TestBackward:
         # thresholds nudged off the exact kink so the oracle is well posed
         rng = np.random.default_rng(3)
         signal = rng.normal(size=256)
-        model = build_model(4, 8, SharingMode.DB4_FIXED_HT)
+        model = WaveletNet(4, 8, SharingMode.DB4_FIXED_HT)
         model.params["b_plus"][:] = 0.01
         model.params["b_minus"][:] = 0.01
         _, grads = backward(signal, model, 1.0)
@@ -85,18 +86,18 @@ class TestBackward:
 
 class TestFiniteDifferenceOracle:
     def test_no_trainables_is_an_empty_domain(self):
-        model = build_model(3, 8, SharingMode.DB4_FIXED)
+        model = WaveletNet(3, 8, SharingMode.DB4_FIXED)
         assert model.get_parameters().size == 0
         with pytest.raises(IndexError):
             finite_difference_grad(np.ones(16), model, 1.0, 0, 1e-6)
 
     def test_constant_loss_region_gives_zero(self):
-        model = build_model(3, 8, SharingMode.DB4_FIXED_HT)
+        model = WaveletNet(3, 8, SharingMode.DB4_FIXED_HT)
         assert finite_difference_grad(np.zeros(16), model, 1.0, 0, 1e-6) == 0.0
 
     def test_twenty_random_parameter_picks(self):
         rng = np.random.default_rng(21)
-        model = build_model(8, 8, SharingMode.PER_LEVEL_CQF_HT)
+        model = WaveletNet(8, 8, SharingMode.PER_LEVEL_CQF_HT)
         vec = model.get_parameters()
         model.set_parameters(vec + rng.normal(0, 0.02, vec.size))
         vec = model.get_parameters()
@@ -108,7 +109,7 @@ class TestFiniteDifferenceOracle:
             assert abs(grads[i] - fd) <= max(1e-7, 1e-4 * max(abs(fd), abs(grads[i])))
 
     def test_restores_parameters_exactly(self):
-        model = build_model(4, 8, SharingMode.PER_LEVEL_CQF_HT)
+        model = WaveletNet(4, 8, SharingMode.PER_LEVEL_CQF_HT)
         before = model.get_parameters()
         finite_difference_grad(np.random.default_rng(0).normal(size=64),
                                model, 1.0, 3, 1e-6)
@@ -120,7 +121,7 @@ class TestAdam:
         return TrainConfig(learning_rate=lr)
 
     def test_zero_gradient_from_rest_keeps_parameters(self):
-        model = build_model(3, 8, SharingMode.PER_LEVEL_CQF_HT)
+        model = WaveletNet(3, 8, SharingMode.PER_LEVEL_CQF_HT)
         before = model.get_parameters()
         state = AdamState.zeros(before.size)
         adam_step(model, np.zeros(before.size), state, self._config())
@@ -128,7 +129,7 @@ class TestAdam:
         assert np.array_equal(state.m, np.zeros_like(state.m))
 
     def test_zero_gradient_decays_moments(self):
-        model = build_model(3, 8, SharingMode.PER_LEVEL_CQF_HT)
+        model = WaveletNet(3, 8, SharingMode.PER_LEVEL_CQF_HT)
         n = model.get_parameters().size
         state = AdamState(m=np.full(n, 0.5), v=np.full(n, 0.5))
         adam_step(model, np.zeros(n), state, self._config())
@@ -136,7 +137,7 @@ class TestAdam:
         assert np.all(state.m > 0.0) and np.all(state.v > 0.0)
 
     def test_first_step_magnitude(self):
-        model = build_model(2, 8, SharingMode.SHARED_CQF)
+        model = WaveletNet(2, 8, SharingMode.SHARED_CQF)
         before = model.get_parameters()
         grads = np.full(before.size, 0.37)
         state = AdamState.zeros(before.size)
@@ -147,7 +148,7 @@ class TestAdam:
         np.testing.assert_allclose(delta, -lr * np.ones_like(delta), rtol=1e-6)
 
     def test_shape_mismatch_rejected(self):
-        model = build_model(2, 8, SharingMode.SHARED_CQF)
+        model = WaveletNet(2, 8, SharingMode.SHARED_CQF)
         state = AdamState.zeros(model.get_parameters().size)
         with pytest.raises(ConfigError):
             adam_step(model, np.zeros(3), state, self._config())
@@ -155,7 +156,7 @@ class TestAdam:
     def test_deterministic(self):
         results = []
         for _ in range(2):
-            model = build_model(3, 8, SharingMode.PER_LEVEL_CQF_HT)
+            model = WaveletNet(3, 8, SharingMode.PER_LEVEL_CQF_HT)
             state = AdamState.zeros(model.get_parameters().size)
             rng = np.random.default_rng(17)
             for _ in range(5):
@@ -186,7 +187,7 @@ class TestTrainLoop:
         signals = _sinusoid_set()
         config = TrainConfig(epochs=1, learning_rate=0.0, levels=6)
         report = train(signals, SharingMode.PER_LEVEL_CQF_HT, config)
-        fresh = build_model(6, 8, SharingMode.PER_LEVEL_CQF_HT)
+        fresh = WaveletNet(6, 8, SharingMode.PER_LEVEL_CQF_HT)
         assert np.array_equal(report.final_model.get_parameters(),
                               fresh.get_parameters())
         assert len(report.loss_history) == 1
@@ -243,3 +244,17 @@ class TestTrainLoop:
         ratios = report.synthesis_gain_ratios
         assert ratios.shape == (5,)
         assert np.all(np.isfinite(ratios)) and np.all(ratios > 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_signal_rejected_before_any_step(bad):
+    signals = _sinusoid_set(n_signals=4)
+    signals[2][100] = bad
+    model = WaveletNet(5, 8, SharingMode.PER_LEVEL_CQF_HT)
+    with pytest.raises(InvalidSignalError):
+        model_forward(signals[2], model)
+    with pytest.raises(InvalidSignalError):
+        backward_full(signals[2], model, 1.0)
+    with pytest.raises(InvalidSignalError):
+        train(signals, SharingMode.PER_LEVEL_CQF_HT,
+              TrainConfig(epochs=1, levels=5, shuffle=False))
