@@ -6,7 +6,6 @@ from .wavelet import (
     CoefficientPyramid,
     DB4_SCALING,
     HAAR_SCALING,
-    analyze_level,
     cqf_from_scaling,
     cqf_partial,
     db4_filterbank,
@@ -14,12 +13,10 @@ from .wavelet import (
     haar_filterbank,
     ifdwt,
     max_depth,
-    synthesize_level,
 )
 from .network import (
     ForwardTrace,
     SharingMode,
-    ThresholdPair,
     WaveletNet,
     default_levels_for,
     ht_activation,
@@ -31,7 +28,6 @@ from .training import (
     TrainConfig,
     TrainReport,
     adam_step,
-    backward,
     finite_difference_grad,
     gradient_check,
     train,

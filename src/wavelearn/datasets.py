@@ -18,6 +18,7 @@ import numpy as np
 
 from .audio import decimate, read_wav, window_split
 from .errors import ConfigError, FormatError
+from .persist import read_json
 
 
 @dataclass
@@ -78,11 +79,11 @@ def _typed(doc, key: str, kind: type):
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    doc = json.loads(path.read_text())
+    doc = read_json(path)
     manifest = DatasetManifest(
         sample_rate=_typed(doc, "sample_rate", int),
         window_size=_typed(doc, "window_size", int),
-        decimate=int(doc.get("decimate", 1)),
+        decimate=_typed(doc, "decimate", int) if "decimate" in doc else 1,
         entries=[
             ManifestEntry(path=_typed(e, "path", str), label=e.get("label"),
                           split=e.get("split", "train"))

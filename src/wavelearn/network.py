@@ -3,7 +3,9 @@
 A model owns per-level kernels and a pair of soft hard-threshold biases per
 level. The forward pass is a cascade encoder (strided correlations, details
 gated by the threshold activation) followed by the mirror decoder fed
-through skip connections.
+through skip connections. The activation evaluates each of its two sigmoid
+gate terms once per level and returns them with its output; the forward
+trace keeps them, so the backward pass forms the gate's partials from them.
 
 The sharing modes differ only in their kernel scheme: which kernels of a
 level train, and how the level's filter bank follows from them. The table
@@ -115,16 +117,6 @@ class SharingMode(enum.Enum):
         )
 
 
-@dataclass
-class ThresholdPair:
-    """One-sided gating biases of the threshold activation; `sharpness` is
-    fixed per model, not learnable."""
-
-    b_plus: float = 0.0
-    b_minus: float = 0.0
-    sharpness: float = DEFAULT_SHARPNESS
-
-
 def sigmoid(t: np.ndarray) -> np.ndarray:
     """Overflow-safe logistic function."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -136,31 +128,30 @@ def sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def ht_activation(x, t: ThresholdPair):
-    """Soft hard-threshold gate: x * [sigmoid(-a*(x+b-)) + sigmoid(a*(x-b+))].
+def ht_activation(x: np.ndarray, b_plus, b_minus, sharpness=DEFAULT_SHARPNESS):
+    """Soft hard-threshold gate y = x * (q + p), returned as (y, p, q) with
+    the gate terms p = sigmoid(a*(x-b+)) and q = sigmoid(-a*(x+b-)), so the
+    backward pass reuses them instead of evaluating the sigmoids again.
 
-    With both biases at zero the bracket is identically one, so the input is
-    returned unchanged (exact identity, not merely approximate).
+    With both biases at zero the bracket is identically one, so y is the
+    input unchanged (exact identity, not merely approximate).
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if t.b_plus == 0.0 and t.b_minus == 0.0:
-        out = x.copy()
-    else:
-        a = t.sharpness
-        gate = sigmoid(-a * (x + t.b_minus)) + sigmoid(a * (x - t.b_plus))
-        out = x * gate
-    return float(out[0]) if scalar else out
+    a = sharpness
+    p = sigmoid(a * (x - b_plus))
+    q = sigmoid(-a * (x + b_minus))
+    if b_plus == 0.0 and b_minus == 0.0:
+        return x.copy(), p, q
+    return x * (q + p), p, q
 
 
-def ht_gate_derivatives(x: np.ndarray, t: ThresholdPair):
-    """Partial derivatives of the activation output y = x * gate(x).
+def ht_gate_derivatives(x: np.ndarray, p: np.ndarray, q: np.ndarray,
+                        sharpness: float):
+    """Partial derivatives of the activation output y = x * (q + p), formed
+    from the gate terms `ht_activation` returned for the same `x`.
 
     Returns (dy/dx, dy/db_plus, dy/db_minus) evaluated elementwise.
     """
-    a = t.sharpness
-    p = sigmoid(a * (x - t.b_plus))
-    q = sigmoid(-a * (x + t.b_minus))
+    a = sharpness
     dp = p * (1.0 - p)
     dq = q * (1.0 - q)
     dy_dx = (p + q) + a * x * (dp - dq)
@@ -257,13 +248,6 @@ class WaveletNet:
         scheme = self.mode.scheme
         return scheme.derive(*(self.params[n] for n in scheme.names(level)))
 
-    def threshold_for_level(self, level: int) -> ThresholdPair:
-        return ThresholdPair(
-            b_plus=float(self.params["b_plus"][level]),
-            b_minus=float(self.params["b_minus"][level]),
-            sharpness=self.sharpness,
-        )
-
     def synthesis_gain_ratios(self) -> np.ndarray:
         """Per-level ||h_bar|| / ||h||; diverging ratios flag the known
         instability of fully unconstrained banks."""
@@ -284,6 +268,7 @@ class ForwardTrace:
     pre_lengths: list[int]            # encoder input length of each level, pre-pad
     details_pre: list[np.ndarray]     # detail coefficients before gating
     details: list[np.ndarray]         # detail coefficients after gating
+    gates: list[tuple]                # (p, q) gate terms per level; empty without HT
     approx: np.ndarray
     recon_chain: list[np.ndarray]     # decoder outputs, index l = signal at depth l
 
@@ -298,16 +283,21 @@ def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
     signal = cascade_input(signal, model.levels)
     banks = [model.bank_for_level(l) for l in range(model.levels)]
     padded, pre_lengths, details_pre, approx = analysis_cascade(signal, banks)
-    details = details_pre
+    details, gates = details_pre, []
     if model.mode.trains_thresholds:
-        details = [ht_activation(d, model.threshold_for_level(l))
-                   for l, d in enumerate(details_pre)]
+        details = []
+        for d, b_plus, b_minus in zip(details_pre, model.params["b_plus"],
+                                      model.params["b_minus"]):
+            y, p, q = ht_activation(d, b_plus, b_minus, model.sharpness)
+            details.append(y)
+            gates.append((p, q))
     return ForwardTrace(
         banks=banks,
         padded_inputs=padded,
         pre_lengths=pre_lengths,
         details_pre=details_pre,
         details=details,
+        gates=gates,
         approx=approx,
         recon_chain=synthesis_cascade(approx, details, pre_lengths, banks),
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +36,35 @@ def _kernel_slots(doc: dict, model: WaveletNet):
             yield doc["level_params"][int(where)], _KIND_KEYS[kind], name
 
 
-def _field(record, key: str):
+def read_json(path):
+    """The JSON document stored in `path`; anything else is a FormatError."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{path} is not a JSON document: {exc}") from None
+
+
+def _field(record, key: str, convert=None):
+    """record[key], passed through `convert` when one is given. A missing
+    key, a value `convert` rejects, or a non-finite number is a FormatError."""
     if not isinstance(record, dict) or key not in record:
-        raise FormatError(f"model document lacks {key!r}")
-    return record[key]
+        raise FormatError(f"document lacks {key!r}")
+    if convert is None:
+        return record[key]
+    try:
+        value = convert(record[key])
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"field {key!r} holds an invalid value") from None
+    if isinstance(value, (float, np.ndarray)) and not np.all(np.isfinite(value)):
+        raise FormatError(f"field {key!r} holds a non-finite number")
+    return value
+
+
+_floats = partial(np.asarray, dtype=float)
+# the stored fields of a OneClassElm, each with the converter that reads it
+_ELM_FIELDS = {"hidden_weights": _floats, "hidden_bias": _floats,
+               "output_weights": _floats, "scaler_mean": _floats,
+               "scaler_std": _floats, "ridge_lambda": float, "seed": int}
 
 
 def _model_doc(model: WaveletNet) -> dict:
@@ -66,11 +92,11 @@ def _model_from_doc(doc: dict) -> WaveletNet:
             f"unsupported model format version {doc.get('format_version')!r}"
         )
     model = WaveletNet(
-        levels=int(_field(doc, "levels")),
-        kernel_size=int(_field(doc, "kernel_size")),
+        levels=_field(doc, "levels", int),
+        kernel_size=_field(doc, "kernel_size", int),
         mode=SharingMode.from_name(_field(doc, "mode")),
-        gamma=float(_field(doc, "gamma")),
-        sharpness=float(doc.get("alpha", DEFAULT_SHARPNESS)),
+        gamma=_field(doc, "gamma", float),
+        sharpness=_field(doc, "alpha", float) if "alpha" in doc else DEFAULT_SHARPNESS,
     )
     records = _field(doc, "level_params")
     if not isinstance(records, list) or len(records) != model.levels:
@@ -78,11 +104,11 @@ def _model_from_doc(doc: dict) -> WaveletNet:
             f"level_params must hold one record per level ({model.levels})"
         )
     for l, record in enumerate(records):
-        model.params["b_plus"][l] = float(_field(record, "b_plus"))
-        model.params["b_minus"][l] = float(_field(record, "b_minus"))
+        model.params["b_plus"][l] = _field(record, "b_plus", float)
+        model.params["b_minus"][l] = _field(record, "b_minus", float)
     for record, key, name in _kernel_slots(doc, model):
-        taps = np.asarray(_field(record, key), dtype=float)
-        if taps.shape != (model.kernel_size,) or not np.all(np.isfinite(taps)):
+        taps = _field(record, key, _floats)
+        if taps.shape != (model.kernel_size,):
             raise FormatError(
                 f"kernel {key!r} of {name} must hold {model.kernel_size} finite taps"
             )
@@ -95,37 +121,27 @@ def save_model(model: WaveletNet, path) -> None:
 
 
 def load_model(path) -> WaveletNet:
-    return _model_from_doc(json.loads(Path(path).read_text()))
+    return _model_from_doc(read_json(path))
 
 
 # ---------------------------------------------------------------------------
 # one-class scorer
 
 def save_elm(elm: OneClassElm, path) -> None:
-    doc = {
-        "neurons": elm.neurons,
-        "ridge_lambda": elm.ridge_lambda,
-        "seed": elm.seed,
-        "hidden_weights": elm.hidden_weights.tolist(),
-        "hidden_bias": elm.hidden_bias.tolist(),
-        "output_weights": elm.output_weights.tolist(),
-        "scaler_mean": elm.scaler_mean.tolist(),
-        "scaler_std": elm.scaler_std.tolist(),
-    }
-    Path(path).write_text(json.dumps(doc))
+    doc = {name: getattr(elm, name) for name in _ELM_FIELDS}
+    Path(path).write_text(json.dumps(doc, default=np.ndarray.tolist))
 
 
 def load_elm(path) -> OneClassElm:
-    doc = json.loads(Path(path).read_text())
-    return OneClassElm(
-        hidden_weights=np.asarray(doc["hidden_weights"], dtype=float),
-        hidden_bias=np.asarray(doc["hidden_bias"], dtype=float),
-        output_weights=np.asarray(doc["output_weights"], dtype=float),
-        scaler_mean=np.asarray(doc["scaler_mean"], dtype=float),
-        scaler_std=np.asarray(doc["scaler_std"], dtype=float),
-        ridge_lambda=float(doc["ridge_lambda"]),
-        seed=int(doc["seed"]),
-    )
+    doc = read_json(path)
+    elm = OneClassElm(**{name: _field(doc, name, convert)
+                         for name, convert in _ELM_FIELDS.items()})
+    w = elm.hidden_weights
+    if (w.ndim != 2
+            or {elm.hidden_bias.shape, elm.output_weights.shape} != {w.shape[1:]}
+            or {elm.scaler_mean.shape, elm.scaler_std.shape} != {w.shape[:1]}):
+        raise FormatError("ELM document holds arrays of inconsistent shapes")
+    return elm
 
 
 def save_dictionary(dictionary: DictionaryModel, path) -> None:
@@ -140,13 +156,13 @@ def save_dictionary(dictionary: DictionaryModel, path) -> None:
 
 
 def load_dictionary(path) -> DictionaryModel:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path)
+    classes = _field(doc, "classes", dict)
     return DictionaryModel(
         class_models={
-            label: _model_from_doc(mdoc)
-            for label, mdoc in doc["classes"].items()
+            label: _model_from_doc(mdoc) for label, mdoc in classes.items()
         },
-        gamma=float(doc["gamma"]),
+        gamma=_field(doc, "gamma", float),
     )
 
 
@@ -174,17 +190,28 @@ def write_features_csv(rows: list[tuple[str, LatentFeatures]], path) -> None:
             writer.writerow([row_id] + [repr(float(v)) for v in vec])
 
 
-def read_features_csv(path) -> list[tuple[str, LatentFeatures]]:
+def _read_table(path, min_columns: int) -> list[tuple[str, np.ndarray]]:
+    """The rows of a CSV table under an ``id`` header of at least
+    `min_columns` columns, as (id, the other cells as floats)."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) < 5 or header[0] != "id":
-            raise FormatError(f"unexpected feature header in {path}")
-        rows = []
-        for rec in reader:
-            vec = np.array([float(v) for v in rec[1:]])
-            rows.append((rec[0], LatentFeatures.from_vector(vec)))
+        records = list(csv.reader(fh))
+    header = records[0] if records else []
+    if len(header) < min_columns or header[0] != "id":
+        raise FormatError(f"{path} lacks an id header of {min_columns}+ columns")
+    rows = []
+    for line, rec in enumerate(records[1:], start=2):
+        try:
+            if len(rec) != len(header):
+                raise ValueError(f"{len(rec)} cells under {len(header)} columns")
+            rows.append((rec[0], np.array([float(v) for v in rec[1:]])))
+        except ValueError as exc:
+            raise FormatError(f"{path} line {line}: {exc}") from None
     return rows
+
+
+def read_features_csv(path) -> list[tuple[str, LatentFeatures]]:
+    return [(row_id, LatentFeatures.from_vector(vec))
+            for row_id, vec in _read_table(path, 5)]
 
 
 def write_scores_csv(rows: list[tuple[str, float]], path) -> None:
@@ -196,7 +223,4 @@ def write_scores_csv(rows: list[tuple[str, float]], path) -> None:
 
 
 def read_scores_csv(path) -> list[tuple[str, float]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return [(rec[0], float(rec[1])) for rec in reader]
+    return [(row_id, float(vec[0])) for row_id, vec in _read_table(path, 2)]

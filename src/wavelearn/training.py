@@ -3,7 +3,8 @@
 `backward_full` computes the exact gradient of the training loss with
 respect to every trainable scalar by reverse traversal of the cascade:
 absolute-value terms contribute their sign (with sign(0) = 0), gating layers
-their analytic partials, and the strided correlations transpose to
+their analytic partials (formed from the gate terms the forward trace kept,
+so no sigmoid is evaluated twice), and the strided correlations transpose to
 zero-interpolated periodic convolutions. That yields a gradient on each
 level's filter bank, which the mode's kernel scheme (`KERNEL_SCHEMES` in
 `network.py`) folds back onto the trainable kernels; nothing here depends on
@@ -75,8 +76,8 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     for l in range(levels - 1, -1, -1):
         bank = trace.banks[l]
         if trains_ht:
-            tp = model.threshold_for_level(l)
-            dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(trace.details_pre[l], tp)
+            dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(
+                trace.details_pre[l], *trace.gates[l], model.sharpness)
             g_dpre = grad_d[l] * dy_dx
             grads["b_plus"][l] = float(np.dot(grad_d[l], dy_dbp))
             grads["b_minus"][l] = float(np.dot(grad_d[l], dy_dbm))
@@ -100,17 +101,10 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     return (total, recon, sparsity), model.flatten(grads)
 
 
-def backward(signal, model: WaveletNet, gamma: float):
-    """Total loss and its exact gradient as a flat vector aligned with
-    `model.get_parameters()`."""
-    (total, _, _), flat = backward_full(signal, model, gamma)
-    return total, flat
-
-
 def finite_difference_grad(signal, model: WaveletNet, gamma: float,
                            param_index: int, step: float) -> float:
     """Central difference of the total loss along one trainable scalar;
-    the brute-force oracle for `backward`."""
+    the brute-force oracle for `backward_full`."""
     vec = model.get_parameters()
     if param_index < 0 or param_index >= vec.size:
         raise IndexError(
@@ -144,7 +138,7 @@ def gradient_check(mode: SharingMode, seed: int = 0, n_seeds: int = 5,
                    length: int = 256, rel_tol: float = 1e-4,
                    abs_tol: float = 1e-7, gamma: float = 1.0,
                    perturb: float = 0.02) -> GradCheckReport:
-    """Compare `backward` against the finite-difference oracle over every
+    """Compare `backward_full` against the finite-difference oracle over every
     trainable scalar on random signals.
 
     The model is nudged away from its initialization first: at the exact
@@ -164,7 +158,7 @@ def gradient_check(mode: SharingMode, seed: int = 0, n_seeds: int = 5,
             model.set_parameters(vec + rng.normal(0.0, perturb, vec.size))
         signal = rng.normal(size=length)
         vec = model.get_parameters()
-        _, grads = backward(signal, model, gamma)
+        _, grads = backward_full(signal, model, gamma)
         for i in range(vec.size):
             step = 1e-6 * max(1.0, abs(vec[i]))
             fd = finite_difference_grad(signal, model, gamma, i, step)
@@ -181,17 +175,18 @@ def gradient_check(mode: SharingMode, seed: int = 0, n_seeds: int = 5,
 # ---------------------------------------------------------------------------
 # optimizer and loop
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 100
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     batch_size: int = 8
-    seed: int = 0
+    seed: int = 0          # seeds the per-epoch window order
     gamma: float = 1.0
-    shuffle: bool = True
     levels: int | None = None      # None: nearest log2 of the window length
     kernel_size: int = 8
 
@@ -200,8 +195,6 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate < 0:
             raise ConfigError("learning rate must be >= 0")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ConfigError("Adam betas must lie in (0, 1)")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
 
@@ -228,11 +221,11 @@ def adam_step(model: WaveletNet, grads: np.ndarray, state: AdamState,
             f"match {params.shape} parameters"
         )
     state.t += 1
-    state.m = config.adam_beta1 * state.m + (1 - config.adam_beta1) * grads
-    state.v = config.adam_beta2 * state.v + (1 - config.adam_beta2) * grads * grads
-    m_hat = state.m / (1 - config.adam_beta1 ** state.t)
-    v_hat = state.v / (1 - config.adam_beta2 ** state.t)
-    params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+    state.m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1 - ADAM_BETA2 ** state.t)
+    params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     model.set_parameters(params)
     return model, state
 
@@ -246,8 +239,8 @@ class TrainReport:
 
 
 def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
-    """Mini-batch loop: gradients averaged over each batch in a fixed order,
-    optional per-epoch shuffling driven by the config seed."""
+    """Mini-batch loop: gradients averaged over each batch, the windows
+    permuted every epoch by a generator seeded from the config."""
     config.validate()
     if not signals:
         raise ConfigError("training set is empty")
@@ -262,7 +255,7 @@ def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
     start = time.perf_counter()
     n = len(signals)
     for _ in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         epoch_losses = np.zeros(3)
         for lo in range(0, n, config.batch_size):
             batch = order[lo:lo + config.batch_size]

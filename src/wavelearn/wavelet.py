@@ -164,7 +164,7 @@ def _periodic_ext(x: np.ndarray, extra: int) -> np.ndarray:
 
 def strided_corr(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """out[k] = sum_n f[n] * x[(2k + n) mod N] for k in [0, N/2).  N even."""
-    ext = _periodic_ext(x, f.size - 1) if f.size > 1 else x
+    ext = _periodic_ext(x, f.size - 1)
     return np.correlate(ext, f, mode="valid")[::2]
 
 
@@ -184,7 +184,7 @@ def kernel_grad(upstream: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
     """d(strided_corr(x, f))/df contracted with `upstream`:
     out[n] = sum_k upstream[k] * x[(2k + n) mod N]."""
     n = x.size
-    ext = _periodic_ext(x, taps - 1) if taps > 1 else x
+    ext = _periodic_ext(x, taps - 1)
     out = np.empty(taps)
     for tap in range(taps):
         out[tap] = np.dot(upstream, ext[tap:tap + n - 1:2])
@@ -192,53 +192,13 @@ def kernel_grad(upstream: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single level
+# full cascade
 
 def _pad_even(a: np.ndarray) -> np.ndarray:
     if a.size % 2:
         return np.concatenate([a, [0.0]])
     return a
 
-
-def _analysis_step(a_pad: np.ndarray, h: np.ndarray, g: np.ndarray):
-    """Approximation and detail of one even-length input."""
-    return strided_corr(a_pad, h), strided_corr(a_pad, g)
-
-
-def _synthesis_step(a_next, d, h_bar, g_bar, n_out: int) -> np.ndarray:
-    """Zero-interpolate both inputs, periodically convolve with the
-    index-reversed synthesis kernels, sum, and truncate to `n_out`."""
-    n = 2 * a_next.size
-    y = upsample_conv(a_next, h_bar[::-1], n) + upsample_conv(d, g_bar[::-1], n)
-    return y[:n_out]
-
-
-def analyze_level(a, h, g) -> tuple[np.ndarray, np.ndarray]:
-    """One decomposition step: strided periodic correlation with the low- and
-    high-pass kernels, downsampling by two.
-
-    Odd-length inputs are zero-padded by one sample first; the caller is
-    responsible for recording the pre-pad length.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise InvalidSignalError("input signal must be a non-empty 1-D vector")
-    return _analysis_step(_pad_even(a), as_kernel(h), as_kernel(g))
-
-
-def synthesize_level(a_next, d, h_bar, g_bar, original_length: int) -> np.ndarray:
-    """One reconstruction step, the inverse of `analyze_level` for a
-    perfect-reconstruction bank, truncated to the recorded pre-pad length."""
-    level = CoefficientPyramid(details=[np.asarray(d, dtype=float)],
-                               approx=np.asarray(a_next, dtype=float),
-                               level_lengths=[original_length])
-    level.validate()
-    return _synthesis_step(level.approx, level.details[0], as_kernel(h_bar),
-                           as_kernel(g_bar), original_length)
-
-
-# ---------------------------------------------------------------------------
-# full cascade
 
 def max_depth(length: int) -> int:
     """Number of halvings (with odd-length padding) until one sample is left."""
@@ -261,8 +221,8 @@ def analysis_cascade(signal: np.ndarray, banks: list[FilterBank]):
         lengths.append(a.size)
         a_pad = _pad_even(a)
         padded.append(a_pad)
-        a, d = _analysis_step(a_pad, bank.h, bank.g)
-        details.append(d)
+        a = strided_corr(a_pad, bank.h)
+        details.append(strided_corr(a_pad, bank.g))
     return padded, lengths, details, a
 
 
@@ -271,9 +231,12 @@ def synthesis_cascade(approx, details, lengths, banks: list[FilterBank]) -> list
     signal at depth l (entry 0 the reconstruction, the last one `approx`)."""
     chain = [approx]
     for l in range(len(banks) - 1, -1, -1):
-        bank = banks[l]
-        chain.append(_synthesis_step(chain[-1], details[l], bank.h_bar,
-                                     bank.g_bar, lengths[l]))
+        bank, n = banks[l], 2 * chain[-1].size
+        # zero-interpolate both inputs, convolve periodically with the
+        # index-reversed synthesis kernels, sum, truncate to the pre-pad length
+        y = upsample_conv(chain[-1], bank.h_bar[::-1], n) + \
+            upsample_conv(details[l], bank.g_bar[::-1], n)
+        chain.append(y[:lengths[l]])
     return chain[::-1]
 
 

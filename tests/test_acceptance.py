@@ -14,7 +14,6 @@ from wavelearn.analysis import elm_fit, elm_score, extract_features, roc_auc
 from wavelearn.audio import read_wav, window_split
 from wavelearn.network import (
     SharingMode,
-    ThresholdPair,
     WaveletNet,
     default_levels_for,
     ht_activation,
@@ -62,17 +61,17 @@ def test_c02_cqf_identity():
 def test_c03_ht_identities():
     grid = np.linspace(-50.0, 50.0, 10_000)
     identity_exact = np.array_equal(
-        ht_activation(grid, ThresholdPair(0.0, 0.0)), grid)
+        ht_activation(grid, 0.0, 0.0)[0], grid)
 
     sym_worst = 0.0
     rng = np.random.default_rng(30)
     xs = rng.normal(scale=3.0, size=400)
     for bp, bm in ((0.4, 0.9), (1.2, 0.0), (0.0, 0.3), (2.5, 2.5)):
-        left = ht_activation(-xs, ThresholdPair(bp, bm))
-        right = -ht_activation(xs, ThresholdPair(bm, bp))
+        left = ht_activation(-xs, bp, bm)[0]
+        right = -ht_activation(xs, bm, bp)[0]
         sym_worst = max(sym_worst, float(np.abs(left - right).max()))
 
-    point = ht_activation(1.0, ThresholdPair(0.5, 0.5))
+    point = ht_activation(np.ones(1), 0.5, 0.5)[0][0]
     point_err = abs(point - 0.9933074)
     ok = identity_exact and sym_worst <= 1e-12 and point_err <= 1e-6
     _verdict(3, ok, f"identity exact={identity_exact}, symmetry dev "

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wavelearn.cli import main
-from wavelearn.persist import read_features_csv, read_scores_csv
+from wavelearn.network import SharingMode, WaveletNet
+from wavelearn.persist import read_features_csv, read_scores_csv, save_model
 
 
 def run(argv, capsys):
@@ -161,7 +162,56 @@ class TestErrorPaths:
         assert code == 2
         assert "sample_rate" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,content", [
+        (["reconstruct", "--model", "{bad}", "--input", "{wav}"],
+         lambda d, t: _edited(_saved_model(t), lambda doc: doc["level_params"][0]
+                              .update(h="oops"))),
+        (["reconstruct", "--model", "{bad}", "--input", "{wav}"], "{not json"),
+        (["detect-score", "--elm", "{bad}", "--features", "{bad}",
+          "--out", "{out}"], "{}"),
+        (["detect-train", "--features", "{bad}", "--out", "{out}"],
+         "id,res_mean,res_max,l1_mean_1,l1_max_1\nw:0,1.0,oops,0.5,0.5\n"),
+        (["detect-train", "--features", "{bad}", "--out", "{out}"], ""),
+        (["eval-auc", "--scores", "{bad}", "--manifest", "{manifest}"], ""),
+        (["eval-auc", "--scores", "{bad}", "--manifest", "{manifest}"],
+         "id,score\nw:0,high\n"),
+        (["classify", "--dict", "{bad}", "--manifest", "{manifest}",
+          "--out", "{out}"], "{}"),
+        (["train", "--manifest", "{bad}", "--epochs", "1", "--out", "{out}"],
+         lambda d, t: _edited(d / "manifest.json",
+                              lambda doc: doc.update(decimate="x"))),
+        (["train", "--manifest", "{bad}", "--epochs", "1", "--out", "{out}"],
+         "{not json"),
+    ], ids=["model_kernel_not_numeric", "model_not_json", "elm_empty",
+            "features_cell_not_numeric", "features_empty", "scores_empty",
+            "score_not_numeric", "dictionary_empty", "manifest_decimate_not_int",
+            "manifest_not_json"])
+    def test_malformed_input_exits_2(self, argv, content, detect_dir, tmp_path,
+                                     capsys):
+        bad = tmp_path / "bad"
+        bad.write_text(content(detect_dir, tmp_path) if callable(content)
+                       else content)
+        paths = {"{bad}": bad, "{wav}": next(detect_dir.glob("*.wav")),
+                 "{manifest}": detect_dir / "manifest.json",
+                 "{out}": tmp_path / "out"}
+        code, _, err = run([str(paths.get(a, a)) for a in argv], capsys)
+        assert code == 2
+        assert "error" in err and "Traceback" not in err
+
     def test_bad_mode_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["train", "--manifest", "m.json", "--mode", "not-a-mode",
                   "--out", "o.json"])
+
+
+def _saved_model(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(WaveletNet(8, 8, SharingMode.PER_LEVEL_CQF_HT), path)
+    return path
+
+
+def _edited(path, edit) -> str:
+    """The JSON document at `path`, changed in place by `edit`, as text."""
+    doc = json.loads(path.read_text())
+    edit(doc)
+    return json.dumps(doc)

@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from wavelearn import network
 from wavelearn.errors import ConfigError, InvalidDepthError, InvalidSignalError
 from wavelearn.network import (
     SharingMode,
-    ThresholdPair,
     WaveletNet,
     ht_activation,
     ht_gate_derivatives,
     loss,
     model_forward,
 )
+from wavelearn.training import backward_full
 from wavelearn.wavelet import (
     CoefficientPyramid,
     DB4_SCALING,
@@ -32,40 +33,80 @@ HT_ONE_HALF_HALF = 0.9933074549779422
 class TestHtActivation:
     def test_zero_thresholds_exact_identity(self):
         grid = np.linspace(-50.0, 50.0, 10_000)
-        out = ht_activation(grid, ThresholdPair(0.0, 0.0))
+        out, _, _ = ht_activation(grid, 0.0, 0.0)
         assert np.array_equal(out, grid)
 
     def test_zero_input_maps_to_zero(self):
-        for pair in (ThresholdPair(0.0, 0.0), ThresholdPair(0.5, 0.2),
-                     ThresholdPair(-0.1, 3.0)):
-            assert ht_activation(0.0, pair) == 0.0
+        for bp, bm in ((0.0, 0.0), (0.5, 0.2), (-0.1, 3.0)):
+            assert ht_activation(np.zeros(1), bp, bm)[0][0] == 0.0
 
     def test_scalar_value_against_formula(self):
-        got = ht_activation(1.0, ThresholdPair(0.5, 0.5))
-        assert abs(got - HT_ONE_HALF_HALF) <= 1e-6
+        got, _, _ = ht_activation(np.ones(1), 0.5, 0.5)
+        assert abs(got[0] - HT_ONE_HALF_HALF) <= 1e-6
 
     def test_odd_symmetry_with_swapped_thresholds(self):
         rng = np.random.default_rng(4)
         x = rng.normal(scale=2.0, size=500)
         for bp, bm in ((0.3, 0.7), (1.5, 0.0), (0.0, 0.4), (2.0, 2.0)):
-            left = ht_activation(-x, ThresholdPair(bp, bm))
-            right = -ht_activation(x, ThresholdPair(bm, bp))
+            left = ht_activation(-x, bp, bm)[0]
+            right = -ht_activation(x, bm, bp)[0]
             np.testing.assert_allclose(left, right, rtol=0, atol=1e-12)
 
     def test_huge_thresholds_annihilate(self):
         x = np.linspace(-5, 5, 101)
-        out = ht_activation(x, ThresholdPair(1e6, 1e6))
+        out, _, _ = ht_activation(x, 1e6, 1e6)
         assert np.array_equal(out, np.zeros_like(x))
 
     def test_differentiable_everywhere(self):
-        # analytic derivative matches a central difference at every probe
-        pair = ThresholdPair(0.6, 0.25)
+        # the partials formed from the returned gate terms match central
+        # differences in x, b+ and b- at every probe
+        bp, bm, a = 0.6, 0.25, 10.0
         xs = np.array([-3.0, -0.6, -0.25, 0.0, 0.25, 0.6, 1e-9, 3.0])
-        dy_dx, _, _ = ht_gate_derivatives(xs, pair)
+        _, p, q = ht_activation(xs, bp, bm, a)
+        dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(xs, p, q, a)
         eps = 1e-6
-        fd = (ht_activation(xs + eps, pair) - ht_activation(xs - eps, pair)) / (2 * eps)
-        assert np.all(np.isfinite(dy_dx))
-        np.testing.assert_allclose(dy_dx, fd, rtol=0, atol=1e-8)
+
+        def y(x=xs, b_plus=bp, b_minus=bm):
+            return ht_activation(x, b_plus, b_minus, a)[0]
+
+        for analytic, diff in ((dy_dx, y(x=xs + eps) - y(x=xs - eps)),
+                               (dy_dbp, y(b_plus=bp + eps) - y(b_plus=bp - eps)),
+                               (dy_dbm, y(b_minus=bm + eps) - y(b_minus=bm - eps))):
+            assert np.all(np.isfinite(analytic))
+            np.testing.assert_allclose(analytic, diff / (2 * eps), rtol=0, atol=1e-8)
+
+
+class TestGateEvaluatedOnce:
+    """The sigmoid gate terms are evaluated once per level and pass, and the
+    backward pass reuses the ones the forward trace kept."""
+
+    @staticmethod
+    def _count_sigmoids(monkeypatch, call):
+        calls = []
+        original = network.sigmoid
+
+        def counted(t):
+            calls.append(1)
+            return original(t)
+
+        monkeypatch.setattr(network, "sigmoid", counted)
+        call()
+        return len(calls)
+
+    def test_counts(self, monkeypatch):
+        x = np.random.default_rng(2).normal(size=256)
+        despawn = WaveletNet(5, 8, SharingMode.PER_LEVEL_CQF_HT)
+        despawn.params["b_plus"][:] = 0.3
+        despawn.params["b_minus"][:] = 0.2
+        lcwn = WaveletNet(5, 8, SharingMode.PER_LEVEL_CQF)
+        assert self._count_sigmoids(
+            monkeypatch, lambda: backward_full(x, despawn, 1.0)) == 10
+        assert self._count_sigmoids(
+            monkeypatch, lambda: model_forward(x, despawn)) == 10
+        assert self._count_sigmoids(
+            monkeypatch, lambda: backward_full(x, lcwn, 1.0)) == 0
+        assert self._count_sigmoids(
+            monkeypatch, lambda: model_forward(x, lcwn)) == 0
 
 
 class TestBuildModel:
@@ -244,6 +285,6 @@ def _record(details, approx, lengths, recon):
 
     return ForwardTrace(
         banks=[], padded_inputs=[], pre_lengths=lengths,
-        details_pre=details, details=details, approx=approx,
+        details_pre=details, details=details, gates=[], approx=approx,
         recon_chain=[recon],
     )

@@ -32,7 +32,12 @@ from wavelearn.persist import (
     write_features_csv,
     write_scores_csv,
 )
-from wavelearn.analysis import DictionaryModel, elm_fit, extract_features
+from wavelearn.analysis import (
+    DictionaryModel,
+    LatentFeatures,
+    elm_fit,
+    extract_features,
+)
 
 
 # model documents as written before the kernel-scheme table, with the
@@ -306,9 +311,13 @@ class TestModelPersistence:
             3, float("nan"))),
         ("decwn", lambda doc: doc["shared_h"].__setitem__(0, float("inf"))),
         ("db4-ht", lambda doc: doc["level_params"][0].pop("b_minus")),
+        ("despawn", lambda doc: doc["level_params"][1].update(b_plus=float("nan"))),
+        ("despawn", lambda doc: doc.update(gamma="high")),
+        ("despawn", lambda doc: doc.update(levels=float("inf"))),
     ], ids=["short_levels", "long_levels", "missing_h", "missing_g_bar",
             "missing_shared_h", "six_taps", "nan_tap", "inf_tap",
-            "missing_threshold"])
+            "missing_threshold", "nan_threshold", "gamma_not_numeric",
+            "infinite_levels"])
     def test_inconsistent_document_rejected(self, mode, corrupt, tmp_path):
         model = WaveletNet(3, 8, SharingMode.from_name(mode))
         path = tmp_path / "model.json"
@@ -363,6 +372,20 @@ class TestTablePersistence:
 
         for f in feats[:5]:
             assert elm_score(elm, f) == elm_score(back, f)
+
+    @pytest.mark.parametrize("name", ["hidden_weights", "hidden_bias",
+                                      "output_weights", "scaler_mean",
+                                      "scaler_std"])
+    def test_elm_with_inconsistent_shapes_rejected(self, name, tmp_path):
+        rng = np.random.default_rng(6)
+        feats = [LatentFeatures.from_vector(rng.normal(size=6)) for _ in range(20)]
+        path = tmp_path / "elm.json"
+        save_elm(elm_fit(feats, neurons=5, seed=1), path)
+        doc = json.loads(path.read_text())
+        doc[name] = doc[name][:-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_elm(path)
 
     def test_dictionary_roundtrip(self, tmp_path):
         d = DictionaryModel(

@@ -16,7 +16,6 @@ from wavelearn.training import (
     AdamState,
     TrainConfig,
     adam_step,
-    backward,
     backward_full,
     finite_difference_grad,
     gradient_check,
@@ -30,15 +29,15 @@ class TestBackward:
     def test_zero_signal_gives_zero_gradients(self):
         for mode in TRAINABLE_MODES:
             model = WaveletNet(4, 8, mode)
-            total, grads = backward(np.zeros(64), model, 1.0)
+            (total, _, _), grads = backward_full(np.zeros(64), model, 1.0)
             assert total == 0.0
             assert np.array_equal(grads, np.zeros_like(grads))
 
     def test_gradient_shape_matches_mode(self):
         for mode in SharingMode:
             model = WaveletNet(6, 8, mode)
-            _, grads = backward(np.random.default_rng(0).normal(size=128),
-                                model, 1.0)
+            _, grads = backward_full(np.random.default_rng(0).normal(size=128),
+                                     model, 1.0)
             assert grads.shape == (model.parameter_count(),)
             assert np.all(np.isfinite(grads))
 
@@ -57,15 +56,15 @@ class TestBackward:
         model = WaveletNet(4, 8, SharingMode.DB4_FIXED_HT)
         model.params["b_plus"][:] = np.abs(rng.normal(0, 0.05, 4))
         model.params["b_minus"][:] = np.abs(rng.normal(0, 0.05, 4))
-        _, g1 = backward(signal, model, 1.0)
-        _, g0 = backward(signal, model, 0.0)
+        _, g1 = backward_full(signal, model, 1.0)
+        _, g0 = backward_full(signal, model, 0.0)
         spars_grad = g1 - g0
 
         trace = forward_trace(model, signal)
         m_total = sum(d.size for d in trace.details) + trace.approx.size
         for level in range(4):
             _, dy_dbp, dy_dbm = ht_gate_derivatives(
-                trace.details_pre[level], model.threshold_for_level(level))
+                trace.details_pre[level], *trace.gates[level], model.sharpness)
             expect_bp = np.dot(np.sign(trace.details[level]), dy_dbp) / m_total
             expect_bm = np.dot(np.sign(trace.details[level]), dy_dbm) / m_total
             assert spars_grad[level] == pytest.approx(expect_bp, abs=1e-12)
@@ -78,7 +77,7 @@ class TestBackward:
         model = WaveletNet(4, 8, SharingMode.DB4_FIXED_HT)
         model.params["b_plus"][:] = 0.01
         model.params["b_minus"][:] = 0.01
-        _, grads = backward(signal, model, 1.0)
+        _, grads = backward_full(signal, model, 1.0)
         for i in range(grads.size):
             fd = finite_difference_grad(signal, model, 1.0, i, 1e-6)
             assert abs(grads[i] - fd) <= max(1e-7, 1e-4 * max(abs(fd), abs(grads[i])))
@@ -102,7 +101,7 @@ class TestFiniteDifferenceOracle:
         model.set_parameters(vec + rng.normal(0, 0.02, vec.size))
         vec = model.get_parameters()
         signal = rng.normal(size=256)
-        _, grads = backward(signal, model, 1.0)
+        _, grads = backward_full(signal, model, 1.0)
         for i in rng.choice(vec.size, size=20, replace=False):
             step = 1e-6 * max(1.0, abs(vec[i]))
             fd = finite_difference_grad(signal, model, 1.0, int(i), step)
@@ -257,4 +256,4 @@ def test_non_finite_signal_rejected_before_any_step(bad):
         backward_full(signals[2], model, 1.0)
     with pytest.raises(InvalidSignalError):
         train(signals, SharingMode.PER_LEVEL_CQF_HT,
-              TrainConfig(epochs=1, levels=5, shuffle=False))
+              TrainConfig(epochs=1, levels=5))

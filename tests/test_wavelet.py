@@ -18,7 +18,7 @@ from wavelearn.errors import (
 from wavelearn.wavelet import (
     CoefficientPyramid,
     DB4_SCALING,
-    analyze_level,
+    FilterBank,
     cqf_from_scaling,
     cqf_partial,
     db4_filterbank,
@@ -26,7 +26,7 @@ from wavelearn.wavelet import (
     haar_filterbank,
     ifdwt,
     max_depth,
-    synthesize_level,
+    strided_corr,
 )
 
 S = math.sqrt(0.5)
@@ -96,38 +96,52 @@ class TestCqfConstruction:
             cqf_partial([S, S], [S, -S, 0.0, 0.0])  # length mismatch
 
 
+def analyze(x, bank):
+    """(approximation, detail) of a one-level cascade."""
+    pyramid = fdwt(x, bank, 1)
+    return pyramid.approx, pyramid.details[0]
+
+
+def synthesize(a, d, bank, n):
+    """Inverse of a one-level cascade, truncated to `n` samples."""
+    return ifdwt(CoefficientPyramid(details=[np.asarray(d, dtype=float)],
+                                    approx=np.asarray(a, dtype=float),
+                                    level_lengths=[n]), bank)
+
+
 class TestAnalyzeLevel:
     def test_haar_hand_example(self):
         bank = haar_filterbank()
-        a, d = analyze_level([1.0, 2.0, 3.0, 4.0], bank.h, bank.g)
+        a, d = analyze([1.0, 2.0, 3.0, 4.0], bank)
         np.testing.assert_allclose(a, [3 * S, 7 * S], rtol=0, atol=1e-15)
         np.testing.assert_allclose(d, [-S, -S], rtol=0, atol=1e-15)
 
     def test_constant_signal_has_zero_details(self):
         bank = db4_filterbank()
-        _, d = analyze_level(np.full(64, 5.0), bank.h, bank.g)
+        _, d = analyze(np.full(64, 5.0), bank)
         assert np.abs(d).max() <= 1e-10
 
     def test_delta_kernels_select_strided_samples(self):
-        a, d = analyze_level([1.0, 0.0, 0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
+        h, g = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        a, d = analyze([1.0, 0.0, 0.0, 0.0], FilterBank(h, g, h[::-1], g[::-1]))
         assert np.array_equal(a, [1.0, 0.0])
         assert np.array_equal(d, [0.0, 0.0])
 
     def test_empty_signal_rejected(self):
         bank = haar_filterbank()
         with pytest.raises(InvalidSignalError):
-            analyze_level([], bank.h, bank.g)
+            analyze([], bank)
 
 
 class TestSynthesizeLevel:
     def test_haar_inverse_of_hand_example(self):
         bank = haar_filterbank()
-        x = synthesize_level([3 * S, 7 * S], [-S, -S], bank.h_bar, bank.g_bar, 4)
+        x = synthesize([3 * S, 7 * S], [-S, -S], bank, 4)
         np.testing.assert_allclose(x, [1.0, 2.0, 3.0, 4.0], rtol=0, atol=1e-12)
 
     def test_zero_coefficients_give_zero_signal(self):
         bank = db4_filterbank()
-        x = synthesize_level(np.zeros(8), np.zeros(8), bank.h_bar, bank.g_bar, 16)
+        x = synthesize(np.zeros(8), np.zeros(8), bank, 16)
         assert np.array_equal(x, np.zeros(16))
 
     def test_roundtrip_even_lengths(self):
@@ -135,16 +149,16 @@ class TestSynthesizeLevel:
         rng = np.random.default_rng(42)
         for n in (2, 4, 10, 64, 256):
             x = rng.normal(size=n)
-            a, d = analyze_level(x, bank.h, bank.g)
-            back = synthesize_level(a, d, bank.h_bar, bank.g_bar, n)
+            a, d = analyze(x, bank)
+            back = synthesize(a, d, bank, n)
             np.testing.assert_allclose(back, x, rtol=0, atol=1e-10)
 
     def test_length_mismatch_rejected(self):
         bank = haar_filterbank()
         with pytest.raises(InvalidPyramidError):
-            synthesize_level([1.0, 2.0], [1.0], bank.h_bar, bank.g_bar, 4)
+            synthesize([1.0, 2.0], [1.0], bank, 4)
         with pytest.raises(InvalidPyramidError):
-            synthesize_level([1.0, 2.0], [1.0, 2.0], bank.h_bar, bank.g_bar, 7)
+            synthesize([1.0, 2.0], [1.0, 2.0], bank, 7)
 
 
 class TestAdjointness:
@@ -160,9 +174,9 @@ class TestAdjointness:
                 half = (n + 1) // 2
                 v = rng.normal(size=half)
                 w = rng.normal(size=half)
-                a, d = analyze_level(u, bank.h, bank.g)
+                a, d = analyze(u, bank)
                 lhs = np.dot(a, v) + np.dot(d, w)
-                rhs = np.dot(u, synthesize_level(v, w, bank.h_bar, bank.g_bar, n))
+                rhs = np.dot(u, synthesize(v, w, bank, n))
                 assert abs(lhs - rhs) <= 1e-10
 
 
@@ -181,9 +195,8 @@ class TestCascade:
         bank = db4_filterbank()
         x = np.random.default_rng(0).normal(size=32)
         pyramid = fdwt(x, bank, 1)
-        a, d = analyze_level(x, bank.h, bank.g)
-        assert np.array_equal(pyramid.approx, a)
-        assert np.array_equal(pyramid.details[0], d)
+        assert np.array_equal(pyramid.approx, strided_corr(x, bank.h))
+        assert np.array_equal(pyramid.details[0], strided_corr(x, bank.g))
 
     def test_length10_padding_arithmetic(self):
         pyramid = fdwt(np.arange(10.0), haar_filterbank(), 3)
