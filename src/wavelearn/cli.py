@@ -38,10 +38,14 @@ def _add_training_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _train_config(args) -> TrainConfig:
+    try:
+        levels = None if args.levels == "auto" else int(args.levels)
+    except ValueError:
+        raise ConfigError(
+            f"levels must be an integer or 'auto', got {args.levels!r}") from None
     return TrainConfig(
         epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch,
-        seed=args.seed, gamma=args.gamma,
-        levels=None if args.levels == "auto" else int(args.levels),
+        seed=args.seed, gamma=args.gamma, levels=levels,
         kernel_size=args.kernel_size,
     )
 

@@ -118,14 +118,12 @@ class SharingMode(enum.Enum):
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function."""
+    """Overflow-safe logistic function: exp only sees -|t|, and with
+    e = exp(-|t|) it is 1/(1+e) for t >= 0 and e/(1+e) for t < 0."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 def ht_activation(x: np.ndarray, b_plus, b_minus, sharpness=DEFAULT_SHARPNESS):

@@ -14,6 +14,7 @@ brute-force oracle used to verify all of it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -89,8 +90,7 @@ def backward_full(signal, model: WaveletNet, gamma: float):
             bank_grads[l] = FilterBank(kernel_grad(g_a, x_pad, k),
                                        kernel_grad(g_dpre, x_pad, k),
                                        *synth_grads[l])
-        g_pad = upsample_conv(g_a, bank.h, x_pad.size) + \
-            upsample_conv(g_dpre, bank.g, x_pad.size)
+        g_pad = upsample_conv(g_a, bank.h) + upsample_conv(g_dpre, bank.g)
         g_a = g_pad[: trace.pre_lengths[l]]
 
     # fold each level's bank gradient onto the kernels it was derived from,
@@ -193,8 +193,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate < 0:
-            raise ConfigError("learning rate must be >= 0")
+        for name, value in (("learning rate", self.learning_rate),
+                            ("gamma", self.gamma)):
+            if not 0 <= value < math.inf:  # false for NaN as well
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
 

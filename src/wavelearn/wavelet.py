@@ -5,8 +5,12 @@ Conventions used throughout:
 
 * analysis is a strided periodic cross-correlation,
   ``a_next[k] = sum_n h[n] * a[(2k + n) mod N]``;
-* synthesis is the transpose of analysis, realised as zero-interpolation
-  followed by periodic convolution with the index-reversed kernel;
+* synthesis is the transpose of analysis with the index-reversed kernel, in
+  polyphase form: even taps feed the even outputs and odd taps the odd
+  ones, each a shifted copy of the periodically extended input. Taps are
+  added in index order into a +0.0 accumulator, so every sum (and the sign
+  of every zero) equals that of zero-interpolation followed by periodic
+  convolution, whose remaining terms are all ±0.0;
 * reversal of a finite kernel means ``h[-n] == h[K-1-n]``;
 * odd-length inputs are zero-padded by one sample before striding and the
   pre-pad length is recorded so inversion can truncate exactly.
@@ -153,13 +157,14 @@ class CoefficientPyramid:
 # ---------------------------------------------------------------------------
 # low-level strided periodic operators (shared with the gradient code)
 
-def _periodic_ext(x: np.ndarray, extra: int) -> np.ndarray:
-    """x extended periodically by `extra` samples (kernels may wrap several
-    times when they are longer than the signal)."""
+def _periodic_ext(x: np.ndarray, after: int, before: int = 0) -> np.ndarray:
+    """x[(i - before) mod N] for i in [0, N + before + after): x extended
+    periodically on both sides (a pad longer than N wraps several times, as
+    a kernel longer than the signal does at the deep levels)."""
     n = x.size
-    total = n + extra
-    reps = -(-total // n)
-    return np.tile(x, reps)[:total]
+    if before <= n and after <= n:
+        return np.concatenate([x[n - before:], x, x[:after]])
+    return x[np.arange(-before, n + after) % n]
 
 
 def strided_corr(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -168,16 +173,17 @@ def strided_corr(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.correlate(ext, f, mode="valid")[::2]
 
 
-def upsample_conv(v: np.ndarray, f: np.ndarray, n_out: int) -> np.ndarray:
-    """out[m] = sum_k v[k] * f[(m - 2k) mod n_out], the transpose of
-    `strided_corr` with the same kernel.  Kernel indices wrap (fold) when
-    the kernel is longer than the output."""
-    u = np.zeros(n_out)
-    u[::2] = v
-    out = np.zeros(n_out)
-    for tap in range(f.size):
-        out += f[tap] * np.roll(u, tap)
-    return out
+def upsample_conv(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """out[m] = sum_k v[k] * f[(m - 2k) mod 2 len(v)], the transpose of
+    `strided_corr` with the same kernel, in polyphase form (module notes).
+    Kernel indices wrap (fold) when the kernel is longer than the output."""
+    half, shift = v.size, f.size // 2 - 1
+    ext = _periodic_ext(v, 0, shift)
+    pairs = f.reshape(-1, 2, 1)  # taps (2s, 2s+1) feed the (even, odd) outputs
+    out = np.zeros((2, half))    # +0.0 start: zero signs as in the direct form
+    for s, pair in enumerate(pairs):
+        out += pair * ext[shift - s:shift - s + half]
+    return out.T.reshape(2 * half)
 
 
 def kernel_grad(upstream: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
@@ -231,11 +237,11 @@ def synthesis_cascade(approx, details, lengths, banks: list[FilterBank]) -> list
     signal at depth l (entry 0 the reconstruction, the last one `approx`)."""
     chain = [approx]
     for l in range(len(banks) - 1, -1, -1):
-        bank, n = banks[l], 2 * chain[-1].size
-        # zero-interpolate both inputs, convolve periodically with the
-        # index-reversed synthesis kernels, sum, truncate to the pre-pad length
-        y = upsample_conv(chain[-1], bank.h_bar[::-1], n) + \
-            upsample_conv(details[l], bank.g_bar[::-1], n)
+        bank = banks[l]
+        # transpose of analysis with the index-reversed synthesis kernels,
+        # both channels summed, truncated to the pre-pad length
+        y = upsample_conv(chain[-1], bank.h_bar[::-1]) + \
+            upsample_conv(details[l], bank.g_bar[::-1])
         chain.append(y[:lengths[l]])
     return chain[::-1]
 

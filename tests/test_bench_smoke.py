@@ -6,12 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
-def test_train_detect_short_run_is_correct():
+@pytest.mark.parametrize("workload", ["train-detect", "train-long", "score-stream"])
+def test_short_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", "train-detect", "--seed", "1",
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
          "--seconds", "0.1", "--trace", "0"],
         capture_output=True, text=True, timeout=300, cwd=RUN.parents[1],
     )

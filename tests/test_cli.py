@@ -198,6 +198,26 @@ class TestErrorPaths:
         assert code == 2
         assert "error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "classify-train"])
+    @pytest.mark.parametrize("flags,message", [
+        (["--levels", "abc"], "levels must be an integer or 'auto'"),
+        (["--lr", "nan"], "learning rate"),
+        (["--gamma", "nan"], "gamma"),
+        (["--gamma", "-1"], "gamma"),
+    ], ids=["levels_not_int", "lr_nan", "gamma_nan", "gamma_negative"])
+    def test_bad_training_flag_exits_2(self, command, flags, message, tmp_path,
+                                       capsys):
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "1", "--task",
+                    "classify", "--n-normal", "2", "--n-anomal", "1",
+                    "--window", "64"], capsys)[0] == 0
+        out = tmp_path / "out.json"
+        code, _, err = run([command, "--manifest", str(data / "manifest.json"),
+                            "--epochs", "1", "--out", str(out), *flags], capsys)
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_mode_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["train", "--manifest", "m.json", "--mode", "not-a-mode",

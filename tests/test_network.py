@@ -76,6 +76,42 @@ class TestHtActivation:
             np.testing.assert_allclose(analytic, diff / (2 * eps), rtol=0, atol=1e-8)
 
 
+def masked_sigmoid(t):
+    """The logistic function evaluated by sign through boolean masks: the
+    form `network.sigmoid` replaces."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, 1e-310, -1e-310, 36.0, -36.0, 745.0, -745.0,
+             1e308, -1e308, np.inf, -np.inf]
+
+    def test_bitwise_equal_to_masked_form_at_the_edges(self):
+        t = np.array(self.EDGES)
+        with np.errstate(over="raise", invalid="raise"):  # exp never overflows
+            assert network.sigmoid(t).tobytes() == masked_sigmoid(t).tobytes()
+        for value in self.EDGES:
+            assert network.sigmoid(value).tobytes() == \
+                masked_sigmoid(value).tobytes()
+
+    def test_bitwise_equal_to_masked_form_on_a_matrix(self):
+        # the ELM's hidden layer: a 2-D block of pre-activations
+        z = np.random.default_rng(4).normal(scale=30.0, size=(37, 50))
+        z[3, :5] = [0.0, -0.0, 745.0, -745.0, 1e-310]
+        got = network.sigmoid(z)
+        assert got.shape == z.shape
+        assert got.tobytes() == masked_sigmoid(z).tobytes()
+
+    def test_nan_propagates(self):
+        assert np.isnan(network.sigmoid(np.nan)[0])
+
+
 class TestGateEvaluatedOnce:
     """The sigmoid gate terms are evaluated once per level and pass, and the
     backward pass reuses the ones the forward trace kept."""

@@ -178,6 +178,21 @@ class TestTrainLoop:
             train(_sinusoid_set(), SharingMode.PER_LEVEL_CQF_HT,
                   TrainConfig(epochs=0))
 
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", np.nan), ("learning_rate", np.inf),
+        ("learning_rate", -1e-3), ("gamma", np.nan), ("gamma", np.inf),
+        ("gamma", -1.0),
+    ])
+    def test_bad_hyper_parameter_rejected_before_any_step(self, field, value,
+                                                          monkeypatch):
+        steps = []
+        monkeypatch.setattr("wavelearn.training.backward_full",
+                            lambda *args: steps.append(1))
+        with pytest.raises(ConfigError):
+            train(_sinusoid_set(n_signals=2), SharingMode.PER_LEVEL_CQF_HT,
+                  TrainConfig(epochs=1, levels=5, **{field: value}))
+        assert not steps
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             train([], SharingMode.PER_LEVEL_CQF_HT, TrainConfig(epochs=1))

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavelearn.errors import (
     InvalidDepthError,
@@ -19,6 +20,7 @@ from wavelearn.wavelet import (
     CoefficientPyramid,
     DB4_SCALING,
     FilterBank,
+    _periodic_ext,
     cqf_from_scaling,
     cqf_partial,
     db4_filterbank,
@@ -27,6 +29,7 @@ from wavelearn.wavelet import (
     ifdwt,
     max_depth,
     strided_corr,
+    upsample_conv,
 )
 
 S = math.sqrt(0.5)
@@ -263,3 +266,65 @@ class TestCascade:
         )
         with pytest.raises(InvalidPyramidError):
             ifdwt(broken, db4_filterbank())
+
+
+def roll_upsample_conv(v, f):
+    """Zero-interpolate `v`, then convolve periodically with `f`, one rolled
+    copy per tap: the direct form the polyphase `upsample_conv` replaces."""
+    n_out = 2 * v.size
+    u = np.zeros(n_out)
+    u[::2] = v
+    out = np.zeros(n_out)
+    for tap in range(f.size):
+        out += f[tap] * np.roll(u, tap)
+    return out
+
+
+class TestPolyphaseSynthesis:
+    """`upsample_conv` adds the same products in the same order as the
+    direct form, so the two agree byte for byte, signs of zero included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(half=st.one_of(st.integers(1, 16), st.integers(1, 4096)),
+           taps=st.sampled_from([2, 4, 6, 8, 10, 16]),
+           seed=st.integers(0, 2**32 - 1),
+           zeros=st.floats(0.0, 1.0),
+           reversed_view=st.booleans())
+    def test_bitwise_equal_to_roll_loop(self, half, taps, seed, zeros,
+                                        reversed_view):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=half)
+        # +0.0 and -0.0 samples, as -sign(residual)/N carries in the backward
+        v[rng.random(half) < zeros] = 0.0
+        v[rng.random(half) < zeros / 2] = -0.0
+        h_bar = rng.normal(size=taps)
+        f = h_bar[::-1] if reversed_view else h_bar
+        got = upsample_conv(v, f)
+        assert got.tobytes() == roll_upsample_conv(v, f).tobytes()
+
+    def test_negative_zero_gradient_keeps_its_zero_signs(self):
+        residual = np.array([0.0, 1.0, 0.0, -2.0, 0.0, 0.0])
+        g = -np.sign(residual) / residual.size
+        assert np.signbit(g[0])  # -0.0 in the input
+        for f in (db4_filterbank().h, db4_filterbank().h_bar[::-1],
+                  haar_filterbank().g):
+            assert upsample_conv(g, f).tobytes() == \
+                roll_upsample_conv(g, f).tobytes()
+
+    def test_kernel_longer_than_output_wraps(self):
+        v = np.array([1.5, -2.0])
+        f = np.arange(1.0, 11.0)  # 10 taps fold onto 4 outputs
+        expect = np.zeros(4)
+        for k in range(v.size):
+            for n in range(f.size):
+                expect[(2 * k + n) % 4] += v[k] * f[n]
+        np.testing.assert_allclose(upsample_conv(v, f), expect, rtol=0,
+                                   atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), after=st.integers(0, 130),
+           before=st.integers(0, 130))
+    def test_periodic_ext_is_modular_indexing(self, n, after, before):
+        x = np.random.default_rng(n).normal(size=n)
+        got = _periodic_ext(x, after, before)
+        assert got.tobytes() == x[np.arange(-before, n + after) % n].tobytes()
