@@ -3,6 +3,7 @@ random-hidden-layer network, ROC-AUC, and per-class-model classification."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,8 @@ def elm_fit(features: list[LatentFeatures], neurons: int = 50,
         raise ConfigError("cannot fit a one-class model on an empty set")
     if neurons < 1:
         raise ConfigError(f"neurons must be >= 1, got {neurons}")
+    if not 0 < ridge_lambda < math.inf:  # false for NaN as well
+        raise ConfigError(f"ridge must be finite and > 0, got {ridge_lambda}")
     x = np.stack([f.vector() for f in features])
     mean = x.mean(axis=0)
     std = x.std(axis=0)

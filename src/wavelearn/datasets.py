@@ -136,9 +136,13 @@ class SyntheticSpec:
     sigma: float = 0.1
     n_train: int = 200
     n_test: int = 50
-    shift_factor: float = 1.3
-    n_clicks: int = 5
-    click_amp: float = 0.8
+
+
+# a "shift" test window scales the first tone's frequency by SHIFT_FACTOR;
+# an "impulse" one adds N_CLICKS clicks of amplitude ±CLICK_AMP
+SHIFT_FACTOR = 1.3
+N_CLICKS = 5
+CLICK_AMP = 0.8
 
 
 # tone bursts: (frequency cycles/sample, amplitude, span fractions, phase).
@@ -182,14 +186,14 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> list[WindowRecord]
 
     def emit(kind: str, label: str, split: str, index: int,
              tone_class: str = "normal") -> None:
-        factor = spec.shift_factor if kind == "shift" else 1.0
+        factor = SHIFT_FACTOR if kind == "shift" else 1.0
         base = base_waveform(spec.window, tone_class, factor)
         samples = base + rng.normal(0.0, spec.sigma, spec.window) \
             if spec.sigma > 0 else base.copy()
         if kind == "impulse":
-            pos = rng.integers(0, spec.window, spec.n_clicks)
-            sign = rng.choice([-1.0, 1.0], spec.n_clicks)
-            samples[pos] += sign * spec.click_amp
+            pos = rng.integers(0, spec.window, N_CLICKS)
+            sign = rng.choice([-1.0, 1.0], N_CLICKS)
+            samples[pos] += sign * CLICK_AMP
         records.append(WindowRecord(
             id=f"synth/{split}_{label}_{kind}_{index:04d}",
             label=label if kind == "plain" else kind,

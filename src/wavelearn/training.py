@@ -4,12 +4,12 @@
 respect to every trainable scalar by reverse traversal of the cascade:
 absolute-value terms contribute their sign (with sign(0) = 0), gating layers
 their analytic partials (formed from the gate terms the forward trace kept,
-so no sigmoid is evaluated twice), and the strided correlations transpose to
-zero-interpolated periodic convolutions. That yields a gradient on each
-level's filter bank, which the mode's kernel scheme (`KERNEL_SCHEMES` in
-`network.py`) folds back onto the trainable kernels; nothing here depends on
-which mode is trained. `finite_difference_grad` is the independent
-brute-force oracle used to verify all of it.
+so no sigmoid is evaluated twice), and each level's transpose is the other
+step on the adjoint bank (`wavelet.FilterBank.adjoint`). That yields a
+gradient on each level's filter bank, which the mode's kernel scheme
+(`KERNEL_SCHEMES` in `network.py`) folds back onto the trainable kernels;
+nothing here depends on which mode is trained. `finite_difference_grad` is
+the independent brute-force oracle used to verify all of it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .network import (
     ht_gate_derivatives,
     loss,
 )
-from .wavelet import FilterBank, kernel_grad, strided_corr, upsample_conv
+from .wavelet import FilterBank, analysis_step, kernel_grad, synthesis_step
 
 
 def backward_full(signal, model: WaveletNet, gamma: float):
@@ -40,43 +40,32 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     total, recon, sparsity = loss(trace, signal, gamma)
     m_coeff = sum(d.size for d in trace.details) + trace.approx.size
 
-    levels = model.levels
-    trains_ht = model.mode.trains_thresholds
     scheme = model.mode.scheme
-    need_kernel_grads = bool(scheme.kinds)
+    k = model.kernel_size
 
     grads = {name: np.zeros_like(model.params[name])
              for name in model.trainable_names()}
     # per-level gradients on the synthesis (decoder) and analysis kernels
-    synth_grads = [None] * levels
-    bank_grads = [None] * levels
+    synth_grads = [None] * model.levels
+    bank_grads = [None] * model.levels
 
-    # residual term
-    g_x = -np.sign(signal - trace.reconstruction) / signal.size
-    # sparsity term on the gated details and the approximation
-    grad_d = [gamma / m_coeff * np.sign(d) for d in trace.details]
-
-    # decoder, shallow to deep: chain[l] was built from chain[l+1] and details[l]
-    for l in range(levels):
-        bank = trace.banks[l]
-        v = trace.recon_chain[l + 1]
-        n = 2 * v.size
-        gy = np.zeros(n)
-        gy[: trace.pre_lengths[l]] = g_x
-        if need_kernel_grads:
-            k = bank.h.size
-            synth_grads[l] = (kernel_grad(v, gy, k)[::-1],
+    g_x = -np.sign(signal - trace.reconstruction) / signal.size  # residual term
+    # decoder, shallow to deep: chain[l] was built from chain[l+1] and
+    # details[l]; each detail's gradient adds its sparsity term
+    grad_d = []
+    for l in range(model.levels):
+        gy, g_x, g_d = analysis_step(g_x, trace.banks[l].adjoint())
+        if scheme.kinds:
+            synth_grads[l] = (kernel_grad(trace.recon_chain[l + 1], gy, k)[::-1],
                               kernel_grad(trace.details[l], gy, k)[::-1])
-        grad_d[l] = grad_d[l] + strided_corr(gy, bank.g_bar[::-1])
-        g_x = strided_corr(gy, bank.h_bar[::-1])
+        grad_d.append(gamma / m_coeff * np.sign(trace.details[l]) + g_d)
 
     # gradient on the approximation: decoder entry point plus sparsity
     g_a = g_x + gamma / m_coeff * np.sign(trace.approx)
 
     # encoder, deep to shallow
-    for l in range(levels - 1, -1, -1):
-        bank = trace.banks[l]
-        if trains_ht:
+    for l in range(model.levels - 1, -1, -1):
+        if model.mode.trains_thresholds:
             dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(
                 trace.details_pre[l], *trace.gates[l], model.sharpness)
             g_dpre = grad_d[l] * dy_dx
@@ -84,14 +73,13 @@ def backward_full(signal, model: WaveletNet, gamma: float):
             grads["b_minus"][l] = float(np.dot(grad_d[l], dy_dbm))
         else:
             g_dpre = grad_d[l]
-        x_pad = trace.padded_inputs[l]
-        if need_kernel_grads:
-            k = bank.h.size
+        if scheme.kinds:
+            x_pad = trace.padded_inputs[l]
             bank_grads[l] = FilterBank(kernel_grad(g_a, x_pad, k),
                                        kernel_grad(g_dpre, x_pad, k),
                                        *synth_grads[l])
-        g_pad = upsample_conv(g_a, bank.h) + upsample_conv(g_dpre, bank.g)
-        g_a = g_pad[: trace.pre_lengths[l]]
+        g_a = synthesis_step(g_a, g_dpre, trace.pre_lengths[l],
+                             trace.banks[l].adjoint())
 
     # fold each level's bank gradient onto the kernels it was derived from,
     # in level order (a shared kernel sums the levels' contributions)
@@ -121,6 +109,14 @@ def finite_difference_grad(signal, model: WaveletNet, gamma: float,
     return (values[0] - values[1]) / (2.0 * step)
 
 
+# `gradient_check`'s signal length, absolute error floor, loss weight gamma,
+# and the spread of the normal nudge applied to the initial parameters
+GRAD_CHECK_LENGTH = 256
+GRAD_CHECK_ABS_TOL = 1e-7
+GRAD_CHECK_GAMMA = 1.0
+GRAD_CHECK_PERTURB = 0.02
+
+
 @dataclass
 class GradCheckReport:
     mode: SharingMode
@@ -135,35 +131,39 @@ class GradCheckReport:
 
 
 def gradient_check(mode: SharingMode, seed: int = 0, n_seeds: int = 5,
-                   length: int = 256, rel_tol: float = 1e-4,
-                   abs_tol: float = 1e-7, gamma: float = 1.0,
-                   perturb: float = 0.02) -> GradCheckReport:
+                   rel_tol: float = 1e-4) -> GradCheckReport:
     """Compare `backward_full` against the finite-difference oracle over every
-    trainable scalar on random signals.
+    trainable scalar on random signals of `GRAD_CHECK_LENGTH` samples, each
+    scalar within `rel_tol` relative or `GRAD_CHECK_ABS_TOL` absolute error.
 
     The model is nudged away from its initialization first: at the exact
     starting point the reconstruction is perfect and the absolute-value terms
     sit on their kinks, where a subgradient and a central difference
     legitimately disagree.
     """
+    if n_seeds < 1:
+        raise ConfigError(f"number of seeds must be >= 1, got {n_seeds}")
+    if not 0 < rel_tol < math.inf:  # false for NaN as well
+        raise ConfigError(f"tolerance must be finite and > 0, got {rel_tol}")
     seeds = list(range(seed, seed + n_seeds))
     failures = []
     checked = 0
     max_ratio = 0.0
     for s in seeds:
         rng = np.random.default_rng(s)
-        model = WaveletNet(default_levels_for(length), 8, mode, gamma=gamma)
+        model = WaveletNet(default_levels_for(GRAD_CHECK_LENGTH), 8, mode,
+                           gamma=GRAD_CHECK_GAMMA)
         vec = model.get_parameters()
         if vec.size:
-            model.set_parameters(vec + rng.normal(0.0, perturb, vec.size))
-        signal = rng.normal(size=length)
+            model.set_parameters(vec + rng.normal(0.0, GRAD_CHECK_PERTURB, vec.size))
+        signal = rng.normal(size=GRAD_CHECK_LENGTH)
         vec = model.get_parameters()
-        _, grads = backward_full(signal, model, gamma)
+        _, grads = backward_full(signal, model, GRAD_CHECK_GAMMA)
         for i in range(vec.size):
             step = 1e-6 * max(1.0, abs(vec[i]))
-            fd = finite_difference_grad(signal, model, gamma, i, step)
+            fd = finite_difference_grad(signal, model, GRAD_CHECK_GAMMA, i, step)
             err = abs(grads[i] - fd)
-            tol = max(abs_tol, rel_tol * max(abs(fd), abs(grads[i])))
+            tol = max(GRAD_CHECK_ABS_TOL, rel_tol * max(abs(fd), abs(grads[i])))
             max_ratio = max(max_ratio, err / tol)
             if err > tol:
                 failures.append((s, i, float(grads[i]), float(fd)))

@@ -13,7 +13,9 @@ Conventions used throughout:
   convolution, whose remaining terms are all ±0.0;
 * reversal of a finite kernel means ``h[-n] == h[K-1-n]``;
 * odd-length inputs are zero-padded by one sample before striding and the
-  pre-pad length is recorded so inversion can truncate exactly.
+  pre-pad length is recorded so inversion can truncate exactly;
+* `analysis_step` and `synthesis_step` define one level each way, and run
+  on the bank `FilterBank.adjoint()` returns each is the other's transpose.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def as_kernel(taps) -> np.ndarray:
     return k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterBank:
     """The four kernels of one decomposition level.
 
@@ -75,6 +77,10 @@ class FilterBank:
     g: np.ndarray
     h_bar: np.ndarray
     g_bar: np.ndarray
+
+    def adjoint(self) -> "FilterBank":
+        """Analysis and synthesis kernels swapped, each index-reversed."""
+        return FilterBank(self.h_bar[::-1], self.g_bar[::-1], self.h[::-1], self.g[::-1])
 
 
 def cqf_from_scaling(h) -> FilterBank:
@@ -200,12 +206,6 @@ def kernel_grad(upstream: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # full cascade
 
-def _pad_even(a: np.ndarray) -> np.ndarray:
-    if a.size % 2:
-        return np.concatenate([a, [0.0]])
-    return a
-
-
 def max_depth(length: int) -> int:
     """Number of halvings (with odd-length padding) until one sample is left."""
     if length < 2:
@@ -217,6 +217,19 @@ def max_depth(length: int) -> int:
     return depth
 
 
+def analysis_step(a: np.ndarray, bank: FilterBank):
+    """One encoder level: (`a` zero-padded to even length, approx, detail)."""
+    a_pad = np.concatenate([a, [0.0]]) if a.size % 2 else a
+    return a_pad, strided_corr(a_pad, bank.h), strided_corr(a_pad, bank.g)
+
+
+def synthesis_step(a, d, n: int, bank: FilterBank) -> np.ndarray:
+    """One decoder level: the transpose of analysis with the index-reversed
+    synthesis kernels, both channels summed and cut to the pre-pad length."""
+    return (upsample_conv(a, bank.h_bar[::-1]) +
+            upsample_conv(d, bank.g_bar[::-1]))[:n]
+
+
 def analysis_cascade(signal: np.ndarray, banks: list[FilterBank]):
     """Encoder: level l analyses the previous approximation with `banks[l]`.
     Returns (padded inputs, pre-pad lengths, details, final approximation).
@@ -225,10 +238,9 @@ def analysis_cascade(signal: np.ndarray, banks: list[FilterBank]):
     a = signal
     for bank in banks:
         lengths.append(a.size)
-        a_pad = _pad_even(a)
+        a_pad, a, d = analysis_step(a, bank)
         padded.append(a_pad)
-        a = strided_corr(a_pad, bank.h)
-        details.append(strided_corr(a_pad, bank.g))
+        details.append(d)
     return padded, lengths, details, a
 
 
@@ -237,12 +249,7 @@ def synthesis_cascade(approx, details, lengths, banks: list[FilterBank]) -> list
     signal at depth l (entry 0 the reconstruction, the last one `approx`)."""
     chain = [approx]
     for l in range(len(banks) - 1, -1, -1):
-        bank = banks[l]
-        # transpose of analysis with the index-reversed synthesis kernels,
-        # both channels summed, truncated to the pre-pad length
-        y = upsample_conv(chain[-1], bank.h_bar[::-1]) + \
-            upsample_conv(details[l], bank.g_bar[::-1])
-        chain.append(y[:lengths[l]])
+        chain.append(synthesis_step(chain[-1], details[l], lengths[l], banks[l]))
     return chain[::-1]
 
 

@@ -91,8 +91,7 @@ def test_c05_gradient_correctness():
     for mode in SharingMode:
         if mode is SharingMode.DB4_FIXED:
             continue
-        report = gradient_check(mode, seed=0, n_seeds=5, length=256,
-                                rel_tol=1e-4, abs_tol=1e-7)
+        report = gradient_check(mode, seed=0, n_seeds=5, rel_tol=1e-4)
         total += report.checked
         if not report.passed:
             failures.append((mode.value, report.failures[:3]))

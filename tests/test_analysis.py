@@ -100,6 +100,12 @@ class TestOneClassElm:
         with pytest.raises(ConfigError):
             elm_fit([], neurons=10, ridge_lambda=1e-3, seed=0)
 
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -1.0, 0.0])
+    def test_bad_ridge_rejected(self, ridge):
+        feats = _feature_cloud(np.random.default_rng(8), 10, self.CENTER)
+        with pytest.raises(ConfigError, match="ridge"):
+            elm_fit(feats, neurons=50, ridge_lambda=ridge, seed=0)
+
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(7)
         feats = _feature_cloud(rng, 30, self.CENTER)

@@ -5,9 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from wavelearn.analysis import LatentFeatures
 from wavelearn.cli import main
 from wavelearn.network import SharingMode, WaveletNet
-from wavelearn.persist import read_features_csv, read_scores_csv, save_model
+from wavelearn.persist import (
+    read_features_csv,
+    read_scores_csv,
+    save_model,
+    write_features_csv,
+)
 
 
 def run(argv, capsys):
@@ -106,6 +112,17 @@ class TestGradCheckCommand:
                             "--seeds", "1"], capsys)
         assert code == 0
         assert "cwn: PASS" in out
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--seeds", "0"], "seeds"),
+        (["--tolerance", "nan"], "tolerance"),
+        (["--tolerance", "-1"], "tolerance"),
+    ], ids=["no_seeds", "tolerance_nan", "tolerance_negative"])
+    def test_vacuous_check_exits_2(self, flags, message, capsys):
+        code, out, err = run(["grad-check", "--mode", "cwn", *flags], capsys)
+        assert code == 2
+        assert "PASS" not in out
+        assert message in err and "Traceback" not in err
 
 
 class TestClassifyWorkflow:
@@ -216,6 +233,21 @@ class TestErrorPaths:
                             "--epochs", "1", "--out", str(out), *flags], capsys)
         assert code == 2
         assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf", "-1", "0"])
+    def test_bad_ridge_exits_2(self, ridge, tmp_path, capsys):
+        # 10 samples and 50 neurons: with no ridge the Gram matrix is singular
+        rng = np.random.default_rng(0)
+        features = tmp_path / "features.csv"
+        write_features_csv(
+            [(f"w:{i}", LatentFeatures.from_vector(rng.random(6)))
+             for i in range(10)], features)
+        out = tmp_path / "elm.json"
+        code, _, err = run(["detect-train", "--features", str(features),
+                            "--ridge", ridge, "--out", str(out)], capsys)
+        assert code == 2
+        assert "ridge" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_bad_mode_rejected_by_parser(self):

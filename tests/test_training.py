@@ -3,6 +3,7 @@ behavior, and the training loop contract."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavelearn.errors import ConfigError, InvalidSignalError
 from wavelearn.network import (
@@ -10,7 +11,15 @@ from wavelearn.network import (
     WaveletNet,
     forward_trace,
     ht_gate_derivatives,
+    loss,
     model_forward,
+)
+from wavelearn.wavelet import (
+    FilterBank,
+    kernel_grad,
+    max_depth,
+    strided_corr,
+    upsample_conv,
 )
 from wavelearn.training import (
     AdamState,
@@ -43,8 +52,16 @@ class TestBackward:
 
     @pytest.mark.parametrize("mode", TRAINABLE_MODES, ids=lambda m: m.value)
     def test_matches_finite_differences(self, mode):
-        report = gradient_check(mode, seed=0, n_seeds=2, length=256)
+        report = gradient_check(mode, seed=0, n_seeds=2)
         assert report.passed, report.failures[:5]
+
+    @pytest.mark.parametrize("n_seeds,rel_tol", [
+        (0, 1e-4), (-1, 1e-4), (1, np.nan), (1, np.inf), (1, -1.0), (1, 0.0),
+    ])
+    def test_gradient_check_that_checks_nothing_rejected(self, n_seeds, rel_tol):
+        with pytest.raises(ConfigError):
+            gradient_check(SharingMode.SHARED_CQF, n_seeds=n_seeds,
+                           rel_tol=rel_tol)
 
     def test_threshold_gradient_is_the_sparsity_path(self):
         # isolate the sparsity contribution by differencing gamma values:
@@ -81,6 +98,83 @@ class TestBackward:
         for i in range(grads.size):
             fd = finite_difference_grad(signal, model, 1.0, i, 1e-6)
             assert abs(grads[i] - fd) <= max(1e-7, 1e-4 * max(abs(fd), abs(grads[i])))
+
+
+def _backward_written_out(signal, model, gamma):
+    """`backward_full` with each level's transpose spelled out: going down, a
+    zero pad and strided correlations with the reversed synthesis kernels;
+    coming back, upsampling convolutions with the analysis kernels and a
+    truncation to the pre-pad length."""
+    trace = forward_trace(model, signal)
+    total, recon, sparsity = loss(trace, signal, gamma)
+    m_coeff = sum(d.size for d in trace.details) + trace.approx.size
+    scheme = model.mode.scheme
+    grads = {name: np.zeros_like(model.params[name])
+             for name in model.trainable_names()}
+    synth_grads = [None] * model.levels
+    bank_grads = [None] * model.levels
+    g_x = -np.sign(signal - trace.reconstruction) / signal.size
+    grad_d = [gamma / m_coeff * np.sign(d) for d in trace.details]
+    for l in range(model.levels):
+        bank = trace.banks[l]
+        v = trace.recon_chain[l + 1]
+        gy = np.zeros(2 * v.size)
+        gy[: trace.pre_lengths[l]] = g_x
+        if scheme.kinds:
+            k = bank.h.size
+            synth_grads[l] = (kernel_grad(v, gy, k)[::-1],
+                              kernel_grad(trace.details[l], gy, k)[::-1])
+        grad_d[l] = grad_d[l] + strided_corr(gy, bank.g_bar[::-1])
+        g_x = strided_corr(gy, bank.h_bar[::-1])
+    g_a = g_x + gamma / m_coeff * np.sign(trace.approx)
+    for l in range(model.levels - 1, -1, -1):
+        bank = trace.banks[l]
+        if model.mode.trains_thresholds:
+            dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(
+                trace.details_pre[l], *trace.gates[l], model.sharpness)
+            g_dpre = grad_d[l] * dy_dx
+            grads["b_plus"][l] = float(np.dot(grad_d[l], dy_dbp))
+            grads["b_minus"][l] = float(np.dot(grad_d[l], dy_dbm))
+        else:
+            g_dpre = grad_d[l]
+        x_pad = trace.padded_inputs[l]
+        if scheme.kinds:
+            k = bank.h.size
+            bank_grads[l] = FilterBank(kernel_grad(g_a, x_pad, k),
+                                       kernel_grad(g_dpre, x_pad, k),
+                                       *synth_grads[l])
+        g_pad = upsample_conv(g_a, bank.h) + upsample_conv(g_dpre, bank.g)
+        g_a = g_pad[: trace.pre_lengths[l]]
+    for l, bank_grad in enumerate(bank_grads):
+        for name, grad in zip(scheme.names(l), scheme.fold(bank_grad)):
+            grads[name] += grad
+    return (total, recon, sparsity), model.flatten(grads)
+
+
+class TestBackwardMatchesWrittenOutTranspose:
+    @settings(max_examples=150, deadline=None)
+    @given(mode=st.sampled_from(list(SharingMode)),
+           n=st.integers(2, 300),
+           k=st.sampled_from([2, 4, 8, 16]),
+           depth=st.floats(0.0, 1.0),
+           perturb=st.sampled_from([0.0, 0.02, 0.3]),
+           zeros=st.sampled_from([0.0, 0.3, 1.0]),
+           gamma=st.sampled_from([0.0, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal(self, mode, n, k, depth, perturb, zeros, gamma,
+                           seed):
+        # depth 1.0 reaches max_depth, where kernels outgrow the signal;
+        # an unperturbed model reconstructs exactly, so residuals are zero
+        rng = np.random.default_rng(seed)
+        model = WaveletNet(1 + round(depth * (max_depth(n) - 1)), k, mode)
+        vec = model.get_parameters()
+        model.set_parameters(vec + rng.normal(0.0, perturb, vec.size))
+        signal = rng.normal(size=n)
+        signal[rng.random(n) < zeros] = 0.0
+        triple, grads = backward_full(signal, model, gamma)
+        expect_triple, expect_grads = _backward_written_out(signal, model, gamma)
+        assert np.array(triple).tobytes() == np.array(expect_triple).tobytes()
+        assert grads.tobytes() == expect_grads.tobytes()
 
 
 class TestFiniteDifferenceOracle:

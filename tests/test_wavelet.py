@@ -21,6 +21,7 @@ from wavelearn.wavelet import (
     DB4_SCALING,
     FilterBank,
     _periodic_ext,
+    analysis_cascade,
     cqf_from_scaling,
     cqf_partial,
     db4_filterbank,
@@ -29,6 +30,7 @@ from wavelearn.wavelet import (
     ifdwt,
     max_depth,
     strided_corr,
+    synthesis_cascade,
     upsample_conv,
 )
 
@@ -181,6 +183,34 @@ class TestAdjointness:
                 lhs = np.dot(a, v) + np.dot(d, w)
                 rhs = np.dot(u, synthesize(v, w, bank, n))
                 assert abs(lhs - rhs) <= 1e-10
+
+    def test_adjoint_of_adjoint_is_the_bank(self):
+        rng = np.random.default_rng(11)
+        bank = FilterBank(*(rng.normal(size=6) for _ in range(4)))
+        twice = bank.adjoint().adjoint()
+        for kind in ("h", "g", "h_bar", "g_bar"):
+            assert getattr(twice, kind).tobytes() == getattr(bank, kind).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 400), k=st.sampled_from([2, 4, 6, 8, 10, 16]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_synthesis_on_adjoint_banks_transposes_full_cascade(self, n, k,
+                                                                seed):
+        # four unrelated kernels per level, at full depth, so the deep
+        # levels' kernels are longer than their inputs
+        rng = np.random.default_rng(seed)
+        banks = [FilterBank(*(rng.normal(size=k) for _ in range(4)))
+                 for _ in range(max_depth(n))]
+        u = rng.normal(size=n)
+        _, lengths, details, approx = analysis_cascade(u, banks)
+        w_d = [rng.normal(size=d.size) for d in details]
+        w_a = rng.normal(size=approx.size)
+        lhs = np.dot(approx, w_a) + sum(np.dot(d, w) for d, w in zip(details, w_d))
+        adjoint = [bank.adjoint() for bank in banks]
+        rhs = np.dot(u, synthesis_cascade(w_a, w_d, lengths, adjoint)[0])
+        scale = abs(np.dot(approx, w_a)) + sum(
+            abs(np.dot(d, w)) for d, w in zip(details, w_d))
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 class TestCascade:
