@@ -59,7 +59,13 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         raise FormatError(f"unsupported bit depth {bits}", offset=fmt_offset)
     if channels < 1:
         raise FormatError("zero channels", offset=fmt_offset)
-    frame_bytes = block_align if block_align else 2 * channels
+    frame_bytes = 2 * channels
+    if block_align not in (0, frame_bytes):
+        raise FormatError(
+            f"block_align {block_align} != {frame_bytes} for {channels} "
+            f"16-bit channels",
+            offset=fmt_offset,
+        )
     n_frames = len(payload) // frame_bytes
     raw = np.frombuffer(payload[: n_frames * frame_bytes], dtype="<i2")
     samples = raw.reshape(n_frames, channels)[:, 0].astype(float) / _SCALE

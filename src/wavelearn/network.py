@@ -75,7 +75,7 @@ KERNEL_SCHEMES = {
         ("h",), lambda h: cqf_from_scaling(h), lambda grad: (cqf_fold(grad),)),
     "per_level_hg": KernelScheme(
         ("h", "g"), lambda h, g: cqf_partial(h, g),
-        lambda grad: (grad.h + grad.h_bar[::-1], grad.g + grad.g_bar[::-1])),
+        lambda grad: (grad.h + grad.h_bar[..., ::-1], grad.g + grad.g_bar[..., ::-1])),
     "per_level_all": KernelScheme(
         ("h", "g", "hb", "gb"),
         lambda *kernels: FilterBank(*(as_kernel(k) for k in kernels)),
@@ -219,11 +219,12 @@ class WaveletNet:
 
     def flatten(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
         """The trainable entries of `tensors`, keyed like `params`, as one
-        flat vector in `get_parameters` order."""
+        flat vector in `get_parameters` order (one per row when the tensors
+        carry a leading row axis)."""
         names = self.trainable_names()
         if not names:
             return np.zeros(0)
-        return np.concatenate([tensors[n].ravel() for n in names])
+        return np.concatenate([tensors[n] for n in names], axis=-1)
 
     def set_parameters(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
@@ -259,7 +260,9 @@ class WaveletNet:
 @dataclass
 class ForwardTrace:
     """One forward pass: the gated coefficients, the reconstruction (of the
-    input's exact length) and every intermediate the backward pass needs."""
+    input's exact shape) and every intermediate the backward pass needs.
+    Arrays keep the input's leading axis: ``(n,)`` for one window, ``(B, n)``
+    for a block."""
 
     banks: list[FilterBank]           # filter bank of each level, derived once per pass
     padded_inputs: list[np.ndarray]   # encoder input of each level, post-pad
@@ -276,7 +279,8 @@ class ForwardTrace:
 
 
 def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
-    """Encoder-decoder pass: details are gated before being stored and
+    """Encoder-decoder pass over one window or a (B, N) block of them, every
+    row under the same banks: details are gated before being stored and
     skip-connected, the final approximation is passed through untouched."""
     signal = cascade_input(signal, model.levels)
     banks = [model.bank_for_level(l) for l in range(model.levels)]
@@ -309,20 +313,21 @@ def model_forward(signal, model: WaveletNet) -> ForwardTrace:
 def loss(trace: ForwardTrace, signal, gamma: float):
     """(total, reconstruction, sparsity): mean absolute residual plus
     gamma times the mean absolute value over all retained coefficients
-    (details and final approximation together)."""
+    (details and final approximation together). For a (B, N) block each
+    term is the sum of the rows' terms."""
     signal = np.asarray(signal, dtype=float)
     if signal.shape != trace.reconstruction.shape:
         raise InvalidSignalError(
-            f"signal length {signal.size} != reconstruction "
-            f"{trace.reconstruction.size}"
+            f"signal shape {signal.shape} != reconstruction "
+            f"{trace.reconstruction.shape}"
         )
-    recon = float(np.mean(np.abs(signal - trace.reconstruction)))
-    coeff_sum = float(sum(np.sum(np.abs(d)) for d in trace.details))
-    coeff_sum += float(np.sum(np.abs(trace.approx)))
-    count = sum(d.size for d in trace.details) + trace.approx.size
+    recon = np.abs(signal - trace.reconstruction).mean(-1)
+    coeff_sum = sum(np.abs(d).sum(-1) for d in trace.details)
+    coeff_sum += np.abs(trace.approx).sum(-1)
+    count = sum(d.shape[-1] for d in trace.details) + trace.approx.shape[-1]
     sparsity = coeff_sum / count
     total = recon + gamma * sparsity
-    return total, recon, sparsity
+    return float(total.sum()), float(recon.sum()), float(sparsity.sum())
 
 
 def default_levels_for(length: int) -> int:

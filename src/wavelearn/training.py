@@ -1,15 +1,26 @@
 """Gradient machinery and the unsupervised training loop.
 
 `backward_full` computes the exact gradient of the training loss with
-respect to every trainable scalar by reverse traversal of the cascade:
-absolute-value terms contribute their sign (with sign(0) = 0), gating layers
-their analytic partials (formed from the gate terms the forward trace kept,
-so no sigmoid is evaluated twice), and each level's transpose is the other
-step on the adjoint bank (`wavelet.FilterBank.adjoint`). That yields a
+respect to every trainable scalar, for one window or summed over a (B, N)
+block of them, by reverse traversal of the cascade: absolute-value terms
+contribute their sign (with sign(0) = 0), gating layers their analytic
+partials (formed from the gate terms the forward trace kept, so no sigmoid
+is evaluated twice), and each level's transpose is the other step on the
+adjoint bank (`wavelet.FilterBank.adjoint`). That yields a
 gradient on each level's filter bank, which the mode's kernel scheme
 (`KERNEL_SCHEMES` in `network.py`) folds back onto the trainable kernels;
 nothing here depends on which mode is trained. `finite_difference_grad` is
 the independent brute-force oracle used to verify all of it.
+
+Where the cascade reconstructs perfectly (a fresh model does) the residual
+is rounding noise, and its sign would steer the gradient: one ulp on one
+tap could flip it. So `residual_sign` counts a residual within
+``eps * L * max|x|`` of zero (float64 epsilon, depth L, ``max|x|`` per
+window) as exactly zero, the kink's subgradient.
+
+`train` feeds each mini-batch to `backward_full` as (B, N) blocks of at most
+`BLOCK_SAMPLES` samples (one window at least): one call for a batch of short
+windows, memory O(N) for any batch size.
 """
 
 from __future__ import annotations
@@ -31,33 +42,48 @@ from .network import (
 )
 from .wavelet import FilterBank, analysis_step, kernel_grad, synthesis_step
 
+# most samples `train` passes to one `backward_full` call
+BLOCK_SAMPLES = 2 ** 16
+
+
+def residual_sign(signal: np.ndarray, reconstruction: np.ndarray,
+                  levels: int) -> np.ndarray:
+    """sign(signal - reconstruction), with residuals within
+    eps * levels * max|signal| of their window counted as zero."""
+    residual = signal - reconstruction
+    tol = np.finfo(float).eps * levels * np.max(np.abs(signal), axis=-1, keepdims=True)
+    return np.where(np.abs(residual) <= tol, 0.0, np.sign(residual))
+
 
 def backward_full(signal, model: WaveletNet, gamma: float):
     """Loss triple plus the flat gradient vector, aligned with
-    `model.get_parameters()`."""
+    `model.get_parameters()`, of one window or, for a (B, N) block, both
+    summed over its rows."""
     signal = np.asarray(signal, dtype=float)
     trace = forward_trace(model, signal)
     total, recon, sparsity = loss(trace, signal, gamma)
-    m_coeff = sum(d.size for d in trace.details) + trace.approx.size
+    m_coeff = sum(d.shape[-1] for d in trace.details) + trace.approx.shape[-1]
 
     scheme = model.mode.scheme
     k = model.kernel_size
 
-    grads = {name: np.zeros_like(model.params[name])
+    # every gradient keeps the block's row axis until the rows are added
+    grads = {name: np.zeros(signal.shape[:-1] + model.params[name].shape)
              for name in model.trainable_names()}
     # per-level gradients on the synthesis (decoder) and analysis kernels
     synth_grads = [None] * model.levels
     bank_grads = [None] * model.levels
 
-    g_x = -np.sign(signal - trace.reconstruction) / signal.size  # residual term
+    g_x = -residual_sign(signal, trace.reconstruction, model.levels) / signal.shape[-1]
     # decoder, shallow to deep: chain[l] was built from chain[l+1] and
     # details[l]; each detail's gradient adds its sparsity term
     grad_d = []
     for l in range(model.levels):
         gy, g_x, g_d = analysis_step(g_x, trace.banks[l].adjoint())
         if scheme.kinds:
-            synth_grads[l] = (kernel_grad(trace.recon_chain[l + 1], gy, k)[::-1],
-                              kernel_grad(trace.details[l], gy, k)[::-1])
+            upstream = np.stack((trace.recon_chain[l + 1], trace.details[l]), axis=-2)
+            synth = kernel_grad(upstream, gy, k)[..., ::-1]
+            synth_grads[l] = synth[..., 0, :], synth[..., 1, :]
         grad_d.append(gamma / m_coeff * np.sign(trace.details[l]) + g_d)
 
     # gradient on the approximation: decoder entry point plus sparsity
@@ -69,14 +95,14 @@ def backward_full(signal, model: WaveletNet, gamma: float):
             dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(
                 trace.details_pre[l], *trace.gates[l], model.sharpness)
             g_dpre = grad_d[l] * dy_dx
-            grads["b_plus"][l] = float(np.dot(grad_d[l], dy_dbp))
-            grads["b_minus"][l] = float(np.dot(grad_d[l], dy_dbm))
+            grads["b_plus"][..., l] = np.sum(grad_d[l] * dy_dbp, axis=-1)
+            grads["b_minus"][..., l] = np.sum(grad_d[l] * dy_dbm, axis=-1)
         else:
             g_dpre = grad_d[l]
         if scheme.kinds:
-            x_pad = trace.padded_inputs[l]
-            bank_grads[l] = FilterBank(kernel_grad(g_a, x_pad, k),
-                                       kernel_grad(g_dpre, x_pad, k),
+            analysis = kernel_grad(np.stack((g_a, g_dpre), axis=-2),
+                                   trace.padded_inputs[l], k)
+            bank_grads[l] = FilterBank(analysis[..., 0, :], analysis[..., 1, :],
                                        *synth_grads[l])
         g_a = synthesis_step(g_a, g_dpre, trace.pre_lengths[l],
                              trace.banks[l].adjoint())
@@ -86,7 +112,10 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     for l, bank_grad in enumerate(bank_grads):
         for name, grad in zip(scheme.names(l), scheme.fold(bank_grad)):
             grads[name] += grad
-    return (total, recon, sparsity), model.flatten(grads)
+    flat = model.flatten(grads)
+    # a block adds its rows' gradients in row order, as a loop over its
+    # windows would, so training on blocks follows the per-window loop
+    return (total, recon, sparsity), sum(flat) if flat.ndim > 1 else flat
 
 
 def finite_difference_grad(signal, model: WaveletNet, gamma: float,
@@ -242,11 +271,15 @@ class TrainReport:
 
 def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
     """Mini-batch loop: gradients averaged over each batch, the windows
-    permuted every epoch by a generator seeded from the config."""
+    permuted every epoch by a generator seeded from the config. The windows
+    must share one length, because a batch runs as (B, N) blocks."""
     config.validate()
     if not signals:
         raise ConfigError("training set is empty")
     signals = [np.asarray(s, dtype=float) for s in signals]
+    shape = signals[0].shape
+    if len(shape) != 1 or any(s.shape != shape for s in signals):
+        raise ConfigError("training windows must be 1-D and share one length")
     levels = config.levels
     if levels is None:
         levels = default_levels_for(signals[0].size)
@@ -256,14 +289,16 @@ def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
     history: list[tuple[float, float, float]] = []
     start = time.perf_counter()
     n = len(signals)
+    rows = max(1, BLOCK_SAMPLES // signals[0].size)
     for _ in range(config.epochs):
         order = rng.permutation(n)
         epoch_losses = np.zeros(3)
         for lo in range(0, n, config.batch_size):
             batch = order[lo:lo + config.batch_size]
             grad_sum = np.zeros_like(state.m)
-            for idx in batch:
-                triple, flat = backward_full(signals[idx], model, config.gamma)
+            for first in range(0, batch.size, rows):
+                block = np.stack([signals[i] for i in batch[first:first + rows]])
+                triple, flat = backward_full(block, model, config.gamma)
                 grad_sum += flat
                 epoch_losses += triple
             model, state = adam_step(model, grad_sum / batch.size, state, config)

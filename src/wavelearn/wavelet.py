@@ -3,8 +3,14 @@ cascade transform.
 
 Conventions used throughout:
 
+* samples lie on the last axis: one window is ``(N,)``, a block of B
+  equal-length windows ``(B, N)``, and every op works row by row;
 * analysis is a strided periodic cross-correlation,
-  ``a_next[k] = sum_n h[n] * a[(2k + n) mod N]``;
+  ``a_next[k] = sum_n h[n] * a[(2k + n) mod N]``, for both channels in one
+  matmul: a periodic strided view, ``view[..., k, n] = a[..., (2k + n) mod
+  N]``, times the stacked kernels ``[h, g]`` (2 x K) gives ``(..., 2, N/2)``,
+  and the stacked upstream gradients times the same view give both kernels'
+  gradients, ``(..., 2, K)`` (`kernel_grad`);
 * synthesis is the transpose of analysis with the index-reversed kernel, in
   polyphase form: even taps feed the even outputs and odd taps the odd
   ones, each a shifted copy of the periodically extended input. Taps are
@@ -99,9 +105,11 @@ def cqf_from_scaling(h) -> FilterBank:
 def cqf_fold(grad: FilterBank) -> np.ndarray:
     """Transpose of `cqf_from_scaling`: folds a gradient on the four derived
     kernels into the scaling kernel, gh - signs*rev(gg) + rev(ghb) - signs*ggb
-    with signs[m] = (-1)^m (kernel length even)."""
-    signs = np.where(np.arange(grad.h.size) % 2 == 0, 1.0, -1.0)
-    return grad.h - signs * grad.g[::-1] + grad.h_bar[::-1] - signs * grad.g_bar
+    with signs[m] = (-1)^m (kernel length even), row by row when the
+    gradients carry a leading row axis."""
+    signs = np.where(np.arange(grad.h.shape[-1]) % 2 == 0, 1.0, -1.0)
+    return (grad.h - signs * grad.g[..., ::-1] + grad.h_bar[..., ::-1]
+            - signs * grad.g_bar)
 
 
 def cqf_partial(h, g) -> FilterBank:
@@ -164,43 +172,55 @@ class CoefficientPyramid:
 # low-level strided periodic operators (shared with the gradient code)
 
 def _periodic_ext(x: np.ndarray, after: int, before: int = 0) -> np.ndarray:
-    """x[(i - before) mod N] for i in [0, N + before + after): x extended
-    periodically on both sides (a pad longer than N wraps several times, as
-    a kernel longer than the signal does at the deep levels)."""
-    n = x.size
+    """x[..., (i - before) mod N] for i in [0, N + before + after): x extended
+    periodically on both sides of its last axis (a pad longer than N wraps
+    several times, as a kernel longer than the signal does at the deep
+    levels)."""
+    n = x.shape[-1]
     if before <= n and after <= n:
-        return np.concatenate([x[n - before:], x, x[:after]])
-    return x[np.arange(-before, n + after) % n]
+        return np.concatenate((x[..., n - before:], x, x[..., :after]), -1)
+    return x.take(np.arange(-before, n + after) % n, -1)
+
+
+def _strided_view(x: np.ndarray, taps: int) -> np.ndarray:
+    """(..., N/2, taps) view with view[..., k, n] = x[..., (2k + n) mod N],
+    over a periodic extension of `x` it alone refers to; rows overlap, so it
+    is only read."""
+    # C order is what the strides below assume; a column-major block
+    # concatenates to another order
+    ext = np.ascontiguousarray(_periodic_ext(x, taps - 1))
+    step = ext.itemsize
+    return np.ndarray((*ext.shape[:-1], x.shape[-1] // 2, taps), ext.dtype, ext,
+                      0, (*ext.strides[:-1], 2 * step, step))
 
 
 def strided_corr(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """out[k] = sum_n f[n] * x[(2k + n) mod N] for k in [0, N/2).  N even."""
-    ext = _periodic_ext(x, f.size - 1)
-    return np.correlate(ext, f, mode="valid")[::2]
+    """out[..., c, k] = sum_n f[c, n] * x[..., (2k + n) mod N] for k in
+    [0, N/2): one matmul for a (C, K) kernel stack, (..., C, N/2) out; a
+    single (K,) kernel gives (..., N/2).  N even."""
+    return f @ _strided_view(x, f.shape[-1]).swapaxes(-1, -2)
 
 
 def upsample_conv(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """out[m] = sum_k v[k] * f[(m - 2k) mod 2 len(v)], the transpose of
-    `strided_corr` with the same kernel, in polyphase form (module notes).
+    """out[..., m] = sum_k v[..., k] * f[(m - 2k) mod 2 len(v)], the transpose
+    of `strided_corr` with the same kernel, in polyphase form (module notes).
     Kernel indices wrap (fold) when the kernel is longer than the output."""
-    half, shift = v.size, f.size // 2 - 1
+    rows, half = v.shape[:-1], v.shape[-1]
+    shift = f.size // 2 - 1
     ext = _periodic_ext(v, 0, shift)
     pairs = f.reshape(-1, 2, 1)  # taps (2s, 2s+1) feed the (even, odd) outputs
-    out = np.zeros((2, half))    # +0.0 start: zero signs as in the direct form
+    out = np.zeros(rows + (2, half))  # +0.0 start: zero signs as in the direct form
     for s, pair in enumerate(pairs):
-        out += pair * ext[shift - s:shift - s + half]
-    return out.T.reshape(2 * half)
+        out += pair * ext[..., None, shift - s:shift - s + half]
+    return out.swapaxes(-1, -2).reshape(rows + (2 * half,))
 
 
 def kernel_grad(upstream: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
-    """d(strided_corr(x, f))/df contracted with `upstream`:
-    out[n] = sum_k upstream[k] * x[(2k + n) mod N]."""
-    n = x.size
-    ext = _periodic_ext(x, taps - 1)
-    out = np.empty(taps)
-    for tap in range(taps):
-        out[tap] = np.dot(upstream, ext[tap:tap + n - 1:2])
-    return out
+    """d(strided_corr(x, f))/df contracted with `upstream`, row by row:
+    out[..., c, n] = sum_k upstream[..., c, k] * x[..., (2k + n) mod N], one
+    matmul. `upstream` is shaped like `strided_corr`'s output for a (C, K)
+    kernel stack, (..., C, N/2)."""
+    return upstream @ _strided_view(x, taps)
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +239,17 @@ def max_depth(length: int) -> int:
 
 def analysis_step(a: np.ndarray, bank: FilterBank):
     """One encoder level: (`a` zero-padded to even length, approx, detail)."""
-    a_pad = np.concatenate([a, [0.0]]) if a.size % 2 else a
-    return a_pad, strided_corr(a_pad, bank.h), strided_corr(a_pad, bank.g)
+    if a.shape[-1] % 2:
+        a = np.concatenate([a, np.zeros((*a.shape[:-1], 1))], axis=-1)
+    out = strided_corr(a, np.array((bank.h, bank.g)))
+    return a, out[..., 0, :], out[..., 1, :]
 
 
 def synthesis_step(a, d, n: int, bank: FilterBank) -> np.ndarray:
     """One decoder level: the transpose of analysis with the index-reversed
     synthesis kernels, both channels summed and cut to the pre-pad length."""
     return (upsample_conv(a, bank.h_bar[::-1]) +
-            upsample_conv(d, bank.g_bar[::-1]))[:n]
+            upsample_conv(d, bank.g_bar[::-1]))[..., :n]
 
 
 def analysis_cascade(signal: np.ndarray, banks: list[FilterBank]):
@@ -237,7 +259,7 @@ def analysis_cascade(signal: np.ndarray, banks: list[FilterBank]):
     padded, lengths, details = [], [], []
     a = signal
     for bank in banks:
-        lengths.append(a.size)
+        lengths.append(a.shape[-1])
         a_pad, a, d = analysis_step(a, bank)
         padded.append(a_pad)
         details.append(d)
@@ -254,16 +276,19 @@ def synthesis_cascade(approx, details, lengths, banks: list[FilterBank]) -> list
 
 
 def cascade_input(signal, levels: int) -> np.ndarray:
-    """`signal` as a float vector, checked for a `levels`-deep cascade."""
+    """`signal`, one window or a (B, N) block of them, as a float array
+    checked for a `levels`-deep cascade."""
     a = np.asarray(signal, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise InvalidSignalError("signal must be 1-D with at least 2 samples")
+    if a.ndim not in (1, 2) or a.shape[-1] < 2 or a.size == 0:
+        raise InvalidSignalError(
+            "signal must be 1-D, or a (B, N) block, with at least 2 samples")
     if not np.all(np.isfinite(a)):
         raise InvalidSignalError("signal holds non-finite samples")
-    if levels > max_depth(a.size):
+    n = a.shape[-1]
+    if levels > max_depth(n):
         raise InvalidDepthError(
-            f"{levels} levels exceed the maximum depth {max_depth(a.size)} "
-            f"for length {a.size}"
+            f"{levels} levels exceed the maximum depth {max_depth(n)} "
+            f"for length {n}"
         )
     return a
 
@@ -274,6 +299,8 @@ def fdwt(signal, bank: FilterBank, levels: int) -> CoefficientPyramid:
     if levels < 1:
         raise InvalidDepthError(f"levels must be >= 1, got {levels}")
     a = cascade_input(signal, levels)
+    if a.ndim != 1:
+        raise InvalidSignalError("fdwt takes one 1-D signal")
     as_kernel(bank.h), as_kernel(bank.g)
     _, lengths, details, approx = analysis_cascade(a, [bank] * levels)
     return CoefficientPyramid(details=details, approx=approx, level_lengths=lengths)

@@ -26,13 +26,18 @@ MODEL_SEED = 3
 ELM_SEED = 11
 
 
-def _detect_pipeline():
-    start = time.perf_counter()
+def _detect_training():
+    """The detect fixture: training windows, test records and schedule."""
     spec = SyntheticSpec(task="detect", n_train=200, n_test=50, sigma=0.1)
     records = generate_synthetic(spec, seed=DATA_SEED)
     train_x = [r.samples for r in records if r.split == "train"]
     test = [r for r in records if r.split == "test"]
-    config = TrainConfig(epochs=50, seed=MODEL_SEED, levels=10)
+    return train_x, test, TrainConfig(epochs=50, seed=MODEL_SEED, levels=10)
+
+
+def _detect_pipeline():
+    start = time.perf_counter()
+    train_x, test, config = _detect_training()
     report = train(train_x, SharingMode.PER_LEVEL_CQF_HT, config)
     model = report.final_model
     feats_train = [extract_features(x, model) for x in train_x]
@@ -81,6 +86,11 @@ def _classify_pipeline():
         }
     out["elapsed"] = time.perf_counter() - start
     return out
+
+
+@pytest.fixture(scope="session")
+def detect_training():
+    return _detect_training()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage at desk scale (tiny datasets, few epochs)."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,15 @@ from wavelearn.persist import (
     save_model,
     write_features_csv,
 )
+
+
+def _wav_bytes(channels: int, block_align: int, payload: bytes = bytes(8)) -> bytes:
+    """A 16-bit PCM WAV document whose fmt chunk declares `block_align`."""
+    fmt = struct.pack("<HHIIHH", 1, channels, 16000, 16000 * block_align,
+                      block_align, 16)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(payload)) + payload)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 def run(argv, capsys):
@@ -199,17 +209,23 @@ class TestErrorPaths:
                               lambda doc: doc.update(decimate="x"))),
         (["train", "--manifest", "{bad}", "--epochs", "1", "--out", "{out}"],
          "{not json"),
+        (["reconstruct", "--model", "{model}", "--input", "{bad}"],
+         _wav_bytes(channels=2, block_align=2)),
+        (["reconstruct", "--model", "{model}", "--input", "{bad}"],
+         _wav_bytes(channels=1, block_align=3, payload=bytes(9))),
     ], ids=["model_kernel_not_numeric", "model_not_json", "elm_empty",
             "features_cell_not_numeric", "features_empty", "scores_empty",
             "score_not_numeric", "dictionary_empty", "manifest_decimate_not_int",
-            "manifest_not_json"])
+            "manifest_not_json", "wav_block_align_below_frame",
+            "wav_block_align_odd"])
     def test_malformed_input_exits_2(self, argv, content, detect_dir, tmp_path,
                                      capsys):
         bad = tmp_path / "bad"
-        bad.write_text(content(detect_dir, tmp_path) if callable(content)
-                       else content)
+        content = content(detect_dir, tmp_path) if callable(content) else content
+        bad.write_bytes(content if isinstance(content, bytes) else content.encode())
         paths = {"{bad}": bad, "{wav}": next(detect_dir.glob("*.wav")),
                  "{manifest}": detect_dir / "manifest.json",
+                 "{model}": _saved_model(tmp_path / "valid"),
                  "{out}": tmp_path / "out"}
         code, _, err = run([str(paths.get(a, a)) for a in argv], capsys)
         assert code == 2
@@ -257,6 +273,7 @@ class TestErrorPaths:
 
 
 def _saved_model(tmp_path):
+    tmp_path.mkdir(exist_ok=True)
     path = tmp_path / "model.json"
     save_model(WaveletNet(8, 8, SharingMode.PER_LEVEL_CQF_HT), path)
     return path

@@ -14,6 +14,7 @@ from wavelearn.network import (
     loss,
     model_forward,
 )
+from wavelearn import training
 from wavelearn.wavelet import (
     FilterBank,
     kernel_grad,
@@ -28,6 +29,7 @@ from wavelearn.training import (
     backward_full,
     finite_difference_grad,
     gradient_check,
+    residual_sign,
     train,
 )
 
@@ -87,6 +89,32 @@ class TestBackward:
             assert spars_grad[level] == pytest.approx(expect_bp, abs=1e-12)
             assert spars_grad[4 + level] == pytest.approx(expect_bm, abs=1e-12)
 
+    def test_one_ulp_tap_moves_do_not_move_the_init_gradient(self,
+                                                              detect_training):
+        # a fresh model reconstructs perfectly, so its residual is rounding
+        # noise; `residual_sign` keeps the gradient from following it
+        train_x, _, config = detect_training
+        model = WaveletNet(config.levels, config.kernel_size,
+                           SharingMode.PER_LEVEL_CQF_HT)
+        vec = model.get_parameters()
+        _, before = backward_full(train_x[0], model, config.gamma)
+        for tap in range(model.kernel_size):
+            moved = vec.copy()
+            moved[tap] = np.nextafter(moved[tap], np.inf)
+            model.set_parameters(moved)
+            _, after = backward_full(train_x[0], model, config.gamma)
+            assert np.linalg.norm(after - before) <= 1e-12 * np.linalg.norm(before)
+
+    def test_residual_within_rounding_counts_as_zero(self):
+        # the tolerance is eps * levels * max|x| of each window: 12 eps in
+        # the first row, and far below 1e-300 in the second
+        eps = np.finfo(float).eps
+        signal = np.array([[-4.0, 0.0, 0.0, 0.0], [1e-300, 0.0, 0.0, 0.0]])
+        recon = np.array([[-4.0, 12 * eps, -13 * eps, 11 * eps],
+                          [0.0, 1e-300, -1e-300, 0.0]])
+        assert residual_sign(signal, recon, 3).tolist() == [
+            [0.0, 0.0, 1.0, 0.0], [1.0, -1.0, 1.0, 0.0]]
+
     def test_fixed_ht_thresholds_match_fd_near_zero(self):
         # thresholds nudged off the exact kink so the oracle is well posed
         rng = np.random.default_rng(3)
@@ -102,9 +130,9 @@ class TestBackward:
 
 def _backward_written_out(signal, model, gamma):
     """`backward_full` with each level's transpose spelled out: going down, a
-    zero pad and strided correlations with the reversed synthesis kernels;
-    coming back, upsampling convolutions with the analysis kernels and a
-    truncation to the pre-pad length."""
+    zero pad and one strided correlation with the stacked reversed synthesis
+    kernels; coming back, upsampling convolutions with the analysis kernels
+    and a truncation to the pre-pad length."""
     trace = forward_trace(model, signal)
     total, recon, sparsity = loss(trace, signal, gamma)
     m_coeff = sum(d.size for d in trace.details) + trace.approx.size
@@ -113,7 +141,7 @@ def _backward_written_out(signal, model, gamma):
              for name in model.trainable_names()}
     synth_grads = [None] * model.levels
     bank_grads = [None] * model.levels
-    g_x = -np.sign(signal - trace.reconstruction) / signal.size
+    g_x = -residual_sign(signal, trace.reconstruction, model.levels) / signal.size
     grad_d = [gamma / m_coeff * np.sign(d) for d in trace.details]
     for l in range(model.levels):
         bank = trace.banks[l]
@@ -122,10 +150,9 @@ def _backward_written_out(signal, model, gamma):
         gy[: trace.pre_lengths[l]] = g_x
         if scheme.kinds:
             k = bank.h.size
-            synth_grads[l] = (kernel_grad(v, gy, k)[::-1],
-                              kernel_grad(trace.details[l], gy, k)[::-1])
-        grad_d[l] = grad_d[l] + strided_corr(gy, bank.g_bar[::-1])
-        g_x = strided_corr(gy, bank.h_bar[::-1])
+            synth_grads[l] = kernel_grad(np.stack((v, trace.details[l])), gy, k)[:, ::-1]
+        g_x, g_d = strided_corr(gy, np.stack((bank.h_bar[::-1], bank.g_bar[::-1])))
+        grad_d[l] = grad_d[l] + g_d
     g_a = g_x + gamma / m_coeff * np.sign(trace.approx)
     for l in range(model.levels - 1, -1, -1):
         bank = trace.banks[l]
@@ -133,15 +160,14 @@ def _backward_written_out(signal, model, gamma):
             dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(
                 trace.details_pre[l], *trace.gates[l], model.sharpness)
             g_dpre = grad_d[l] * dy_dx
-            grads["b_plus"][l] = float(np.dot(grad_d[l], dy_dbp))
-            grads["b_minus"][l] = float(np.dot(grad_d[l], dy_dbm))
+            grads["b_plus"][l] = np.sum(grad_d[l] * dy_dbp)
+            grads["b_minus"][l] = np.sum(grad_d[l] * dy_dbm)
         else:
             g_dpre = grad_d[l]
         x_pad = trace.padded_inputs[l]
         if scheme.kinds:
             k = bank.h.size
-            bank_grads[l] = FilterBank(kernel_grad(g_a, x_pad, k),
-                                       kernel_grad(g_dpre, x_pad, k),
+            bank_grads[l] = FilterBank(*kernel_grad(np.stack((g_a, g_dpre)), x_pad, k),
                                        *synth_grads[l])
         g_pad = upsample_conv(g_a, bank.h) + upsample_conv(g_dpre, bank.g)
         g_a = g_pad[: trace.pre_lengths[l]]
@@ -175,6 +201,120 @@ class TestBackwardMatchesWrittenOutTranspose:
         expect_triple, expect_grads = _backward_written_out(signal, model, gamma)
         assert np.array(triple).tobytes() == np.array(expect_triple).tobytes()
         assert grads.tobytes() == expect_grads.tobytes()
+
+
+def _trace_arrays(trace):
+    """Every per-window array a forward trace holds, in a fixed order."""
+    gates = [term for pair in trace.gates for term in pair]
+    return (trace.padded_inputs + trace.details_pre + trace.details + gates
+            + [trace.approx] + trace.recon_chain)
+
+
+class TestBlockPath:
+    """A (B, N) block runs every row through the same level ops as a lone
+    window and adds the rows' gradients in row order, as the per-window loop
+    does."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mode=st.sampled_from(list(SharingMode)),
+           n=st.integers(2, 300),
+           k=st.sampled_from([2, 4, 8, 16]),
+           full_depth=st.booleans(),
+           rows=st.integers(1, 9),
+           perturb=st.sampled_from([0.0, 0.02, 0.3]),
+           zeros=st.sampled_from([0.0, 0.3, 1.0]),
+           gamma=st.sampled_from([0.0, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_equals_its_rows(self, mode, n, k, full_depth, rows, perturb,
+                                   zeros, gamma, seed):
+        rng = np.random.default_rng(seed)
+        depth = max_depth(n) if full_depth else max(1, max_depth(n) // 2)
+        model = WaveletNet(depth, k, mode)
+        vec = model.get_parameters()
+        model.set_parameters(vec + rng.normal(0.0, perturb, vec.size))
+        block = rng.normal(size=(rows, n))
+        block[rng.random(block.shape) < zeros] = 0.0
+
+        triple, grads = backward_full(block, model, gamma)
+        column_major = backward_full(np.asfortranarray(block), model, gamma)
+        assert column_major[1].tobytes() == grads.tobytes()
+        per_row = [backward_full(x, model, gamma) for x in block]
+        for got, terms in ((np.array(triple), [np.array(t) for t, _ in per_row]),
+                           (grads, [g for _, g in per_row])):
+            scale = sum(np.abs(t) for t in terms)
+            assert np.all(np.abs(got - sum(terms)) <= 1e-12 * scale)
+
+        trace = forward_trace(model, block)
+        assert trace.pre_lengths == forward_trace(model, block[0]).pre_lengths
+        for b, x in enumerate(block):
+            for got, alone in zip(_trace_arrays(trace), _trace_arrays(forward_trace(model, x))):
+                assert got[b].shape == alone.shape
+                assert np.all(np.abs(got[b] - alone) <= 1e-12 * np.abs(alone))
+
+    def test_block_path_follows_the_per_window_loop(self, detect_training,
+                                                     detect_runs, monkeypatch):
+        # the acceptance run trains on one (8, 1024) block per Adam step;
+        # train again feeding `backward_full` one window at a time
+        train_x, _, config = detect_training
+        real = training.backward_full
+        windows = []
+
+        def per_window(block, model, gamma):
+            total, grad = np.zeros(3), 0.0
+            for x in block:
+                triple, flat = real(x, model, gamma)
+                total, grad = total + triple, grad + flat
+            windows.append(len(block))
+            return tuple(total), grad
+
+        monkeypatch.setattr("wavelearn.training.backward_full", per_window)
+        loop = np.array(train(train_x, SharingMode.PER_LEVEL_CQF_HT,
+                              config).loss_history)
+        assert sum(windows) == config.epochs * len(train_x)
+        block = np.array(detect_runs["first"]["report"].loss_history)
+        assert loop.shape == block.shape == (config.epochs, 3)
+        assert np.max(np.abs(block - loop) / np.abs(loop)) <= 1e-4
+
+
+class TestProperties:
+    """Perfect reconstruction and exact gradients over drawn lengths, kernel
+    sizes, depths and block heights. The draws are fixed (`derandomize`),
+    because a central difference that straddles an |x| kink legitimately
+    disagrees with the subgradient."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(mode=st.sampled_from(list(SharingMode)),
+           n=st.integers(2, 600),
+           k=st.sampled_from([2, 4, 8, 16]),
+           depth=st.floats(0.0, 1.0),
+           rows=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fresh_model_reconstructs_perfectly(self, mode, n, k, depth, rows,
+                                                seed):
+        model = WaveletNet(1 + round(depth * (max_depth(n) - 1)), k, mode)
+        block = np.random.default_rng(seed).normal(size=(rows, n))
+        recon = forward_trace(model, block).reconstruction
+        assert np.max(np.abs(recon - block)) <= 1e-8
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mode=st.sampled_from(TRAINABLE_MODES),
+           n=st.integers(8, 300),
+           k=st.sampled_from([2, 4, 8, 16]),
+           depth=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_gradient_matches_finite_differences(self, mode, n, k, depth,
+                                                 seed):
+        rng = np.random.default_rng(seed)
+        model = WaveletNet(1 + round(depth * (max_depth(n) - 1)), k, mode)
+        vec = model.get_parameters()
+        model.set_parameters(vec + rng.normal(0.0, 0.02, vec.size))
+        vec = model.get_parameters()
+        signal = rng.normal(size=n)
+        _, grads = backward_full(signal, model, 1.0)
+        for i in rng.choice(vec.size, size=min(6, vec.size), replace=False):
+            step = 1e-6 * max(1.0, abs(vec[i]))
+            fd = finite_difference_grad(signal, model, 1.0, int(i), step)
+            assert abs(grads[i] - fd) <= max(1e-7, 1e-4 * max(abs(fd), abs(grads[i])))
 
 
 class TestFiniteDifferenceOracle:
@@ -286,6 +426,38 @@ class TestTrainLoop:
             train(_sinusoid_set(n_signals=2), SharingMode.PER_LEVEL_CQF_HT,
                   TrainConfig(epochs=1, levels=5, **{field: value}))
         assert not steps
+
+    def test_windows_of_unequal_length_rejected_before_any_step(self,
+                                                               monkeypatch):
+        steps = []
+        monkeypatch.setattr("wavelearn.training.backward_full",
+                            lambda *args: steps.append(1))
+        signals = _sinusoid_set(n_signals=4)
+        signals[2] = signals[2][:-1]
+        with pytest.raises(ConfigError):
+            train(signals, SharingMode.PER_LEVEL_CQF_HT,
+                  TrainConfig(epochs=1, levels=5))
+        assert not steps
+
+    def test_a_batch_runs_in_blocks_of_at_most_block_samples(self,
+                                                             monkeypatch):
+        real = training.backward_full
+        shapes = []
+
+        def recorded(block, model, gamma):
+            shapes.append(block.shape)
+            return real(block, model, gamma)
+
+        monkeypatch.setattr("wavelearn.training.backward_full", recorded)
+        monkeypatch.setattr("wavelearn.training.BLOCK_SAMPLES", 3 * 256)
+        train(_sinusoid_set(n_signals=12), SharingMode.PER_LEVEL_CQF_HT,
+              TrainConfig(epochs=1, levels=5, batch_size=8))
+        assert shapes == [(3, 256), (3, 256), (2, 256), (3, 256), (1, 256)]
+        shapes.clear()
+        monkeypatch.setattr("wavelearn.training.BLOCK_SAMPLES", 100)
+        train(_sinusoid_set(n_signals=3), SharingMode.PER_LEVEL_CQF_HT,
+              TrainConfig(epochs=1, levels=5, batch_size=2))
+        assert shapes == [(1, 256)] * 3
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
