@@ -3,13 +3,14 @@ random-hidden-layer network, ROC-AUC, and per-class-model classification."""
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedMetricError
-from .network import SharingMode, WaveletNet, loss, model_forward, sigmoid
+from .errors import ConfigError, InvalidSignalError, UndefinedMetricError
+from .network import SharingMode, WaveletNet, loss_terms, model_forward, sigmoid
 from .training import TrainConfig, TrainReport, train
 
 
@@ -159,13 +160,35 @@ def roc_auc(scores, labels) -> float:
 @dataclass
 class DictionaryModel:
     """One model per class; a sample is assigned to the class whose model
-    gives it the smallest total loss."""
+    gives it the smallest total loss. At least two classes, whose models
+    share one mode, depth, kernel size and sharpness, so that they stack."""
 
     class_models: dict[str, WaveletNet]
     gamma: float
 
+    def __post_init__(self):
+        if len(self.class_models) < 2:
+            raise ConfigError(
+                f"a dictionary needs at least two classes, got {len(self.class_models)}")
+        if len({(m.mode, m.levels, m.kernel_size, m.sharpness)
+                for m in self.class_models.values()}) > 1:
+            raise ConfigError("class models must share one mode, depth, kernel "
+                              "size and sharpness")
+        if not 0 <= self.gamma < math.inf:  # false for NaN as well
+            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
+
     def labels(self) -> list[str]:
         return sorted(self.class_models)
+
+    def stacked(self) -> WaveletNet:
+        """The class models in `labels` order as one row-stacked model
+        (`network` module notes): each parameter is theirs stacked row by
+        row. Built on every call, so it always follows their `params`."""
+        models = [self.class_models[label] for label in self.labels()]
+        rows = copy.copy(models[0])
+        rows.params = {name: np.stack([m.params[name] for m in models])
+                       for name in rows.params}
+        return rows
 
 
 def dict_train(class_datasets: dict[str, list], mode: SharingMode,
@@ -188,11 +211,19 @@ def dict_train(class_datasets: dict[str, list], mode: SharingMode,
 
 def dict_classify(signal, dictionary: DictionaryModel) -> tuple[str, dict[str, float]]:
     """Label of the minimal-loss class model; exact ties break toward the
-    lexicographically smallest label."""
+    lexicographically smallest label.
+
+    One forward pass scores every class: the window, broadcast to a (C, N)
+    block, runs row r under the r-th label's model of the row-stacked
+    dictionary, so each label's loss is byte for byte its model's loss on
+    the window alone."""
     signal = np.asarray(signal, dtype=float)
-    losses = {}
-    for label in dictionary.labels():
-        record = model_forward(signal, dictionary.class_models[label])
-        losses[label] = loss(record, signal, dictionary.gamma)[0]
-    best = min(dictionary.labels(), key=lambda lab: (losses[lab], lab))
+    if signal.ndim != 1:
+        raise InvalidSignalError("dict_classify takes one 1-D signal")
+    labels = dictionary.labels()
+    block = np.broadcast_to(signal, (len(labels), signal.size))
+    record = model_forward(block, dictionary.stacked())
+    totals = loss_terms(record, block, dictionary.gamma)[0]
+    losses = dict(zip(labels, totals.tolist()))
+    best = min(labels, key=lambda lab: (losses[lab], lab))
     return best, losses

@@ -11,7 +11,15 @@ The sharing modes differ only in their kernel scheme: which kernels of a
 level train, and how the level's filter bank follows from them. The table
 `KERNEL_SCHEMES` is the one place those relations live; construction, the
 forward pass, the gradient and persistence read it and never branch on the
-mode.
+mode. A scheme with one set of kernels for every level derives its one bank
+once per forward pass.
+
+The forward pass is row-stacked: a model's parameters may carry a leading
+row axis, C models of one structure stacked row by row, and then every bank
+and threshold holds one entry per row. A forward of a (C, N) block runs row
+r under model r, and row r of every array it keeps is byte for byte what a
+forward of model r alone over that row gives; that is how one pass scores a
+window against every class model of a dictionary.
 """
 
 from __future__ import annotations
@@ -46,7 +54,8 @@ DEFAULT_SHARPNESS = 10.0
 class KernelScheme:
     """How one level's filter bank follows from its trainable kernels, of
     the `kinds` (``h``, ``g``, ``hb``, ``gb``; one set for all levels when
-    `shared`). `derive(*kernels)` builds the bank, and its transpose
+    `shared`, so every level has one bank). `derive(*kernels)` builds the
+    bank, one per row for kernels with a leading row axis, and its transpose
     `fold(bank_grad)` returns the kernels' gradients, both in `kinds` order.
     `kernel_size`, when set, pins the kernel length."""
 
@@ -67,7 +76,7 @@ class KernelScheme:
 KERNEL_SCHEMES = {
     "fixed": KernelScheme(
         (), lambda: db4_filterbank(), lambda grad: (),
-        kernel_size=DB4_SCALING.size),
+        shared=True, kernel_size=DB4_SCALING.size),
     "shared_h": KernelScheme(
         ("h",), lambda h: cqf_from_scaling(h), lambda grad: (cqf_fold(grad),),
         shared=True),
@@ -131,15 +140,15 @@ def ht_activation(x: np.ndarray, b_plus, b_minus, sharpness=DEFAULT_SHARPNESS):
     the gate terms p = sigmoid(a*(x-b+)) and q = sigmoid(-a*(x+b-)), so the
     backward pass reuses them instead of evaluating the sigmoids again.
 
-    With both biases at zero the bracket is identically one, so y is the
-    input unchanged (exact identity, not merely approximate).
+    Thresholds of shape (..., 1) gate each row of `x` with its own pair. In
+    a row whose biases are both zero the bracket is identically one, so y is
+    that row of the input unchanged (exact identity, not merely approximate).
     """
     a = sharpness
     p = sigmoid(a * (x - b_plus))
     q = sigmoid(-a * (x + b_minus))
-    if b_plus == 0.0 and b_minus == 0.0:
-        return x.copy(), p, q
-    return x * (q + p), p, q
+    identity = (b_plus == 0.0) & (b_minus == 0.0)
+    return np.where(identity, x, x * (q + p)), p, q
 
 
 def ht_gate_derivatives(x: np.ndarray, p: np.ndarray, q: np.ndarray,
@@ -176,7 +185,8 @@ class WaveletNet:
     ``gb.<level>``, plus the threshold vectors ``b_plus`` / ``b_minus``
     (length L, trainable only in HT modes). A fresh model starts at the db4
     bank (or a padded Haar for short kernels) with zero thresholds, so its
-    forward pass is a plain fixed-filter transform.
+    forward pass is a plain fixed-filter transform. Row-stacked parameters
+    (module notes) give one bank and one threshold pair per row.
     """
 
     def __init__(self, levels: int, kernel_size: int, mode: SharingMode,
@@ -264,7 +274,7 @@ class ForwardTrace:
     Arrays keep the input's leading axis: ``(n,)`` for one window, ``(B, n)``
     for a block."""
 
-    banks: list[FilterBank]           # filter bank of each level, derived once per pass
+    banks: list[FilterBank]           # filter bank of each level (one object for a shared scheme)
     padded_inputs: list[np.ndarray]   # encoder input of each level, post-pad
     pre_lengths: list[int]            # encoder input length of each level, pre-pad
     details_pre: list[np.ndarray]     # detail coefficients before gating
@@ -280,17 +290,22 @@ class ForwardTrace:
 
 def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
     """Encoder-decoder pass over one window or a (B, N) block of them, every
-    row under the same banks: details are gated before being stored and
+    row under the same banks, or row r under model r of a row-stacked model
+    (module notes): details are gated before being stored and
     skip-connected, the final approximation is passed through untouched."""
     signal = cascade_input(signal, model.levels)
-    banks = [model.bank_for_level(l) for l in range(model.levels)]
+    if model.mode.scheme.shared:
+        banks = [model.bank_for_level(0)] * model.levels
+    else:
+        banks = [model.bank_for_level(l) for l in range(model.levels)]
     padded, pre_lengths, details_pre, approx = analysis_cascade(signal, banks)
     details, gates = details_pre, []
     if model.mode.trains_thresholds:
         details = []
-        for d, b_plus, b_minus in zip(details_pre, model.params["b_plus"],
-                                      model.params["b_minus"]):
-            y, p, q = ht_activation(d, b_plus, b_minus, model.sharpness)
+        b_plus, b_minus = model.params["b_plus"], model.params["b_minus"]
+        for l, d in enumerate(details_pre):
+            y, p, q = ht_activation(d, b_plus[..., l, None], b_minus[..., l, None],
+                                    model.sharpness)
             details.append(y)
             gates.append((p, q))
     return ForwardTrace(
@@ -310,11 +325,11 @@ def model_forward(signal, model: WaveletNet) -> ForwardTrace:
     return forward_trace(model, signal)
 
 
-def loss(trace: ForwardTrace, signal, gamma: float):
-    """(total, reconstruction, sparsity): mean absolute residual plus
-    gamma times the mean absolute value over all retained coefficients
-    (details and final approximation together). For a (B, N) block each
-    term is the sum of the rows' terms."""
+def loss_terms(trace: ForwardTrace, signal, gamma: float):
+    """(total, reconstruction, sparsity) of each row, as arrays of the
+    input's leading shape: mean absolute residual plus gamma times the mean
+    absolute value over all retained coefficients (details and final
+    approximation together)."""
     signal = np.asarray(signal, dtype=float)
     if signal.shape != trace.reconstruction.shape:
         raise InvalidSignalError(
@@ -326,8 +341,13 @@ def loss(trace: ForwardTrace, signal, gamma: float):
     coeff_sum += np.abs(trace.approx).sum(-1)
     count = sum(d.shape[-1] for d in trace.details) + trace.approx.shape[-1]
     sparsity = coeff_sum / count
-    total = recon + gamma * sparsity
-    return float(total.sum()), float(recon.sum()), float(sparsity.sum())
+    return recon + gamma * sparsity, recon, sparsity
+
+
+def loss(trace: ForwardTrace, signal, gamma: float):
+    """The loss triple of `loss_terms`, each term summed over a (B, N)
+    block's rows."""
+    return tuple(float(term.sum()) for term in loss_terms(trace, signal, gamma))
 
 
 def default_levels_for(length: int) -> int:

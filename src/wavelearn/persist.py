@@ -158,12 +158,11 @@ def save_dictionary(dictionary: DictionaryModel, path) -> None:
 def load_dictionary(path) -> DictionaryModel:
     doc = read_json(path)
     classes = _field(doc, "classes", dict)
-    return DictionaryModel(
-        class_models={
-            label: _model_from_doc(mdoc) for label, mdoc in classes.items()
-        },
-        gamma=_field(doc, "gamma", float),
-    )
+    models = {label: _model_from_doc(mdoc) for label, mdoc in classes.items()}
+    try:
+        return DictionaryModel(class_models=models, gamma=_field(doc, "gamma", float))
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

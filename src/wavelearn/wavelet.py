@@ -5,6 +5,9 @@ Conventions used throughout:
 
 * samples lie on the last axis: one window is ``(N,)``, a block of B
   equal-length windows ``(B, N)``, and every op works row by row;
+* taps lie on the last axis too: a ``(K,)`` kernel serves every row, and a
+  ``(B, K)`` kernel, with the data's leading axis, is one bank per row, so
+  row r of a block runs under bank r (one window scored against B models);
 * analysis is a strided periodic cross-correlation,
   ``a_next[k] = sum_n h[n] * a[(2k + n) mod N]``, for both channels in one
   matmul: a periodic strided view, ``view[..., k, n] = a[..., (2k + n) mod
@@ -56,16 +59,18 @@ HAAR_SCALING = np.array([math.sqrt(0.5), math.sqrt(0.5)])
 
 
 def as_kernel(taps) -> np.ndarray:
-    """Validate and return kernel taps as a float64 array.
+    """Validate and return kernel taps as a float64 array, ``(K,)`` or one
+    kernel per row ``(..., K)``.
 
     A kernel must have even length >= 2 (the alternating-flip relations
     assume even parity) and contain only finite values.
     """
     k = np.asarray(taps, dtype=float)
-    if k.ndim != 1 or k.size == 0:
-        raise InvalidKernelError("kernel must be a non-empty 1-D tap vector")
-    if k.size % 2 != 0 or k.size < 2:
-        raise InvalidKernelError(f"kernel length must be even and >= 2, got {k.size}")
+    if k.ndim == 0 or k.size == 0:
+        raise InvalidKernelError("kernel must be a non-empty tap vector")
+    if k.shape[-1] % 2 != 0:
+        raise InvalidKernelError(
+            f"kernel length must be even and >= 2, got {k.shape[-1]}")
     if not np.all(np.isfinite(k)):
         raise InvalidKernelError("kernel taps must be finite")
     return k
@@ -76,7 +81,8 @@ class FilterBank:
     """The four kernels of one decomposition level.
 
     ``h``/``g`` are the low/high-pass analysis kernels, ``h_bar``/``g_bar``
-    the corresponding synthesis kernels. All four share one length.
+    the corresponding synthesis kernels. All four share one length, and
+    with a leading row axis they hold one bank per row.
     """
 
     h: np.ndarray
@@ -86,7 +92,8 @@ class FilterBank:
 
     def adjoint(self) -> "FilterBank":
         """Analysis and synthesis kernels swapped, each index-reversed."""
-        return FilterBank(self.h_bar[::-1], self.g_bar[::-1], self.h[::-1], self.g[::-1])
+        return FilterBank(self.h_bar[..., ::-1], self.g_bar[..., ::-1],
+                          self.h[..., ::-1], self.g[..., ::-1])
 
 
 def cqf_from_scaling(h) -> FilterBank:
@@ -95,9 +102,9 @@ def cqf_from_scaling(h) -> FilterBank:
     g[n] = (-1)^n h[K-1-n],  h_bar[n] = h[K-1-n],  g_bar[n] = (-1)^(n+1) h[n].
     """
     h = as_kernel(h)
-    signs = np.where(np.arange(h.size) % 2 == 0, 1.0, -1.0)
-    g = signs * h[::-1]
-    h_bar = h[::-1].copy()
+    signs = np.where(np.arange(h.shape[-1]) % 2 == 0, 1.0, -1.0)
+    g = signs * h[..., ::-1]
+    h_bar = h[..., ::-1].copy()
     g_bar = -signs * h
     return FilterBank(h=h, g=g, h_bar=h_bar, g_bar=g_bar)
 
@@ -117,11 +124,11 @@ def cqf_partial(h, g) -> FilterBank:
     by reversal: h_bar[n] = h[K-1-n], g_bar[n] = g[K-1-n]."""
     h = as_kernel(h)
     g = as_kernel(g)
-    if h.size != g.size:
+    if h.shape != g.shape:
         raise InvalidKernelError(
-            f"h and g must have the same length, got {h.size} and {g.size}"
+            f"h and g must have the same shape, got {h.shape} and {g.shape}"
         )
-    return FilterBank(h=h, g=g, h_bar=h[::-1].copy(), g_bar=g[::-1].copy())
+    return FilterBank(h=h, g=g, h_bar=h[..., ::-1].copy(), g_bar=g[..., ::-1].copy())
 
 
 def db4_filterbank() -> FilterBank:
@@ -195,24 +202,28 @@ def _strided_view(x: np.ndarray, taps: int) -> np.ndarray:
 
 
 def strided_corr(x: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """out[..., c, k] = sum_n f[c, n] * x[..., (2k + n) mod N] for k in
-    [0, N/2): one matmul for a (C, K) kernel stack, (..., C, N/2) out; a
-    single (K,) kernel gives (..., N/2).  N even."""
+    """out[..., c, k] = sum_n f[..., c, n] * x[..., (2k + n) mod N] for k in
+    [0, N/2): one matmul for a (C, K) kernel stack, (..., C, N/2) out, or for
+    a (B, C, K) stack, one per row of a (B, N) block; a single (K,) kernel
+    gives (..., N/2).  N even."""
     return f @ _strided_view(x, f.shape[-1]).swapaxes(-1, -2)
 
 
 def upsample_conv(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """out[..., m] = sum_k v[..., k] * f[(m - 2k) mod 2 len(v)], the transpose
-    of `strided_corr` with the same kernel, in polyphase form (module notes).
-    Kernel indices wrap (fold) when the kernel is longer than the output."""
-    rows, half = v.shape[:-1], v.shape[-1]
-    shift = f.size // 2 - 1
+    """out[..., m] = sum_k v[..., k] * f[..., (m - 2k) mod 2 len(v)], the transpose
+    of `strided_corr` with the same kernel, in polyphase form (module notes);
+    a (..., K) kernel applies one kernel per row. Kernel indices wrap (fold)
+    when the kernel is longer than the output."""
+    half = v.shape[-1]
+    shift = f.shape[-1] // 2 - 1
     ext = _periodic_ext(v, 0, shift)
-    pairs = f.reshape(-1, 2, 1)  # taps (2s, 2s+1) feed the (even, odd) outputs
-    out = np.zeros(rows + (2, half))  # +0.0 start: zero signs as in the direct form
-    for s, pair in enumerate(pairs):
-        out += pair * ext[..., None, shift - s:shift - s + half]
-    return out.swapaxes(-1, -2).reshape(rows + (2 * half,))
+    # taps (2s, 2s+1) feed the (even, odd) outputs; adding +0.0 to the first
+    # product is the direct form's +0.0 start, zero signs included
+    out = f[..., 0:2, None] * ext[..., None, shift:shift + half]
+    out += 0.0
+    for s in range(1, shift + 1):
+        out += f[..., 2 * s:2 * s + 2, None] * ext[..., None, shift - s:shift - s + half]
+    return out.swapaxes(-1, -2).reshape(out.shape[:-2] + (2 * half,))
 
 
 def kernel_grad(upstream: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
@@ -241,15 +252,17 @@ def analysis_step(a: np.ndarray, bank: FilterBank):
     """One encoder level: (`a` zero-padded to even length, approx, detail)."""
     if a.shape[-1] % 2:
         a = np.concatenate([a, np.zeros((*a.shape[:-1], 1))], axis=-1)
-    out = strided_corr(a, np.array((bank.h, bank.g)))
+    # [h, g] stacked on the second-to-last axis, (..., 2, K)
+    hg = np.concatenate((bank.h, bank.g), axis=-1).reshape(bank.h.shape[:-1] + (2, -1))
+    out = strided_corr(a, hg)
     return a, out[..., 0, :], out[..., 1, :]
 
 
 def synthesis_step(a, d, n: int, bank: FilterBank) -> np.ndarray:
     """One decoder level: the transpose of analysis with the index-reversed
     synthesis kernels, both channels summed and cut to the pre-pad length."""
-    return (upsample_conv(a, bank.h_bar[::-1]) +
-            upsample_conv(d, bank.g_bar[::-1]))[..., :n]
+    return (upsample_conv(a, bank.h_bar[..., ::-1]) +
+            upsample_conv(d, bank.g_bar[..., ::-1]))[..., :n]
 
 
 def analysis_cascade(signal: np.ndarray, banks: list[FilterBank]):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavelearn.analysis import (
     DictionaryModel,
@@ -14,8 +15,9 @@ from wavelearn.analysis import (
     extract_features,
     roc_auc,
 )
-from wavelearn.errors import ConfigError, UndefinedMetricError
-from wavelearn.network import SharingMode, WaveletNet
+from wavelearn.errors import ConfigError, InvalidSignalError, UndefinedMetricError
+from wavelearn.network import SharingMode, WaveletNet, forward_trace, loss, model_forward
+from wavelearn.wavelet import max_depth
 
 S = math.sqrt(0.5)
 
@@ -206,3 +208,147 @@ class TestDictClassify:
         l2, _ = dict_classify(x, d2)
         mapping = {"u": "v", "v": "u"}
         assert l2 == mapping[l1]
+
+    def test_one_window_only(self):
+        dictionary = DictionaryModel(
+            class_models={c: WaveletNet(3, 8, SharingMode.DB4_FIXED) for c in "ab"},
+            gamma=1.0)
+        with pytest.raises(InvalidSignalError):
+            dict_classify(np.zeros((2, 64)), dictionary)
+
+
+class TestDictionaryModel:
+    def test_fewer_than_two_classes_rejected(self):
+        for count in (0, 1):
+            with pytest.raises(ConfigError, match="two classes"):
+                DictionaryModel(class_models={
+                    str(c): WaveletNet(3, 8, SharingMode.DB4_FIXED)
+                    for c in range(count)}, gamma=1.0)
+
+    @pytest.mark.parametrize("other", [
+        WaveletNet(4, 8, SharingMode.SHARED_CQF_HT),
+        WaveletNet(3, 4, SharingMode.SHARED_CQF_HT),
+        WaveletNet(3, 8, SharingMode.SHARED_CQF),
+        WaveletNet(3, 8, SharingMode.SHARED_CQF_HT, sharpness=5.0),
+    ], ids=["levels", "kernel_size", "mode", "sharpness"])
+    def test_mixed_structure_rejected(self, other):
+        with pytest.raises(ConfigError, match="share one mode"):
+            DictionaryModel(class_models={
+                "A": WaveletNet(3, 8, SharingMode.SHARED_CQF_HT), "B": other},
+                gamma=1.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_bad_gamma_rejected(self, gamma):
+        with pytest.raises(ConfigError, match="gamma"):
+            DictionaryModel(class_models={
+                c: WaveletNet(3, 8, SharingMode.DB4_FIXED) for c in "AB"},
+                gamma=gamma)
+
+    def test_one_bank_derivation_per_window(self, monkeypatch):
+        real, calls = WaveletNet.bank_for_level, []
+
+        def counted(self, level):
+            calls.append(level)
+            return real(self, level)
+
+        monkeypatch.setattr(WaveletNet, "bank_for_level", counted)
+        dictionary = DictionaryModel(class_models={
+            c: WaveletNet(4, 8, SharingMode.SHARED_CQF_HT) for c in "ABC"}, gamma=1.0)
+        dict_classify(np.random.default_rng(15).normal(size=64), dictionary)
+        assert calls == [0]
+
+    def test_stack_follows_changed_parameters(self):
+        dictionary = DictionaryModel(class_models={
+            c: WaveletNet(3, 8, SharingMode.SHARED_CQF_HT) for c in "AB"}, gamma=1.0)
+        x = np.random.default_rng(14).normal(size=64)
+        before = dict_classify(x, dictionary)[1]
+        dictionary.class_models["B"].params["b_plus"][:] = 0.5
+        after = dict_classify(x, dictionary)[1]
+        assert after["A"] == before["A"] and after["B"] != before["B"]
+        assert after == _per_model_classify(x, dictionary)[1]
+
+
+def _per_model_classify(signal, dictionary):
+    """`dict_classify` as one forward pass per class model: the loop the
+    row-stacked pass replaced."""
+    signal = np.asarray(signal, dtype=float)
+    losses = {}
+    for label in dictionary.labels():
+        record = model_forward(signal, dictionary.class_models[label])
+        losses[label] = loss(record, signal, dictionary.gamma)[0]
+    best = min(dictionary.labels(), key=lambda lab: (losses[lab], lab))
+    return best, losses
+
+
+def _drawn_dictionary(rng, mode, classes, n, k, depth, thresholds):
+    """`classes` perturbed models of one structure. Each model's thresholds
+    are all zero, all nonzero, or (``mixed``) zero at random (class, level)
+    entries, so zero-threshold rows sit next to gated ones."""
+    levels = 1 + round(depth * (max_depth(n) - 1))
+    models = {}
+    for c in range(classes):
+        model = WaveletNet(levels, k, mode)
+        vec = model.get_parameters()
+        model.set_parameters(vec + rng.normal(0.0, 0.1, vec.size))
+        zero = {"zero": True, "nonzero": False,
+                "mixed": rng.random(levels) < 0.5}[thresholds]
+        for name in ("b_plus", "b_minus"):
+            model.params[name] = np.where(zero, 0.0, rng.uniform(0.05, 1.0, levels))
+        models[f"class{c}"] = model
+    return DictionaryModel(class_models=models, gamma=float(rng.choice([0.0, 0.5, 1.0])))
+
+
+_DICTIONARY_DRAWS = dict(
+    mode=st.sampled_from(list(SharingMode)),
+    classes=st.integers(2, 5),
+    n=st.integers(2, 400),
+    k=st.sampled_from([2, 4, 8, 16]),
+    depth=st.floats(0.0, 1.0),
+    thresholds=st.sampled_from(["zero", "nonzero", "mixed"]),
+    zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1))
+
+
+class TestRowStackedDictionary:
+    """One forward of the row-stacked class models gives, row by row, the
+    bytes of each model's lone forward."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(**_DICTIONARY_DRAWS)
+    def test_equals_per_model_loop(self, mode, classes, n, k, depth, thresholds,
+                                   zeros, seed):
+        rng = np.random.default_rng(seed)
+        dictionary = _drawn_dictionary(rng, mode, classes, n, k, depth, thresholds)
+        x = rng.normal(size=n)
+        x[rng.random(n) < zeros] = 0.0
+        label, losses = dict_classify(x, dictionary)
+        expect_label, expect = _per_model_classify(x, dictionary)
+        assert label == expect_label
+        assert list(losses) == list(expect)
+        assert np.array(list(losses.values())).tobytes() == \
+            np.array(list(expect.values())).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(**_DICTIONARY_DRAWS)
+    def test_trace_rows_equal_lone_forwards(self, mode, classes, n, k, depth,
+                                            thresholds, zeros, seed):
+        rng = np.random.default_rng(seed)
+        dictionary = _drawn_dictionary(rng, mode, classes, n, k, depth, thresholds)
+        block = rng.normal(size=(classes, n))  # a different window per row
+        block[rng.random(block.shape) < zeros] = 0.0
+        trace = forward_trace(dictionary.stacked(), block)
+        for r, label in enumerate(dictionary.labels()):
+            alone = forward_trace(dictionary.class_models[label], block[r])
+            assert trace.pre_lengths == alone.pre_lengths
+            for got, want in zip(_trace_arrays(trace), _trace_arrays(alone)):
+                row = got[r] if got.ndim > want.ndim else got  # a fixed bank serves all rows
+                assert row.shape == want.shape
+                assert row.tobytes() == want.tobytes()
+
+
+def _trace_arrays(trace):
+    """Every array a forward trace holds, banks included, in a fixed order."""
+    banks = [k for bank in trace.banks for k in (bank.h, bank.g, bank.h_bar, bank.g_bar)]
+    gates = [term for pair in trace.gates for term in pair]
+    return (banks + trace.padded_inputs + trace.details_pre + trace.details + gates
+            + [trace.approx] + trace.recon_chain)

@@ -6,12 +6,13 @@ import struct
 import numpy as np
 import pytest
 
-from wavelearn.analysis import LatentFeatures
+from wavelearn.analysis import DictionaryModel, LatentFeatures
 from wavelearn.cli import main
 from wavelearn.network import SharingMode, WaveletNet
 from wavelearn.persist import (
     read_features_csv,
     read_scores_csv,
+    save_dictionary,
     save_model,
     write_features_csv,
 )
@@ -213,11 +214,21 @@ class TestErrorPaths:
          _wav_bytes(channels=2, block_align=2)),
         (["reconstruct", "--model", "{model}", "--input", "{bad}"],
          _wav_bytes(channels=1, block_align=3, payload=bytes(9))),
+        (["classify", "--dict", "{bad}", "--manifest", "{manifest}",
+          "--out", "{out}"],
+         lambda d, t: _edited(_saved_dictionary(t), lambda doc: doc.update(classes={}))),
+        (["classify", "--dict", "{bad}", "--manifest", "{manifest}",
+          "--out", "{out}"],
+         lambda d, t: _edited(_saved_dictionary(t), lambda doc: doc["classes"].pop("B"))),
+        (["classify", "--dict", "{bad}", "--manifest", "{manifest}",
+          "--out", "{out}"],
+         lambda d, t: _edited(_saved_dictionary(t), _one_level_less)),
     ], ids=["model_kernel_not_numeric", "model_not_json", "elm_empty",
             "features_cell_not_numeric", "features_empty", "scores_empty",
             "score_not_numeric", "dictionary_empty", "manifest_decimate_not_int",
             "manifest_not_json", "wav_block_align_below_frame",
-            "wav_block_align_odd"])
+            "wav_block_align_odd", "dictionary_no_classes",
+            "dictionary_one_class", "dictionary_mixed_levels"])
     def test_malformed_input_exits_2(self, argv, content, detect_dir, tmp_path,
                                      capsys):
         bad = tmp_path / "bad"
@@ -277,6 +288,21 @@ def _saved_model(tmp_path):
     path = tmp_path / "model.json"
     save_model(WaveletNet(8, 8, SharingMode.PER_LEVEL_CQF_HT), path)
     return path
+
+
+def _saved_dictionary(tmp_path):
+    """A valid two-class dictionary document, saved under `tmp_path`."""
+    tmp_path.mkdir(exist_ok=True)
+    path = tmp_path / "dictionary.json"
+    save_dictionary(DictionaryModel(class_models={
+        c: WaveletNet(3, 8, SharingMode.DB4_FIXED_HT) for c in "AB"}, gamma=1.0), path)
+    return path
+
+
+def _one_level_less(doc):
+    """Make class B of a dictionary document one level shallower than A."""
+    doc["classes"]["B"]["levels"] -= 1
+    doc["classes"]["B"]["level_params"].pop()
 
 
 def _edited(path, edit) -> str:

@@ -57,6 +57,21 @@ class TestHtActivation:
         out, _, _ = ht_activation(x, 1e6, 1e6)
         assert np.array_equal(out, np.zeros_like(x))
 
+    def test_each_row_gated_by_its_own_pair(self):
+        # row 0 has both thresholds zero and stays the input byte for byte
+        # next to gated rows; row 2 has one zero threshold and is gated
+        x = np.random.default_rng(5).normal(size=(3, 200))
+        x[:, ::7] = -0.0
+        b_plus = np.array([[0.0], [0.4], [0.0]])
+        b_minus = np.array([[0.0], [0.3], [0.2]])
+        y, p, q = ht_activation(x, b_plus, b_minus)
+        assert y[0].tobytes() == x[0].tobytes()
+        for r in range(3):
+            alone = ht_activation(x[r], b_plus[r, 0], b_minus[r, 0])
+            for got, want in zip((y, p, q), alone):
+                assert got[r].tobytes() == want.tobytes()
+        assert not np.array_equal(y[2], x[2])
+
     def test_differentiable_everywhere(self):
         # the partials formed from the returned gate terms match central
         # differences in x, b+ and b- at every probe
@@ -267,6 +282,28 @@ class TestModelForward:
             bank = model.bank_for_level(level)
             assert np.array_equal(bank.h_bar, bank.h[::-1])
             assert np.array_equal(bank.g_bar, bank.g[::-1])
+
+    @pytest.mark.parametrize("mode,derivations", [
+        ("db4", 1), ("db4-ht", 1), ("cwn", 1), ("decwn", 1),
+        ("lcwn", 5), ("despawn", 5), ("despawn2", 5), ("free", 5)])
+    def test_banks_derived_once_per_scheme_set(self, mode, derivations,
+                                               monkeypatch):
+        # a shared or fixed scheme has one bank for every level, derived once
+        # per forward pass; a per-level scheme derives one per level
+        real, levels = WaveletNet.bank_for_level, []
+
+        def counted(self, level):
+            levels.append(level)
+            return real(self, level)
+
+        monkeypatch.setattr(WaveletNet, "bank_for_level", counted)
+        model = WaveletNet(5, 8, SharingMode.from_name(mode))
+        x = np.random.default_rng(9).normal(size=(2, 64))
+        for signal in (x[0], x):
+            levels.clear()
+            trace = model_forward(signal, model)
+            assert levels == list(range(derivations))
+            assert len(trace.banks) == 5
 
     def test_depth_and_signal_validation(self):
         model = WaveletNet(8, 8, SharingMode.DB4_FIXED)

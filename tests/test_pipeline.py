@@ -402,3 +402,24 @@ class TestTablePersistence:
         assert back.labels() == ["A", "B"]
         assert np.array_equal(back.class_models["B"].params["b_plus"],
                               d.class_models["B"].params["b_plus"])
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(classes={}),
+        lambda doc: doc["classes"].pop("B"),
+        lambda doc: doc["classes"]["B"].update(
+            levels=2, level_params=doc["classes"]["B"]["level_params"][:2]),
+        lambda doc: doc["classes"]["B"].update(mode="db4"),
+        lambda doc: doc["classes"]["B"].update(alpha=5.0),
+        lambda doc: doc.update(gamma=-1.0),
+    ], ids=["no_classes", "one_class", "mixed_levels", "mixed_modes",
+            "mixed_sharpness", "negative_gamma"])
+    def test_dictionary_that_cannot_stack_rejected(self, edit, tmp_path):
+        d = DictionaryModel(class_models={
+            c: WaveletNet(3, 8, SharingMode.DB4_FIXED_HT) for c in "AB"}, gamma=1.0)
+        path = tmp_path / "dict.json"
+        save_dictionary(d, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_dictionary(path)

@@ -22,6 +22,7 @@ from wavelearn.wavelet import (
     FilterBank,
     _periodic_ext,
     analysis_cascade,
+    analysis_step,
     cqf_from_scaling,
     cqf_partial,
     db4_filterbank,
@@ -31,6 +32,7 @@ from wavelearn.wavelet import (
     max_depth,
     strided_corr,
     synthesis_cascade,
+    synthesis_step,
     upsample_conv,
 )
 
@@ -359,3 +361,45 @@ class TestPolyphaseSynthesis:
         x = np.random.default_rng(n).normal(size=n)
         got = _periodic_ext(x, after, before)
         assert got.tobytes() == x[np.arange(-before, n + after) % n].tobytes()
+
+
+class TestOneBankPerRow:
+    """(B, K) kernels hold one bank per row: row r of every result is byte
+    for byte that of row r alone under bank r."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 5), n=st.integers(2, 300),
+           k=st.sampled_from([2, 4, 8, 16]), two_kernels=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_level_ops_equal_their_rows(self, rows, n, k, two_kernels, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(rows, k))
+        g = rng.normal(size=(rows, k))
+        bank = cqf_partial(h, g) if two_kernels else cqf_from_scaling(h)
+        lone = [cqf_partial(h[r], g[r]) if two_kernels else cqf_from_scaling(h[r])
+                for r in range(rows)]
+        x = rng.normal(size=(rows, n))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        a_pad, a, d = analysis_step(x, bank)
+        back = synthesis_step(a, d, n, bank.adjoint())
+        for r in range(rows):
+            for got, want in zip((bank.h, bank.g, bank.h_bar, bank.g_bar), (
+                    lone[r].h, lone[r].g, lone[r].h_bar, lone[r].g_bar)):
+                assert got[r].tobytes() == want.tobytes()
+            expect = analysis_step(x[r], lone[r])
+            for got, want in zip((a_pad, a, d), expect):
+                assert got[r].tobytes() == want.tobytes()
+            want = synthesis_step(expect[1], expect[2], n, lone[r].adjoint())
+            assert back[r].tobytes() == want.tobytes()
+
+    def test_one_kernel_serves_every_row(self):
+        v = np.random.default_rng(3).normal(size=(3, 16))
+        f = np.random.default_rng(4).normal(size=8)
+        out = upsample_conv(v, np.tile(f, (3, 1)))
+        assert out.tobytes() == upsample_conv(v, f).tobytes()
+
+    def test_odd_or_mismatched_row_kernels_rejected(self):
+        with pytest.raises(InvalidKernelError):
+            cqf_from_scaling(np.ones((2, 3)))
+        with pytest.raises(InvalidKernelError):
+            cqf_partial(np.ones((2, 4)), np.ones((3, 4)))
