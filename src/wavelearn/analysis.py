@@ -139,16 +139,13 @@ def roc_auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    if np.isnan(scores).any():  # unordered: the ranks would follow input order
+        raise UndefinedMetricError("AUC is undefined for NaN scores")
+    # a tie group holding sorted places first..last shares the 1-based
+    # average rank (first + last)/2 + 1
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts) - 1
+    ranks = (0.5 * (last - counts + 1 + last) + 1.0)[group]
     rank_sum = ranks[pos].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

@@ -171,7 +171,7 @@ def cmd_grad_check(args) -> int:
                                 n_seeds=args.seeds, rel_tol=args.tolerance)
         status = "PASS" if report.passed else "FAIL"
         print(f"{name}: {status} ({report.checked} comparisons, "
-              f"worst ratio {report.max_ratio:.3g})")
+              f"{len(report.kinks)} at a kink, worst ratio {report.max_ratio:.3g})")
         failed |= not report.passed
     return 1 if failed else 0
 

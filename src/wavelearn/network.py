@@ -87,7 +87,8 @@ KERNEL_SCHEMES = {
         lambda grad: (grad.h + grad.h_bar[..., ::-1], grad.g + grad.g_bar[..., ::-1])),
     "per_level_all": KernelScheme(
         ("h", "g", "hb", "gb"),
-        lambda *kernels: FilterBank(*(as_kernel(k) for k in kernels)),
+        lambda h, g, hb, gb: FilterBank(np.stack((as_kernel(h), as_kernel(g)), -2),
+                                        np.stack((as_kernel(hb), as_kernel(gb)), -2)),
         lambda grad: (grad.h, grad.g, grad.h_bar, grad.g_bar)),
 }
 
@@ -127,12 +128,11 @@ class SharingMode(enum.Enum):
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function: exp only sees -|t|, and with
-    e = exp(-|t|) it is 1/(1+e) for t >= 0 and e/(1+e) for t < 0."""
+    """Logistic function in its tanh form, 1/2 + tanh(t/2)/2: tanh cannot
+    overflow and saturates to exactly +-1, so the result lies in [0, 1]
+    for every input, infinities included, with no branch on the sign."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    e = np.exp(-np.abs(t))
-    d = 1.0 + e
-    return np.where(t >= 0, 1.0 / d, e / d)
+    return 0.5 + 0.5 * np.tanh(0.5 * t)
 
 
 def ht_activation(x: np.ndarray, b_plus, b_minus, sharpness=DEFAULT_SHARPNESS):

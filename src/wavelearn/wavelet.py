@@ -5,21 +5,22 @@ Conventions used throughout:
 
 * samples lie on the last axis: one window is ``(N,)``, a block of B
   equal-length windows ``(B, N)``, and every op works row by row;
-* taps lie on the last axis too: a ``(K,)`` kernel serves every row, and a
-  ``(B, K)`` kernel, with the data's leading axis, is one bank per row, so
-  row r of a block runs under bank r (one window scored against B models);
+* taps lie on the last axis too, and a bank is two ``(..., 2, K)`` kernel
+  stacks, ``analysis`` = ``[h, g]`` and ``synthesis`` = ``[h_bar, g_bar]``:
+  a ``(2, K)`` stack serves every row, and a ``(B, 2, K)`` one, with the
+  data's leading axis, is one bank per row, so row r of a block runs under
+  bank r (one window scored against B models);
 * analysis is a strided periodic cross-correlation,
   ``a_next[k] = sum_n h[n] * a[(2k + n) mod N]``, for both channels in one
   matmul: a periodic strided view, ``view[..., k, n] = a[..., (2k + n) mod
-  N]``, times the stacked kernels ``[h, g]`` (2 x K) gives ``(..., 2, N/2)``,
-  and the stacked upstream gradients times the same view give both kernels'
-  gradients, ``(..., 2, K)`` (`kernel_grad`);
-* synthesis is the transpose of analysis with the index-reversed kernel, in
-  polyphase form: even taps feed the even outputs and odd taps the odd
-  ones, each a shifted copy of the periodically extended input. Taps are
-  added in index order into a +0.0 accumulator, so every sum (and the sign
-  of every zero) equals that of zero-interpolation followed by periodic
-  convolution, whose remaining terms are all ±0.0;
+  N]``, times the analysis stack gives ``(..., 2, N/2)``, and the stacked
+  upstream gradients times the same view give both kernels' gradients,
+  ``(..., 2, K)`` (`kernel_grad`);
+* synthesis is the transpose of analysis with the index-reversed synthesis
+  stack, in polyphase-matrix form (Vaidyanathan 1993, ch. 5): output
+  ``2j + p`` sums taps ``2s + p`` of both channels against input ``j - s``,
+  so one contiguous copy of the input's ``(..., N/2, 2 * K/2)`` periodic
+  windows times the ``(2 * K/2, 2)`` polyphase taps is one matmul;
 * reversal of a finite kernel means ``h[-n] == h[K-1-n]``;
 * odd-length inputs are zero-padded by one sample before striding and the
   pre-pad length is recorded so inversion can truncate exactly;
@@ -78,22 +79,24 @@ def as_kernel(taps) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class FilterBank:
-    """The four kernels of one decomposition level.
-
-    ``h``/``g`` are the low/high-pass analysis kernels, ``h_bar``/``g_bar``
-    the corresponding synthesis kernels. All four share one length, and
-    with a leading row axis they hold one bank per row.
+    """The four kernels of one decomposition level, as two ``(..., 2, K)``
+    stacks: ``analysis`` = ``[h, g]``, the low/high-pass analysis kernels,
+    and ``synthesis`` = ``[h_bar, g_bar]``, the corresponding synthesis
+    kernels. With a leading row axis they hold one bank per row; the four
+    kernels are read-only views into the stacks.
     """
 
-    h: np.ndarray
-    g: np.ndarray
-    h_bar: np.ndarray
-    g_bar: np.ndarray
+    analysis: np.ndarray
+    synthesis: np.ndarray
+
+    h = property(lambda self: self.analysis[..., 0, :])
+    g = property(lambda self: self.analysis[..., 1, :])
+    h_bar = property(lambda self: self.synthesis[..., 0, :])
+    g_bar = property(lambda self: self.synthesis[..., 1, :])
 
     def adjoint(self) -> "FilterBank":
         """Analysis and synthesis kernels swapped, each index-reversed."""
-        return FilterBank(self.h_bar[..., ::-1], self.g_bar[..., ::-1],
-                          self.h[..., ::-1], self.g[..., ::-1])
+        return FilterBank(self.synthesis[..., ::-1], self.analysis[..., ::-1])
 
 
 def cqf_from_scaling(h) -> FilterBank:
@@ -103,10 +106,8 @@ def cqf_from_scaling(h) -> FilterBank:
     """
     h = as_kernel(h)
     signs = np.where(np.arange(h.shape[-1]) % 2 == 0, 1.0, -1.0)
-    g = signs * h[..., ::-1]
-    h_bar = h[..., ::-1].copy()
-    g_bar = -signs * h
-    return FilterBank(h=h, g=g, h_bar=h_bar, g_bar=g_bar)
+    return FilterBank(np.stack((h, signs * h[..., ::-1]), -2),
+                      np.stack((h[..., ::-1], -signs * h), -2))
 
 
 def cqf_fold(grad: FilterBank) -> np.ndarray:
@@ -128,7 +129,8 @@ def cqf_partial(h, g) -> FilterBank:
         raise InvalidKernelError(
             f"h and g must have the same shape, got {h.shape} and {g.shape}"
         )
-    return FilterBank(h=h, g=g, h_bar=h[..., ::-1].copy(), g_bar=g[..., ::-1].copy())
+    analysis = np.stack((h, g), -2)
+    return FilterBank(analysis, analysis[..., ::-1])
 
 
 def db4_filterbank() -> FilterBank:
@@ -189,16 +191,17 @@ def _periodic_ext(x: np.ndarray, after: int, before: int = 0) -> np.ndarray:
     return x.take(np.arange(-before, n + after) % n, -1)
 
 
-def _strided_view(x: np.ndarray, taps: int) -> np.ndarray:
-    """(..., N/2, taps) view with view[..., k, n] = x[..., (2k + n) mod N],
-    over a periodic extension of `x` it alone refers to; rows overlap, so it
-    is only read."""
+def _windows(x: np.ndarray, count: int, taps: int, hop: int, before: int = 0):
+    """(..., count, taps) view with view[..., k, n] = x[..., (hop*k + n -
+    before) mod N], over a periodic extension of `x` it alone refers to;
+    rows overlap, so it is only read."""
     # C order is what the strides below assume; a column-major block
     # concatenates to another order
-    ext = np.ascontiguousarray(_periodic_ext(x, taps - 1))
+    ext = np.ascontiguousarray(
+        _periodic_ext(x, hop * (count - 1) + taps - before - x.shape[-1], before))
     step = ext.itemsize
-    return np.ndarray((*ext.shape[:-1], x.shape[-1] // 2, taps), ext.dtype, ext,
-                      0, (*ext.strides[:-1], 2 * step, step))
+    return np.ndarray((*ext.shape[:-1], count, taps), ext.dtype, ext,
+                      0, (*ext.strides[:-1], hop * step, step))
 
 
 def strided_corr(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -206,24 +209,29 @@ def strided_corr(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     [0, N/2): one matmul for a (C, K) kernel stack, (..., C, N/2) out, or for
     a (B, C, K) stack, one per row of a (B, N) block; a single (K,) kernel
     gives (..., N/2).  N even."""
-    return f @ _strided_view(x, f.shape[-1]).swapaxes(-1, -2)
+    # a reversed (adjoint) stack is copied: numpy's matmul reaches BLAS only
+    # through operands with a unit stride, and the path decides the rounding
+    view = _windows(x, x.shape[-1] // 2, f.shape[-1], 2)
+    return np.ascontiguousarray(f) @ view.swapaxes(-1, -2)
 
 
 def upsample_conv(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """out[..., m] = sum_k v[..., k] * f[..., (m - 2k) mod 2 len(v)], the transpose
-    of `strided_corr` with the same kernel, in polyphase form (module notes);
-    a (..., K) kernel applies one kernel per row. Kernel indices wrap (fold)
-    when the kernel is longer than the output."""
+    """out[..., m] = sum_c sum_k v[..., c, k] * f[..., c, (m - 2k) mod 2 half],
+    the transpose of `strided_corr` with the same (..., 2, K) kernel stack,
+    for stacked channels (..., 2, half): one matmul in polyphase form
+    (module notes), one per row for a (B, 2, K) stack. Kernel indices wrap
+    (fold) when the kernel is longer than the output."""
     half = v.shape[-1]
-    shift = f.shape[-1] // 2 - 1
-    ext = _periodic_ext(v, 0, shift)
-    # taps (2s, 2s+1) feed the (even, odd) outputs; adding +0.0 to the first
-    # product is the direct form's +0.0 start, zero signs included
-    out = f[..., 0:2, None] * ext[..., None, shift:shift + half]
-    out += 0.0
-    for s in range(1, shift + 1):
-        out += f[..., 2 * s:2 * s + 2, None] * ext[..., None, shift - s:shift - s + half]
-    return out.swapaxes(-1, -2).reshape(out.shape[:-2] + (2 * half,))
+    taps = f.shape[-1] // 2
+    # win[..., j, c, s] = v[..., c, (j + s - taps + 1) mod half], copied by the
+    # reshape into a contiguous operand: on the strided view numpy's matmul
+    # leaves BLAS, x12.7 slower at N = 160 000
+    win = _windows(v, half, taps, 1, taps - 1).swapaxes(-2, -3)
+    win = win.reshape(*win.shape[:-2], 2 * taps)
+    # poly[..., c*taps + s, p] = f[..., c, 2 (taps - 1 - s) + p]
+    poly = f.reshape(*f.shape[:-1], taps, 2)[..., ::-1, :]
+    out = win @ poly.reshape(*f.shape[:-2], 2 * taps, 2)
+    return out.reshape(*out.shape[:-2], 2 * half)
 
 
 def kernel_grad(upstream: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
@@ -231,7 +239,7 @@ def kernel_grad(upstream: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
     out[..., c, n] = sum_k upstream[..., c, k] * x[..., (2k + n) mod N], one
     matmul. `upstream` is shaped like `strided_corr`'s output for a (C, K)
     kernel stack, (..., C, N/2)."""
-    return upstream @ _strided_view(x, taps)
+    return upstream @ _windows(x, x.shape[-1] // 2, taps, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +260,14 @@ def analysis_step(a: np.ndarray, bank: FilterBank):
     """One encoder level: (`a` zero-padded to even length, approx, detail)."""
     if a.shape[-1] % 2:
         a = np.concatenate([a, np.zeros((*a.shape[:-1], 1))], axis=-1)
-    # [h, g] stacked on the second-to-last axis, (..., 2, K)
-    hg = np.concatenate((bank.h, bank.g), axis=-1).reshape(bank.h.shape[:-1] + (2, -1))
-    out = strided_corr(a, hg)
+    out = strided_corr(a, bank.analysis)
     return a, out[..., 0, :], out[..., 1, :]
 
 
 def synthesis_step(a, d, n: int, bank: FilterBank) -> np.ndarray:
     """One decoder level: the transpose of analysis with the index-reversed
-    synthesis kernels, both channels summed and cut to the pre-pad length."""
-    return (upsample_conv(a, bank.h_bar[..., ::-1]) +
-            upsample_conv(d, bank.g_bar[..., ::-1]))[..., :n]
+    synthesis stack, both channels summed and cut to the pre-pad length."""
+    return upsample_conv(np.stack((a, d), -2), bank.synthesis[..., ::-1])[..., :n]
 
 
 def analysis_cascade(signal: np.ndarray, banks: list[FilterBank]):
@@ -314,7 +319,7 @@ def fdwt(signal, bank: FilterBank, levels: int) -> CoefficientPyramid:
     a = cascade_input(signal, levels)
     if a.ndim != 1:
         raise InvalidSignalError("fdwt takes one 1-D signal")
-    as_kernel(bank.h), as_kernel(bank.g)
+    as_kernel(bank.analysis)
     _, lengths, details, approx = analysis_cascade(a, [bank] * levels)
     return CoefficientPyramid(details=details, approx=approx, level_lengths=lengths)
 
@@ -323,6 +328,6 @@ def ifdwt(pyramid: CoefficientPyramid, bank: FilterBank) -> np.ndarray:
     """Invert `fdwt` from the deepest level down, truncating each step to the
     recorded pre-pad length."""
     pyramid.validate()
-    as_kernel(bank.h_bar), as_kernel(bank.g_bar)
+    as_kernel(bank.synthesis)
     return synthesis_cascade(pyramid.approx, pyramid.details,
                              pyramid.level_lengths, [bank] * pyramid.levels)[0]

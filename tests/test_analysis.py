@@ -127,7 +127,38 @@ def _auc_bruteforce(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
+def _auc_tie_loop(scores, labels):
+    """AUC with average ranks assigned by a loop over runs of equal sorted
+    scores: the form `roc_auc` replaces."""
+    scores = np.asarray(scores, dtype=float)
+    pos = np.asarray(labels).astype(bool)
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos = int(pos.sum())
+    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * (pos.size - n_pos)))
+
+
 class TestRocAuc:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), size=st.integers(2, 300))
+    def test_bitwise_equal_to_tie_loop_on_heavily_tied_scores(self, data, size):
+        # ranks are multiples of 1/2 either way, so their sums agree exactly
+        values = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, np.inf, -np.inf])
+        scores = np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size,
+                                             max_size=size)))
+        labels[:2] = [0, 1]
+        assert roc_auc(scores, labels) == _auc_tie_loop(scores, labels)
+
     def test_perfect_separation(self):
         assert roc_auc([0.1, 0.9], [0, 1]) == 1.0
 
@@ -169,6 +200,11 @@ class TestRocAuc:
             roc_auc([0.1, 0.2], [1, 1])
         with pytest.raises(UndefinedMetricError):
             roc_auc([0.1, 0.2], [0, 0])
+
+    def test_nan_score_undefined(self):
+        # NaN is unordered, so its rank would depend on where it stands
+        with pytest.raises(UndefinedMetricError):
+            roc_auc([0.1, np.nan, 0.2, np.nan], [0, 1, 1, 0])
 
 
 class TestDictClassify:

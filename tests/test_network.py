@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wavelearn import network
+from wavelearn import network, wavelet
 from wavelearn.errors import ConfigError, InvalidDepthError, InvalidSignalError
 from wavelearn.network import (
     SharingMode,
@@ -104,45 +104,54 @@ def masked_sigmoid(t):
 
 
 class TestSigmoid:
+    """The tanh form against the masked form it replaced: the two round
+    differently, by at most one float64 epsilon (2.2e-16) in [0, 1]."""
+
     EDGES = [0.0, -0.0, 1e-310, -1e-310, 36.0, -36.0, 745.0, -745.0,
              1e308, -1e308, np.inf, -np.inf]
+    TOL = 2.3e-16
 
-    def test_bitwise_equal_to_masked_form_at_the_edges(self):
+    def test_within_one_rounding_of_masked_form_at_the_edges(self):
         t = np.array(self.EDGES)
-        with np.errstate(over="raise", invalid="raise"):  # exp never overflows
-            assert network.sigmoid(t).tobytes() == masked_sigmoid(t).tobytes()
-        for value in self.EDGES:
-            assert network.sigmoid(value).tobytes() == \
-                masked_sigmoid(value).tobytes()
+        with np.errstate(over="raise", invalid="raise"):  # nothing overflows
+            got = network.sigmoid(t)
+            alone = [network.sigmoid(value) for value in self.EDGES]
+        assert np.all(np.abs(got - masked_sigmoid(t)) <= self.TOL)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        for value, one in zip(self.EDGES, alone):
+            assert one.shape == (1,)
+            assert abs(one[0] - masked_sigmoid(value)[0]) <= self.TOL
 
-    def test_bitwise_equal_to_masked_form_on_a_matrix(self):
+    def test_within_one_rounding_of_masked_form_on_a_matrix(self):
         # the ELM's hidden layer: a 2-D block of pre-activations
         z = np.random.default_rng(4).normal(scale=30.0, size=(37, 50))
         z[3, :5] = [0.0, -0.0, 745.0, -745.0, 1e-310]
         got = network.sigmoid(z)
         assert got.shape == z.shape
-        assert got.tobytes() == masked_sigmoid(z).tobytes()
+        assert np.all(np.abs(got - masked_sigmoid(z)) <= self.TOL)
+        assert np.all((got >= 0.0) & (got <= 1.0))
 
     def test_nan_propagates(self):
         assert np.isnan(network.sigmoid(np.nan)[0])
 
 
+def _count_calls(monkeypatch, module, name, call):
+    """Calls of `module.name` made while `call()` runs."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    call()
+    return len(calls)
+
+
 class TestGateEvaluatedOnce:
     """The sigmoid gate terms are evaluated once per level and pass, and the
     backward pass reuses the ones the forward trace kept."""
-
-    @staticmethod
-    def _count_sigmoids(monkeypatch, call):
-        calls = []
-        original = network.sigmoid
-
-        def counted(t):
-            calls.append(1)
-            return original(t)
-
-        monkeypatch.setattr(network, "sigmoid", counted)
-        call()
-        return len(calls)
 
     def test_counts(self, monkeypatch):
         x = np.random.default_rng(2).normal(size=256)
@@ -150,14 +159,31 @@ class TestGateEvaluatedOnce:
         despawn.params["b_plus"][:] = 0.3
         despawn.params["b_minus"][:] = 0.2
         lcwn = WaveletNet(5, 8, SharingMode.PER_LEVEL_CQF)
-        assert self._count_sigmoids(
-            monkeypatch, lambda: backward_full(x, despawn, 1.0)) == 10
-        assert self._count_sigmoids(
-            monkeypatch, lambda: model_forward(x, despawn)) == 10
-        assert self._count_sigmoids(
-            monkeypatch, lambda: backward_full(x, lcwn, 1.0)) == 0
-        assert self._count_sigmoids(
-            monkeypatch, lambda: model_forward(x, lcwn)) == 0
+        assert _count_calls(
+            monkeypatch, network, "sigmoid", lambda: backward_full(x, despawn, 1.0)) == 10
+        assert _count_calls(
+            monkeypatch, network, "sigmoid", lambda: model_forward(x, despawn)) == 10
+        assert _count_calls(
+            monkeypatch, network, "sigmoid", lambda: backward_full(x, lcwn, 1.0)) == 0
+        assert _count_calls(
+            monkeypatch, network, "sigmoid", lambda: model_forward(x, lcwn)) == 0
+
+
+class TestOneSynthesisCallPerLevel:
+    """A decoder level synthesizes both channels in one `upsample_conv`
+    call: L calls per forward pass, and L more for the backward pass's
+    transposed encoder, for one window or a block."""
+
+    def test_counts(self, monkeypatch):
+        x = np.random.default_rng(2).normal(size=(3, 256))
+        for mode in (SharingMode.PER_LEVEL_CQF_HT, SharingMode.SHARED_CQF,
+                     SharingMode.FREE_HT):
+            model = WaveletNet(5, 8, mode)
+            for signal in (x[0], x):
+                assert _count_calls(monkeypatch, wavelet, "upsample_conv",
+                                    lambda: model_forward(signal, model)) == 5
+                assert _count_calls(monkeypatch, wavelet, "upsample_conv",
+                                    lambda: backward_full(signal, model, 1.0)) == 10
 
 
 class TestBuildModel:

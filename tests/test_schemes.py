@@ -47,7 +47,8 @@ def test_fold_is_the_transpose_of_derive(mode, size, data):
     scheme = mode.scheme
     size = scheme.kernel_size or size
     p = [data.draw(taps(size)) for _ in scheme.kinds]
-    d_bank = FilterBank(*(data.draw(taps(size)) for _ in BANK_FIELDS))
+    d = [data.draw(taps(size)) for _ in BANK_FIELDS]
+    d_bank = FilterBank(np.stack(d[:2]), np.stack(d[2:]))
     bank = scheme.derive(*p)
     base = scheme.derive(*(np.zeros(size) for _ in scheme.kinds))
     lhs = sum(np.dot(getattr(d_bank, f), getattr(bank, f) - getattr(base, f))

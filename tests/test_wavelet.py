@@ -130,7 +130,8 @@ class TestAnalyzeLevel:
 
     def test_delta_kernels_select_strided_samples(self):
         h, g = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        a, d = analyze([1.0, 0.0, 0.0, 0.0], FilterBank(h, g, h[::-1], g[::-1]))
+        a, d = analyze([1.0, 0.0, 0.0, 0.0],
+                       FilterBank(np.stack((h, g)), np.stack((h[::-1], g[::-1]))))
         assert np.array_equal(a, [1.0, 0.0])
         assert np.array_equal(d, [0.0, 0.0])
 
@@ -188,7 +189,7 @@ class TestAdjointness:
 
     def test_adjoint_of_adjoint_is_the_bank(self):
         rng = np.random.default_rng(11)
-        bank = FilterBank(*(rng.normal(size=6) for _ in range(4)))
+        bank = FilterBank(rng.normal(size=(2, 6)), rng.normal(size=(2, 6)))
         twice = bank.adjoint().adjoint()
         for kind in ("h", "g", "h_bar", "g_bar"):
             assert getattr(twice, kind).tobytes() == getattr(bank, kind).tobytes()
@@ -201,7 +202,7 @@ class TestAdjointness:
         # four unrelated kernels per level, at full depth, so the deep
         # levels' kernels are longer than their inputs
         rng = np.random.default_rng(seed)
-        banks = [FilterBank(*(rng.normal(size=k) for _ in range(4)))
+        banks = [FilterBank(rng.normal(size=(2, k)), rng.normal(size=(2, k)))
                  for _ in range(max_depth(n))]
         u = rng.normal(size=n)
         _, lengths, details, approx = analysis_cascade(u, banks)
@@ -313,9 +314,15 @@ def roll_upsample_conv(v, f):
     return out
 
 
+def roll_sum(v, f):
+    """`roll_upsample_conv` of each channel of a (2, half) stack under its
+    kernel of a (2, K) stack, summed."""
+    return roll_upsample_conv(v[0], f[0]) + roll_upsample_conv(v[1], f[1])
+
+
 class TestPolyphaseSynthesis:
-    """`upsample_conv` adds the same products in the same order as the
-    direct form, so the two agree byte for byte, signs of zero included."""
+    """`upsample_conv` is the direct form, both channels summed, computed as
+    one matmul, so its sums run in another order."""
 
     @settings(max_examples=300, deadline=None)
     @given(half=st.one_of(st.integers(1, 16), st.integers(1, 4096)),
@@ -323,36 +330,62 @@ class TestPolyphaseSynthesis:
            seed=st.integers(0, 2**32 - 1),
            zeros=st.floats(0.0, 1.0),
            reversed_view=st.booleans())
-    def test_bitwise_equal_to_roll_loop(self, half, taps, seed, zeros,
-                                        reversed_view):
+    def test_equal_to_roll_loop_within_rounding(self, half, taps, seed, zeros,
+                                                reversed_view):
         rng = np.random.default_rng(seed)
-        v = rng.normal(size=half)
+        v = rng.normal(size=(2, half))
         # +0.0 and -0.0 samples, as -sign(residual)/N carries in the backward
-        v[rng.random(half) < zeros] = 0.0
-        v[rng.random(half) < zeros / 2] = -0.0
-        h_bar = rng.normal(size=taps)
-        f = h_bar[::-1] if reversed_view else h_bar
+        v[rng.random(v.shape) < zeros] = 0.0
+        v[rng.random(v.shape) < zeros / 2] = -0.0
+        synthesis = rng.normal(size=(2, taps))
+        f = synthesis[:, ::-1] if reversed_view else synthesis
         got = upsample_conv(v, f)
-        assert got.tobytes() == roll_upsample_conv(v, f).tobytes()
+        # each output sums K products either way, so each side is within
+        # (K/2) eps of the exact sum of absolute terms (float64 unit
+        # roundoff eps/2 per addition); the two differ by at most K eps
+        bound = taps * np.finfo(float).eps * roll_sum(np.abs(v), np.abs(f))
+        assert np.all(np.abs(got - roll_sum(v, f)) <= bound)
 
-    def test_negative_zero_gradient_keeps_its_zero_signs(self):
-        residual = np.array([0.0, 1.0, 0.0, -2.0, 0.0, 0.0])
+    def test_negative_zero_gradient_gives_the_roll_loop_values(self):
+        # with 8 samples every product is exact (g = +-1/8) and at most two
+        # per output are nonzero, so any summation order gives these values
+        residual = np.array([0.0, 1.0, 0.0, -2.0, 0.0, 0.0, 0.0, 0.0])
         g = -np.sign(residual) / residual.size
         assert np.signbit(g[0])  # -0.0 in the input
-        for f in (db4_filterbank().h, db4_filterbank().h_bar[::-1],
-                  haar_filterbank().g):
-            assert upsample_conv(g, f).tobytes() == \
-                roll_upsample_conv(g, f).tobytes()
+        v = np.stack((g, np.zeros_like(g)))
+        for f in (db4_filterbank().analysis, db4_filterbank().synthesis[:, ::-1],
+                  haar_filterbank().analysis):
+            assert np.array_equal(upsample_conv(v, f), roll_sum(v, f))
 
     def test_kernel_longer_than_output_wraps(self):
-        v = np.array([1.5, -2.0])
-        f = np.arange(1.0, 11.0)  # 10 taps fold onto 4 outputs
+        v = np.array([[1.5, -2.0], [0.5, 3.0]])
+        f = np.arange(1.0, 21.0).reshape(2, 10)  # 10 taps fold onto 4 outputs
         expect = np.zeros(4)
-        for k in range(v.size):
-            for n in range(f.size):
-                expect[(2 * k + n) % 4] += v[k] * f[n]
+        for c in range(2):
+            for k in range(v.shape[1]):
+                for n in range(f.shape[1]):
+                    expect[(2 * k + n) % 4] += v[c, k] * f[c, n]
         np.testing.assert_allclose(upsample_conv(v, f), expect, rtol=0,
                                    atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 8), half=st.integers(1, 40),
+           taps=st.sampled_from([2, 4, 6, 8, 16, 32]), per_row=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_of_strided_corr(self, rows, half, taps, per_row, seed):
+        # <strided_corr(x, f), y> == <x, upsample_conv(y, f)> for a (2, K)
+        # stack and a (B, 2, K) one; half < K/2 gives kernels longer than
+        # the output
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, 2 * half))
+        y = rng.normal(size=(rows, 2, half))
+        f = rng.normal(size=(rows, 2, taps) if per_row else (2, taps))
+        lhs = np.sum(strided_corr(x, f) * y)
+        rhs = np.sum(x * upsample_conv(y, f))
+        # either side sums each of its (K + B N) absolute terms at most once
+        # per rounding, so each is within (K + B N) eps/2 of the exact sum
+        terms = np.sum(strided_corr(np.abs(x), np.abs(f)) * np.abs(y))
+        assert abs(lhs - rhs) <= (taps + x.size) * np.finfo(float).eps * terms
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 40), after=st.integers(0, 130),
@@ -393,9 +426,9 @@ class TestOneBankPerRow:
             assert back[r].tobytes() == want.tobytes()
 
     def test_one_kernel_serves_every_row(self):
-        v = np.random.default_rng(3).normal(size=(3, 16))
-        f = np.random.default_rng(4).normal(size=8)
-        out = upsample_conv(v, np.tile(f, (3, 1)))
+        v = np.random.default_rng(3).normal(size=(3, 2, 16))
+        f = np.random.default_rng(4).normal(size=(2, 8))
+        out = upsample_conv(v, np.tile(f, (3, 1, 1)))
         assert out.tobytes() == upsample_conv(v, f).tobytes()
 
     def test_odd_or_mismatched_row_kernels_rejected(self):
