@@ -3,15 +3,11 @@ anomaly detection and classification of 1-D signals."""
 
 from .wavelet import (
     FilterBank,
-    CoefficientPyramid,
     DB4_SCALING,
     HAAR_SCALING,
     cqf_from_scaling,
     cqf_partial,
     db4_filterbank,
-    fdwt,
-    haar_filterbank,
-    ifdwt,
     max_depth,
 )
 from .network import (

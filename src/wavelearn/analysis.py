@@ -44,12 +44,13 @@ def extract_features(signal, model: WaveletNet) -> LatentFeatures:
     signal = np.asarray(signal, dtype=float)
     record = model_forward(signal, model)
     residual = np.abs(signal - record.reconstruction)
-    details = record.details
+    magnitude = np.abs(record.details)
+    starts = record.offsets[:-1]
     return LatentFeatures(
         res_mean=float(residual.mean()),
         res_max=float(residual.max()),
-        l1_mean=np.array([float(np.abs(d).mean()) for d in details]),
-        l1_max=np.array([float(np.abs(d).max()) for d in details]),
+        l1_mean=np.add.reduceat(magnitude, starts, axis=-1) / np.diff(record.offsets),
+        l1_max=np.maximum.reduceat(magnitude, starts, axis=-1),
     )
 
 

@@ -13,16 +13,17 @@ class InvalidSignalError(WavelearnError):
     """Input signal is empty or otherwise unusable."""
 
 
-class InvalidPyramidError(WavelearnError):
-    """Coefficient pyramid is internally inconsistent."""
-
-
 class InvalidDepthError(WavelearnError):
-    """Requested decomposition depth exceeds what the signal length supports."""
+    """Requested decomposition depth is below one or exceeds what the signal
+    length supports."""
 
 
 class ConfigError(WavelearnError):
     """Invalid configuration value or dataset setup."""
+
+
+class DivergenceError(WavelearnError):
+    """Training produced a non-finite loss or gradient."""
 
 
 class UndefinedMetricError(WavelearnError):

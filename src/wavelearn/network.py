@@ -3,16 +3,24 @@
 A model owns per-level kernels and a pair of soft hard-threshold biases per
 level. The forward pass is a cascade encoder (strided correlations, details
 gated by the threshold activation) followed by the mirror decoder fed
-through skip connections. The activation evaluates each of its two sigmoid
-gate terms once per level and returns them with its output; the forward
-trace keeps them, so the backward pass forms the gate's partials from them.
+through skip connections.
+
+Only the level ops run once per level. The details of every level sit in
+one ``(..., M)`` pyramid buffer, level 1 first (`ForwardTrace.levels` gives
+per-level views), and the activation gates the whole pyramid in one call,
+each coefficient under its level's thresholds. It is written in tanh terms,
+t = tanh(a/2 (x - b+)) and u = tanh(a/2 (x + b-)), which it returns with its
+output; the forward trace keeps them, so the backward pass forms the gate's
+partials from them, again in one call over the pyramid.
 
 The sharing modes differ only in their kernel scheme: which kernels of a
 level train, and how the level's filter bank follows from them. The table
 `KERNEL_SCHEMES` is the one place those relations live; construction, the
 forward pass, the gradient and persistence read it and never branch on the
-mode. A scheme with one set of kernels for every level derives its one bank
-once per forward pass.
+mode. `WaveletNet.banks` derives every level's bank in one call of the
+scheme, from the kernels stacked along a leading level axis (a scheme with
+one set of kernels for every level derives its one bank), and the backward
+pass folds the level-stacked bank gradient back in one call.
 
 The forward pass is row-stacked: a model's parameters may carry a leading
 row axis, C models of one structure stacked row by row, and then every bank
@@ -55,8 +63,9 @@ class KernelScheme:
     """How one level's filter bank follows from its trainable kernels, of
     the `kinds` (``h``, ``g``, ``hb``, ``gb``; one set for all levels when
     `shared`, so every level has one bank). `derive(*kernels)` builds the
-    bank, one per row for kernels with a leading row axis, and its transpose
-    `fold(bank_grad)` returns the kernels' gradients, both in `kinds` order.
+    bank, one per row for kernels with leading axes (levels, rows), and its
+    transpose `fold(bank_grad)` returns the kernels' gradients, both in
+    `kinds` order.
     `kernel_size`, when set, pins the kernel length."""
 
     kinds: tuple[str, ...]
@@ -136,34 +145,55 @@ def sigmoid(t: np.ndarray) -> np.ndarray:
 
 
 def ht_activation(x: np.ndarray, b_plus, b_minus, sharpness=DEFAULT_SHARPNESS):
-    """Soft hard-threshold gate y = x * (q + p), returned as (y, p, q) with
-    the gate terms p = sigmoid(a*(x-b+)) and q = sigmoid(-a*(x+b-)), so the
-    backward pass reuses them instead of evaluating the sigmoids again.
+    """Soft hard-threshold gate y = x * (p + q), with p = sigmoid(a*(x-b+))
+    and q = sigmoid(-a*(x+b-)), in tanh terms: returns (y, t, u) with
+    t = tanh(a/2 (x - b+)) and u = tanh(a/2 (x + b-)), so p = (1 + t)/2,
+    q = (1 - u)/2 and y = x * (1 + (t - u)/2); the backward pass reuses t
+    and u instead of evaluating the gate again.
 
-    Thresholds of shape (..., 1) gate each row of `x` with its own pair. In
-    a row whose biases are both zero the bracket is identically one, so y is
-    that row of the input unchanged (exact identity, not merely approximate).
+    Thresholds broadcast against `x`: a scalar pair, one pair per row
+    (shape (..., 1)), or one per coefficient. Where both are zero, t and u
+    are the same number, so y is x unchanged (exact identity, not merely
+    approximate). The bracket is good to an eps absolute, not relative: in
+    the dead zone of thresholds above about 38/a, where t and u both round
+    to -1 and 1, it is exactly zero.
     """
-    a = sharpness
-    p = sigmoid(a * (x - b_plus))
-    q = sigmoid(-a * (x + b_minus))
-    identity = (b_plus == 0.0) & (b_minus == 0.0)
-    return np.where(identity, x, x * (q + p)), p, q
+    # in place, as the expressions above: on a pyramid of a long window
+    # every fresh temporary is another megabyte to fault in
+    half = 0.5 * sharpness
+    t = np.subtract(x, b_plus)
+    t *= half
+    np.tanh(t, out=t)
+    u = np.add(x, b_minus)
+    u *= half
+    np.tanh(u, out=u)
+    y = t - u
+    y *= 0.5
+    y += 1.0
+    y *= x
+    return y, t, u
 
 
-def ht_gate_derivatives(x: np.ndarray, p: np.ndarray, q: np.ndarray,
+def ht_gate_derivatives(x: np.ndarray, t: np.ndarray, u: np.ndarray,
                         sharpness: float):
-    """Partial derivatives of the activation output y = x * (q + p), formed
-    from the gate terms `ht_activation` returned for the same `x`.
+    """Partial derivatives of the activation output y = x * (1 + (t - u)/2),
+    formed from the tanh terms `ht_activation` returned for the same `x`:
+    with p and q its sigmoid terms, p (1 - p) = (1 + t)(1 - t)/4 and
+    q (1 - q) = (1 + u)(1 - u)/4, so dy/db+ = -a x p (1 - p),
+    dy/db- = -a x q (1 - q) and dy/dx = 1 + (t - u)/2 - dy/db+ + dy/db-.
 
     Returns (dy/dx, dy/db_plus, dy/db_minus) evaluated elementwise.
     """
-    a = sharpness
-    dp = p * (1.0 - p)
-    dq = q * (1.0 - q)
-    dy_dx = (p + q) + a * x * (dp - dq)
-    dy_dbp = -a * x * dp
-    dy_dbm = -a * x * dq
+    c = (-0.25 * sharpness) * x
+    dy_dbp = (1.0 + t) * (1.0 - t)
+    dy_dbp *= c
+    dy_dbm = (1.0 + u) * (1.0 - u)
+    dy_dbm *= c
+    dy_dx = t - u
+    dy_dx *= 0.5
+    dy_dx += 1.0
+    dy_dx -= dy_dbp
+    dy_dx += dy_dbm
     return dy_dx, dy_dbp, dy_dbm
 
 
@@ -251,20 +281,26 @@ class WaveletNet:
 
     # -- derived structure ----------------------------------------------------
 
-    def bank_for_level(self, level: int) -> FilterBank:
-        """Kernels of one level, derived from the trainables through the
-        mode's scheme so the constraint relations can never drift."""
+    def banks(self) -> list[FilterBank]:
+        """The filter bank of every level, derived from the trainables through
+        the mode's scheme in one call, so the constraint relations can never
+        drift: per-level kernels are stacked along a leading level axis and
+        each level's bank is a view into the stacked one. A shared scheme's
+        one bank serves every level."""
         scheme = self.mode.scheme
-        return scheme.derive(*(self.params[n] for n in scheme.names(level)))
+        if scheme.shared:
+            return [scheme.derive(*(self.params[n] for n in scheme.names(0)))] * self.levels
+        per_kind = zip(*(scheme.names(l) for l in range(self.levels)))
+        stacked = scheme.derive(*(np.stack([self.params[n] for n in names])
+                                  for names in per_kind))
+        return [FilterBank(stacked.analysis[l], stacked.synthesis[l])
+                for l in range(self.levels)]
 
     def synthesis_gain_ratios(self) -> np.ndarray:
         """Per-level ||h_bar|| / ||h||; diverging ratios flag the known
         instability of fully unconstrained banks."""
-        out = np.empty(self.levels)
-        for l in range(self.levels):
-            bank = self.bank_for_level(l)
-            out[l] = np.linalg.norm(bank.h_bar) / np.linalg.norm(bank.h)
-        return out
+        return np.array([np.linalg.norm(bank.h_bar) / np.linalg.norm(bank.h)
+                         for bank in self.banks()])
 
 
 @dataclass
@@ -272,20 +308,27 @@ class ForwardTrace:
     """One forward pass: the gated coefficients, the reconstruction (of the
     input's exact shape) and every intermediate the backward pass needs.
     Arrays keep the input's leading axis: ``(n,)`` for one window, ``(B, n)``
-    for a block."""
+    for a block. The details of all levels sit in one ``(..., M)`` pyramid,
+    level 1 (the highest frequency) first; level l is
+    ``[..., offsets[l]:offsets[l + 1]]``, and `levels` gives the views."""
 
     banks: list[FilterBank]           # filter bank of each level (one object for a shared scheme)
     padded_inputs: list[np.ndarray]   # encoder input of each level, post-pad
     pre_lengths: list[int]            # encoder input length of each level, pre-pad
-    details_pre: list[np.ndarray]     # detail coefficients before gating
-    details: list[np.ndarray]         # detail coefficients after gating
-    gates: list[tuple]                # (p, q) gate terms per level; empty without HT
+    offsets: list[int]                # where each level's details start in a pyramid, then M
+    details_pre: np.ndarray           # detail pyramid before gating
+    details: np.ndarray               # detail pyramid after gating (`details_pre` without HT)
+    gates: tuple                      # (t, u) tanh gate terms over the pyramid; empty without HT
     approx: np.ndarray
     recon_chain: list[np.ndarray]     # decoder outputs, index l = signal at depth l
 
     @property
     def reconstruction(self) -> np.ndarray:
         return self.recon_chain[0]
+
+    def levels(self, pyramid: np.ndarray) -> list[np.ndarray]:
+        """Per-level views of a pyramid laid out like `details`."""
+        return [pyramid[..., lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:])]
 
 
 def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
@@ -294,26 +337,27 @@ def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
     (module notes): details are gated before being stored and
     skip-connected, the final approximation is passed through untouched."""
     signal = cascade_input(signal, model.levels)
-    if model.mode.scheme.shared:
-        banks = [model.bank_for_level(0)] * model.levels
-    else:
-        banks = [model.bank_for_level(l) for l in range(model.levels)]
-    padded, pre_lengths, details_pre, approx = analysis_cascade(signal, banks)
-    details, gates = details_pre, []
+    banks = model.banks()
+    padded, pre_lengths, details, approx = analysis_cascade(signal, banks)
+    sizes = [d.shape[-1] for d in details]
+    offsets = np.cumsum([0] + sizes).tolist()
+    details_pre = np.concatenate(details, -1)
+    gated, gates = details_pre, ()
     if model.mode.trains_thresholds:
-        details = []
-        b_plus, b_minus = model.params["b_plus"], model.params["b_minus"]
-        for l, d in enumerate(details_pre):
-            y, p, q = ht_activation(d, b_plus[..., l, None], b_minus[..., l, None],
-                                    model.sharpness)
-            details.append(y)
-            gates.append((p, q))
+        # each coefficient under its level's pair (one pair per row of a
+        # row-stacked model)
+        gated, t, u = ht_activation(
+            details_pre, np.repeat(model.params["b_plus"], sizes, axis=-1),
+            np.repeat(model.params["b_minus"], sizes, axis=-1), model.sharpness)
+        gates = (t, u)
+        details = [gated[..., lo:hi] for lo, hi in zip(offsets, offsets[1:])]
     return ForwardTrace(
         banks=banks,
         padded_inputs=padded,
         pre_lengths=pre_lengths,
+        offsets=offsets,
         details_pre=details_pre,
-        details=details,
+        details=gated,
         gates=gates,
         approx=approx,
         recon_chain=synthesis_cascade(approx, details, pre_lengths, banks),
@@ -337,10 +381,8 @@ def loss_terms(trace: ForwardTrace, signal, gamma: float):
             f"{trace.reconstruction.shape}"
         )
     recon = np.abs(signal - trace.reconstruction).mean(-1)
-    coeff_sum = sum(np.abs(d).sum(-1) for d in trace.details)
-    coeff_sum += np.abs(trace.approx).sum(-1)
-    count = sum(d.shape[-1] for d in trace.details) + trace.approx.shape[-1]
-    sparsity = coeff_sum / count
+    coeff_sum = np.abs(trace.details).sum(-1) + np.abs(trace.approx).sum(-1)
+    sparsity = coeff_sum / (trace.details.shape[-1] + trace.approx.shape[-1])
     return recon + gamma * sparsity, recon, sparsity
 
 

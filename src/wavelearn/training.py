@@ -3,14 +3,18 @@
 `backward_full` computes the exact gradient of the training loss with
 respect to every trainable scalar, for one window or summed over a (B, N)
 block of them, by reverse traversal of the cascade: absolute-value terms
-contribute their sign (with sign(0) = 0), gating layers their analytic
-partials (formed from the gate terms the forward trace kept, so no sigmoid
-is evaluated twice), and each level's transpose is the other step on the
-adjoint bank (`wavelet.FilterBank.adjoint`). That yields a
-gradient on each level's filter bank, which the mode's kernel scheme
-(`KERNEL_SCHEMES` in `network.py`) folds back onto the trainable kernels;
-nothing here depends on which mode is trained. `finite_difference_grad` is
-the independent brute-force oracle used to verify all of it.
+contribute their sign (with sign(0) = 0), the gate its analytic partials
+(formed from the tanh terms the forward trace kept, so the gate is not
+evaluated twice), and each level's transpose is the other step on the
+adjoint bank (`wavelet.FilterBank.adjoint`). Only the level ops and the
+kernel gradients run once per level: the details' gradients fill one
+pyramid laid out like `ForwardTrace.details`, whose sparsity signs, gate
+partials and threshold gradients take one pass each. The levels' bank
+gradients, stacked along a leading level axis, fold back onto the
+trainable kernels in one call of the mode's kernel scheme
+(`KERNEL_SCHEMES` in `network.py`); nothing here depends on which mode is
+trained. `finite_difference_grad` is the independent brute-force oracle
+used to verify all of it.
 
 Where the cascade reconstructs perfectly (a fresh model does) the residual
 is rounding noise, and its sign would steer the gradient: one ulp on one
@@ -20,7 +24,8 @@ window) as exactly zero, the kink's subgradient.
 
 `train` feeds each mini-batch to `backward_full` as (B, N) blocks of at most
 `BLOCK_SAMPLES` samples (one window at least): one call for a batch of short
-windows, memory O(N) for any batch size.
+windows, memory O(N) for any batch size. A block whose loss or gradient is
+not finite stops training with `DivergenceError` before the update.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .network import (
     SharingMode,
     WaveletNet,
@@ -62,54 +67,57 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     signal = np.asarray(signal, dtype=float)
     trace = forward_trace(model, signal)
     total, recon, sparsity = loss(trace, signal, gamma)
-    m_coeff = sum(d.shape[-1] for d in trace.details) + trace.approx.shape[-1]
+    scale = gamma / (trace.details.shape[-1] + trace.approx.shape[-1])
 
     scheme = model.mode.scheme
     k = model.kernel_size
-
-    # every gradient keeps the block's row axis until the rows are added
-    grads = {name: np.zeros(signal.shape[:-1] + model.params[name].shape)
-             for name in model.trainable_names()}
-    # per-level gradients on the synthesis (decoder) and analysis kernels
-    synth_grads = [None] * model.levels
-    bank_grads = [None] * model.levels
+    details = trace.levels(trace.details)
+    # gradients on each level's synthesis (decoder) and analysis kernels,
+    # keeping the block's row axis until the rows are added
+    synth_grads, analysis_grads = [], [None] * model.levels
 
     g_x = -residual_sign(signal, trace.reconstruction, model.levels) / signal.shape[-1]
     # decoder, shallow to deep: chain[l] was built from chain[l+1] and
-    # details[l]; each detail's gradient adds its sparsity term
-    grad_d = []
-    for l in range(model.levels):
-        gy, g_x, g_d = analysis_step(g_x, trace.banks[l].adjoint())
+    # details[l]; the details' gradients fill one pyramid
+    g_details = np.empty_like(trace.details)
+    for l, g_d in enumerate(trace.levels(g_details)):
+        gy, g_x, g_d[...] = analysis_step(g_x, trace.banks[l].adjoint())
         if scheme.kinds:
-            upstream = np.stack((trace.recon_chain[l + 1], trace.details[l]), axis=-2)
-            synth_grads[l] = kernel_grad(upstream, gy, k)[..., ::-1]
-        grad_d.append(gamma / m_coeff * np.sign(trace.details[l]) + g_d)
+            upstream = np.stack((trace.recon_chain[l + 1], details[l]), axis=-2)
+            synth_grads.append(kernel_grad(upstream, gy, k)[..., ::-1])
+    # every detail's sparsity term, then the gate, over the whole pyramid
+    # (in place: on a long window each fresh pyramid is a megabyte to fault in)
+    g_details += scale * np.sign(trace.details)
+    grads = {}
+    g_pre = g_details
+    if model.mode.trains_thresholds:
+        partials = ht_gate_derivatives(trace.details_pre, *trace.gates, model.sharpness)
+        for partial in partials:
+            partial *= g_details
+        g_pre, dy_dbp, dy_dbm = partials
+        grads["b_plus"] = np.add.reduceat(dy_dbp, trace.offsets[:-1], axis=-1)
+        grads["b_minus"] = np.add.reduceat(dy_dbm, trace.offsets[:-1], axis=-1)
 
     # gradient on the approximation: decoder entry point plus sparsity
-    g_a = g_x + gamma / m_coeff * np.sign(trace.approx)
-
+    g_a = g_x + scale * np.sign(trace.approx)
     # encoder, deep to shallow
+    pre = trace.levels(g_pre)
     for l in range(model.levels - 1, -1, -1):
-        if model.mode.trains_thresholds:
-            dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(
-                trace.details_pre[l], *trace.gates[l], model.sharpness)
-            g_dpre = grad_d[l] * dy_dx
-            grads["b_plus"][..., l] = np.sum(grad_d[l] * dy_dbp, axis=-1)
-            grads["b_minus"][..., l] = np.sum(grad_d[l] * dy_dbm, axis=-1)
-        else:
-            g_dpre = grad_d[l]
         if scheme.kinds:
-            bank_grads[l] = FilterBank(
-                kernel_grad(np.stack((g_a, g_dpre), axis=-2), trace.padded_inputs[l], k),
-                synth_grads[l])
-        g_a = synthesis_step(g_a, g_dpre, trace.pre_lengths[l],
+            analysis_grads[l] = kernel_grad(np.stack((g_a, pre[l]), axis=-2),
+                                            trace.padded_inputs[l], k)
+        g_a = synthesis_step(g_a, pre[l], trace.pre_lengths[l],
                              trace.banks[l].adjoint())
 
-    # fold each level's bank gradient onto the kernels it was derived from,
-    # in level order (a shared kernel sums the levels' contributions)
-    for l, bank_grad in enumerate(bank_grads):
-        for name, grad in zip(scheme.names(l), scheme.fold(bank_grad)):
-            grads[name] += grad
+    if scheme.kinds:
+        # fold the level-stacked bank gradient onto the kernels it was
+        # derived from; a shared kernel sums the levels' parts in level order
+        folded = scheme.fold(FilterBank(np.stack(analysis_grads), np.stack(synth_grads)))
+        if scheme.shared:
+            grads.update(zip(scheme.names(0), (grad.sum(0) for grad in folded)))
+        else:
+            for l in range(model.levels):
+                grads.update(zip(scheme.names(l), (grad[l] for grad in folded)))
     flat = model.flatten(grads)
     # a block adds its rows' gradients in row order, as a loop over its
     # windows would, so training on blocks follows the per-window loop
@@ -324,7 +332,7 @@ def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
     start = time.perf_counter()
     n = len(signals)
     rows = max(1, BLOCK_SAMPLES // signals[0].size)
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_losses = np.zeros(3)
         for lo in range(0, n, config.batch_size):
@@ -333,6 +341,10 @@ def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
             for first in range(0, batch.size, rows):
                 block = np.stack([signals[i] for i in batch[first:first + rows]])
                 triple, flat = backward_full(block, model, config.gamma)
+                if not (np.all(np.isfinite(triple)) and np.all(np.isfinite(flat))):
+                    raise DivergenceError(
+                        f"training diverged at epoch {epoch + 1}, batch "
+                        f"{lo // config.batch_size + 1}: non-finite loss or gradient")
                 grad_sum += flat
                 epoch_losses += triple
             model, state = adam_step(model, grad_sum / batch.size, state, config)

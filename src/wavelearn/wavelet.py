@@ -31,16 +31,11 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidDepthError,
-    InvalidKernelError,
-    InvalidPyramidError,
-    InvalidSignalError,
-)
+from .errors import InvalidDepthError, InvalidKernelError, InvalidSignalError
 
 # 8-tap Daubechies-4 scaling filter, normalized so sum(h) = sqrt(2) and
 # sum(h^2) = 1 hold exactly in float64 (values rounded from a 60-digit
@@ -136,45 +131,6 @@ def cqf_partial(h, g) -> FilterBank:
 def db4_filterbank() -> FilterBank:
     """CQF bank built from the 8-tap Daubechies-4 scaling filter."""
     return cqf_from_scaling(DB4_SCALING)
-
-
-def haar_filterbank() -> FilterBank:
-    return cqf_from_scaling(HAAR_SCALING)
-
-
-@dataclass
-class CoefficientPyramid:
-    """Detail coefficients d^1..d^L (level 1 = highest frequency) plus the
-    final approximation, with pre-pad lengths recorded per level."""
-
-    details: list[np.ndarray]
-    approx: np.ndarray
-    level_lengths: list[int] = field(default_factory=list)
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
-
-    def validate(self) -> None:
-        if len(self.level_lengths) != len(self.details):
-            raise InvalidPyramidError(
-                f"{len(self.details)} detail levels but "
-                f"{len(self.level_lengths)} recorded lengths"
-            )
-        if not self.details:
-            raise InvalidPyramidError("pyramid has no levels")
-        for i, (d, n) in enumerate(zip(self.details, self.level_lengths)):
-            if n < 1:
-                raise InvalidPyramidError(f"level {i + 1} has recorded length {n}")
-            if d.shape != ((n + 1) // 2,):
-                raise InvalidPyramidError(
-                    f"level {i + 1} detail length {d.size} != ceil({n}/2)"
-                )
-        expect = (self.level_lengths[-1] + 1) // 2
-        if self.approx.shape != (expect,):
-            raise InvalidPyramidError(
-                f"approximation length {self.approx.size} != {expect}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +259,7 @@ def cascade_input(signal, levels: int) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise InvalidSignalError("signal holds non-finite samples")
     n = a.shape[-1]
-    if levels > max_depth(n):
+    if not 1 <= levels <= max_depth(n):
         raise InvalidDepthError(
-            f"{levels} levels exceed the maximum depth {max_depth(n)} "
-            f"for length {n}"
-        )
+            f"{levels} levels: length {n} takes 1 to {max_depth(n)}")
     return a
-
-
-def fdwt(signal, bank: FilterBank, levels: int) -> CoefficientPyramid:
-    """Cascade decomposition: `levels` analysis steps with one bank, each
-    feeding its approximation to the next."""
-    if levels < 1:
-        raise InvalidDepthError(f"levels must be >= 1, got {levels}")
-    a = cascade_input(signal, levels)
-    if a.ndim != 1:
-        raise InvalidSignalError("fdwt takes one 1-D signal")
-    as_kernel(bank.analysis)
-    _, lengths, details, approx = analysis_cascade(a, [bank] * levels)
-    return CoefficientPyramid(details=details, approx=approx, level_lengths=lengths)
-
-
-def ifdwt(pyramid: CoefficientPyramid, bank: FilterBank) -> np.ndarray:
-    """Invert `fdwt` from the deepest level down, truncating each step to the
-    recorded pre-pad length."""
-    pyramid.validate()
-    as_kernel(bank.synthesis)
-    return synthesis_cascade(pyramid.approx, pyramid.details,
-                             pyramid.level_lengths, [bank] * pyramid.levels)[0]

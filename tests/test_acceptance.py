@@ -20,7 +20,7 @@ from wavelearn.network import (
     model_forward,
 )
 from wavelearn.training import TrainConfig, gradient_check, train
-from wavelearn.wavelet import db4_filterbank, haar_filterbank
+from wavelearn.wavelet import HAAR_SCALING, cqf_from_scaling, db4_filterbank
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
@@ -45,7 +45,7 @@ def test_c01_perfect_reconstruction():
 
 def test_c02_cqf_identity():
     ok = True
-    for bank in (haar_filterbank(), db4_filterbank()):
+    for bank in (cqf_from_scaling(HAAR_SCALING), db4_filterbank()):
         n = np.arange(bank.h.size)
         ok &= np.array_equal(bank.g, (-1.0) ** n * bank.h[::-1])
         ok &= np.array_equal(bank.h_bar, bank.h[::-1])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavelearn import network
 from wavelearn.analysis import (
     DictionaryModel,
     LatentFeatures,
@@ -281,17 +282,17 @@ class TestDictionaryModel:
                 gamma=gamma)
 
     def test_one_bank_derivation_per_window(self, monkeypatch):
-        real, calls = WaveletNet.bank_for_level, []
+        real, calls = network.cqf_from_scaling, []
 
-        def counted(self, level):
-            calls.append(level)
-            return real(self, level)
+        def counted(h):
+            calls.append(np.shape(h))
+            return real(h)
 
-        monkeypatch.setattr(WaveletNet, "bank_for_level", counted)
         dictionary = DictionaryModel(class_models={
             c: WaveletNet(4, 8, SharingMode.SHARED_CQF_HT) for c in "ABC"}, gamma=1.0)
+        monkeypatch.setattr(network, "cqf_from_scaling", counted)
         dict_classify(np.random.default_rng(15).normal(size=64), dictionary)
-        assert calls == [0]
+        assert calls == [(3, 8)]  # one scaling kernel per class, stacked
 
     def test_stack_follows_changed_parameters(self):
         dictionary = DictionaryModel(class_models={
@@ -385,6 +386,5 @@ class TestRowStackedDictionary:
 def _trace_arrays(trace):
     """Every array a forward trace holds, banks included, in a fixed order."""
     banks = [k for bank in trace.banks for k in (bank.h, bank.g, bank.h_bar, bank.g_bar)]
-    gates = [term for pair in trace.gates for term in pair]
-    return (banks + trace.padded_inputs + trace.details_pre + trace.details + gates
-            + [trace.approx] + trace.recon_chain)
+    return (banks + trace.padded_inputs + [trace.details_pre, trace.details, *trace.gates,
+                                           trace.approx] + trace.recon_chain)

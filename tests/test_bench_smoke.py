@@ -11,14 +11,25 @@ import pytest
 RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["train-detect", "train-long", "score-stream"])
-def test_short_run_is_correct(workload):
+def _run(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
-         "--seconds", "0.1", "--trace", "0"],
+         "--seconds", "0.1", "--trace", str(trace)],
         capture_output=True, text=True, timeout=300, cwd=RUN.parents[1],
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ["train-detect", "train-long", "score-stream"])
+def test_short_run_is_correct(workload):
+    _run(workload, trace=0)
+
+
+@pytest.mark.parametrize("workload", ["train-detect", "score-stream"])
+def test_traced_run_is_correct(workload):
+    # a traced run requires the traced and untraced outputs to be bitwise
+    # equal, and score-stream's timed loop never to train
+    _run(workload, trace=1)

@@ -262,6 +262,23 @@ class TestErrorPaths:
         assert message in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "classify-train"])
+    def test_divergence_exits_2(self, command, tmp_path, capsys):
+        # a finite but huge rate: the first update throws the kernels to
+        # about 1e300, and the next block's loss and gradient overflow
+        data = tmp_path / "data"
+        assert run(["synth", "--out", str(data), "--seed", "1", "--task",
+                    "classify", "--n-normal", "2", "--n-anomal", "1",
+                    "--window", "64"], capsys)[0] == 0
+        out = tmp_path / "out.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = run([command, "--manifest", str(data / "manifest.json"),
+                                "--epochs", "3", "--lr", "1e300", "--out", str(out)],
+                               capsys)
+        assert code == 2
+        assert "diverged at epoch 2, batch 1" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("ridge", ["nan", "inf", "-1", "0"])
     def test_bad_ridge_exits_2(self, ridge, tmp_path, capsys):
         # 10 samples and 50 neurons: with no ridge the Gram matrix is singular

@@ -1,11 +1,12 @@
 """Model construction, threshold activation, forward pass and loss."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from wavelearn import network, wavelet
+from wavelearn import network, training, wavelet
 from wavelearn.errors import ConfigError, InvalidDepthError, InvalidSignalError
 from wavelearn.network import (
     SharingMode,
@@ -16,13 +17,7 @@ from wavelearn.network import (
     model_forward,
 )
 from wavelearn.training import backward_full
-from wavelearn.wavelet import (
-    CoefficientPyramid,
-    DB4_SCALING,
-    db4_filterbank,
-    fdwt,
-    ifdwt,
-)
+from wavelearn.wavelet import analysis_cascade, db4_filterbank, synthesis_cascade
 
 S = math.sqrt(0.5)
 
@@ -150,23 +145,28 @@ def _count_calls(monkeypatch, module, name, call):
 
 
 class TestGateEvaluatedOnce:
-    """The sigmoid gate terms are evaluated once per level and pass, and the
-    backward pass reuses the ones the forward trace kept."""
+    """The gate runs once per forward pass over the whole detail pyramid, at
+    any depth, and the backward pass forms its partials once, from the tanh
+    terms the forward trace kept."""
 
     def test_counts(self, monkeypatch):
-        x = np.random.default_rng(2).normal(size=256)
-        despawn = WaveletNet(5, 8, SharingMode.PER_LEVEL_CQF_HT)
-        despawn.params["b_plus"][:] = 0.3
-        despawn.params["b_minus"][:] = 0.2
-        lcwn = WaveletNet(5, 8, SharingMode.PER_LEVEL_CQF)
-        assert _count_calls(
-            monkeypatch, network, "sigmoid", lambda: backward_full(x, despawn, 1.0)) == 10
-        assert _count_calls(
-            monkeypatch, network, "sigmoid", lambda: model_forward(x, despawn)) == 10
-        assert _count_calls(
-            monkeypatch, network, "sigmoid", lambda: backward_full(x, lcwn, 1.0)) == 0
-        assert _count_calls(
-            monkeypatch, network, "sigmoid", lambda: model_forward(x, lcwn)) == 0
+        x = np.random.default_rng(2).normal(size=(3, 256))
+        for levels in (1, 5, 8):
+            despawn = WaveletNet(levels, 8, SharingMode.PER_LEVEL_CQF_HT)
+            despawn.params["b_plus"][:] = 0.3
+            despawn.params["b_minus"][:] = 0.2
+            lcwn = WaveletNet(levels, 8, SharingMode.PER_LEVEL_CQF)
+            for signal in (x[0], x):
+                for model, gated in ((despawn, 1), (lcwn, 0)):
+                    assert _count_calls(
+                        monkeypatch, network, "ht_activation",
+                        lambda: model_forward(signal, model)) == gated
+                    assert _count_calls(
+                        monkeypatch, network, "ht_activation",
+                        lambda: backward_full(signal, model, 1.0)) == gated
+                    assert _count_calls(
+                        monkeypatch, training, "ht_gate_derivatives",
+                        lambda: backward_full(signal, model, 1.0)) == gated
 
 
 class TestOneSynthesisCallPerLevel:
@@ -195,8 +195,7 @@ class TestBuildModel:
         rec_a = model_forward(x, fresh)
         rec_b = model_forward(x, fixed)
         assert np.array_equal(rec_a.reconstruction, rec_b.reconstruction)
-        for da, db in zip(rec_a.details, rec_b.details):
-            assert np.array_equal(da, db)
+        assert np.array_equal(rec_a.details, rec_b.details)
         assert np.array_equal(rec_a.approx, rec_b.approx)
 
     def test_same_seed_identical_model(self):
@@ -264,11 +263,11 @@ class TestModelForward:
         for n in (64, 625, 1024):
             x = rng.normal(size=n)
             rec = model_forward(x, model)
-            pyramid = fdwt(x, bank, 5)
+            _, _, details, approx = analysis_cascade(x, [bank] * 5)
             assert np.abs(rec.reconstruction - x).max() <= 1e-8
-            for da, db in zip(rec.details, pyramid.details):
+            for da, db in zip(rec.levels(rec.details), details):
                 np.testing.assert_allclose(da, db, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(rec.approx, pyramid.approx,
+            np.testing.assert_allclose(rec.approx, approx,
                                        rtol=0, atol=1e-12)
             assert rec.reconstruction.size == rec.pre_lengths[0] == n
 
@@ -279,16 +278,11 @@ class TestModelForward:
         model.params["b_plus"][:] = 1e6
         model.params["b_minus"][:] = 1e6
         rec = model_forward(x, model)
-        for d in rec.details:
+        for d in rec.levels(rec.details):
             assert np.array_equal(d, np.zeros_like(d))
-        expected = ifdwt(
-            CoefficientPyramid(
-                details=[np.zeros_like(d) for d in rec.details],
-                approx=rec.approx,
-                level_lengths=rec.pre_lengths,
-            ),
-            db4_filterbank(),
-        )
+        expected = synthesis_cascade(
+            rec.approx, [np.zeros_like(d) for d in rec.levels(rec.details)],
+            rec.pre_lengths, [db4_filterbank()] * model.levels)[0]
         np.testing.assert_allclose(rec.reconstruction, expected, rtol=0, atol=1e-12)
 
     def test_constraint_maintained_after_any_assignment(self):
@@ -296,40 +290,42 @@ class TestModelForward:
         for mode in (SharingMode.SHARED_CQF_HT, SharingMode.PER_LEVEL_CQF_HT):
             model = WaveletNet(4, 8, mode)
             model.set_parameters(rng.normal(size=model.parameter_count()))
-            for level in range(model.levels):
-                bank = model.bank_for_level(level)
+            for bank in model.banks():
                 n = np.arange(8)
                 assert np.array_equal(bank.g, (-1.0) ** n * bank.h[::-1])
                 assert np.array_equal(bank.h_bar, bank.h[::-1])
                 assert np.array_equal(bank.g_bar, (-1.0) ** (n + 1) * bank.h)
         model = WaveletNet(4, 8, SharingMode.PER_LEVEL_TWO_KERNEL_HT)
         model.set_parameters(rng.normal(size=model.parameter_count()))
-        for level in range(model.levels):
-            bank = model.bank_for_level(level)
+        for bank in model.banks():
             assert np.array_equal(bank.h_bar, bank.h[::-1])
             assert np.array_equal(bank.g_bar, bank.g[::-1])
 
-    @pytest.mark.parametrize("mode,derivations", [
+    @pytest.mark.parametrize("mode,distinct_banks", [
         ("db4", 1), ("db4-ht", 1), ("cwn", 1), ("decwn", 1),
         ("lcwn", 5), ("despawn", 5), ("despawn2", 5), ("free", 5)])
-    def test_banks_derived_once_per_scheme_set(self, mode, derivations,
+    def test_banks_derived_once_per_scheme_set(self, mode, distinct_banks,
                                                monkeypatch):
-        # a shared or fixed scheme has one bank for every level, derived once
-        # per forward pass; a per-level scheme derives one per level
-        real, levels = WaveletNet.bank_for_level, []
+        # every scheme derives its banks in one call per forward pass: a
+        # shared or fixed scheme one bank for every level, a per-level scheme
+        # all levels' banks from its level-stacked kernels
+        mode = SharingMode.from_name(mode)
+        real, calls = mode.scheme.derive, []
 
-        def counted(self, level):
-            levels.append(level)
-            return real(self, level)
+        def counted(*kernels):
+            calls.append(1)
+            return real(*kernels)
 
-        monkeypatch.setattr(WaveletNet, "bank_for_level", counted)
-        model = WaveletNet(5, 8, SharingMode.from_name(mode))
+        monkeypatch.setattr(mode, "scheme",
+                            dataclasses.replace(mode.scheme, derive=counted))
+        model = WaveletNet(5, 8, mode)
         x = np.random.default_rng(9).normal(size=(2, 64))
         for signal in (x[0], x):
-            levels.clear()
+            calls.clear()
             trace = model_forward(signal, model)
-            assert levels == list(range(derivations))
+            assert len(calls) == 1
             assert len(trace.banks) == 5
+            assert len({id(bank) for bank in trace.banks}) == distinct_banks
 
     def test_depth_and_signal_validation(self):
         model = WaveletNet(8, 8, SharingMode.DB4_FIXED)
@@ -382,8 +378,10 @@ class TestLoss:
 def _record(details, approx, lengths, recon):
     from wavelearn.network import ForwardTrace
 
+    pyramid = np.concatenate(details)
     return ForwardTrace(
         banks=[], padded_inputs=[], pre_lengths=lengths,
-        details_pre=details, details=details, gates=[], approx=approx,
+        offsets=np.cumsum([0] + [d.size for d in details]).tolist(),
+        details_pre=pyramid, details=pyramid, gates=(), approx=approx,
         recon_chain=[recon],
     )

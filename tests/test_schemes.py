@@ -70,8 +70,10 @@ def test_trace_keeps_the_banks_bank_for_level_derives(mode, size, levels, extra,
     signal = data.draw(arrays(np.float64, length, elements=st.floats(-10.0, 10.0)))
     trace = forward_trace(model, signal)
     assert len(trace.banks) == levels
+    scheme = model.mode.scheme
     for level, bank in enumerate(trace.banks):
-        again = model.bank_for_level(level)
+        # the level's bank derived alone equals its view of the stacked one
+        again = scheme.derive(*(model.params[n] for n in scheme.names(level)))
         for f in BANK_FIELDS:
             assert np.array_equal(getattr(bank, f), getattr(again, f))
 

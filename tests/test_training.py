@@ -94,12 +94,13 @@ class TestBackward:
         spars_grad = g1 - g0
 
         trace = forward_trace(model, signal)
-        m_total = sum(d.size for d in trace.details) + trace.approx.size
-        for level in range(4):
-            _, dy_dbp, dy_dbm = ht_gate_derivatives(
-                trace.details_pre[level], *trace.gates[level], model.sharpness)
-            expect_bp = np.dot(np.sign(trace.details[level]), dy_dbp) / m_total
-            expect_bm = np.dot(np.sign(trace.details[level]), dy_dbm) / m_total
+        m_total = trace.details.size + trace.approx.size
+        _, dy_dbp, dy_dbm = ht_gate_derivatives(
+            trace.details_pre, *trace.gates, model.sharpness)
+        for level, (signs, bp, bm) in enumerate(zip(
+                *(trace.levels(a) for a in (np.sign(trace.details), dy_dbp, dy_dbm)))):
+            expect_bp = np.dot(signs, bp) / m_total
+            expect_bm = np.dot(signs, bm) / m_total
             assert spars_grad[level] == pytest.approx(expect_bp, abs=1e-12)
             assert spars_grad[4 + level] == pytest.approx(expect_bm, abs=1e-12)
 
@@ -149,14 +150,12 @@ def _backward_written_out(signal, model, gamma):
     the stacked analysis kernels and a truncation to the pre-pad length."""
     trace = forward_trace(model, signal)
     total, recon, sparsity = loss(trace, signal, gamma)
-    m_coeff = sum(d.size for d in trace.details) + trace.approx.size
+    scale = gamma / (trace.details.size + trace.approx.size)
     scheme = model.mode.scheme
-    grads = {name: np.zeros_like(model.params[name])
-             for name in model.trainable_names()}
-    synth_grads = [None] * model.levels
-    bank_grads = [None] * model.levels
+    details = trace.levels(trace.details)
+    synth_grads, analysis_grads = [], [None] * model.levels
     g_x = -residual_sign(signal, trace.reconstruction, model.levels) / signal.size
-    grad_d = [gamma / m_coeff * np.sign(d) for d in trace.details]
+    g_d = []
     for l in range(model.levels):
         bank = trace.banks[l]
         v = trace.recon_chain[l + 1]
@@ -164,30 +163,34 @@ def _backward_written_out(signal, model, gamma):
         gy[: trace.pre_lengths[l]] = g_x
         if scheme.kinds:
             k = bank.h.size
-            synth_grads[l] = kernel_grad(np.stack((v, trace.details[l])), gy, k)[:, ::-1]
-        g_x, g_d = strided_corr(gy, np.stack((bank.h_bar[::-1], bank.g_bar[::-1])))
-        grad_d[l] = grad_d[l] + g_d
-    g_a = g_x + gamma / m_coeff * np.sign(trace.approx)
+            synth_grads.append(kernel_grad(np.stack((v, details[l])), gy, k)[:, ::-1])
+        g_x, g = strided_corr(gy, np.stack((bank.h_bar[::-1], bank.g_bar[::-1])))
+        g_d.append(g)
+    g_details = scale * np.sign(trace.details) + np.concatenate(g_d)
+    grads = {}
+    g_pre = g_details
+    if model.mode.trains_thresholds:
+        dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(
+            trace.details_pre, *trace.gates, model.sharpness)
+        g_pre = g_details * dy_dx
+        grads["b_plus"] = np.add.reduceat(g_details * dy_dbp, trace.offsets[:-1])
+        grads["b_minus"] = np.add.reduceat(g_details * dy_dbm, trace.offsets[:-1])
+    g_a = g_x + scale * np.sign(trace.approx)
     for l in range(model.levels - 1, -1, -1):
         bank = trace.banks[l]
-        if model.mode.trains_thresholds:
-            dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(
-                trace.details_pre[l], *trace.gates[l], model.sharpness)
-            g_dpre = grad_d[l] * dy_dx
-            grads["b_plus"][l] = np.sum(grad_d[l] * dy_dbp)
-            grads["b_minus"][l] = np.sum(grad_d[l] * dy_dbm)
-        else:
-            g_dpre = grad_d[l]
+        g_dpre = trace.levels(g_pre)[l]
         x_pad = trace.padded_inputs[l]
         if scheme.kinds:
             k = bank.h.size
-            bank_grads[l] = FilterBank(kernel_grad(np.stack((g_a, g_dpre)), x_pad, k),
-                                       synth_grads[l])
+            analysis_grads[l] = kernel_grad(np.stack((g_a, g_dpre)), x_pad, k)
         g_pad = upsample_conv(np.stack((g_a, g_dpre)), np.stack((bank.h, bank.g)))
         g_a = g_pad[: trace.pre_lengths[l]]
-    for l, bank_grad in enumerate(bank_grads):
-        for name, grad in zip(scheme.names(l), scheme.fold(bank_grad)):
-            grads[name] += grad
+    if scheme.kinds:
+        folded = scheme.fold(FilterBank(np.stack(analysis_grads), np.stack(synth_grads)))
+        for kind, grad in zip(scheme.kinds, folded):
+            for l in range(model.levels):
+                name = f"{kind}.shared" if scheme.shared else f"{kind}.{l}"
+                grads[name] = grad.sum(0) if scheme.shared else grad[l]
     return (total, recon, sparsity), model.flatten(grads)
 
 
@@ -219,9 +222,8 @@ class TestBackwardMatchesWrittenOutTranspose:
 
 def _trace_arrays(trace):
     """Every per-window array a forward trace holds, in a fixed order."""
-    gates = [term for pair in trace.gates for term in pair]
-    return (trace.padded_inputs + trace.details_pre + trace.details + gates
-            + [trace.approx] + trace.recon_chain)
+    return (trace.padded_inputs + [trace.details_pre, trace.details, *trace.gates,
+                                   trace.approx] + trace.recon_chain)
 
 
 class TestBlockPath:
@@ -544,8 +546,7 @@ class TestTrainLoop:
         config = TrainConfig(epochs=3, levels=5, seed=0)
         report = train(signals, SharingMode.PER_LEVEL_CQF_HT, config)
         model = report.final_model
-        for level in range(model.levels):
-            bank = model.bank_for_level(level)
+        for bank in model.banks():
             n = np.arange(bank.h.size)
             assert np.array_equal(bank.g, (-1.0) ** n * bank.h[::-1])
             assert np.array_equal(bank.h_bar, bank.h[::-1])

@@ -10,25 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavelearn.errors import (
-    InvalidDepthError,
-    InvalidKernelError,
-    InvalidPyramidError,
-    InvalidSignalError,
-)
+from wavelearn.errors import InvalidDepthError, InvalidKernelError, InvalidSignalError
 from wavelearn.wavelet import (
-    CoefficientPyramid,
     DB4_SCALING,
+    HAAR_SCALING,
     FilterBank,
     _periodic_ext,
     analysis_cascade,
     analysis_step,
+    cascade_input,
     cqf_from_scaling,
     cqf_partial,
     db4_filterbank,
-    fdwt,
-    haar_filterbank,
-    ifdwt,
     max_depth,
     strided_corr,
     synthesis_cascade,
@@ -61,7 +54,7 @@ class TestCqfConstruction:
         assert np.array_equal(bank.g_bar, [-S, S])
 
     def test_relations_hold_bitwise(self):
-        for bank in (haar_filterbank(), db4_filterbank()):
+        for bank in (cqf_from_scaling(HAAR_SCALING), db4_filterbank()):
             k = bank.h.size
             n = np.arange(k)
             assert np.array_equal(bank.g, (-1.0) ** n * bank.h[::-1])
@@ -103,22 +96,35 @@ class TestCqfConstruction:
             cqf_partial([S, S], [S, -S, 0.0, 0.0])  # length mismatch
 
 
+def decompose(x, bank, levels):
+    """(pre-pad lengths, details, approximation) of a `levels`-deep cascade
+    with one bank at every level."""
+    _, lengths, details, approx = analysis_cascade(cascade_input(x, levels),
+                                                   [bank] * levels)
+    return lengths, details, approx
+
+
+def roundtrip(x, bank, levels):
+    """`x` decomposed `levels` deep with one bank and reconstructed."""
+    lengths, details, approx = decompose(x, bank, levels)
+    return synthesis_cascade(approx, details, lengths, [bank] * levels)[0]
+
+
 def analyze(x, bank):
     """(approximation, detail) of a one-level cascade."""
-    pyramid = fdwt(x, bank, 1)
-    return pyramid.approx, pyramid.details[0]
+    _, details, approx = decompose(x, bank, 1)
+    return approx, details[0]
 
 
 def synthesize(a, d, bank, n):
     """Inverse of a one-level cascade, truncated to `n` samples."""
-    return ifdwt(CoefficientPyramid(details=[np.asarray(d, dtype=float)],
-                                    approx=np.asarray(a, dtype=float),
-                                    level_lengths=[n]), bank)
+    return synthesis_cascade(np.asarray(a, dtype=float), [np.asarray(d, dtype=float)],
+                             [n], [bank])[0]
 
 
 class TestAnalyzeLevel:
     def test_haar_hand_example(self):
-        bank = haar_filterbank()
+        bank = cqf_from_scaling(HAAR_SCALING)
         a, d = analyze([1.0, 2.0, 3.0, 4.0], bank)
         np.testing.assert_allclose(a, [3 * S, 7 * S], rtol=0, atol=1e-15)
         np.testing.assert_allclose(d, [-S, -S], rtol=0, atol=1e-15)
@@ -136,14 +142,14 @@ class TestAnalyzeLevel:
         assert np.array_equal(d, [0.0, 0.0])
 
     def test_empty_signal_rejected(self):
-        bank = haar_filterbank()
+        bank = cqf_from_scaling(HAAR_SCALING)
         with pytest.raises(InvalidSignalError):
             analyze([], bank)
 
 
 class TestSynthesizeLevel:
     def test_haar_inverse_of_hand_example(self):
-        bank = haar_filterbank()
+        bank = cqf_from_scaling(HAAR_SCALING)
         x = synthesize([3 * S, 7 * S], [-S, -S], bank, 4)
         np.testing.assert_allclose(x, [1.0, 2.0, 3.0, 4.0], rtol=0, atol=1e-12)
 
@@ -161,20 +167,13 @@ class TestSynthesizeLevel:
             back = synthesize(a, d, bank, n)
             np.testing.assert_allclose(back, x, rtol=0, atol=1e-10)
 
-    def test_length_mismatch_rejected(self):
-        bank = haar_filterbank()
-        with pytest.raises(InvalidPyramidError):
-            synthesize([1.0, 2.0], [1.0], bank, 4)
-        with pytest.raises(InvalidPyramidError):
-            synthesize([1.0, 2.0], [1.0, 2.0], bank, 7)
-
 
 class TestAdjointness:
     def test_analysis_synthesis_are_transposes(self):
         # holds for any bank whose synthesis kernels are reversed analysis
         # kernels, which both constructors guarantee
         rng = np.random.default_rng(7)
-        banks = [haar_filterbank(), db4_filterbank()]
+        banks = [cqf_from_scaling(HAAR_SCALING), db4_filterbank()]
         banks.append(cqf_partial(rng.normal(size=6), rng.normal(size=6)))
         for bank in banks:
             for n in (6, 16, 63, 128):
@@ -219,40 +218,41 @@ class TestAdjointness:
 class TestCascade:
     def test_haar_length8_hand_example(self):
         signal = np.arange(1.0, 9.0)
-        pyramid = fdwt(signal, haar_filterbank(), 3)
-        assert [d.size for d in pyramid.details] == [4, 2, 1]
-        assert pyramid.approx.size == 1
+        _, details, approx = decompose(signal, cqf_from_scaling(HAAR_SCALING), 3)
+        assert [d.size for d in details] == [4, 2, 1]
+        assert approx.size == 1
         np.testing.assert_allclose(
-            pyramid.approx[0], signal.sum() / (2 * math.sqrt(2)),
+            approx[0], signal.sum() / (2 * math.sqrt(2)),
             rtol=0, atol=1e-12,
         )
 
     def test_single_level_equals_analyze(self):
         bank = db4_filterbank()
         x = np.random.default_rng(0).normal(size=32)
-        pyramid = fdwt(x, bank, 1)
+        _, details, cascade_approx = decompose(x, bank, 1)
         approx, detail = strided_corr(x, np.stack((bank.h, bank.g)))
-        assert np.array_equal(pyramid.approx, approx)
-        assert np.array_equal(pyramid.details[0], detail)
+        assert np.array_equal(cascade_approx, approx)
+        assert np.array_equal(details[0], detail)
 
     def test_length10_padding_arithmetic(self):
-        pyramid = fdwt(np.arange(10.0), haar_filterbank(), 3)
-        assert pyramid.level_lengths == [10, 5, 3]
-        assert [d.size for d in pyramid.details] == [5, 3, 2]
-        assert pyramid.approx.size == 2
+        lengths, details, approx = decompose(np.arange(10.0),
+                                             cqf_from_scaling(HAAR_SCALING), 3)
+        assert lengths == [10, 5, 3]
+        assert [d.size for d in details] == [5, 3, 2]
+        assert approx.size == 2
 
     def test_depth_limit(self):
+        haar = cqf_from_scaling(HAAR_SCALING)
         with pytest.raises(InvalidDepthError):
-            fdwt(np.arange(8.0), haar_filterbank(), 4)
+            decompose(np.arange(8.0), haar, 4)
         with pytest.raises(InvalidDepthError):
-            fdwt(np.arange(8.0), haar_filterbank(), 0)
+            decompose(np.arange(8.0), haar, 0)
         # padding headroom: length 10 supports 4 levels, not 3
-        fdwt(np.arange(10.0), haar_filterbank(), 4)
+        decompose(np.arange(10.0), haar, 4)
         assert max_depth(10) == 4
 
     def test_zero_pyramid_inverts_to_zero(self):
-        pyramid = fdwt(np.zeros(16), db4_filterbank(), 3)
-        assert np.array_equal(ifdwt(pyramid, db4_filterbank()), np.zeros(16))
+        assert np.array_equal(roundtrip(np.zeros(16), db4_filterbank(), 3), np.zeros(16))
 
     def test_perfect_reconstruction_random_suite(self):
         bank = db4_filterbank()
@@ -260,17 +260,17 @@ class TestCascade:
         worst = 0.0
         for _ in range(100):
             x = rng.normal(size=1024)
-            back = ifdwt(fdwt(x, bank, 5), bank)
+            back = roundtrip(x, bank, 5)
             worst = max(worst, np.abs(back - x).max())
         assert worst <= 1e-8
 
     def test_perfect_reconstruction_all_small_lengths(self):
         rng = np.random.default_rng(11)
-        for bank in (haar_filterbank(), db4_filterbank()):
+        for bank in (cqf_from_scaling(HAAR_SCALING), db4_filterbank()):
             for n in range(2, 70):
                 x = rng.normal(size=n)
                 levels = max_depth(n)
-                back = ifdwt(fdwt(x, bank, levels), bank)
+                back = roundtrip(x, bank, levels)
                 np.testing.assert_allclose(back, x, rtol=0, atol=1e-8)
 
     def test_odd_length_roundtrips_through_padding(self):
@@ -278,7 +278,7 @@ class TestCascade:
         rng = np.random.default_rng(5)
         for n in (10, 625, 1001):
             x = rng.normal(size=n)
-            back = ifdwt(fdwt(x, bank, 4), bank)
+            back = roundtrip(x, bank, 4)
             np.testing.assert_allclose(back, x, rtol=0, atol=1e-8)
 
     def test_energy_preservation_power_of_two(self):
@@ -286,20 +286,10 @@ class TestCascade:
         rng = np.random.default_rng(9)
         for n in (64, 256, 1024):
             x = rng.normal(size=n)
-            pyramid = fdwt(x, bank, 5)
-            energy = sum(float(np.sum(d ** 2)) for d in pyramid.details)
-            energy += float(np.sum(pyramid.approx ** 2))
+            _, details, approx = decompose(x, bank, 5)
+            energy = sum(float(np.sum(d ** 2)) for d in details)
+            energy += float(np.sum(approx ** 2))
             assert abs(energy - float(np.sum(x ** 2))) <= 1e-8
-
-    def test_inconsistent_pyramid_rejected(self):
-        pyramid = fdwt(np.arange(16.0), db4_filterbank(), 3)
-        broken = CoefficientPyramid(
-            details=[d.copy() for d in pyramid.details],
-            approx=pyramid.approx.copy(),
-            level_lengths=[16, 8, 5],  # wrong deepest length
-        )
-        with pytest.raises(InvalidPyramidError):
-            ifdwt(broken, db4_filterbank())
 
 
 def roll_upsample_conv(v, f):
@@ -354,7 +344,7 @@ class TestPolyphaseSynthesis:
         assert np.signbit(g[0])  # -0.0 in the input
         v = np.stack((g, np.zeros_like(g)))
         for f in (db4_filterbank().analysis, db4_filterbank().synthesis[:, ::-1],
-                  haar_filterbank().analysis):
+                  cqf_from_scaling(HAAR_SCALING).analysis):
             assert np.array_equal(upsample_conv(v, f), roll_sum(v, f))
 
     def test_kernel_longer_than_output_wraps(self):
