@@ -12,15 +12,14 @@ Conventions used throughout:
   bank r (one window scored against B models);
 * analysis is a strided periodic cross-correlation,
   ``a_next[k] = sum_n h[n] * a[(2k + n) mod N]``, for both channels in one
-  matmul: a periodic strided view, ``view[..., k, n] = a[..., (2k + n) mod
-  N]``, times the analysis stack gives ``(..., 2, N/2)``, and the stacked
-  upstream gradients times the same view give both kernels' gradients,
-  ``(..., 2, K)`` (`kernel_grad`);
+  matmul: the analysis stack times a tap-major copy of the periodic windows,
+  ``win[..., n, k] = a[..., (2k + n) mod N]``, gives ``(..., 2, N/2)``; the
+  upstream gradients times their view give the kernels' (`kernel_grad`);
 * synthesis is the transpose of analysis with the index-reversed synthesis
   stack, in polyphase-matrix form (Vaidyanathan 1993, ch. 5): output
   ``2j + p`` sums taps ``2s + p`` of both channels against input ``j - s``,
-  so one contiguous copy of the input's ``(..., N/2, 2 * K/2)`` periodic
-  windows times the ``(2 * K/2, 2)`` polyphase taps is one matmul;
+  so a tap-major copy of the input's periodic windows, transposed, times
+  the ``(2 * K/2, 2)`` polyphase taps is one matmul;
 * reversal of a finite kernel means ``h[-n] == h[K-1-n]``;
 * odd-length inputs are zero-padded by one sample before striding and the
   pre-pad length is recorded so inversion can truncate exactly;
@@ -136,25 +135,23 @@ def db4_filterbank() -> FilterBank:
 # ---------------------------------------------------------------------------
 # low-level strided periodic operators (shared with the gradient code)
 
-def _periodic_ext(x: np.ndarray, after: int, before: int = 0) -> np.ndarray:
-    """x[..., (i - before) mod N] for i in [0, N + before + after): x extended
-    periodically on both sides of its last axis (a pad longer than N wraps
-    several times, as a kernel longer than the signal does at the deep
-    levels)."""
+def _periodic_ext(x: np.ndarray, after: int) -> np.ndarray:
+    """x[..., i mod N] for i in [0, N + after): x extended periodically along
+    its last axis (a pad longer than N wraps several times, as a kernel
+    longer than the signal does at the deep levels)."""
     n = x.shape[-1]
-    if before <= n and after <= n:
-        return np.concatenate((x[..., n - before:], x, x[..., :after]), -1)
-    return x.take(np.arange(-before, n + after) % n, -1)
+    if after <= n:
+        return np.concatenate((x, x[..., :after]), -1) if after else x
+    return x.take(np.arange(n + after) % n, -1)
 
 
-def _windows(x: np.ndarray, count: int, taps: int, hop: int, before: int = 0):
-    """(..., count, taps) view with view[..., k, n] = x[..., (hop*k + n -
-    before) mod N], over a periodic extension of `x` it alone refers to;
-    rows overlap, so it is only read."""
+def _windows(x: np.ndarray, count: int, taps: int, hop: int):
+    """(..., count, taps) view with view[..., k, n] = x[..., (hop*k + n) mod
+    N], over `x` or a periodic extension of it; rows overlap, so it is only
+    read."""
     # C order is what the strides below assume; a column-major block
     # concatenates to another order
-    ext = np.ascontiguousarray(
-        _periodic_ext(x, hop * (count - 1) + taps - before - x.shape[-1], before))
+    ext = np.ascontiguousarray(_periodic_ext(x, hop * (count - 1) + taps - x.shape[-1]))
     step = ext.itemsize
     return np.ndarray((*ext.shape[:-1], count, taps), ext.dtype, ext,
                       0, (*ext.strides[:-1], hop * step, step))
@@ -162,31 +159,32 @@ def _windows(x: np.ndarray, count: int, taps: int, hop: int, before: int = 0):
 
 def strided_corr(x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """out[..., c, k] = sum_n f[..., c, n] * x[..., (2k + n) mod N] for k in
-    [0, N/2): one matmul for a (C, K) kernel stack, (..., C, N/2) out, or for
-    a (B, C, K) stack, one per row of a (B, N) block; a single (K,) kernel
-    gives (..., N/2).  N even."""
-    # a reversed (adjoint) stack is copied: numpy's matmul reaches BLAS only
-    # through operands with a unit stride, and the path decides the rounding
-    view = _windows(x, x.shape[-1] // 2, f.shape[-1], 2)
-    return np.ascontiguousarray(f) @ view.swapaxes(-1, -2)
+    [0, N/2): one BLAS matmul on a tap-major window copy (module notes) for a
+    (C, K) kernel stack, (..., C, N/2) out, or for a (B, C, K) stack, one per
+    row of a (B, N) block; a single (K,) kernel gives (..., N/2).  N even."""
+    # numpy's matmul reaches BLAS only through operands with a unit stride,
+    # so the windows, sample axis contiguous, and a reversed stack are copied
+    win = _windows(x, x.shape[-1] // 2, f.shape[-1], 2).swapaxes(-1, -2)
+    return np.ascontiguousarray(f) @ np.ascontiguousarray(win)
 
 
-def upsample_conv(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """out[..., m] = sum_c sum_k v[..., c, k] * f[..., c, (m - 2k) mod 2 half],
+def upsample_conv(v: tuple[np.ndarray, np.ndarray], f: np.ndarray) -> np.ndarray:
+    """out[..., m] = sum_c sum_k v[c][..., k] * f[..., c, (m - 2k) mod 2 half],
     the transpose of `strided_corr` with the same (..., 2, K) kernel stack,
-    for stacked channels (..., 2, half): one matmul in polyphase form
-    (module notes), one per row for a (B, 2, K) stack. Kernel indices wrap
-    (fold) when the kernel is longer than the output."""
-    half = v.shape[-1]
-    taps = f.shape[-1] // 2
-    # win[..., j, c, s] = v[..., c, (j + s - taps + 1) mod half], copied by the
-    # reshape into a contiguous operand: on the strided view numpy's matmul
-    # leaves BLAS, x12.7 slower at N = 160 000
-    win = _windows(v, half, taps, 1, taps - 1).swapaxes(-2, -3)
-    win = win.reshape(*win.shape[:-2], 2 * taps)
+    for the channel pair v = (a, d), each (..., half): one BLAS matmul in
+    polyphase form (module notes), one per row for a (B, 2, K) stack. Kernel
+    indices wrap (fold) when the kernel is longer than the output."""
+    a, d = v
+    half, taps = a.shape[-1], f.shape[-1] // 2
+    # ext[..., c, i] = v[c][..., (i - taps + 1) mod half], filled once
+    ext = np.empty((*a.shape[:-1], 2, half + taps - 1))
+    ext[..., 0, taps - 1:], ext[..., 1, taps - 1:] = a, d
+    ext[..., :taps - 1] = ext[..., taps - 1:].take(np.arange(1 - taps, 0) % half, -1)
+    rows = _windows(ext, half, taps, 1).swapaxes(-1, -2)
+    rows = rows.reshape(*a.shape[:-1], 2 * taps, half)
     # poly[..., c*taps + s, p] = f[..., c, 2 (taps - 1 - s) + p]
     poly = f.reshape(*f.shape[:-1], taps, 2)[..., ::-1, :]
-    out = win @ poly.reshape(*f.shape[:-2], 2 * taps, 2)
+    out = rows.swapaxes(-1, -2) @ poly.reshape(*f.shape[:-2], 2 * taps, 2)
     return out.reshape(*out.shape[:-2], 2 * half)
 
 
@@ -194,7 +192,9 @@ def kernel_grad(upstream: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
     """d(strided_corr(x, f))/df contracted with `upstream`, row by row:
     out[..., c, n] = sum_k upstream[..., c, k] * x[..., (2k + n) mod N], one
     matmul. `upstream` is shaped like `strided_corr`'s output for a (C, K)
-    kernel stack, (..., C, N/2)."""
+    kernel stack, (..., C, N/2). A window copy here would fall at the backward
+    pass's memory peak, where glibc trims and refaults the heap top each step:
+    train-detect took 33 minor page faults per window with it, 12 without."""
     return upstream @ _windows(x, x.shape[-1] // 2, taps, 2)
 
 
@@ -223,7 +223,7 @@ def analysis_step(a: np.ndarray, bank: FilterBank):
 def synthesis_step(a, d, n: int, bank: FilterBank) -> np.ndarray:
     """One decoder level: the transpose of analysis with the index-reversed
     synthesis stack, both channels summed and cut to the pre-pad length."""
-    return upsample_conv(np.stack((a, d), -2), bank.synthesis[..., ::-1])[..., :n]
+    return upsample_conv((a, d), bank.synthesis[..., ::-1])[..., :n]
 
 
 def analysis_cascade(signal: np.ndarray, banks: list[FilterBank]):

@@ -28,8 +28,9 @@ def test_short_run_is_correct(workload):
     _run(workload, trace=0)
 
 
-@pytest.mark.parametrize("workload", ["train-detect", "score-stream"])
+@pytest.mark.parametrize("workload", ["train-detect", "train-long", "score-stream"])
 def test_traced_run_is_correct(workload):
     # a traced run requires the traced and untraced outputs to be bitwise
-    # equal, and score-stream's timed loop never to train
+    # equal (on train-long, over 160 000-sample windows), and score-stream's
+    # timed loop never to train
     _run(workload, trace=1)

@@ -183,7 +183,7 @@ def _backward_written_out(signal, model, gamma):
         if scheme.kinds:
             k = bank.h.size
             analysis_grads[l] = kernel_grad(np.stack((g_a, g_dpre)), x_pad, k)
-        g_pad = upsample_conv(np.stack((g_a, g_dpre)), np.stack((bank.h, bank.g)))
+        g_pad = upsample_conv((g_a, g_dpre), np.stack((bank.h, bank.g)))
         g_a = g_pad[: trace.pre_lengths[l]]
     if scheme.kinds:
         folded = scheme.fold(FilterBank(np.stack(analysis_grads), np.stack(synth_grads)))

@@ -329,7 +329,7 @@ class TestPolyphaseSynthesis:
         v[rng.random(v.shape) < zeros / 2] = -0.0
         synthesis = rng.normal(size=(2, taps))
         f = synthesis[:, ::-1] if reversed_view else synthesis
-        got = upsample_conv(v, f)
+        got = upsample_conv(tuple(v), f)
         # each output sums K products either way, so each side is within
         # (K/2) eps of the exact sum of absolute terms (float64 unit
         # roundoff eps/2 per addition); the two differ by at most K eps
@@ -345,7 +345,7 @@ class TestPolyphaseSynthesis:
         v = np.stack((g, np.zeros_like(g)))
         for f in (db4_filterbank().analysis, db4_filterbank().synthesis[:, ::-1],
                   cqf_from_scaling(HAAR_SCALING).analysis):
-            assert np.array_equal(upsample_conv(v, f), roll_sum(v, f))
+            assert np.array_equal(upsample_conv(tuple(v), f), roll_sum(v, f))
 
     def test_kernel_longer_than_output_wraps(self):
         v = np.array([[1.5, -2.0], [0.5, 3.0]])
@@ -355,7 +355,7 @@ class TestPolyphaseSynthesis:
             for k in range(v.shape[1]):
                 for n in range(f.shape[1]):
                     expect[(2 * k + n) % 4] += v[c, k] * f[c, n]
-        np.testing.assert_allclose(upsample_conv(v, f), expect, rtol=0,
+        np.testing.assert_allclose(upsample_conv(tuple(v), f), expect, rtol=0,
                                    atol=1e-12)
 
     @settings(max_examples=300, deadline=None)
@@ -371,19 +371,82 @@ class TestPolyphaseSynthesis:
         y = rng.normal(size=(rows, 2, half))
         f = rng.normal(size=(rows, 2, taps) if per_row else (2, taps))
         lhs = np.sum(strided_corr(x, f) * y)
-        rhs = np.sum(x * upsample_conv(y, f))
+        rhs = np.sum(x * upsample_conv((y[:, 0], y[:, 1]), f))
         # either side sums each of its (K + B N) absolute terms at most once
         # per rounding, so each is within (K + B N) eps/2 of the exact sum
         terms = np.sum(strided_corr(np.abs(x), np.abs(f)) * np.abs(y))
         assert abs(lhs - rhs) <= (taps + x.size) * np.finfo(float).eps * terms
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 40), after=st.integers(0, 130),
-           before=st.integers(0, 130))
-    def test_periodic_ext_is_modular_indexing(self, n, after, before):
+    @given(n=st.integers(1, 40), after=st.integers(0, 130))
+    def test_periodic_ext_is_modular_indexing(self, n, after):
         x = np.random.default_rng(n).normal(size=n)
-        got = _periodic_ext(x, after, before)
-        assert got.tobytes() == x[np.arange(-before, n + after) % n].tobytes()
+        got = _periodic_ext(x, after)
+        assert got.tobytes() == x[np.arange(n + after) % n].tobytes()
+
+
+def corr_sum(x, f):
+    """out[..., c, k] = sum_n f[..., c, n] * x[..., (2k + n) mod N], written
+    out as a loop over the taps in index order: the sum `strided_corr`
+    computes as one matmul."""
+    n = x.shape[-1]
+    out = 0.0
+    for tap in range(f.shape[-1]):
+        samples = x[..., (2 * np.arange(n // 2) + tap) % n]
+        out = out + f[..., tap, None] * (samples if f.ndim == 1 else samples[..., None, :])
+    return out
+
+
+class TestStridedCorr:
+    """`strided_corr` is the written-out strided periodic sum, computed as one
+    matmul, so its sums run in another order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 4), half=st.one_of(st.integers(1, 16), st.integers(1, 2048)),
+           taps=st.sampled_from([2, 4, 6, 8, 10, 16, 32]),
+           stack=st.sampled_from(["one", "pair", "per_row"]), one_window=st.booleans(),
+           reversed_view=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equal_to_written_out_sum_within_rounding(self, rows, half, taps, stack,
+                                                      one_window, reversed_view, seed):
+        # half < K/2 gives kernels longer than the signal, which wrap
+        rng = np.random.default_rng(seed)
+        per_row = stack == "per_row"
+        x = rng.normal(size=(2 * half,) if one_window and not per_row else (rows, 2 * half))
+        shape = {"one": (taps,), "pair": (2, taps), "per_row": (rows, 2, taps)}[stack]
+        kernels = rng.normal(size=shape)
+        f = kernels[..., ::-1] if reversed_view else kernels
+        got = strided_corr(x, f)
+        want = corr_sum(x, f)
+        assert got.shape == want.shape
+        # each output sums K products either way, so the two differ by at
+        # most K eps of the exact sum of absolute terms
+        bound = taps * np.finfo(float).eps * corr_sum(np.abs(x), np.abs(f))
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("n", [7, 64, 1001])
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_level_ops_ignore_the_block_layout(self, n, k):
+        # a broadcast block (as `dict_classify` builds one) and a column-major
+        # one give the bytes of their C-contiguous copies
+        rng = np.random.default_rng(n + k)
+        bank = cqf_from_scaling(rng.normal(size=(3, k)))
+        x = rng.normal(size=n)
+        half = (n + 1) // 2
+        a, d = rng.normal(size=(2, half))
+        cases = [
+            (np.broadcast_to(x, (3, n)), np.broadcast_to(a, (3, half)),
+             np.broadcast_to(d, (3, half))),
+            (np.asfortranarray(rng.normal(size=(3, n))),
+             np.asfortranarray(rng.normal(size=(3, half))),
+             np.asfortranarray(rng.normal(size=(3, half)))),
+        ]
+        for block, approx, detail in cases:
+            copies = [np.ascontiguousarray(v) for v in (block, approx, detail)]
+            for got, want in zip(analysis_step(block, bank), analysis_step(copies[0], bank)):
+                assert got.tobytes() == want.tobytes()
+            got = synthesis_step(approx, detail, n, bank.adjoint())
+            want = synthesis_step(copies[1], copies[2], n, bank.adjoint())
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOneBankPerRow:
@@ -418,8 +481,8 @@ class TestOneBankPerRow:
     def test_one_kernel_serves_every_row(self):
         v = np.random.default_rng(3).normal(size=(3, 2, 16))
         f = np.random.default_rng(4).normal(size=(2, 8))
-        out = upsample_conv(v, np.tile(f, (3, 1, 1)))
-        assert out.tobytes() == upsample_conv(v, f).tobytes()
+        out = upsample_conv((v[:, 0], v[:, 1]), np.tile(f, (3, 1, 1)))
+        assert out.tobytes() == upsample_conv((v[:, 0], v[:, 1]), f).tobytes()
 
     def test_odd_or_mismatched_row_kernels_rejected(self):
         with pytest.raises(InvalidKernelError):
