@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, InvalidSignalError
 
 _SCALE = 32768.0
+# the header stores the rate and the byte rate, 2 * rate, as 32-bit words
+MAX_RATE = (2 ** 32 - 1) // 2
 
 
 def read_wav(path) -> tuple[np.ndarray, int]:
@@ -74,8 +76,13 @@ def read_wav(path) -> tuple[np.ndarray, int]:
 
 def write_wav(path, samples, rate: int) -> None:
     """Write mono 16-bit PCM; float input is clipped to [-1, 1] and scaled
-    by 32768 (so +1.0 saturates at 32767)."""
+    by 32768 (so +1.0 saturates at 32767). Non-finite samples, and a rate
+    that is not an integer from 1 to `MAX_RATE`, are rejected."""
+    if not (isinstance(rate, (int, np.integer)) and 1 <= rate <= MAX_RATE):
+        raise ConfigError(f"sample rate must be an integer from 1 to {MAX_RATE}, got {rate!r}")
     samples = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(samples)):
+        raise InvalidSignalError("cannot write non-finite samples to a WAV")
     ints = np.clip(np.rint(samples * _SCALE), -32768, 32767).astype("<i2")
     payload = ints.tobytes()
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"

@@ -61,23 +61,22 @@ def _window_label(window_id: str, labels: dict[str, str | None]) -> str | None:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     spec = datasets.SyntheticSpec(
         task=args.task, window=args.window, sigma=args.sigma,
         n_train=args.n_normal, n_test=args.n_anomal,
     )
     records = datasets.generate_synthetic(spec, seed=args.seed)
-    entries = []
-    for rec in records:
-        name = rec.id.rsplit("/", 1)[-1] + ".wav"
-        write_wav(out / name, rec.samples, args.rate)
-        entries.append(datasets.ManifestEntry(path=name, label=rec.label,
-                                              split=rec.split))
+    entries = [datasets.ManifestEntry(path=rec.id.rsplit("/", 1)[-1] + ".wav",
+                                      label=rec.label, split=rec.split)
+               for rec in records]
     manifest = datasets.DatasetManifest(
         sample_rate=args.rate, window_size=args.window,
         entries=entries, decimate=1, base_dir=out,
     )
     manifest.validate()
+    out.mkdir(parents=True, exist_ok=True)
+    for rec, entry in zip(records, entries):
+        write_wav(out / entry.path, rec.samples, args.rate)
     datasets.save_manifest(manifest, out / "manifest.json")
     print(json.dumps({"out": str(out), "files": len(entries)}))
     return 0

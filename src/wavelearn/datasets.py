@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import decimate, read_wav, window_split
+from .audio import MAX_RATE, decimate, read_wav, window_split
 from .errors import ConfigError, FormatError
 from .persist import read_json
 
@@ -37,6 +37,8 @@ class DatasetManifest:
     base_dir: Path = field(default_factory=Path)
 
     def validate(self) -> None:
+        if not 1 <= self.sample_rate <= MAX_RATE:
+            raise ConfigError(f"sample rate {self.sample_rate} is outside 1 to {MAX_RATE}")
         if self.window_size < 2:
             raise ConfigError(f"window size must be >= 2, got {self.window_size}")
         if self.decimate < 1:
@@ -106,10 +108,14 @@ class WindowRecord:
 
 
 def load_windows(manifest: DatasetManifest, split: str | None = None) -> list[WindowRecord]:
-    """Read, decimate and window every selected entry, in manifest order."""
+    """Read, decimate and window every selected entry, in manifest order.
+    Every file must have the manifest's sample rate."""
     out = []
     for entry in manifest.select(split):
-        samples, _rate = read_wav(manifest.base_dir / entry.path)
+        samples, rate = read_wav(manifest.base_dir / entry.path)
+        if rate != manifest.sample_rate:
+            raise FormatError(f"{entry.path} has sample rate {rate}, the manifest "
+                              f"{manifest.sample_rate}")
         samples = decimate(samples, manifest.decimate)
         for i, window in enumerate(window_split(samples, manifest.window_size)):
             out.append(WindowRecord(

@@ -6,15 +6,16 @@ block of them, by reverse traversal of the cascade: absolute-value terms
 contribute their sign (with sign(0) = 0), the gate its analytic partials
 (formed from the tanh terms the forward trace kept, so the gate is not
 evaluated twice), and each level's transpose is the other step on the
-adjoint bank (`wavelet.FilterBank.adjoint`). Only the level ops and the
-kernel gradients run once per level: the details' gradients fill one
-pyramid laid out like `ForwardTrace.details`, whose sparsity signs, gate
-partials and threshold gradients take one pass each. The levels' bank
-gradients, stacked along a leading level axis, fold back onto the
-trainable kernels in one call of the mode's kernel scheme
-(`KERNEL_SCHEMES` in `network.py`); nothing here depends on which mode is
-trained. `finite_difference_grad` is the independent brute-force oracle
-used to verify all of it.
+adjoint bank (`wavelet.FilterBank.adjoint`), which also gives the level's
+kernel gradient from the window copy it makes anyway: a level copies its
+windows once going down and once coming back. Only the level ops run once
+per level: the details' gradients fill one pyramid laid out like
+`ForwardTrace.details`, whose sparsity signs, gate partials and threshold
+gradients take one pass each. The levels' bank gradients, stacked along a
+leading level axis, fold back onto the trainable kernels in one call of the
+mode's kernel scheme (`KERNEL_SCHEMES` in `network.py`); nothing here
+depends on which mode is trained. `finite_difference_grad` is the
+independent brute-force oracle used to verify all of it.
 
 Where the cascade reconstructs perfectly (a fresh model does) the residual
 is rounding noise, and its sign would steer the gradient: one ulp on one
@@ -45,7 +46,7 @@ from .network import (
     ht_gate_derivatives,
     loss,
 )
-from .wavelet import FilterBank, analysis_step, kernel_grad, synthesis_step
+from .wavelet import FilterBank, analysis_step, synthesis_step
 
 # most samples `train` passes to one `backward_full` call
 BLOCK_SAMPLES = 2 ** 16
@@ -70,7 +71,6 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     scale = gamma / (trace.details.shape[-1] + trace.approx.shape[-1])
 
     scheme = model.mode.scheme
-    k = model.kernel_size
     details = trace.levels(trace.details)
     # gradients on each level's synthesis (decoder) and analysis kernels,
     # keeping the block's row axis until the rows are added
@@ -81,10 +81,12 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     # details[l]; the details' gradients fill one pyramid
     g_details = np.empty_like(trace.details)
     for l, g_d in enumerate(trace.levels(g_details)):
-        gy, g_x, g_d[...] = analysis_step(g_x, trace.banks[l].adjoint())
         if scheme.kinds:
-            upstream = np.stack((trace.recon_chain[l + 1], details[l]), axis=-2)
-            synth_grads.append(kernel_grad(upstream, gy, k)[..., ::-1])
+            upstream = (trace.recon_chain[l + 1], details[l])
+            _, g_x, g_d[...], grad = analysis_step(g_x, trace.banks[l].adjoint(), upstream)
+            synth_grads.append(grad[..., ::-1])  # adjoint analysis = reversed synthesis
+        else:
+            _, g_x, g_d[...] = analysis_step(g_x, trace.banks[l].adjoint())
     # every detail's sparsity term, then the gate, over the whole pyramid
     # (in place: on a long window each fresh pyramid is a megabyte to fault in)
     g_details += scale * np.sign(trace.details)
@@ -103,11 +105,12 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     # encoder, deep to shallow
     pre = trace.levels(g_pre)
     for l in range(model.levels - 1, -1, -1):
+        level = (g_a, pre[l], trace.pre_lengths[l], trace.banks[l].adjoint())
         if scheme.kinds:
-            analysis_grads[l] = kernel_grad(np.stack((g_a, pre[l]), axis=-2),
-                                            trace.padded_inputs[l], k)
-        g_a = synthesis_step(g_a, pre[l], trace.pre_lengths[l],
-                             trace.banks[l].adjoint())
+            # on the adjoint, synthesis applies the analysis stack itself
+            g_a, analysis_grads[l] = synthesis_step(*level, trace.padded_inputs[l])
+        else:
+            g_a = synthesis_step(*level)
 
     if scheme.kinds:
         # fold the level-stacked bank gradient onto the kernels it was

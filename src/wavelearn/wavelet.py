@@ -13,13 +13,15 @@ Conventions used throughout:
 * analysis is a strided periodic cross-correlation,
   ``a_next[k] = sum_n h[n] * a[(2k + n) mod N]``, for both channels in one
   matmul: the analysis stack times a tap-major copy of the periodic windows,
-  ``win[..., n, k] = a[..., (2k + n) mod N]``, gives ``(..., 2, N/2)``; the
-  upstream gradients times their view give the kernels' (`kernel_grad`);
+  ``win[..., n, k] = a[..., (2k + n) mod N]``, gives ``(..., 2, N/2)``;
 * synthesis is the transpose of analysis with the index-reversed synthesis
   stack, in polyphase-matrix form (Vaidyanathan 1993, ch. 5): output
   ``2j + p`` sums taps ``2s + p`` of both channels against input ``j - s``,
   so a tap-major copy of the input's periodic windows, transposed, times
   the ``(2 * K/2, 2)`` polyphase taps is one matmul;
+* a kernel gradient, ``sum_k u[..., c, k] * x[..., (2k + n) mod N]``, is
+  one more matmul on the copy a level op makes anyway: ``u`` times ``win``
+  transposed, or in synthesis the copy times ``x`` as ``(N/2, 2)`` pairs;
 * reversal of a finite kernel means ``h[-n] == h[K-1-n]``;
 * odd-length inputs are zero-padded by one sample before striding and the
   pre-pad length is recorded so inversion can truncate exactly;
@@ -157,23 +159,34 @@ def _windows(x: np.ndarray, count: int, taps: int, hop: int):
                       0, (*ext.strides[:-1], hop * step, step))
 
 
-def strided_corr(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+def strided_corr(x: np.ndarray, f: np.ndarray, upstream=None):
     """out[..., c, k] = sum_n f[..., c, n] * x[..., (2k + n) mod N] for k in
     [0, N/2): one BLAS matmul on a tap-major window copy (module notes) for a
     (C, K) kernel stack, (..., C, N/2) out, or for a (B, C, K) stack, one per
-    row of a (B, N) block; a single (K,) kernel gives (..., N/2).  N even."""
+    row of a (B, N) block; a single (K,) kernel gives (..., N/2).  N even.
+
+    Given `upstream`, one array per channel of a (..., C, K) stack's `out`,
+    returns (out, grad), the gradient of <upstream, out> on f row by row:
+    grad[..., c, n] = sum_k upstream[c][..., k] * x[..., (2k + n) mod N]."""
     # numpy's matmul reaches BLAS only through operands with a unit stride,
     # so the windows, sample axis contiguous, and a reversed stack are copied
-    win = _windows(x, x.shape[-1] // 2, f.shape[-1], 2).swapaxes(-1, -2)
-    return np.ascontiguousarray(f) @ np.ascontiguousarray(win)
+    win = np.ascontiguousarray(_windows(x, x.shape[-1] // 2, f.shape[-1], 2).swapaxes(-1, -2))
+    out = np.ascontiguousarray(f) @ win
+    if upstream is None:
+        return out
+    return out, np.concatenate([u[..., None, :] @ win.swapaxes(-1, -2) for u in upstream], -2)
 
 
-def upsample_conv(v: tuple[np.ndarray, np.ndarray], f: np.ndarray) -> np.ndarray:
+def upsample_conv(v: tuple[np.ndarray, np.ndarray], f: np.ndarray, x=None):
     """out[..., m] = sum_c sum_k v[c][..., k] * f[..., c, (m - 2k) mod 2 half],
     the transpose of `strided_corr` with the same (..., 2, K) kernel stack,
     for the channel pair v = (a, d), each (..., half): one BLAS matmul in
     polyphase form (module notes), one per row for a (B, 2, K) stack. Kernel
-    indices wrap (fold) when the kernel is longer than the output."""
+    indices wrap (fold) when the kernel is longer than the output.
+
+    Given `x`, shaped like `out`, returns (out, grad), the gradient of
+    <x, out> on f row by row: grad[..., c, n] = sum_k v[c][..., k] * x[...,
+    (2k + n) mod 2 half]."""
     a, d = v
     half, taps = a.shape[-1], f.shape[-1] // 2
     # ext[..., c, i] = v[c][..., (i - taps + 1) mod half], filled once
@@ -185,17 +198,12 @@ def upsample_conv(v: tuple[np.ndarray, np.ndarray], f: np.ndarray) -> np.ndarray
     # poly[..., c*taps + s, p] = f[..., c, 2 (taps - 1 - s) + p]
     poly = f.reshape(*f.shape[:-1], taps, 2)[..., ::-1, :]
     out = rows.swapaxes(-1, -2) @ poly.reshape(*f.shape[:-2], 2 * taps, 2)
-    return out.reshape(*out.shape[:-2], 2 * half)
-
-
-def kernel_grad(upstream: np.ndarray, x: np.ndarray, taps: int) -> np.ndarray:
-    """d(strided_corr(x, f))/df contracted with `upstream`, row by row:
-    out[..., c, n] = sum_k upstream[..., c, k] * x[..., (2k + n) mod N], one
-    matmul. `upstream` is shaped like `strided_corr`'s output for a (C, K)
-    kernel stack, (..., C, N/2). A window copy here would fall at the backward
-    pass's memory peak, where glibc trims and refaults the heap top each step:
-    train-detect took 33 minor page faults per window with it, 12 without."""
-    return upstream @ _windows(x, x.shape[-1] // 2, taps, 2)
+    out = out.reshape(*out.shape[:-2], 2 * half)
+    if x is None:
+        return out
+    # (rows @ pairs)[..., c*taps + s, p] = grad[..., c, 2 (taps - 1 - s) + p]
+    grad = (rows @ x.reshape(*x.shape[:-1], half, 2)).reshape(*rows.shape[:-2], 2, taps, 2)
+    return out, grad[..., ::-1, :].reshape(*rows.shape[:-2], 2, 2 * taps)
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +220,28 @@ def max_depth(length: int) -> int:
     return depth
 
 
-def analysis_step(a: np.ndarray, bank: FilterBank):
-    """One encoder level: (`a` zero-padded to even length, approx, detail)."""
+def analysis_step(a: np.ndarray, bank: FilterBank, upstream=None):
+    """One encoder level: (`a` zero-padded to even length, approx, detail).
+    Given `upstream`, a pair shaped like (approx, detail), a fourth entry is
+    their `strided_corr` gradient on `bank.analysis`."""
     if a.shape[-1] % 2:
         a = np.concatenate([a, np.zeros((*a.shape[:-1], 1))], axis=-1)
-    out = strided_corr(a, bank.analysis)
-    return a, out[..., 0, :], out[..., 1, :]
+    if upstream is None:
+        out = strided_corr(a, bank.analysis)
+        return a, out[..., 0, :], out[..., 1, :]
+    out, grad = strided_corr(a, bank.analysis, upstream)
+    return a, out[..., 0, :], out[..., 1, :], grad
 
 
-def synthesis_step(a, d, n: int, bank: FilterBank) -> np.ndarray:
+def synthesis_step(a, d, n: int, bank: FilterBank, x=None):
     """One decoder level: the transpose of analysis with the index-reversed
-    synthesis stack, both channels summed and cut to the pre-pad length."""
-    return upsample_conv((a, d), bank.synthesis[..., ::-1])[..., :n]
+    synthesis stack, both channels summed and cut to the pre-pad length.
+    Given `x`, an output zero-padded to even length, returns (output, the
+    `upsample_conv` gradient on that reversed stack)."""
+    if x is None:
+        return upsample_conv((a, d), bank.synthesis[..., ::-1])[..., :n]
+    out, grad = upsample_conv((a, d), bank.synthesis[..., ::-1], x)
+    return out[..., :n], grad
 
 
 def analysis_cascade(signal: np.ndarray, banks: list[FilterBank]):

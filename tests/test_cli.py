@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from wavelearn.analysis import DictionaryModel, LatentFeatures
+from wavelearn.audio import write_wav
 from wavelearn.cli import main
+from wavelearn.errors import ConfigError, InvalidSignalError
 from wavelearn.network import SharingMode, WaveletNet
 from wavelearn.persist import (
     read_features_csv,
@@ -210,6 +212,8 @@ class TestErrorPaths:
                               lambda doc: doc.update(decimate="x"))),
         (["train", "--manifest", "{bad}", "--epochs", "1", "--out", "{out}"],
          "{not json"),
+        (["train", "--manifest", "{bad}", "--epochs", "1", "--out", "{out}"],
+         lambda d, t: _edited(d / "manifest.json", lambda doc: doc.update(sample_rate=0))),
         (["reconstruct", "--model", "{model}", "--input", "{bad}"],
          _wav_bytes(channels=2, block_align=2)),
         (["reconstruct", "--model", "{model}", "--input", "{bad}"],
@@ -226,7 +230,7 @@ class TestErrorPaths:
     ], ids=["model_kernel_not_numeric", "model_not_json", "elm_empty",
             "features_cell_not_numeric", "features_empty", "scores_empty",
             "score_not_numeric", "dictionary_empty", "manifest_decimate_not_int",
-            "manifest_not_json", "wav_block_align_below_frame",
+            "manifest_not_json", "manifest_rate_zero", "wav_block_align_below_frame",
             "wav_block_align_odd", "dictionary_no_classes",
             "dictionary_one_class", "dictionary_mixed_levels"])
     def test_malformed_input_exits_2(self, argv, content, detect_dir, tmp_path,
@@ -241,6 +245,44 @@ class TestErrorPaths:
         code, _, err = run([str(paths.get(a, a)) for a in argv], capsys)
         assert code == 2
         assert "error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("rate", ["-1", "0", "5000000000"])
+    def test_bad_synth_rate_exits_2(self, rate, tmp_path, capsys):
+        # -1 and 5e9 do not fit the header's 32-bit words; 0 does, but no
+        # WAV or manifest has rate 0
+        out = tmp_path / "data"
+        code, _, err = run(["synth", "--out", str(out), "--seed", "1", "--rate", rate,
+                            "--n-normal", "2", "--n-anomal", "1", "--window", "64"],
+                           capsys)
+        assert code == 2
+        assert "sample rate" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", [[0.5, np.nan], [np.inf, 0.0], [0.0, -np.inf]],
+                             ids=["nan", "plus_inf", "minus_inf"])
+    def test_non_finite_samples_not_written(self, samples, tmp_path):
+        # clipped and cast, NaN would be written as 0 and +-inf as full scale
+        with pytest.raises(InvalidSignalError, match="non-finite"):
+            write_wav(tmp_path / "x.wav", np.array(samples), 16000)
+        assert not (tmp_path / "x.wav").exists()
+
+    @pytest.mark.parametrize("rate", [-1, 0, 2 ** 31, 16000.0])
+    def test_bad_rate_not_written(self, rate, tmp_path):
+        with pytest.raises(ConfigError, match="sample rate"):
+            write_wav(tmp_path / "x.wav", np.zeros(4), rate)
+        assert not (tmp_path / "x.wav").exists()
+
+    def test_file_at_another_rate_exits_2(self, detect_dir, tmp_path, capsys):
+        doc = json.loads((detect_dir / "manifest.json").read_text())
+        doc["sample_rate"] = 8000
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        for entry in doc["entries"]:
+            (tmp_path / entry["path"]).write_bytes((detect_dir / entry["path"]).read_bytes())
+        code, _, err = run(["train", "--manifest", str(manifest), "--epochs", "1",
+                            "--out", str(tmp_path / "m.json")], capsys)
+        assert code == 2
+        assert "sample rate 16000, the manifest 8000" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "classify-train"])
     @pytest.mark.parametrize("flags,message", [

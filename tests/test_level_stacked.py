@@ -4,8 +4,9 @@ they replaced.
 The oracle below is the earlier `forward_trace`, `loss_terms` and
 `backward_full`: one bank derivation, one gate call and one gate backward
 per level, the gate in sigmoid form with an exact-identity branch for zero
-thresholds. The level ops (`analysis_step`, `synthesis_step`, `kernel_grad`)
-are shared, and have oracles of their own in test_wavelet.py.
+thresholds. The level ops (`analysis_step`, `synthesis_step`, with the
+kernel gradients they return) are shared, and have oracles of their own in
+test_wavelet.py.
 
 What moved, and by how much (float64 epsilon eps = 2.2e-16):
 
@@ -55,7 +56,6 @@ from wavelearn.wavelet import (
     analysis_cascade,
     analysis_step,
     cascade_input,
-    kernel_grad,
     max_depth,
     synthesis_cascade,
     synthesis_step,
@@ -131,7 +131,6 @@ def oracle_backward(signal, model, gamma):
     details, approx = trace["details"], trace["approx"]
     m_coeff = sum(d.shape[-1] for d in details) + approx.shape[-1]
     scheme = model.mode.scheme
-    k = model.kernel_size
     grads = {name: np.zeros(signal.shape[:-1] + model.params[name].shape)
              for name in model.trainable_names()}
     synth_grads = [None] * model.levels
@@ -139,10 +138,9 @@ def oracle_backward(signal, model, gamma):
     g_x = -residual_sign(signal, trace["recon_chain"][0], model.levels) / signal.shape[-1]
     grad_d = []
     for l in range(model.levels):
-        gy, g_x, g_d = analysis_step(g_x, trace["banks"][l].adjoint())
-        if scheme.kinds:
-            upstream = np.stack((trace["recon_chain"][l + 1], details[l]), axis=-2)
-            synth_grads[l] = kernel_grad(upstream, gy, k)[..., ::-1]
+        upstream = (trace["recon_chain"][l + 1], details[l])
+        _, g_x, g_d, grad = analysis_step(g_x, trace["banks"][l].adjoint(), upstream)
+        synth_grads[l] = grad[..., ::-1]
         grad_d.append(gamma / m_coeff * np.sign(details[l]) + g_d)
     g_a = g_x + gamma / m_coeff * np.sign(approx)
     for l in range(model.levels - 1, -1, -1):
@@ -154,12 +152,9 @@ def oracle_backward(signal, model, gamma):
             grads["b_minus"][..., l] = np.sum(grad_d[l] * dy_dbm, axis=-1)
         else:
             g_dpre = grad_d[l]
-        if scheme.kinds:
-            bank_grads[l] = FilterBank(
-                kernel_grad(np.stack((g_a, g_dpre), axis=-2), trace["padded_inputs"][l], k),
-                synth_grads[l])
-        g_a = synthesis_step(g_a, g_dpre, trace["pre_lengths"][l],
-                             trace["banks"][l].adjoint())
+        g_a, grad = synthesis_step(g_a, g_dpre, trace["pre_lengths"][l],
+                                   trace["banks"][l].adjoint(), trace["padded_inputs"][l])
+        bank_grads[l] = FilterBank(grad, synth_grads[l])
     for l, bank_grad in enumerate(bank_grads):
         for name, grad in zip(scheme.names(l), scheme.fold(bank_grad)):
             grads[name] += grad

@@ -248,6 +248,21 @@ class TestManifest:
         with pytest.raises(ConfigError):
             manifest.validate()
 
+    @pytest.mark.parametrize("rate", [0, -1, 2 ** 32])
+    def test_rate_outside_a_wav_header_rejected(self, tmp_path, rate):
+        manifest = self._manifest(tmp_path)
+        manifest.sample_rate = rate
+        with pytest.raises(ConfigError, match="sample rate"):
+            manifest.validate()
+
+    def test_file_at_another_rate_rejected(self, tmp_path):
+        # a 32 kHz file under a 16 kHz manifest would be windowed as if it
+        # were at 16 kHz
+        manifest = self._manifest(tmp_path)
+        write_wav(tmp_path / "w1.wav", np.zeros(64), 32000)
+        with pytest.raises(FormatError, match="w1.wav has sample rate 32000, the manifest 16"):
+            load_windows(manifest, split="all")
+
     @pytest.mark.parametrize("key,value", [
         ("sample_rate", None), ("sample_rate", "16000"),
         ("window_size", None), ("window_size", 32.5),

@@ -17,7 +17,6 @@ from wavelearn.network import (
 from wavelearn import training
 from wavelearn.wavelet import (
     FilterBank,
-    kernel_grad,
     max_depth,
     strided_corr,
     upsample_conv,
@@ -147,7 +146,8 @@ def _backward_written_out(signal, model, gamma):
     """`backward_full` with each level's transpose spelled out: going down, a
     zero pad and one strided correlation with the stacked reversed synthesis
     kernels; coming back, one upsampling convolution of both channels with
-    the stacked analysis kernels and a truncation to the pre-pad length."""
+    the stacked analysis kernels and a truncation to the pre-pad length.
+    Each of those calls also gives the level's kernel gradient."""
     trace = forward_trace(model, signal)
     total, recon, sparsity = loss(trace, signal, gamma)
     scale = gamma / (trace.details.size + trace.approx.size)
@@ -161,10 +161,10 @@ def _backward_written_out(signal, model, gamma):
         v = trace.recon_chain[l + 1]
         gy = np.zeros(2 * v.size)
         gy[: trace.pre_lengths[l]] = g_x
+        (g_x, g), grad = strided_corr(gy, np.stack((bank.h_bar[::-1], bank.g_bar[::-1])),
+                                      (v, details[l]))
         if scheme.kinds:
-            k = bank.h.size
-            synth_grads.append(kernel_grad(np.stack((v, details[l])), gy, k)[:, ::-1])
-        g_x, g = strided_corr(gy, np.stack((bank.h_bar[::-1], bank.g_bar[::-1])))
+            synth_grads.append(grad[:, ::-1])
         g_d.append(g)
     g_details = scale * np.sign(trace.details) + np.concatenate(g_d)
     grads = {}
@@ -180,10 +180,8 @@ def _backward_written_out(signal, model, gamma):
         bank = trace.banks[l]
         g_dpre = trace.levels(g_pre)[l]
         x_pad = trace.padded_inputs[l]
-        if scheme.kinds:
-            k = bank.h.size
-            analysis_grads[l] = kernel_grad(np.stack((g_a, g_dpre)), x_pad, k)
-        g_pad = upsample_conv((g_a, g_dpre), np.stack((bank.h, bank.g)))
+        g_pad, analysis_grads[l] = upsample_conv((g_a, g_dpre), np.stack((bank.h, bank.g)),
+                                                 x_pad)
         g_a = g_pad[: trace.pre_lengths[l]]
     if scheme.kinds:
         folded = scheme.fold(FilterBank(np.stack(analysis_grads), np.stack(synth_grads)))

@@ -440,13 +440,88 @@ class TestStridedCorr:
              np.asfortranarray(rng.normal(size=(3, half))),
              np.asfortranarray(rng.normal(size=(3, half)))),
         ]
-        for block, approx, detail in cases:
-            copies = [np.ascontiguousarray(v) for v in (block, approx, detail)]
+        # the other operand of the kernel gradients the backward pass asks
+        # the level ops for: an upstream pair and a padded signal
+        up, padded = rng.normal(size=(2, half)), rng.normal(size=2 * half)
+        cases = [case + extra for case, extra in zip(cases, [
+            (*(np.broadcast_to(u, (3, half)) for u in up),
+             np.broadcast_to(padded, (3, 2 * half))),
+            tuple(np.asfortranarray(rng.normal(size=(3, m))) for m in (half, half, 2 * half)),
+        ])]
+        for block, approx, detail, up_a, up_d, x in cases:
+            copies = [np.ascontiguousarray(v) for v in (block, approx, detail, up_a, up_d, x)]
             for got, want in zip(analysis_step(block, bank), analysis_step(copies[0], bank)):
                 assert got.tobytes() == want.tobytes()
             got = synthesis_step(approx, detail, n, bank.adjoint())
             want = synthesis_step(copies[1], copies[2], n, bank.adjoint())
             assert got.tobytes() == want.tobytes()
+            for got, want in zip(analysis_step(block, bank, (up_a, up_d)),
+                                 analysis_step(copies[0], bank, copies[3:5])):
+                assert got.tobytes() == want.tobytes()
+            for got, want in zip(synthesis_step(approx, detail, n, bank.adjoint(), x),
+                                 synthesis_step(copies[1], copies[2], n, bank.adjoint(),
+                                                copies[5])):
+                assert got.tobytes() == want.tobytes()
+
+
+def grad_sum(u, x, taps):
+    """grad[..., c, n] = sum_k u[..., c, k] * x[..., (2k + n) mod N] for n
+    in [0, taps), written out as a loop over k in index order: the kernel
+    gradient `strided_corr` and `upsample_conv` compute as one matmul."""
+    n = x.shape[-1]
+    out = 0.0
+    for k in range(u.shape[-1]):
+        out = out + u[..., k, None] * x[..., None, (2 * k + np.arange(taps)) % n]
+    return out
+
+
+class TestKernelGradient:
+    """Given the other operand, `strided_corr` (the upstream) and
+    `upsample_conv` (the signal) also return the kernel gradient, the
+    written-out sum, as one matmul on the window copy each makes for its
+    own output, so its sums run in another order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 4), half=st.one_of(st.integers(1, 16), st.integers(1, 2048)),
+           taps=st.sampled_from([2, 4, 6, 8, 10, 16, 32]),
+           layout=st.sampled_from(["window", "block", "column_major"]),
+           per_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equal_to_written_out_sum_within_rounding(self, rows, half, taps, layout,
+                                                      per_row, seed):
+        # half < K/2 gives kernels longer than the signal, which wrap
+        rng = np.random.default_rng(seed)
+        lead = () if layout == "window" else (rows,)
+        x = rng.normal(size=(*lead, 2 * half))
+        u = rng.normal(size=(*lead, 2, half))
+        if layout == "column_major":
+            x, u = np.asfortranarray(x), np.asfortranarray(u)
+        f = rng.normal(size=(*lead, 2, taps) if per_row else (2, taps))
+        want = grad_sum(u, x, taps)
+        # each entry sums N/2 products either way (not K: the sum runs over
+        # the samples), so the two differ by at most (N/2) eps of the exact
+        # sum of absolute terms
+        bound = half * np.finfo(float).eps * grad_sum(np.abs(u), np.abs(x), taps)
+        pair = (u[..., 0, :], u[..., 1, :])
+        out, corr_grad = strided_corr(x, f, pair)
+        assert out.tobytes() == strided_corr(x, f).tobytes()
+        out, conv_grad = upsample_conv(pair, f, x)
+        assert out.tobytes() == upsample_conv(pair, f).tobytes()
+        for got in (corr_grad, conv_grad):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_kernel_longer_than_signal_wraps(self):
+        # 10 taps over 4 samples: entry n reads x[(2k + n) mod 4]
+        x = np.array([1.0, -2.0, 0.5, 3.0])
+        u = np.array([[1.5, -2.0], [0.5, 3.0]])
+        expect = np.zeros((2, 10))
+        for c in range(2):
+            for k in range(2):
+                for n in range(10):
+                    expect[c, n] += u[c, k] * x[(2 * k + n) % 4]
+        f = np.ones((2, 10))
+        for got in (strided_corr(x, f, tuple(u))[1], upsample_conv(tuple(u), f, x)[1]):
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
 
 class TestOneBankPerRow:
