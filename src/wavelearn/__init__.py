@@ -6,7 +6,6 @@ from .wavelet import (
     DB4_SCALING,
     HAAR_SCALING,
     cqf_from_scaling,
-    cqf_partial,
     db4_filterbank,
     max_depth,
 )

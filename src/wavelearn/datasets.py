@@ -69,13 +69,13 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
-def _typed(doc, key: str, kind: type):
-    """doc[key] if it has type `kind` (booleans are not integers here)."""
+def _typed(doc, key: str, *kinds: type):
+    """doc[key] if it has one of the types `kinds`, a missing key reading as
+    None (booleans are not integers here)."""
     value = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise FormatError(
-            f"manifest field {key!r} must be of type {kind.__name__}, got {value!r}"
-        )
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise FormatError(f"manifest field {key!r} must be of type "
+                          f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
     return value
 
 
@@ -87,8 +87,9 @@ def load_manifest(path) -> DatasetManifest:
         window_size=_typed(doc, "window_size", int),
         decimate=_typed(doc, "decimate", int) if "decimate" in doc else 1,
         entries=[
-            ManifestEntry(path=_typed(e, "path", str), label=e.get("label"),
-                          split=e.get("split", "train"))
+            ManifestEntry(path=_typed(e, "path", str),
+                          label=_typed(e, "label", str, type(None)),
+                          split=_typed(e, "split", str) if "split" in e else "train")
             for e in _typed(doc, "entries", list)
         ],
         base_dir=path.parent,

@@ -1,6 +1,6 @@
 """Learnable wavelet cascade model.
 
-A model owns per-level kernels and a pair of soft hard-threshold biases per
+A model owns its filter kernels and a pair of soft hard-threshold biases per
 level. The forward pass is a cascade encoder (strided correlations, details
 gated by the threshold activation) followed by the mirror decoder fed
 through skip connections.
@@ -13,14 +13,16 @@ t = tanh(a/2 (x - b+)) and u = tanh(a/2 (x + b-)), which it returns with its
 output; the forward trace keeps them, so the backward pass forms the gate's
 partials from them, again in one call over the pyramid.
 
-The sharing modes differ only in their kernel scheme: which kernels of a
-level train, and how the level's filter bank follows from them. The table
+The sharing modes differ only in their kernel scheme: which kernels train,
+and how each level's filter bank follows from them. The table
 `KERNEL_SCHEMES` is the one place those relations live; construction, the
 forward pass, the gradient and persistence read it and never branch on the
-mode. `WaveletNet.banks` derives every level's bank in one call of the
-scheme, from the kernels stacked along a leading level axis (a scheme with
-one set of kernels for every level derives its one bank), and the backward
-pass folds the level-stacked bank gradient back in one call.
+mode. A model keeps its kernels as one level-stacked array,
+``params["kernels"]``, whose level axis has length 1 when the scheme shares
+one set across levels (layout in `KernelScheme`). `WaveletNet.banks` derives
+every level's bank from it in one call of the scheme, level l's bank being
+a view into the result, and the backward pass folds the level-stacked bank
+gradient back onto that array in one call.
 
 The forward pass is row-stacked: a model's parameters may carry a leading
 row axis, C models of one structure stacked row by row, and then every bank
@@ -49,8 +51,6 @@ from .wavelet import (
     cascade_input,
     cqf_fold,
     cqf_from_scaling,
-    cqf_partial,
-    db4_filterbank,
     max_depth,
     synthesis_cascade,
 )
@@ -60,45 +60,46 @@ DEFAULT_SHARPNESS = 10.0
 
 @dataclass(frozen=True)
 class KernelScheme:
-    """How one level's filter bank follows from its trainable kernels, of
-    the `kinds` (``h``, ``g``, ``hb``, ``gb``; one set for all levels when
-    `shared`, so every level has one bank). `derive(*kernels)` builds the
-    bank, one per row for kernels with leading axes (levels, rows), and its
-    transpose `fold(bank_grad)` returns the kernels' gradients, both in
-    `kinds` order.
-    `kernel_size`, when set, pins the kernel length."""
+    """How a model's filter banks follow from its trainable kernels.
+
+    A model stores its kernels as one array, ``params["kernels"]``: one
+    kernel of each of the `kinds` (a prefix of ``h``, ``g``, ``hb``, ``gb``)
+    along its second-to-last axis, taps last, and one such set per level
+    before them: ``(L, len(kinds), K)``, or ``(1, len(kinds), K)`` when
+    `shared` (one set serves every level), with a leading row axis for a
+    row-stacked model. `derive(kernels)` maps that array to a bank with the
+    same leading axes (the fixed scheme's one db4 bank, with a level axis of
+    length 1, broadcasts against them), and its
+    transpose `fold(bank_grad)` maps a gradient on such a bank back to the
+    kernels' shape. `kernel_size`, when set, pins the kernel length."""
 
     kinds: tuple[str, ...]
-    derive: Callable[..., FilterBank]
-    fold: Callable[[FilterBank], tuple]
+    derive: Callable[[np.ndarray], FilterBank]
+    fold: Callable[[FilterBank], np.ndarray]
     shared: bool = False
     kernel_size: int | None = None
-
-    def names(self, level: int) -> list[str]:
-        """Parameter names of the kernels level `level` is derived from."""
-        suffix = "shared" if self.shared else str(level)
-        return [f"{kind}.{suffix}" for kind in self.kinds]
 
 
 # the lambdas look their functions up at call time, so a rebound module
 # name (a tracer's or a test's wrapper) is what the table calls
 KERNEL_SCHEMES = {
     "fixed": KernelScheme(
-        (), lambda: db4_filterbank(), lambda grad: (),
+        (), lambda k: cqf_from_scaling(DB4_SCALING[None]),
+        lambda grad: grad.analysis[..., :0, :],
         shared=True, kernel_size=DB4_SCALING.size),
     "shared_h": KernelScheme(
-        ("h",), lambda h: cqf_from_scaling(h), lambda grad: (cqf_fold(grad),),
-        shared=True),
+        ("h",), lambda k: cqf_from_scaling(k[..., 0, :]),
+        lambda grad: cqf_fold(grad)[..., None, :], shared=True),
     "per_level_h": KernelScheme(
-        ("h",), lambda h: cqf_from_scaling(h), lambda grad: (cqf_fold(grad),)),
+        ("h",), lambda k: cqf_from_scaling(k[..., 0, :]),
+        lambda grad: cqf_fold(grad)[..., None, :]),
+    # synthesis is the analysis pair reversed
     "per_level_hg": KernelScheme(
-        ("h", "g"), lambda h, g: cqf_partial(h, g),
-        lambda grad: (grad.h + grad.h_bar[..., ::-1], grad.g + grad.g_bar[..., ::-1])),
+        ("h", "g"), lambda k: FilterBank(as_kernel(k), k[..., ::-1]),
+        lambda grad: grad.analysis + grad.synthesis[..., ::-1]),
     "per_level_all": KernelScheme(
-        ("h", "g", "hb", "gb"),
-        lambda h, g, hb, gb: FilterBank(np.stack((as_kernel(h), as_kernel(g)), -2),
-                                        np.stack((as_kernel(hb), as_kernel(gb)), -2)),
-        lambda grad: (grad.h, grad.g, grad.h_bar, grad.g_bar)),
+        ("h", "g", "hb", "gb"), lambda k: FilterBank(as_kernel(k)[..., :2, :], k[..., 2:, :]),
+        lambda grad: np.concatenate((grad.analysis, grad.synthesis), -2)),
 }
 
 
@@ -210,13 +211,14 @@ def _init_scaling(k_n: int) -> np.ndarray:
 class WaveletNet:
     """Learnable cascade auto-encoder.
 
-    Parameters are stored in `params`, keyed per the mode's kernel scheme:
-    ``h.shared`` or ``h.<level>``, ``g.<level>``, ``hb.<level>``,
-    ``gb.<level>``, plus the threshold vectors ``b_plus`` / ``b_minus``
-    (length L, trainable only in HT modes). A fresh model starts at the db4
-    bank (or a padded Haar for short kernels) with zero thresholds, so its
-    forward pass is a plain fixed-filter transform. Row-stacked parameters
-    (module notes) give one bank and one threshold pair per row.
+    Parameters are stored in `params`: the mode's kernels as one array
+    ``kernels``, level by level (`KernelScheme`), and the threshold
+    vectors ``b_plus`` / ``b_minus`` (length L, trainable only in HT modes).
+    The flat parameter vector is the kernels in C order (level by level, kind
+    by kind within a level), then the thresholds. A fresh model starts at the
+    db4 bank (or a padded Haar for short kernels) with zero thresholds, so
+    its forward pass is a plain fixed-filter transform. Row-stacked
+    parameters (module notes) give one bank and one threshold pair per row.
     """
 
     def __init__(self, levels: int, kernel_size: int, mode: SharingMode,
@@ -234,22 +236,19 @@ class WaveletNet:
         self.sharpness = float(sharpness)
 
         bank0 = cqf_from_scaling(_init_scaling(self.kernel_size))
-        init = {"h": bank0.h, "g": bank0.g, "hb": bank0.h_bar, "gb": bank0.g_bar}
-        self.params: dict[str, np.ndarray] = {}
-        for l in range(levels):
-            for name in mode.scheme.names(l):
-                self.params.setdefault(name, init[name.split(".")[0]].copy())
+        # the kinds are a prefix of (h, g, hb, gb)
+        kernels = np.concatenate((bank0.analysis, bank0.synthesis))[:len(mode.scheme.kinds)]
         # thresholds always exist; they stay at zero unless the mode trains them
-        self.params["b_plus"] = np.zeros(levels)
-        self.params["b_minus"] = np.zeros(levels)
+        self.params: dict[str, np.ndarray] = {
+            "kernels": np.tile(kernels, (1 if mode.scheme.shared else levels, 1, 1)),
+            "b_plus": np.zeros(levels),
+            "b_minus": np.zeros(levels),
+        }
 
     # -- parameter plumbing --------------------------------------------------
 
     def trainable_names(self) -> list[str]:
-        names = [k for k in self.params if k not in ("b_plus", "b_minus")]
-        if self.mode.trains_thresholds:
-            names += ["b_plus", "b_minus"]
-        return names
+        return ["kernels", "b_plus", "b_minus"] if self.mode.trains_thresholds else ["kernels"]
 
     def parameter_count(self) -> int:
         return sum(self.params[name].size for name in self.trainable_names())
@@ -261,10 +260,9 @@ class WaveletNet:
         """The trainable entries of `tensors`, keyed like `params`, as one
         flat vector in `get_parameters` order (one per row when the tensors
         carry a leading row axis)."""
-        names = self.trainable_names()
-        if not names:
-            return np.zeros(0)
-        return np.concatenate([tensors[n] for n in names], axis=-1)
+        kernels = tensors["kernels"]
+        return np.concatenate([kernels.reshape(*kernels.shape[:-3], -1)]
+                              + [tensors[n] for n in self.trainable_names()[1:]], axis=-1)
 
     def set_parameters(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
@@ -275,26 +273,23 @@ class WaveletNet:
             )
         pos = 0
         for name in self.trainable_names():
+            shape = self.params[name].shape
             size = self.params[name].size
-            self.params[name] = flat[pos:pos + size].copy()
+            # a copy: the model never shares memory with the caller's vector
+            self.params[name] = flat[pos:pos + size].reshape(shape).copy()
             pos += size
 
     # -- derived structure ----------------------------------------------------
 
     def banks(self) -> list[FilterBank]:
-        """The filter bank of every level, derived from the trainables through
+        """The filter bank of every level, derived from the kernels through
         the mode's scheme in one call, so the constraint relations can never
-        drift: per-level kernels are stacked along a leading level axis and
-        each level's bank is a view into the stacked one. A shared scheme's
-        one bank serves every level."""
-        scheme = self.mode.scheme
-        if scheme.shared:
-            return [scheme.derive(*(self.params[n] for n in scheme.names(0)))] * self.levels
-        per_kind = zip(*(scheme.names(l) for l in range(self.levels)))
-        stacked = scheme.derive(*(np.stack([self.params[n] for n in names])
-                                  for names in per_kind))
-        return [FilterBank(stacked.analysis[l], stacked.synthesis[l])
-                for l in range(self.levels)]
+        drift. Level l's bank is a view into the level-stacked one; a shared
+        scheme's one bank serves every level."""
+        bank = self.mode.scheme.derive(self.params["kernels"])
+        views = [FilterBank(bank.analysis[..., l, :, :], bank.synthesis[..., l, :, :])
+                 for l in range(bank.analysis.shape[-3])]
+        return views * self.levels if self.mode.scheme.shared else views
 
     def synthesis_gain_ratios(self) -> np.ndarray:
         """Per-level ||h_bar|| / ||h||; diverging ratios flag the known

@@ -4,10 +4,11 @@ and score tables as CSV.
 Floats go through Python's shortest-round-trip repr, so every load reproduces
 the saved values bit-exactly.
 
-A model document keys each kernel by its parameter name (``h.shared`` as
-``shared_h``; ``h``/``g``/``hb``/``gb`` of level l as ``h``/``g``/``h_bar``/
-``g_bar`` in ``level_params[l]``), so it never depends on the mode. The
-``seed`` key older versions wrote is ignored."""
+A model document stores each kernel of the model's kernel array under its
+own key: one set shared by every level as ``shared_h``, and level l's
+``h``/``g``/``hb``/``gb`` as ``h``/``g``/``h_bar``/``g_bar`` in
+``level_params[l]``, so the format never depends on the mode. The ``seed``
+key older versions wrote is ignored."""
 
 from __future__ import annotations
 
@@ -23,17 +24,17 @@ from .errors import ConfigError, FormatError
 from .network import DEFAULT_SHARPNESS, SharingMode, WaveletNet
 
 MODEL_FORMAT_VERSION = 1
-_KIND_KEYS = {"h": "h", "g": "g", "hb": "h_bar", "gb": "g_bar"}
+# the document key of each kernel kind, in `KernelScheme.kinds` order
+_KIND_KEYS = ("h", "g", "h_bar", "g_bar")
 
 
-def _kernel_slots(doc: dict, model: WaveletNet):
-    """(record, key, parameter name) of every kernel the model stores."""
-    for name in model.params:
-        kind, _, where = name.partition(".")
-        if where == "shared":
-            yield doc, f"shared_{kind}", name
-        elif where:
-            yield doc["level_params"][int(where)], _KIND_KEYS[kind], name
+def _kernel_slots(doc: dict, scheme, levels: int):
+    """(record, key, index into the kernel array) of every kernel a model of
+    `scheme` and depth `levels` stores."""
+    if scheme.shared:
+        return [(doc, f"shared_{kind}", (0, i)) for i, kind in enumerate(scheme.kinds)]
+    return [(doc["level_params"][l], _KIND_KEYS[i], (l, i))
+            for l in range(levels) for i in range(len(scheme.kinds))]
 
 
 def read_json(path):
@@ -81,8 +82,8 @@ def _model_doc(model: WaveletNet) -> dict:
             for l in range(model.levels)
         ],
     }
-    for record, key, name in _kernel_slots(doc, model):
-        record[key] = model.params[name].tolist()
+    for record, key, index in _kernel_slots(doc, model.mode.scheme, model.levels):
+        record[key] = model.params["kernels"][index].tolist()
     return doc
 
 
@@ -91,28 +92,33 @@ def _model_from_doc(doc: dict) -> WaveletNet:
         raise FormatError(
             f"unsupported model format version {doc.get('format_version')!r}"
         )
+    mode = SharingMode.from_name(_field(doc, "mode"))
+    levels = _field(doc, "levels", int)
+    kernel_size = _field(doc, "kernel_size", int)
+    # the depth and kernel size are checked against what the document holds
+    # before the model is built, so a bad one allocates nothing
+    records = _field(doc, "level_params")
+    if not isinstance(records, list) or len(records) != levels:
+        raise FormatError(
+            f"level_params must hold one record per level ({levels})"
+        )
+    slots = _kernel_slots(doc, mode.scheme, levels)
+    kernels = [_field(record, key, _floats) for record, key, _ in slots]
+    for (_, key, _), taps in zip(slots, kernels):
+        if taps.shape != (kernel_size,):
+            raise FormatError(f"kernel {key!r} must hold {kernel_size} finite taps")
     model = WaveletNet(
-        levels=_field(doc, "levels", int),
-        kernel_size=_field(doc, "kernel_size", int),
-        mode=SharingMode.from_name(_field(doc, "mode")),
+        levels=levels,
+        kernel_size=kernel_size,
+        mode=mode,
         gamma=_field(doc, "gamma", float),
         sharpness=_field(doc, "alpha", float) if "alpha" in doc else DEFAULT_SHARPNESS,
     )
-    records = _field(doc, "level_params")
-    if not isinstance(records, list) or len(records) != model.levels:
-        raise FormatError(
-            f"level_params must hold one record per level ({model.levels})"
-        )
     for l, record in enumerate(records):
         model.params["b_plus"][l] = _field(record, "b_plus", float)
         model.params["b_minus"][l] = _field(record, "b_minus", float)
-    for record, key, name in _kernel_slots(doc, model):
-        taps = _field(record, key, _floats)
-        if taps.shape != (model.kernel_size,):
-            raise FormatError(
-                f"kernel {key!r} of {name} must hold {model.kernel_size} finite taps"
-            )
-        model.params[name] = taps
+    for (_, _, index), taps in zip(slots, kernels):
+        model.params["kernels"][index] = taps
     return model
 
 

@@ -12,10 +12,10 @@ windows once going down and once coming back. Only the level ops run once
 per level: the details' gradients fill one pyramid laid out like
 `ForwardTrace.details`, whose sparsity signs, gate partials and threshold
 gradients take one pass each. The levels' bank gradients, stacked along a
-leading level axis, fold back onto the trainable kernels in one call of the
-mode's kernel scheme (`KERNEL_SCHEMES` in `network.py`); nothing here
-depends on which mode is trained. `finite_difference_grad` is the
-independent brute-force oracle used to verify all of it.
+level axis, fold back onto the model's kernel array in one call of the
+mode's kernel scheme (`KERNEL_SCHEMES` in `network.py`).
+`finite_difference_grad` is the independent brute-force oracle used to
+verify all of it.
 
 Where the cascade reconstructs perfectly (a fresh model does) the residual
 is rounding noise, and its sign would steer the gradient: one ulp on one
@@ -70,7 +70,6 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     total, recon, sparsity = loss(trace, signal, gamma)
     scale = gamma / (trace.details.shape[-1] + trace.approx.shape[-1])
 
-    scheme = model.mode.scheme
     details = trace.levels(trace.details)
     # gradients on each level's synthesis (decoder) and analysis kernels,
     # keeping the block's row axis until the rows are added
@@ -81,12 +80,9 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     # details[l]; the details' gradients fill one pyramid
     g_details = np.empty_like(trace.details)
     for l, g_d in enumerate(trace.levels(g_details)):
-        if scheme.kinds:
-            upstream = (trace.recon_chain[l + 1], details[l])
-            _, g_x, g_d[...], grad = analysis_step(g_x, trace.banks[l].adjoint(), upstream)
-            synth_grads.append(grad[..., ::-1])  # adjoint analysis = reversed synthesis
-        else:
-            _, g_x, g_d[...] = analysis_step(g_x, trace.banks[l].adjoint())
+        upstream = (trace.recon_chain[l + 1], details[l])
+        _, g_x, g_d[...], grad = analysis_step(g_x, trace.banks[l].adjoint(), upstream)
+        synth_grads.append(grad[..., ::-1])  # adjoint analysis = reversed synthesis
     # every detail's sparsity term, then the gate, over the whole pyramid
     # (in place: on a long window each fresh pyramid is a megabyte to fault in)
     g_details += scale * np.sign(trace.details)
@@ -102,25 +98,19 @@ def backward_full(signal, model: WaveletNet, gamma: float):
 
     # gradient on the approximation: decoder entry point plus sparsity
     g_a = g_x + scale * np.sign(trace.approx)
-    # encoder, deep to shallow
+    # encoder, deep to shallow; on the adjoint, synthesis applies the
+    # analysis stack itself
     pre = trace.levels(g_pre)
     for l in range(model.levels - 1, -1, -1):
-        level = (g_a, pre[l], trace.pre_lengths[l], trace.banks[l].adjoint())
-        if scheme.kinds:
-            # on the adjoint, synthesis applies the analysis stack itself
-            g_a, analysis_grads[l] = synthesis_step(*level, trace.padded_inputs[l])
-        else:
-            g_a = synthesis_step(*level)
+        g_a, analysis_grads[l] = synthesis_step(
+            g_a, pre[l], trace.pre_lengths[l], trace.banks[l].adjoint(),
+            trace.padded_inputs[l])
 
-    if scheme.kinds:
-        # fold the level-stacked bank gradient onto the kernels it was
-        # derived from; a shared kernel sums the levels' parts in level order
-        folded = scheme.fold(FilterBank(np.stack(analysis_grads), np.stack(synth_grads)))
-        if scheme.shared:
-            grads.update(zip(scheme.names(0), (grad.sum(0) for grad in folded)))
-        else:
-            for l in range(model.levels):
-                grads.update(zip(scheme.names(l), (grad[l] for grad in folded)))
+    # fold the level-stacked bank gradient onto the kernels it was derived
+    # from; a shared kernel sums the levels' parts in level order
+    scheme = model.mode.scheme
+    kernels = scheme.fold(FilterBank(np.stack(analysis_grads, -3), np.stack(synth_grads, -3)))
+    grads["kernels"] = kernels.sum(-3, keepdims=True) if scheme.shared else kernels
     flat = model.flatten(grads)
     # a block adds its rows' gradients in row order, as a loop over its
     # windows would, so training on blocks follows the per-window loop

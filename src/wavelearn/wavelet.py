@@ -116,19 +116,6 @@ def cqf_fold(grad: FilterBank) -> np.ndarray:
             - signs * grad.g_bar)
 
 
-def cqf_partial(h, g) -> FilterBank:
-    """Bank from independent low- and high-pass kernels, synthesis side tied
-    by reversal: h_bar[n] = h[K-1-n], g_bar[n] = g[K-1-n]."""
-    h = as_kernel(h)
-    g = as_kernel(g)
-    if h.shape != g.shape:
-        raise InvalidKernelError(
-            f"h and g must have the same shape, got {h.shape} and {g.shape}"
-        )
-    analysis = np.stack((h, g), -2)
-    return FilterBank(analysis, analysis[..., ::-1])
-
-
 def db4_filterbank() -> FilterBank:
     """CQF bank built from the 8-tap Daubechies-4 scaling filter."""
     return cqf_from_scaling(DB4_SCALING)

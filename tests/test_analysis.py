@@ -292,7 +292,9 @@ class TestDictionaryModel:
             c: WaveletNet(4, 8, SharingMode.SHARED_CQF_HT) for c in "ABC"}, gamma=1.0)
         monkeypatch.setattr(network, "cqf_from_scaling", counted)
         dict_classify(np.random.default_rng(15).normal(size=64), dictionary)
-        assert calls == [(3, 8)]  # one scaling kernel per class, stacked
+        # one scaling kernel per class, stacked on the shared scheme's
+        # length-1 level axis
+        assert calls == [(3, 1, 8)]
 
     def test_stack_follows_changed_parameters(self):
         dictionary = DictionaryModel(class_models={

@@ -192,6 +192,22 @@ class TestErrorPaths:
         assert code == 2
         assert "sample_rate" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key,value", [("label", {}), ("split", ["train"])],
+                             ids=["label_dict", "split_list"])
+    def test_ill_typed_manifest_entry_exits_2(self, key, value, detect_dir, tmp_path,
+                                              capsys):
+        # the entries keep pointing at the data, so only the bad field fails
+        doc = json.loads((detect_dir / "manifest.json").read_text())
+        for entry in doc["entries"]:
+            entry["path"] = str(detect_dir / entry["path"])
+        doc["entries"][0][key] = value
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        code, _, err = run(["classify-train", "--manifest", str(manifest), "--epochs",
+                            "1", "--out", str(tmp_path / "d.json")], capsys)
+        assert code == 2
+        assert f"{key!r} must be of type" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv,content", [
         (["reconstruct", "--model", "{bad}", "--input", "{wav}"],
          lambda d, t: _edited(_saved_model(t), lambda doc: doc["level_params"][0]
@@ -227,12 +243,17 @@ class TestErrorPaths:
         (["classify", "--dict", "{bad}", "--manifest", "{manifest}",
           "--out", "{out}"],
          lambda d, t: _edited(_saved_dictionary(t), _one_level_less)),
+        (["reconstruct", "--model", "{bad}", "--input", "{wav}"],
+         lambda d, t: _edited(_saved_model(t), lambda doc: doc.update(kernel_size=2 ** 62))),
+        (["reconstruct", "--model", "{bad}", "--input", "{wav}"],
+         lambda d, t: _edited(_saved_model(t), lambda doc: doc.update(levels=200_000))),
     ], ids=["model_kernel_not_numeric", "model_not_json", "elm_empty",
             "features_cell_not_numeric", "features_empty", "scores_empty",
             "score_not_numeric", "dictionary_empty", "manifest_decimate_not_int",
             "manifest_not_json", "manifest_rate_zero", "wav_block_align_below_frame",
             "wav_block_align_odd", "dictionary_no_classes",
-            "dictionary_one_class", "dictionary_mixed_levels"])
+            "dictionary_one_class", "dictionary_mixed_levels",
+            "model_kernel_size_huge", "model_levels_huge"])
     def test_malformed_input_exits_2(self, argv, content, detect_dir, tmp_path,
                                      capsys):
         bad = tmp_path / "bad"

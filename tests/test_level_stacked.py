@@ -88,8 +88,9 @@ def oracle_gate_derivatives(x, p, q, sharpness):
 
 
 def oracle_bank(model, level):
-    scheme = model.mode.scheme
-    return scheme.derive(*(model.params[n] for n in scheme.names(level)))
+    """Level `level`'s bank, derived from its own slice of the kernel array."""
+    bank = model.mode.scheme.derive(model.params["kernels"][..., level:level + 1, :, :])
+    return FilterBank(bank.analysis[..., 0, :, :], bank.synthesis[..., 0, :, :])
 
 
 def oracle_forward(model, signal):
@@ -156,8 +157,7 @@ def oracle_backward(signal, model, gamma):
                                    trace["banks"][l].adjoint(), trace["padded_inputs"][l])
         bank_grads[l] = FilterBank(grad, synth_grads[l])
     for l, bank_grad in enumerate(bank_grads):
-        for name, grad in zip(scheme.names(l), scheme.fold(bank_grad)):
-            grads[name] += grad
+        grads["kernels"][..., 0 if scheme.shared else l, :, :] += scheme.fold(bank_grad)
     flat = model.flatten(grads)
     return (total, recon, sparsity), sum(flat) if flat.ndim > 1 else flat
 

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from wavelearn import network, training, wavelet
-from wavelearn.errors import ConfigError, InvalidDepthError, InvalidSignalError
+from wavelearn.errors import (
+    ConfigError,
+    InvalidDepthError,
+    InvalidKernelError,
+    InvalidSignalError,
+)
 from wavelearn.network import (
     SharingMode,
     WaveletNet,
@@ -207,7 +212,7 @@ class TestBuildModel:
 
     def test_two_tap_model_is_haar(self):
         m = WaveletNet(3, 2, SharingMode.PER_LEVEL_CQF)
-        np.testing.assert_allclose(m.params["h.0"], [S, S], rtol=0, atol=0)
+        np.testing.assert_allclose(m.params["kernels"][0], [[S, S]], rtol=0, atol=0)
         x = np.random.default_rng(0).normal(size=16)
         rec = model_forward(x, m)
         np.testing.assert_allclose(rec.reconstruction, x, rtol=0, atol=1e-10)
@@ -253,6 +258,15 @@ class TestParameterCount:
             bumped = vec + 0.25
             model.set_parameters(bumped)
             assert np.array_equal(model.get_parameters(), bumped)
+
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_set_parameters_keeps_no_view_of_the_vector(self, mode):
+        model = WaveletNet(4, 8, mode)
+        vec = model.get_parameters() + 0.25
+        want = vec.copy()
+        model.set_parameters(vec)
+        vec += 1.0
+        assert np.array_equal(model.get_parameters(), want)
 
 
 class TestModelForward:
@@ -326,6 +340,14 @@ class TestModelForward:
             assert len(calls) == 1
             assert len(trace.banks) == 5
             assert len({id(bank) for bank in trace.banks}) == distinct_banks
+
+    @pytest.mark.parametrize("mode", [m for m in SharingMode if m.scheme.kinds],
+                             ids=lambda m: m.value)
+    def test_non_finite_kernel_rejected(self, mode):
+        model = WaveletNet(3, 4, mode)
+        model.params["kernels"][..., -1, -1] = np.nan
+        with pytest.raises(InvalidKernelError):
+            model_forward(np.ones(16), model)
 
     def test_depth_and_signal_validation(self):
         model = WaveletNet(8, 8, SharingMode.DB4_FIXED)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +352,19 @@ class TestModelPersistence:
         save_model(load_model(path), tmp_path / "new.json")
         resaved = json.loads((tmp_path / "new.json").read_text())
         assert resaved == {k: v for k, v in doc.items() if k != "seed"}
+
+
+    @pytest.mark.parametrize("mode", ["despawn2", "decwn"])
+    def test_committed_documents_load_and_resave_byte_for_byte(self, mode, tmp_path):
+        # written, with the parameter vector beside each, by the version that
+        # stored every kernel under its own string key
+        data = Path(__file__).parent / "data"
+        doc = data / f"model_{mode}_L3_K4.json"
+        model = load_model(doc)
+        vector = json.loads((data / f"model_{mode}_L3_K4.vector.json").read_text())
+        assert model.get_parameters().tolist() == vector
+        save_model(model, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == doc.read_bytes()
 
 
 class TestTablePersistence:

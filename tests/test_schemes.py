@@ -12,8 +12,8 @@ BANK_FIELDS = ("h", "g", "h_bar", "g_bar")
 # flat parameter layout of each mode: (per-level kernel kinds, one shared
 # set for all levels, thresholds trained); kinds interleave level by level
 LAYOUT = {
-    SharingMode.DB4_FIXED: ((), False, False),
-    SharingMode.DB4_FIXED_HT: ((), False, True),
+    SharingMode.DB4_FIXED: ((), True, False),
+    SharingMode.DB4_FIXED_HT: ((), True, True),
     SharingMode.SHARED_CQF: (("h",), True, False),
     SharingMode.SHARED_CQF_HT: (("h",), True, True),
     SharingMode.PER_LEVEL_CQF: (("h",), False, False),
@@ -26,37 +26,34 @@ modes = st.sampled_from(list(SharingMode))
 kernel_sizes = st.integers(1, 6).map(lambda half: 2 * half)
 
 
-def taps(size):
-    return arrays(np.float64, size, elements=st.floats(-4.0, 4.0))
-
-
-def expected_names(mode, levels):
-    kinds, shared, thresholds = LAYOUT[mode]
-    if shared:
-        names = [f"{kind}.shared" for kind in kinds]
-    else:
-        names = [f"{kind}.{l}" for l in range(levels) for kind in kinds]
-    return names + (["b_plus", "b_minus"] if thresholds else [])
+def taps(shape):
+    return arrays(np.float64, shape, elements=st.floats(-4.0, 4.0))
 
 
 @settings(max_examples=150, deadline=None)
-@given(mode=modes, size=kernel_sizes, data=st.data())
-def test_fold_is_the_transpose_of_derive(mode, size, data):
+@given(mode=modes, size=kernel_sizes, levels=st.sampled_from([None, 1, 3]),
+       data=st.data())
+def test_fold_is_the_transpose_of_derive(mode, size, levels, data):
     # derive is affine (constant for the fixed bank), so the identity is
-    # taken on derive(p) - derive(0), which is derive(p) for the others
+    # taken on derive(p) - derive(0), which is derive(p) for the others;
+    # `levels` None is one level's kernels, else a level-stacked array
     scheme = mode.scheme
     size = scheme.kernel_size or size
-    p = [data.draw(taps(size)) for _ in scheme.kinds]
-    d = [data.draw(taps(size)) for _ in BANK_FIELDS]
-    d_bank = FilterBank(np.stack(d[:2]), np.stack(d[2:]))
-    bank = scheme.derive(*p)
-    base = scheme.derive(*(np.zeros(size) for _ in scheme.kinds))
-    lhs = sum(np.dot(getattr(d_bank, f), getattr(bank, f) - getattr(base, f))
+    lead = () if levels is None else (levels,)
+    p = data.draw(taps((*lead, len(scheme.kinds), size)))
+    d = [data.draw(taps((*lead, 2, size))) for _ in range(2)]
+    d_bank = FilterBank(*d)
+    bank = scheme.derive(p)
+    base = scheme.derive(np.zeros_like(p))
+    # the fixed bank broadcasts to the level axis, hence the broadcast
+    lhs = sum(np.vdot(*np.broadcast_arrays(getattr(d_bank, f),
+                                           getattr(bank, f) - getattr(base, f)))
               for f in BANK_FIELDS)
     folded = scheme.fold(d_bank)
-    assert len(folded) == len(scheme.kinds)
-    rhs = sum(np.dot(grad, kernel) for grad, kernel in zip(folded, p))
-    assert abs(lhs - rhs) <= 1e-12
+    assert folded.shape == p.shape
+    rhs = sum(np.vdot(grad, kernel) for grad, kernel in zip(folded, p))
+    # one level's kernels to 1e-12, as many level sums as levels else
+    assert abs(lhs - rhs) <= 1e-12 * (levels or 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,18 +69,34 @@ def test_trace_keeps_the_banks_bank_for_level_derives(mode, size, levels, extra,
     assert len(trace.banks) == levels
     scheme = model.mode.scheme
     for level, bank in enumerate(trace.banks):
-        # the level's bank derived alone equals its view of the stacked one
-        again = scheme.derive(*(model.params[n] for n in scheme.names(level)))
+        # the level's bank derived from its own slice of the kernel array
+        # (the one set of a shared scheme) equals its view of the stacked one
+        own = 0 if scheme.shared else level
+        again = scheme.derive(model.params["kernels"][..., own:own + 1, :, :])
         for f in BANK_FIELDS:
-            assert np.array_equal(getattr(bank, f), getattr(again, f))
+            assert np.array_equal(getattr(bank, f), getattr(again, f)[..., 0, :])
 
 
 @settings(max_examples=60, deadline=None)
 @given(mode=modes, size=kernel_sizes, levels=st.integers(1, 12))
 def test_trainable_names_keep_the_interleaved_layout(mode, size, levels):
     model = WaveletNet(levels, size, mode)
-    assert model.trainable_names() == expected_names(mode, levels)
-    kernel = model.kernel_size
     kinds, shared, thresholds = LAYOUT[mode]
-    assert model.parameter_count() == (
-        len(kinds) * kernel * (1 if shared else levels) + 2 * levels * thresholds)
+    assert (model.mode.scheme.kinds, model.mode.scheme.shared) == (kinds, shared)
+    assert model.trainable_names() == ["kernels"] + ["b_plus", "b_minus"] * thresholds
+    kernel = model.kernel_size
+    count = len(kinds) * kernel * (1 if shared else levels) + 2 * levels * thresholds
+    assert model.parameter_count() == count
+    sets = 1 if shared else levels
+    assert model.params["kernels"].shape == (sets, len(kinds), kernel)
+    # the flat order: level by level (one set when shared), kind by kind
+    # within a level, tap by tap, then b_plus and b_minus level by level
+    model.set_parameters(np.arange(float(count)))
+    kernels = model.params["kernels"]
+    flat = [kernels[l, i, n] for l in range(sets)
+            for i in range(len(kinds)) for n in range(kernel)]
+    if thresholds:
+        flat += [model.params[name][l] for name in ("b_plus", "b_minus")
+                 for l in range(levels)]
+    assert flat == list(range(count))
+    assert np.array_equal(model.get_parameters(), np.arange(count))

@@ -163,8 +163,7 @@ def _backward_written_out(signal, model, gamma):
         gy[: trace.pre_lengths[l]] = g_x
         (g_x, g), grad = strided_corr(gy, np.stack((bank.h_bar[::-1], bank.g_bar[::-1])),
                                       (v, details[l]))
-        if scheme.kinds:
-            synth_grads.append(grad[:, ::-1])
+        synth_grads.append(grad[:, ::-1])
         g_d.append(g)
     g_details = scale * np.sign(trace.details) + np.concatenate(g_d)
     grads = {}
@@ -183,12 +182,8 @@ def _backward_written_out(signal, model, gamma):
         g_pad, analysis_grads[l] = upsample_conv((g_a, g_dpre), np.stack((bank.h, bank.g)),
                                                  x_pad)
         g_a = g_pad[: trace.pre_lengths[l]]
-    if scheme.kinds:
-        folded = scheme.fold(FilterBank(np.stack(analysis_grads), np.stack(synth_grads)))
-        for kind, grad in zip(scheme.kinds, folded):
-            for l in range(model.levels):
-                name = f"{kind}.shared" if scheme.shared else f"{kind}.{l}"
-                grads[name] = grad.sum(0) if scheme.shared else grad[l]
+    kernels = scheme.fold(FilterBank(np.stack(analysis_grads), np.stack(synth_grads)))
+    grads["kernels"] = kernels.sum(0, keepdims=True) if scheme.shared else kernels
     return (total, recon, sparsity), model.flatten(grads)
 
 

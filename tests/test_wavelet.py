@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavelearn.errors import InvalidDepthError, InvalidKernelError, InvalidSignalError
+from wavelearn.network import SharingMode
 from wavelearn.wavelet import (
     DB4_SCALING,
     HAAR_SCALING,
@@ -20,7 +21,6 @@ from wavelearn.wavelet import (
     analysis_step,
     cascade_input,
     cqf_from_scaling,
-    cqf_partial,
     db4_filterbank,
     max_depth,
     strided_corr,
@@ -30,6 +30,9 @@ from wavelearn.wavelet import (
 )
 
 S = math.sqrt(0.5)
+# a bank from independent low- and high-pass kernels [h, g], synthesis tied
+# by reversal: h_bar[n] = h[K-1-n], g_bar[n] = g[K-1-n]
+two_kernel_bank = SharingMode.PER_LEVEL_TWO_KERNEL_HT.scheme.derive
 
 # Daubechies-4 wavelet (high-pass) filter from the published table, in the
 # alternating-flip orientation g[n] = (-1)^n h[K-1-n].
@@ -76,12 +79,12 @@ class TestCqfConstruction:
 
     def test_partial_matches_full_construction(self):
         full = cqf_from_scaling(DB4_SCALING)
-        partial = cqf_partial(full.h, full.g)
+        partial = two_kernel_bank(np.stack((full.h, full.g)))
         for name in ("h", "g", "h_bar", "g_bar"):
             assert np.array_equal(getattr(partial, name), getattr(full, name))
 
     def test_partial_haar_by_hand(self):
-        bank = cqf_partial([S, S], [S, -S])
+        bank = two_kernel_bank(np.array([[S, S], [S, -S]]))
         assert np.array_equal(bank.h_bar, [S, S])
         assert np.array_equal(bank.g_bar, [-S, S])
 
@@ -92,8 +95,6 @@ class TestCqfConstruction:
             cqf_from_scaling([])
         with pytest.raises(InvalidKernelError):
             cqf_from_scaling([1.0, np.nan])
-        with pytest.raises(InvalidKernelError):
-            cqf_partial([S, S], [S, -S, 0.0, 0.0])  # length mismatch
 
 
 def decompose(x, bank, levels):
@@ -171,10 +172,10 @@ class TestSynthesizeLevel:
 class TestAdjointness:
     def test_analysis_synthesis_are_transposes(self):
         # holds for any bank whose synthesis kernels are reversed analysis
-        # kernels, which both constructors guarantee
+        # kernels, which the CQF and two-kernel schemes guarantee
         rng = np.random.default_rng(7)
         banks = [cqf_from_scaling(HAAR_SCALING), db4_filterbank()]
-        banks.append(cqf_partial(rng.normal(size=6), rng.normal(size=6)))
+        banks.append(two_kernel_bank(rng.normal(size=(2, 6))))
         for bank in banks:
             for n in (6, 16, 63, 128):
                 u = rng.normal(size=n)
@@ -536,9 +537,10 @@ class TestOneBankPerRow:
         rng = np.random.default_rng(seed)
         h = rng.normal(size=(rows, k))
         g = rng.normal(size=(rows, k))
-        bank = cqf_partial(h, g) if two_kernels else cqf_from_scaling(h)
-        lone = [cqf_partial(h[r], g[r]) if two_kernels else cqf_from_scaling(h[r])
-                for r in range(rows)]
+        bank = (two_kernel_bank(np.stack((h, g), -2)) if two_kernels
+                else cqf_from_scaling(h))
+        lone = [two_kernel_bank(np.stack((h[r], g[r]))) if two_kernels
+                else cqf_from_scaling(h[r]) for r in range(rows)]
         x = rng.normal(size=(rows, n))
         x[rng.random(x.shape) < 0.2] = 0.0
         a_pad, a, d = analysis_step(x, bank)
@@ -562,5 +564,3 @@ class TestOneBankPerRow:
     def test_odd_or_mismatched_row_kernels_rejected(self):
         with pytest.raises(InvalidKernelError):
             cqf_from_scaling(np.ones((2, 3)))
-        with pytest.raises(InvalidKernelError):
-            cqf_partial(np.ones((2, 4)), np.ones((3, 4)))
