@@ -191,10 +191,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> list[WindowRecord]
     rng = np.random.default_rng(seed)
     records: list[WindowRecord] = []
 
-    def emit(kind: str, label: str, split: str, index: int,
-             tone_class: str = "normal") -> None:
-        factor = SHIFT_FACTOR if kind == "shift" else 1.0
-        base = base_waveform(spec.window, tone_class, factor)
+    def emit(kind: str, label: str, split: str, index: int, base: np.ndarray) -> None:
         samples = base + rng.normal(0.0, spec.sigma, spec.window) \
             if spec.sigma > 0 else base.copy()
         if kind == "impulse":
@@ -207,21 +204,26 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> list[WindowRecord]
             split=split, samples=samples,
         ))
 
+    # each tonal component is built once and shared by its windows' draws
     if spec.task == "detect":
+        normal = base_waveform(spec.window)
         for i in range(spec.n_train):
-            emit("plain", "normal", "train", i)
+            emit("plain", "normal", "train", i, normal)
         for i in range(spec.n_test):
-            emit("plain", "normal", "test", i)
+            emit("plain", "normal", "test", i, normal)
         for i in range(spec.n_test):
-            emit("impulse", "normal", "test", i)
-        for i in range(spec.n_test):
-            emit("shift", "normal", "test", i)
+            emit("impulse", "normal", "test", i, normal)
+        if spec.n_test:
+            shifted = base_waveform(spec.window, shift_factor=SHIFT_FACTOR)
+            for i in range(spec.n_test):
+                emit("shift", "normal", "test", i, shifted)
     elif spec.task == "classify":
         for label in ("A", "B"):
+            base = base_waveform(spec.window, label)
             for i in range(spec.n_train):
-                emit("plain", label, "train", i, tone_class=label)
+                emit("plain", label, "train", i, base)
             for i in range(spec.n_test):
-                emit("plain", label, "test", i, tone_class=label)
+                emit("plain", label, "test", i, base)
     else:
         raise ConfigError(f"unknown synthetic task {spec.task!r}")
     return records

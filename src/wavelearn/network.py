@@ -271,6 +271,8 @@ class WaveletNet:
                 f"parameter vector has {flat.size} entries, "
                 f"model has {self.parameter_count()}"
             )
+        if not np.all(np.isfinite(flat)):
+            raise ConfigError("parameter vector holds non-finite entries")
         pos = 0
         for name in self.trainable_names():
             shape = self.params[name].shape

@@ -22,6 +22,15 @@ Conventions used throughout:
 * a kernel gradient, ``sum_k u[..., c, k] * x[..., (2k + n) mod N]``, is
   one more matmul on the copy a level op makes anyway: ``u`` times ``win``
   transposed, or in synthesis the copy times ``x`` as ``(N/2, 2)`` pairs;
+* the copy is K times the size of its input, so a level op makes it one
+  tile of `TILE` outputs per row at a time, small enough to stay in a
+  core's L2 cache while every matmul on it reads it; the tiles' outputs
+  join along the sample axis, and their kernel gradients add in tile order.
+  A window of up to ``2 * TILE`` samples is one tile. BLAS rounds each
+  output the same whatever its column's tile, as long as a tile's width is
+  a multiple of its kernels' column blocking, as the power of two `TILE`
+  is; a gradient of several tiles sums in another order than one of a
+  single tile does;
 * reversal of a finite kernel means ``h[-n] == h[K-1-n]``;
 * odd-length inputs are zero-padded by one sample before striding and the
   pre-pad length is recorded so inversion can truncate exactly;
@@ -124,6 +133,11 @@ def db4_filterbank() -> FilterBank:
 # ---------------------------------------------------------------------------
 # low-level strided periodic operators (shared with the gradient code)
 
+# outputs per row in one tile of a level op's tap-major copy (module notes):
+# with K = 8 taps one row's tile is a 512 KiB copy
+TILE = 8192
+
+
 def _periodic_ext(x: np.ndarray, after: int) -> np.ndarray:
     """x[..., i mod N] for i in [0, N + after): x extended periodically along
     its last axis (a pad longer than N wraps several times, as a kernel
@@ -134,63 +148,86 @@ def _periodic_ext(x: np.ndarray, after: int) -> np.ndarray:
     return x.take(np.arange(n + after) % n, -1)
 
 
-def _windows(x: np.ndarray, count: int, taps: int, hop: int):
-    """(..., count, taps) view with view[..., k, n] = x[..., (hop*k + n) mod
-    N], over `x` or a periodic extension of it; rows overlap, so it is only
-    read."""
-    # C order is what the strides below assume; a column-major block
-    # concatenates to another order
-    ext = np.ascontiguousarray(_periodic_ext(x, hop * (count - 1) + taps - x.shape[-1]))
+def _windows(ext: np.ndarray, start: int, count: int, taps: int, hop: int):
+    """(..., taps, count) tap-major view of a C-ordered `ext`, view[..., n, k]
+    = ext[..., start + hop*k + n]; columns overlap, so it is only read."""
     step = ext.itemsize
-    return np.ndarray((*ext.shape[:-1], count, taps), ext.dtype, ext,
-                      0, (*ext.strides[:-1], hop * step, step))
+    return np.ndarray((*ext.shape[:-1], taps, count), ext.dtype, ext, start * step,
+                      (*ext.strides[:-1], step, hop * step))
 
 
 def strided_corr(x: np.ndarray, f: np.ndarray, upstream=None):
     """out[..., c, k] = sum_n f[..., c, n] * x[..., (2k + n) mod N] for k in
-    [0, N/2): one BLAS matmul on a tap-major window copy (module notes) for a
-    (C, K) kernel stack, (..., C, N/2) out, or for a (B, C, K) stack, one per
-    row of a (B, N) block; a single (K,) kernel gives (..., N/2).  N even.
+    [0, N/2): BLAS matmuls on a tap-major window copy, one tile of `TILE`
+    outputs at a time (module notes), for a (C, K) kernel stack, (..., C, N/2)
+    out, or for a (B, C, K) stack, one per row of a (B, N) block; a single
+    (K,) kernel gives (..., N/2).  N even.
 
     Given `upstream`, one array per channel of a (..., C, K) stack's `out`,
     returns (out, grad), the gradient of <upstream, out> on f row by row:
-    grad[..., c, n] = sum_k upstream[c][..., k] * x[..., (2k + n) mod N]."""
+    grad[..., c, n] = sum_k upstream[c][..., k] * x[..., (2k + n) mod N],
+    summed over the tiles in tile order."""
+    taps, count = f.shape[-1], x.shape[-1] // 2
+    # C order is what `_windows` assumes; a column-major block concatenates
+    # to another order
+    ext = np.ascontiguousarray(_periodic_ext(x, taps - 2))
     # numpy's matmul reaches BLAS only through operands with a unit stride,
-    # so the windows, sample axis contiguous, and a reversed stack are copied
-    win = np.ascontiguousarray(_windows(x, x.shape[-1] // 2, f.shape[-1], 2).swapaxes(-1, -2))
-    out = np.ascontiguousarray(f) @ win
-    if upstream is None:
-        return out
-    return out, np.concatenate([u[..., None, :] @ win.swapaxes(-1, -2) for u in upstream], -2)
+    # so each tile's windows, sample axis contiguous, and a reversed stack
+    # are copied
+    f = np.ascontiguousarray(f)
+    outs, grad = [], None
+    for lo in range(0, count, TILE):
+        win = np.ascontiguousarray(_windows(ext, 2 * lo, min(TILE, count - lo), taps, 2))
+        outs.append(f @ win)
+        if upstream is not None:
+            part = np.concatenate([u[..., None, lo:lo + TILE] @ win.swapaxes(-1, -2)
+                                   for u in upstream], -2)
+            grad = part if grad is None else grad + part
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs, -1)
+    return out if upstream is None else (out, grad)
 
 
 def upsample_conv(v: tuple[np.ndarray, np.ndarray], f: np.ndarray, x=None):
     """out[..., m] = sum_c sum_k v[c][..., k] * f[..., c, (m - 2k) mod 2 half],
     the transpose of `strided_corr` with the same (..., 2, K) kernel stack,
-    for the channel pair v = (a, d), each (..., half): one BLAS matmul in
-    polyphase form (module notes), one per row for a (B, 2, K) stack. Kernel
-    indices wrap (fold) when the kernel is longer than the output.
+    for the channel pair v = (a, d), each (..., half): BLAS matmuls in
+    polyphase form, one tile of `TILE` output pairs at a time (module notes),
+    one per row for a (B, 2, K) stack. Kernel indices wrap (fold) when the
+    kernel is longer than the output.
 
     Given `x`, shaped like `out`, returns (out, grad), the gradient of
     <x, out> on f row by row: grad[..., c, n] = sum_k v[c][..., k] * x[...,
-    (2k + n) mod 2 half]."""
+    (2k + n) mod 2 half], summed over the tiles in tile order."""
     a, d = v
     half, taps = a.shape[-1], f.shape[-1] // 2
-    # ext[..., c, i] = v[c][..., (i - taps + 1) mod half], filled once
+    # ext[..., c, i] = v[c][..., (i - taps + 1) mod half], filled once; the
+    # wrap columns repeat the last taps - 1 samples, or gather them when the
+    # channels are shorter than that
     ext = np.empty((*a.shape[:-1], 2, half + taps - 1))
     ext[..., 0, taps - 1:], ext[..., 1, taps - 1:] = a, d
-    ext[..., :taps - 1] = ext[..., taps - 1:].take(np.arange(1 - taps, 0) % half, -1)
-    rows = _windows(ext, half, taps, 1).swapaxes(-1, -2)
-    rows = rows.reshape(*a.shape[:-1], 2 * taps, half)
+    if half >= taps - 1:
+        ext[..., :taps - 1] = ext[..., half:]
+    else:
+        ext[..., :taps - 1] = ext[..., taps - 1:].take(np.arange(1 - taps, 0) % half, -1)
     # poly[..., c*taps + s, p] = f[..., c, 2 (taps - 1 - s) + p]
-    poly = f.reshape(*f.shape[:-1], taps, 2)[..., ::-1, :]
-    out = rows.swapaxes(-1, -2) @ poly.reshape(*f.shape[:-2], 2 * taps, 2)
-    out = out.reshape(*out.shape[:-2], 2 * half)
+    poly = f.reshape(*f.shape[:-1], taps, 2)[..., ::-1, :].reshape(*f.shape[:-2], 2 * taps, 2)
+    pairs = None if x is None else x.reshape(*x.shape[:-1], half, 2)
+    outs, grad = [], None
+    for lo in range(0, half, TILE):
+        cols = min(TILE, half - lo)
+        # the reshape copies the tile's windows, sample axis contiguous
+        rows = _windows(ext, lo, cols, taps, 1).reshape(*ext.shape[:-2], 2 * taps, cols)
+        tile = rows.swapaxes(-1, -2) @ poly
+        outs.append(tile.reshape(*tile.shape[:-2], 2 * cols))
+        if x is not None:
+            # (rows @ pairs)[..., c*taps + s, p] = grad[..., c, 2 (taps - 1 - s) + p]
+            part = rows @ pairs[..., lo:lo + TILE, :]
+            grad = part if grad is None else grad + part
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs, -1)
     if x is None:
         return out
-    # (rows @ pairs)[..., c*taps + s, p] = grad[..., c, 2 (taps - 1 - s) + p]
-    grad = (rows @ x.reshape(*x.shape[:-1], half, 2)).reshape(*rows.shape[:-2], 2, taps, 2)
-    return out, grad[..., ::-1, :].reshape(*rows.shape[:-2], 2, 2 * taps)
+    grad = grad.reshape(*grad.shape[:-2], 2, taps, 2)
+    return out, grad[..., ::-1, :].reshape(*grad.shape[:-3], 2, 2 * taps)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,18 @@ class TestParameterCount:
             model.set_parameters(bumped)
             assert np.array_equal(model.get_parameters(), bumped)
 
+    @pytest.mark.parametrize("entry, bad", [(-1, np.nan), (0, np.inf)],
+                             ids=["nan_threshold", "inf_kernel"])
+    def test_set_parameters_rejects_non_finite_entries(self, entry, bad):
+        # the vector holds the kernels first and the thresholds last
+        model = WaveletNet(4, 8, SharingMode.PER_LEVEL_CQF_HT)
+        vec = model.get_parameters() + 0.25
+        want = model.get_parameters()
+        vec[entry] = bad
+        with pytest.raises(ConfigError):
+            model.set_parameters(vec)
+        assert np.array_equal(model.get_parameters(), want)
+
     @pytest.mark.parametrize("mode", list(SharingMode))
     def test_set_parameters_keeps_no_view_of_the_vector(self, mode):
         model = WaveletNet(4, 8, mode)

@@ -9,6 +9,9 @@ import pytest
 
 from wavelearn.audio import decimate, read_wav, window_split, write_wav
 from wavelearn.datasets import (
+    CLICK_AMP,
+    N_CLICKS,
+    SHIFT_FACTOR,
     DatasetManifest,
     ManifestEntry,
     SyntheticSpec,
@@ -190,6 +193,33 @@ class TestSynthetic:
         for rec in records:
             if rec.label == "normal":
                 assert np.array_equal(rec.samples, base)
+
+    @pytest.mark.parametrize("task", ["detect", "classify"])
+    @pytest.mark.parametrize("sigma", [0.1, 0.0])
+    def test_equal_to_a_per_window_build(self, task, sigma):
+        # the generator as a loop that builds every window's tonal part anew
+        spec = SyntheticSpec(task=task, window=64, sigma=sigma, n_train=4, n_test=3)
+        rng = np.random.default_rng(7)
+        want = []
+        # (kind, windows, tone class) in the generator's order
+        runs = ([("plain", spec.n_train, "normal")]
+                + [(kind, spec.n_test, "normal") for kind in ("plain", "impulse", "shift")]
+                if task == "detect" else
+                [("plain", n, label) for label in ("A", "B") for n in (spec.n_train, spec.n_test)])
+        for kind, n, tone_class in runs:
+            for _ in range(n):
+                base = base_waveform(spec.window, tone_class,
+                                     SHIFT_FACTOR if kind == "shift" else 1.0)
+                samples = base + rng.normal(0.0, sigma, spec.window) if sigma > 0 else base
+                if kind == "impulse":
+                    pos = rng.integers(0, spec.window, N_CLICKS)
+                    samples[pos] += rng.choice([-1.0, 1.0], N_CLICKS) * CLICK_AMP
+                want.append(samples)
+        got = generate_synthetic(spec, seed=7)
+        assert [r.samples.tobytes() for r in got] == [w.tobytes() for w in want]
+        # no two records share their samples
+        assert not any(np.shares_memory(a.samples, b.samples)
+                       for i, a in enumerate(got) for b in got[i + 1:])
 
     def test_labels_and_splits(self):
         spec = SyntheticSpec(n_train=4, n_test=2)

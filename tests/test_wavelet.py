@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavelearn import wavelet
 from wavelearn.errors import InvalidDepthError, InvalidKernelError, InvalidSignalError
-from wavelearn.network import SharingMode
+from wavelearn.network import SharingMode, WaveletNet
+from wavelearn.training import backward_full
 from wavelearn.wavelet import (
     DB4_SCALING,
     HAAR_SCALING,
@@ -523,6 +525,87 @@ class TestKernelGradient:
         f = np.ones((2, 10))
         for got in (strided_corr(x, f, tuple(u))[1], upsample_conv(tuple(u), f, x)[1]):
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
+def conv_sum(v, f):
+    """`roll_sum` of each row of a (..., 2, half) channel stack under its own
+    row of a (..., 2, K) kernel stack, or under one (2, K) stack."""
+    if v.ndim == 2:
+        return roll_sum(v, f)
+    return np.stack([conv_sum(v[r], f if f.ndim == 2 else f[r]) for r in range(len(v))])
+
+
+# (leading axes, outputs per row, taps, one kernel stack per row): one window,
+# blocks under one stack and under a stack per row, two-tap kernels, and
+# kernels longer than the input
+TILE_CASES = [((), 11, 8, False), ((3,), 13, 4, False), ((3,), 12, 8, True),
+              ((3,), 7, 2, False), ((2,), 3, 16, False), ((2,), 2, 32, True)]
+
+
+class TestTiles:
+    """A level op makes its window copy one tile of `TILE` outputs per row at
+    a time. With `TILE` patched small, short inputs span several tiles, the
+    last of them a remainder."""
+
+    @staticmethod
+    def operands(lead, half, taps, per_row):
+        rng = np.random.default_rng(half * taps + len(lead))
+        x = rng.normal(size=(*lead, 2 * half))
+        u = rng.normal(size=(*lead, 2, half))
+        f = rng.normal(size=(*lead, 2, taps) if per_row else (2, taps))
+        return x, u, f
+
+    @pytest.mark.parametrize("tile", [1, 3, 5])
+    @pytest.mark.parametrize("lead, half, taps, per_row", TILE_CASES)
+    def test_equal_to_written_out_sums_within_rounding(self, monkeypatch, tile, lead,
+                                                       half, taps, per_row):
+        # the bounds of the untiled tests: K products per output, N/2 per
+        # gradient entry, whatever the order of their sums
+        x, u, f = self.operands(lead, half, taps, per_row)
+        pair = (u[..., 0, :], u[..., 1, :])
+        eps = np.finfo(float).eps
+        monkeypatch.setattr(wavelet, "TILE", tile)
+        out, corr_grad = strided_corr(x, f, pair)
+        assert out.tobytes() == strided_corr(x, f).tobytes()
+        assert np.all(np.abs(out - corr_sum(x, f))
+                      <= taps * eps * corr_sum(np.abs(x), np.abs(f)))
+        out, conv_grad = upsample_conv(pair, f, x)
+        assert out.tobytes() == upsample_conv(pair, f).tobytes()
+        assert np.all(np.abs(out - conv_sum(u, f))
+                      <= taps * eps * conv_sum(np.abs(u), np.abs(f)))
+        want = grad_sum(u, x, taps)
+        for got in (corr_grad, conv_grad):
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= half * eps * grad_sum(np.abs(u), np.abs(x), taps))
+
+    @pytest.mark.parametrize("lead, per_row", [((), False), ((3,), False), ((3,), True)])
+    def test_aligned_tiles_keep_every_output_bit(self, monkeypatch, lead, per_row):
+        # 197 outputs per row are three tiles of 64 and a remainder of 5.
+        # BLAS rounds a column the same in any tile whose width is a multiple
+        # of its kernels' column blocking, a power of two, as is the default
+        # `TILE`; only the gradients add their tiles' partial sums
+        x, u, f = self.operands(lead, 197, 8, per_row)
+        pair = (u[..., 0, :], u[..., 1, :])
+        untiled = (strided_corr(x, f, pair), upsample_conv(pair, f, x))
+        monkeypatch.setattr(wavelet, "TILE", 64)
+        for (out, grad), (want_out, want_grad) in zip(
+                (strided_corr(x, f, pair), upsample_conv(pair, f, x)), untiled):
+            assert out.tobytes() == want_out.tobytes()
+            assert np.max(np.abs(grad - want_grad)) <= 1e-13 * np.max(np.abs(want_grad))
+
+    @pytest.mark.parametrize("mode", [m for m in SharingMode if m.scheme.kinds],
+                             ids=lambda m: m.value)
+    def test_backward_full_under_aligned_tiles(self, monkeypatch, mode):
+        rng = np.random.default_rng(4)
+        model = WaveletNet(12, 8, mode)
+        model.set_parameters(model.get_parameters()
+                             + rng.normal(0.0, 0.01, model.parameter_count()))
+        x = rng.normal(size=(2, 4096))
+        losses, grad = backward_full(x, model, 0.1)
+        monkeypatch.setattr(wavelet, "TILE", 64)
+        tiled_losses, tiled_grad = backward_full(x, model, 0.1)
+        assert np.array(tiled_losses).tobytes() == np.array(losses).tobytes()
+        assert np.max(np.abs(tiled_grad - grad)) <= 1e-13 * np.max(np.abs(grad))
 
 
 class TestOneBankPerRow:
