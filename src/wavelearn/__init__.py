@@ -2,11 +2,9 @@
 anomaly detection and classification of 1-D signals."""
 
 from .wavelet import (
-    FilterBank,
     DB4_SCALING,
     HAAR_SCALING,
     cqf_from_scaling,
-    db4_filterbank,
     max_depth,
 )
 from .network import (
@@ -23,7 +21,6 @@ from .training import (
     TrainConfig,
     TrainReport,
     adam_step,
-    finite_difference_grad,
     gradient_check,
     train,
 )

@@ -42,6 +42,8 @@ class LatentFeatures:
 
 def extract_features(signal, model: WaveletNet) -> LatentFeatures:
     signal = np.asarray(signal, dtype=float)
+    if signal.ndim != 1:
+        raise InvalidSignalError("extract_features takes one 1-D signal")
     record = model_forward(signal, model)
     residual = np.abs(signal - record.reconstruction)
     magnitude = np.abs(record.details)

@@ -50,15 +50,6 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def _entry_labels(manifest: datasets.DatasetManifest) -> dict[str, str | None]:
-    return {e.path: e.label for e in manifest.entries}
-
-
-def _window_label(window_id: str, labels: dict[str, str | None]) -> str | None:
-    path = window_id.rsplit(":", 1)[0]
-    return labels.get(path)
-
-
 def cmd_synth(args) -> int:
     out = Path(args.out)
     spec = datasets.SyntheticSpec(
@@ -149,10 +140,11 @@ def cmd_detect_score(args) -> int:
 
 def cmd_eval_auc(args) -> int:
     scored = persist.read_scores_csv(args.scores)
-    labels = _entry_labels(datasets.load_manifest(args.manifest))
+    labels = {e.path: e.label for e in datasets.load_manifest(args.manifest).entries}
     y, s = [], []
     for window_id, score in scored:
-        label = _window_label(window_id, labels)
+        # a window's id is its file's manifest path, a colon and its index
+        label = labels.get(window_id.rsplit(":", 1)[0])
         if label is None:
             raise ConfigError(f"no label for {window_id} in the manifest")
         y.append(0 if label == "normal" else 1)

@@ -43,7 +43,6 @@ import numpy as np
 
 from .errors import ConfigError, InvalidSignalError
 from .wavelet import (
-    FilterBank,
     DB4_SCALING,
     HAAR_SCALING,
     analysis_cascade,
@@ -67,15 +66,16 @@ class KernelScheme:
     along its second-to-last axis, taps last, and one such set per level
     before them: ``(L, len(kinds), K)``, or ``(1, len(kinds), K)`` when
     `shared` (one set serves every level), with a leading row axis for a
-    row-stacked model. `derive(kernels)` maps that array to a bank with the
-    same leading axes (the fixed scheme's one db4 bank, with a level axis of
-    length 1, broadcasts against them), and its
-    transpose `fold(bank_grad)` maps a gradient on such a bank back to the
-    kernels' shape. `kernel_size`, when set, pins the kernel length."""
+    row-stacked model. `derive(kernels)` maps that array to a
+    ``(..., 2, 2, K)`` bank (`wavelet` module notes), whose two stacks are
+    equal except in the free scheme, with the same leading axes (the fixed
+    scheme's one db4 bank, level axis of length 1, broadcasts against
+    them); its transpose `fold(bank_grad)` maps a gradient on such a bank
+    back to the kernels' shape. `kernel_size`, when set, pins the length."""
 
     kinds: tuple[str, ...]
-    derive: Callable[[np.ndarray], FilterBank]
-    fold: Callable[[FilterBank], np.ndarray]
+    derive: Callable[[np.ndarray], np.ndarray]
+    fold: Callable[[np.ndarray], np.ndarray]
     shared: bool = False
     kernel_size: int | None = None
 
@@ -85,7 +85,7 @@ class KernelScheme:
 KERNEL_SCHEMES = {
     "fixed": KernelScheme(
         (), lambda k: cqf_from_scaling(DB4_SCALING[None]),
-        lambda grad: grad.analysis[..., :0, :],
+        lambda grad: grad[..., 0, :0, :],
         shared=True, kernel_size=DB4_SCALING.size),
     "shared_h": KernelScheme(
         ("h",), lambda k: cqf_from_scaling(k[..., 0, :]),
@@ -93,13 +93,15 @@ KERNEL_SCHEMES = {
     "per_level_h": KernelScheme(
         ("h",), lambda k: cqf_from_scaling(k[..., 0, :]),
         lambda grad: cqf_fold(grad)[..., None, :]),
-    # synthesis is the analysis pair reversed
+    # synthesis is the analysis pair reversed: both stacks are [h, g]
     "per_level_hg": KernelScheme(
-        ("h", "g"), lambda k: FilterBank(as_kernel(k), k[..., ::-1]),
-        lambda grad: grad.analysis + grad.synthesis[..., ::-1]),
+        ("h", "g"), lambda k: np.stack([as_kernel(k)] * 2, -3),
+        lambda grad: grad[..., 0, :, :] + grad[..., 1, :, :]),
+    # the decoder stack is [hb, gb] index-reversed, and the fold reverses back
     "per_level_all": KernelScheme(
-        ("h", "g", "hb", "gb"), lambda k: FilterBank(as_kernel(k)[..., :2, :], k[..., 2:, :]),
-        lambda grad: np.concatenate((grad.analysis, grad.synthesis), -2)),
+        ("h", "g", "hb", "gb"),
+        lambda k: np.stack((as_kernel(k)[..., :2, :], k[..., 2:, ::-1]), -3),
+        lambda grad: np.concatenate((grad[..., 0, :, :], grad[..., 1, :, ::-1]), -2)),
 }
 
 
@@ -237,7 +239,7 @@ class WaveletNet:
 
         bank0 = cqf_from_scaling(_init_scaling(self.kernel_size))
         # the kinds are a prefix of (h, g, hb, gb)
-        kernels = np.concatenate((bank0.analysis, bank0.synthesis))[:len(mode.scheme.kinds)]
+        kernels = np.concatenate((bank0[0], bank0[1, :, ::-1]))[:len(mode.scheme.kinds)]
         # thresholds always exist; they stay at zero unless the mode trains them
         self.params: dict[str, np.ndarray] = {
             "kernels": np.tile(kernels, (1 if mode.scheme.shared else levels, 1, 1)),
@@ -283,20 +285,19 @@ class WaveletNet:
 
     # -- derived structure ----------------------------------------------------
 
-    def banks(self) -> list[FilterBank]:
-        """The filter bank of every level, derived from the kernels through
-        the mode's scheme in one call, so the constraint relations can never
-        drift. Level l's bank is a view into the level-stacked one; a shared
-        scheme's one bank serves every level."""
+    def banks(self) -> list[np.ndarray]:
+        """The ``(..., 2, 2, K)`` filter bank of every level, derived from
+        the kernels through the mode's scheme in one call, so the constraint
+        relations can never drift. Level l's bank is a view into the
+        level-stacked one; a shared scheme's one bank serves every level."""
         bank = self.mode.scheme.derive(self.params["kernels"])
-        views = [FilterBank(bank.analysis[..., l, :, :], bank.synthesis[..., l, :, :])
-                 for l in range(bank.analysis.shape[-3])]
+        views = [bank[..., l, :, :, :] for l in range(bank.shape[-4])]
         return views * self.levels if self.mode.scheme.shared else views
 
     def synthesis_gain_ratios(self) -> np.ndarray:
         """Per-level ||h_bar|| / ||h||; diverging ratios flag the known
         instability of fully unconstrained banks."""
-        return np.array([np.linalg.norm(bank.h_bar) / np.linalg.norm(bank.h)
+        return np.array([np.linalg.norm(bank[..., 1, 0, ::-1]) / np.linalg.norm(bank[..., 0, 0, :])
                          for bank in self.banks()])
 
 
@@ -309,7 +310,7 @@ class ForwardTrace:
     level 1 (the highest frequency) first; level l is
     ``[..., offsets[l]:offsets[l + 1]]``, and `levels` gives the views."""
 
-    banks: list[FilterBank]           # filter bank of each level (one object for a shared scheme)
+    banks: list[np.ndarray]           # (..., 2, 2, K) bank of each level (one object when shared)
     padded_inputs: list[np.ndarray]   # encoder input of each level, post-pad
     pre_lengths: list[int]            # encoder input length of each level, pre-pad
     offsets: list[int]                # where each level's details start in a pyramid, then M

@@ -208,7 +208,10 @@ def _read_table(path, min_columns: int) -> list[tuple[str, np.ndarray]]:
         try:
             if len(rec) != len(header):
                 raise ValueError(f"{len(rec)} cells under {len(header)} columns")
-            rows.append((rec[0], np.array([float(v) for v in rec[1:]])))
+            cells = np.array([float(v) for v in rec[1:]])
+            if not np.all(np.isfinite(cells)):
+                raise ValueError("non-finite cell")
+            rows.append((rec[0], cells))
         except ValueError as exc:
             raise FormatError(f"{path} line {line}: {exc}") from None
     return rows

@@ -5,17 +5,17 @@ respect to every trainable scalar, for one window or summed over a (B, N)
 block of them, by reverse traversal of the cascade: absolute-value terms
 contribute their sign (with sign(0) = 0), the gate its analytic partials
 (formed from the tanh terms the forward trace kept, so the gate is not
-evaluated twice), and each level's transpose is the other step on the
-adjoint bank (`wavelet.FilterBank.adjoint`), which also gives the level's
-kernel gradient from the window copy it makes anyway: a level copies its
-windows once going down and once coming back. Only the level ops run once
-per level: the details' gradients fill one pyramid laid out like
-`ForwardTrace.details`, whose sparsity signs, gate partials and threshold
-gradients take one pass each. The levels' bank gradients, stacked along a
-level axis, fold back onto the model's kernel array in one call of the
-mode's kernel scheme (`KERNEL_SCHEMES` in `network.py`).
-`finite_difference_grad` is the independent brute-force oracle used to
-verify all of it.
+evaluated twice), and each level's transpose is the other level op on the
+same kernel stack (`wavelet` module notes): analysis on the decoder stack,
+synthesis on the encoder stack. Each also gives the level's kernel gradient
+from the window copy it makes anyway: a level copies its windows once going
+down and once coming back. Only the level ops run once per level: the
+details' gradients fill one pyramid laid out like `ForwardTrace.details`,
+whose sparsity signs, gate partials and threshold gradients take one pass
+each. The levels' bank gradients, stacked into one ``(..., L, 2, 2, K)``
+array, fold back onto the model's kernel array in one call of the mode's
+kernel scheme (`KERNEL_SCHEMES` in `network.py`). `kink_free_difference`
+is the independent brute-force oracle used to verify all of it.
 
 Where the cascade reconstructs perfectly (a fresh model does) the residual
 is rounding noise, and its sign would steer the gradient: one ulp on one
@@ -46,7 +46,7 @@ from .network import (
     ht_gate_derivatives,
     loss,
 )
-from .wavelet import FilterBank, analysis_step, synthesis_step
+from .wavelet import analysis_step, synthesis_step
 
 # most samples `train` passes to one `backward_full` call
 BLOCK_SAMPLES = 2 ** 16
@@ -71,9 +71,9 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     scale = gamma / (trace.details.shape[-1] + trace.approx.shape[-1])
 
     details = trace.levels(trace.details)
-    # gradients on each level's synthesis (decoder) and analysis kernels,
-    # keeping the block's row axis until the rows are added
-    synth_grads, analysis_grads = [], [None] * model.levels
+    # gradients on each level's decoder and encoder stacks, keeping the
+    # block's row axis until the rows are added
+    dec_grads, enc_grads = [], [None] * model.levels
 
     g_x = -residual_sign(signal, trace.reconstruction, model.levels) / signal.shape[-1]
     # decoder, shallow to deep: chain[l] was built from chain[l+1] and
@@ -81,8 +81,8 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     g_details = np.empty_like(trace.details)
     for l, g_d in enumerate(trace.levels(g_details)):
         upstream = (trace.recon_chain[l + 1], details[l])
-        _, g_x, g_d[...], grad = analysis_step(g_x, trace.banks[l].adjoint(), upstream)
-        synth_grads.append(grad[..., ::-1])  # adjoint analysis = reversed synthesis
+        _, g_x, g_d[...], grad = analysis_step(g_x, trace.banks[l][..., 1, :, :], upstream)
+        dec_grads.append(grad)
     # every detail's sparsity term, then the gate, over the whole pyramid
     # (in place: on a long window each fresh pyramid is a megabyte to fault in)
     g_details += scale * np.sign(trace.details)
@@ -98,18 +98,17 @@ def backward_full(signal, model: WaveletNet, gamma: float):
 
     # gradient on the approximation: decoder entry point plus sparsity
     g_a = g_x + scale * np.sign(trace.approx)
-    # encoder, deep to shallow; on the adjoint, synthesis applies the
-    # analysis stack itself
+    # encoder, deep to shallow
     pre = trace.levels(g_pre)
     for l in range(model.levels - 1, -1, -1):
-        g_a, analysis_grads[l] = synthesis_step(
-            g_a, pre[l], trace.pre_lengths[l], trace.banks[l].adjoint(),
+        g_a, enc_grads[l] = synthesis_step(
+            g_a, pre[l], trace.pre_lengths[l], trace.banks[l][..., 0, :, :],
             trace.padded_inputs[l])
 
     # fold the level-stacked bank gradient onto the kernels it was derived
     # from; a shared kernel sums the levels' parts in level order
     scheme = model.mode.scheme
-    kernels = scheme.fold(FilterBank(np.stack(analysis_grads, -3), np.stack(synth_grads, -3)))
+    kernels = scheme.fold(np.stack((np.stack(enc_grads, -3), np.stack(dec_grads, -3)), -3))
     grads["kernels"] = kernels.sum(-3, keepdims=True) if scheme.shared else kernels
     flat = model.flatten(grads)
     # a block adds its rows' gradients in row order, as a loop over its
@@ -142,20 +141,13 @@ def _bumped_losses(signal, model: WaveletNet, gamma: float, param_index: int,
     return values, straddles
 
 
-def finite_difference_grad(signal, model: WaveletNet, gamma: float,
-                           param_index: int, step: float) -> float:
-    """Central difference of the total loss along one trainable scalar;
-    the brute-force oracle for `backward_full`."""
-    values, _ = _bumped_losses(signal, model, gamma, param_index, step)
-    return (values[0] - values[1]) / (2.0 * step)
-
-
 def kink_free_difference(signal, model: WaveletNet, gamma: float,
                          param_index: int, steps) -> float | None:
-    """`finite_difference_grad` at the first of the decreasing `steps` across
-    which no |.| term of the loss changes sign, or None when every step
-    straddles one: the scalar is at a kink, where the difference mixes the
-    slopes of both sides and no subgradient has to match it."""
+    """Central difference of the total loss along one trainable scalar, the
+    brute-force oracle for `backward_full`, at the first of the decreasing
+    `steps` across which no |.| term of the loss changes sign, or None when
+    every step straddles one: the scalar is at a kink, where the difference
+    mixes the slopes of both sides and no subgradient has to match it."""
     for step in steps:
         values, straddles = _bumped_losses(signal, model, gamma, param_index, step)
         if not straddles:

@@ -5,17 +5,19 @@ Conventions used throughout:
 
 * samples lie on the last axis: one window is ``(N,)``, a block of B
   equal-length windows ``(B, N)``, and every op works row by row;
-* taps lie on the last axis too, and a bank is two ``(..., 2, K)`` kernel
-  stacks, ``analysis`` = ``[h, g]`` and ``synthesis`` = ``[h_bar, g_bar]``:
-  a ``(2, K)`` stack serves every row, and a ``(B, 2, K)`` one, with the
-  data's leading axis, is one bank per row, so row r of a block runs under
-  bank r (one window scored against B models);
+* taps lie on the last axis too, and a bank is one ``(..., 2, 2, K)``
+  array of the two kernel stacks the level ops read: ``bank[..., 0, :, :]``
+  is the encoder stack ``[h, g]``, and ``bank[..., 1, :, :]`` the decoder
+  stack ``[h_bar, g_bar]`` index-reversed. A ``(2, K)`` stack serves every
+  row, and a ``(B, 2, K)`` one, with the data's leading axis, is one bank
+  per row, so row r of a block runs under bank r (one window scored
+  against B models);
 * analysis is a strided periodic cross-correlation,
   ``a_next[k] = sum_n h[n] * a[(2k + n) mod N]``, for both channels in one
   matmul: the analysis stack times a tap-major copy of the periodic windows,
   ``win[..., n, k] = a[..., (2k + n) mod N]``, gives ``(..., 2, N/2)``;
-* synthesis is the transpose of analysis with the index-reversed synthesis
-  stack, in polyphase-matrix form (Vaidyanathan 1993, ch. 5): output
+* synthesis is the transpose of analysis with the decoder stack, in
+  polyphase-matrix form (Vaidyanathan 1993, ch. 5): output
   ``2j + p`` sums taps ``2s + p`` of both channels against input ``j - s``,
   so a tap-major copy of the input's periodic windows, transposed, times
   the ``(2 * K/2, 2)`` polyphase taps is one matmul;
@@ -34,14 +36,14 @@ Conventions used throughout:
 * reversal of a finite kernel means ``h[-n] == h[K-1-n]``;
 * odd-length inputs are zero-padded by one sample before striding and the
   pre-pad length is recorded so inversion can truncate exactly;
-* `analysis_step` and `synthesis_step` define one level each way, and run
-  on the bank `FilterBank.adjoint()` returns each is the other's transpose.
+* `analysis_step` and `synthesis_step` define one level each way, and on
+  one stack each is the other's transpose: the backward pass runs analysis
+  on the decoder stack and synthesis on the encoder stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,52 +84,26 @@ def as_kernel(taps) -> np.ndarray:
     return k
 
 
-@dataclass(frozen=True, slots=True)
-class FilterBank:
-    """The four kernels of one decomposition level, as two ``(..., 2, K)``
-    stacks: ``analysis`` = ``[h, g]``, the low/high-pass analysis kernels,
-    and ``synthesis`` = ``[h_bar, g_bar]``, the corresponding synthesis
-    kernels. With a leading row axis they hold one bank per row; the four
-    kernels are read-only views into the stacks.
-    """
-
-    analysis: np.ndarray
-    synthesis: np.ndarray
-
-    h = property(lambda self: self.analysis[..., 0, :])
-    g = property(lambda self: self.analysis[..., 1, :])
-    h_bar = property(lambda self: self.synthesis[..., 0, :])
-    g_bar = property(lambda self: self.synthesis[..., 1, :])
-
-    def adjoint(self) -> "FilterBank":
-        """Analysis and synthesis kernels swapped, each index-reversed."""
-        return FilterBank(self.synthesis[..., ::-1], self.analysis[..., ::-1])
-
-
-def cqf_from_scaling(h) -> FilterBank:
+def cqf_from_scaling(h) -> np.ndarray:
     """Derive the full conjugate-quadrature bank from one scaling filter.
 
-    g[n] = (-1)^n h[K-1-n],  h_bar[n] = h[K-1-n],  g_bar[n] = (-1)^(n+1) h[n].
-    """
+    g[n] = (-1)^n h[K-1-n],  h_bar[n] = h[K-1-n],  g_bar[n] = (-1)^(n+1) h[n],
+    so the index-reversed decoder stack is the encoder stack ``[h, g]``
+    again (K even), and the bank holds it twice."""
     h = as_kernel(h)
     signs = np.where(np.arange(h.shape[-1]) % 2 == 0, 1.0, -1.0)
-    return FilterBank(np.stack((h, signs * h[..., ::-1]), -2),
-                      np.stack((h[..., ::-1], -signs * h), -2))
+    stack = np.stack((h, signs * h[..., ::-1]), -2)
+    return np.stack((stack, stack), -3)
 
 
-def cqf_fold(grad: FilterBank) -> np.ndarray:
-    """Transpose of `cqf_from_scaling`: folds a gradient on the four derived
-    kernels into the scaling kernel, gh - signs*rev(gg) + rev(ghb) - signs*ggb
-    with signs[m] = (-1)^m (kernel length even), row by row when the
-    gradients carry a leading row axis."""
-    signs = np.where(np.arange(grad.h.shape[-1]) % 2 == 0, 1.0, -1.0)
-    return (grad.h - signs * grad.g[..., ::-1] + grad.h_bar[..., ::-1]
-            - signs * grad.g_bar)
-
-
-def db4_filterbank() -> FilterBank:
-    """CQF bank built from the 8-tap Daubechies-4 scaling filter."""
-    return cqf_from_scaling(DB4_SCALING)
+def cqf_fold(grad: np.ndarray) -> np.ndarray:
+    """Transpose of `cqf_from_scaling`: folds a gradient on a bank's stacks,
+    ``[gh, gg]`` and ``[dh, dg]``, into the scaling kernel, gh - signs*rev(gg)
+    + dh - signs*rev(dg) with signs[m] = (-1)^m (kernel length even), row by
+    row when the gradient carries a leading row axis."""
+    signs = np.where(np.arange(grad.shape[-1]) % 2 == 0, 1.0, -1.0)
+    return (grad[..., 0, 0, :] - signs * grad[..., 0, 1, ::-1] + grad[..., 1, 0, :]
+            - signs * grad[..., 1, 1, ::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +185,11 @@ def upsample_conv(v: tuple[np.ndarray, np.ndarray], f: np.ndarray, x=None):
         ext[..., :taps - 1] = ext[..., half:]
     else:
         ext[..., :taps - 1] = ext[..., taps - 1:].take(np.arange(1 - taps, 0) % half, -1)
-    # poly[..., c*taps + s, p] = f[..., c, 2 (taps - 1 - s) + p]
-    poly = f.reshape(*f.shape[:-1], taps, 2)[..., ::-1, :].reshape(*f.shape[:-2], 2 * taps, 2)
+    # poly[..., c*taps + s, p] = f[..., c, 2 (taps - 1 - s) + p], copied: of a
+    # reversed stack the reshape is a view with a negative stride, which
+    # matmul rounds another way in a one-row tile
+    poly = np.ascontiguousarray(
+        f.reshape(*f.shape[:-1], taps, 2)[..., ::-1, :].reshape(*f.shape[:-2], 2 * taps, 2))
     pairs = None if x is None else x.reshape(*x.shape[:-1], half, 2)
     outs, grad = [], None
     for lo in range(0, half, TILE):
@@ -244,50 +223,52 @@ def max_depth(length: int) -> int:
     return depth
 
 
-def analysis_step(a: np.ndarray, bank: FilterBank, upstream=None):
-    """One encoder level: (`a` zero-padded to even length, approx, detail).
-    Given `upstream`, a pair shaped like (approx, detail), a fourth entry is
-    their `strided_corr` gradient on `bank.analysis`."""
+def analysis_step(a: np.ndarray, stack: np.ndarray, upstream=None):
+    """One encoder level under a ``(..., 2, K)`` kernel stack: (`a`
+    zero-padded to even length, approx, detail). Given `upstream`, a pair
+    shaped like (approx, detail), a fourth entry is their `strided_corr`
+    gradient on `stack`."""
     if a.shape[-1] % 2:
         a = np.concatenate([a, np.zeros((*a.shape[:-1], 1))], axis=-1)
     if upstream is None:
-        out = strided_corr(a, bank.analysis)
+        out = strided_corr(a, stack)
         return a, out[..., 0, :], out[..., 1, :]
-    out, grad = strided_corr(a, bank.analysis, upstream)
+    out, grad = strided_corr(a, stack, upstream)
     return a, out[..., 0, :], out[..., 1, :], grad
 
 
-def synthesis_step(a, d, n: int, bank: FilterBank, x=None):
-    """One decoder level: the transpose of analysis with the index-reversed
-    synthesis stack, both channels summed and cut to the pre-pad length.
-    Given `x`, an output zero-padded to even length, returns (output, the
-    `upsample_conv` gradient on that reversed stack)."""
+def synthesis_step(a, d, n: int, stack: np.ndarray, x=None):
+    """One decoder level under a ``(..., 2, K)`` kernel stack: the transpose
+    of analysis, both channels summed and cut to the pre-pad length. Given
+    `x`, an output zero-padded to even length, returns (output, the
+    `upsample_conv` gradient on `stack`)."""
     if x is None:
-        return upsample_conv((a, d), bank.synthesis[..., ::-1])[..., :n]
-    out, grad = upsample_conv((a, d), bank.synthesis[..., ::-1], x)
+        return upsample_conv((a, d), stack)[..., :n]
+    out, grad = upsample_conv((a, d), stack, x)
     return out[..., :n], grad
 
 
-def analysis_cascade(signal: np.ndarray, banks: list[FilterBank]):
-    """Encoder: level l analyses the previous approximation with `banks[l]`.
-    Returns (padded inputs, pre-pad lengths, details, final approximation).
-    """
+def analysis_cascade(signal: np.ndarray, banks: list[np.ndarray]):
+    """Encoder: level l analyses the previous approximation with the encoder
+    stack of `banks[l]`. Returns (padded inputs, pre-pad lengths, details,
+    final approximation)."""
     padded, lengths, details = [], [], []
     a = signal
     for bank in banks:
         lengths.append(a.shape[-1])
-        a_pad, a, d = analysis_step(a, bank)
+        a_pad, a, d = analysis_step(a, bank[..., 0, :, :])
         padded.append(a_pad)
         details.append(d)
     return padded, lengths, details, a
 
 
-def synthesis_cascade(approx, details, lengths, banks: list[FilterBank]) -> list:
-    """Decoder from the deepest level up. Entry l of the result is the
-    signal at depth l (entry 0 the reconstruction, the last one `approx`)."""
+def synthesis_cascade(approx, details, lengths, banks: list[np.ndarray]) -> list:
+    """Decoder from the deepest level up, level l under the decoder stack of
+    `banks[l]`. Entry l of the result is the signal at depth l (entry 0 the
+    reconstruction, the last one `approx`)."""
     chain = [approx]
     for l in range(len(banks) - 1, -1, -1):
-        chain.append(synthesis_step(chain[-1], details[l], lengths[l], banks[l]))
+        chain.append(synthesis_step(chain[-1], details[l], lengths[l], banks[l][..., 1, :, :]))
     return chain[::-1]
 
 

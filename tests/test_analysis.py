@@ -49,6 +49,13 @@ class TestExtractFeatures:
             feats = extract_features(rng.normal(size=n), model)
             assert feats.vector().size == 2 + 2 * levels
 
+    def test_block_rejected(self):
+        # one feature vector per window: a (B, N) block would average its
+        # residual over every row
+        model = WaveletNet(3, 8, SharingMode.DB4_FIXED)
+        with pytest.raises(InvalidSignalError, match="1-D"):
+            extract_features(np.random.default_rng(2).normal(size=(2, 64)), model)
+
     def test_vector_roundtrip(self):
         feats = LatentFeatures(res_mean=0.5, res_max=2.0,
                                l1_mean=np.array([1.0, 2.0]),
@@ -387,6 +394,5 @@ class TestRowStackedDictionary:
 
 def _trace_arrays(trace):
     """Every array a forward trace holds, banks included, in a fixed order."""
-    banks = [k for bank in trace.banks for k in (bank.h, bank.g, bank.h_bar, bank.g_bar)]
-    return (banks + trace.padded_inputs + [trace.details_pre, trace.details, *trace.gates,
-                                           trace.approx] + trace.recon_chain)
+    return (trace.banks + trace.padded_inputs + [trace.details_pre, trace.details,
+                                                 *trace.gates, trace.approx] + trace.recon_chain)

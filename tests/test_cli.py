@@ -217,6 +217,8 @@ class TestErrorPaths:
           "--out", "{out}"], "{}"),
         (["detect-train", "--features", "{bad}", "--out", "{out}"],
          "id,res_mean,res_max,l1_mean_1,l1_max_1\nw:0,1.0,oops,0.5,0.5\n"),
+        (["detect-train", "--features", "{bad}", "--out", "{out}"],
+         "id,res_mean,res_max,l1_mean_1,l1_max_1\nw:0,1.0,2.0,0.5,0.5\nw:1,nan,2.0,0.5,inf\n"),
         (["detect-train", "--features", "{bad}", "--out", "{out}"], ""),
         (["eval-auc", "--scores", "{bad}", "--manifest", "{manifest}"], ""),
         (["eval-auc", "--scores", "{bad}", "--manifest", "{manifest}"],
@@ -248,8 +250,8 @@ class TestErrorPaths:
         (["reconstruct", "--model", "{bad}", "--input", "{wav}"],
          lambda d, t: _edited(_saved_model(t), lambda doc: doc.update(levels=200_000))),
     ], ids=["model_kernel_not_numeric", "model_not_json", "elm_empty",
-            "features_cell_not_numeric", "features_empty", "scores_empty",
-            "score_not_numeric", "dictionary_empty", "manifest_decimate_not_int",
+            "features_cell_not_numeric", "features_cell_not_finite", "features_empty",
+            "scores_empty", "score_not_numeric", "dictionary_empty", "manifest_decimate_not_int",
             "manifest_not_json", "manifest_rate_zero", "wav_block_align_below_frame",
             "wav_block_align_odd", "dictionary_no_classes",
             "dictionary_one_class", "dictionary_mixed_levels",

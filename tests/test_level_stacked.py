@@ -52,7 +52,6 @@ from wavelearn.network import (
 )
 from wavelearn.training import backward_full, residual_sign
 from wavelearn.wavelet import (
-    FilterBank,
     analysis_cascade,
     analysis_step,
     cascade_input,
@@ -90,7 +89,7 @@ def oracle_gate_derivatives(x, p, q, sharpness):
 def oracle_bank(model, level):
     """Level `level`'s bank, derived from its own slice of the kernel array."""
     bank = model.mode.scheme.derive(model.params["kernels"][..., level:level + 1, :, :])
-    return FilterBank(bank.analysis[..., 0, :, :], bank.synthesis[..., 0, :, :])
+    return bank[..., 0, :, :, :]
 
 
 def oracle_forward(model, signal):
@@ -134,14 +133,14 @@ def oracle_backward(signal, model, gamma):
     scheme = model.mode.scheme
     grads = {name: np.zeros(signal.shape[:-1] + model.params[name].shape)
              for name in model.trainable_names()}
-    synth_grads = [None] * model.levels
+    dec_grads = [None] * model.levels
     bank_grads = [None] * model.levels
     g_x = -residual_sign(signal, trace["recon_chain"][0], model.levels) / signal.shape[-1]
     grad_d = []
     for l in range(model.levels):
         upstream = (trace["recon_chain"][l + 1], details[l])
-        _, g_x, g_d, grad = analysis_step(g_x, trace["banks"][l].adjoint(), upstream)
-        synth_grads[l] = grad[..., ::-1]
+        _, g_x, g_d, dec_grads[l] = analysis_step(g_x, trace["banks"][l][..., 1, :, :],
+                                                  upstream)
         grad_d.append(gamma / m_coeff * np.sign(details[l]) + g_d)
     g_a = g_x + gamma / m_coeff * np.sign(approx)
     for l in range(model.levels - 1, -1, -1):
@@ -154,8 +153,8 @@ def oracle_backward(signal, model, gamma):
         else:
             g_dpre = grad_d[l]
         g_a, grad = synthesis_step(g_a, g_dpre, trace["pre_lengths"][l],
-                                   trace["banks"][l].adjoint(), trace["padded_inputs"][l])
-        bank_grads[l] = FilterBank(grad, synth_grads[l])
+                                   trace["banks"][l][..., 0, :, :], trace["padded_inputs"][l])
+        bank_grads[l] = np.stack((grad, dec_grads[l]), -3)
     for l, bank_grad in enumerate(bank_grads):
         grads["kernels"][..., 0 if scheme.shared else l, :, :] += scheme.fold(bank_grad)
     flat = model.flatten(grads)
@@ -187,8 +186,7 @@ def assert_matches_oracle(trace, expect, signal):
     """Every array of a forward trace against the oracle's, per level."""
     assert trace.pre_lengths == expect["pre_lengths"]
     for bank, want in zip(trace.banks, expect["banks"]):
-        assert_bytes_equal(bank.analysis, want.analysis)
-        assert_bytes_equal(bank.synthesis, want.synthesis)
+        assert_bytes_equal(bank, want)
     for got, want in zip(trace.padded_inputs, expect["padded_inputs"]):
         assert_bytes_equal(got, want)
     for got, want in zip(trace.levels(trace.details_pre), expect["details_pre"]):

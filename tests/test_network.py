@@ -22,7 +22,7 @@ from wavelearn.network import (
     model_forward,
 )
 from wavelearn.training import backward_full
-from wavelearn.wavelet import analysis_cascade, db4_filterbank, synthesis_cascade
+from wavelearn.wavelet import DB4_SCALING, analysis_cascade, cqf_from_scaling, synthesis_cascade
 
 S = math.sqrt(0.5)
 
@@ -284,7 +284,7 @@ class TestParameterCount:
 class TestModelForward:
     def test_fixed_mode_reduces_to_plain_transform(self):
         rng = np.random.default_rng(2)
-        bank = db4_filterbank()
+        bank = cqf_from_scaling(DB4_SCALING)
         model = WaveletNet(5, 8, SharingMode.DB4_FIXED)
         for n in (64, 625, 1024):
             x = rng.normal(size=n)
@@ -308,7 +308,7 @@ class TestModelForward:
             assert np.array_equal(d, np.zeros_like(d))
         expected = synthesis_cascade(
             rec.approx, [np.zeros_like(d) for d in rec.levels(rec.details)],
-            rec.pre_lengths, [db4_filterbank()] * model.levels)[0]
+            rec.pre_lengths, [cqf_from_scaling(DB4_SCALING)] * model.levels)[0]
         np.testing.assert_allclose(rec.reconstruction, expected, rtol=0, atol=1e-12)
 
     def test_constraint_maintained_after_any_assignment(self):
@@ -317,15 +317,17 @@ class TestModelForward:
             model = WaveletNet(4, 8, mode)
             model.set_parameters(rng.normal(size=model.parameter_count()))
             for bank in model.banks():
+                (h, g), (h_bar, g_bar) = bank[0], bank[1, :, ::-1]
                 n = np.arange(8)
-                assert np.array_equal(bank.g, (-1.0) ** n * bank.h[::-1])
-                assert np.array_equal(bank.h_bar, bank.h[::-1])
-                assert np.array_equal(bank.g_bar, (-1.0) ** (n + 1) * bank.h)
+                assert np.array_equal(g, (-1.0) ** n * h[::-1])
+                assert np.array_equal(h_bar, h[::-1])
+                assert np.array_equal(g_bar, (-1.0) ** (n + 1) * h)
         model = WaveletNet(4, 8, SharingMode.PER_LEVEL_TWO_KERNEL_HT)
         model.set_parameters(rng.normal(size=model.parameter_count()))
         for bank in model.banks():
-            assert np.array_equal(bank.h_bar, bank.h[::-1])
-            assert np.array_equal(bank.g_bar, bank.g[::-1])
+            (h, g), (h_bar, g_bar) = bank[0], bank[1, :, ::-1]
+            assert np.array_equal(h_bar, h[::-1])
+            assert np.array_equal(g_bar, g[::-1])
 
     @pytest.mark.parametrize("mode,distinct_banks", [
         ("db4", 1), ("db4-ht", 1), ("cwn", 1), ("decwn", 1),

@@ -5,9 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wavelearn.network import SharingMode, WaveletNet, forward_trace
-from wavelearn.wavelet import FilterBank, max_depth
-
-BANK_FIELDS = ("h", "g", "h_bar", "g_bar")
+from wavelearn.wavelet import max_depth
 
 # flat parameter layout of each mode: (per-level kernel kinds, one shared
 # set for all levels, thresholds trained); kinds interleave level by level
@@ -41,14 +39,11 @@ def test_fold_is_the_transpose_of_derive(mode, size, levels, data):
     size = scheme.kernel_size or size
     lead = () if levels is None else (levels,)
     p = data.draw(taps((*lead, len(scheme.kinds), size)))
-    d = [data.draw(taps((*lead, 2, size))) for _ in range(2)]
-    d_bank = FilterBank(*d)
+    d_bank = data.draw(taps((*lead, 2, 2, size)))
     bank = scheme.derive(p)
     base = scheme.derive(np.zeros_like(p))
     # the fixed bank broadcasts to the level axis, hence the broadcast
-    lhs = sum(np.vdot(*np.broadcast_arrays(getattr(d_bank, f),
-                                           getattr(bank, f) - getattr(base, f)))
-              for f in BANK_FIELDS)
+    lhs = np.vdot(*np.broadcast_arrays(d_bank, bank - base))
     folded = scheme.fold(d_bank)
     assert folded.shape == p.shape
     rhs = sum(np.vdot(grad, kernel) for grad, kernel in zip(folded, p))
@@ -73,8 +68,25 @@ def test_trace_keeps_the_banks_bank_for_level_derives(mode, size, levels, extra,
         # (the one set of a shared scheme) equals its view of the stacked one
         own = 0 if scheme.shared else level
         again = scheme.derive(model.params["kernels"][..., own:own + 1, :, :])
-        for f in BANK_FIELDS:
-            assert np.array_equal(getattr(bank, f), getattr(again, f)[..., 0, :])
+        assert np.array_equal(bank, again[..., 0, :, :, :])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode=modes, size=kernel_sizes, levels=st.sampled_from([None, 1, 3]),
+       rows=st.sampled_from([(), (2,)]), data=st.data())
+def test_derive_gives_equal_stacks_or_free_fold_inverts_it(mode, size, levels, rows, data):
+    # every CQF scheme and the two-kernel one derive a decoder stack that is
+    # the encoder stack bit for bit; the free scheme's derive and fold are
+    # each other's inverse, bit for bit
+    scheme = mode.scheme
+    size = scheme.kernel_size or size
+    lead = () if levels is None else (levels,)
+    k = data.draw(taps((*rows, *lead, len(scheme.kinds), size)))
+    bank = scheme.derive(k)
+    if mode is SharingMode.FREE_HT:
+        assert scheme.fold(bank).tobytes() == k.tobytes()
+    else:
+        assert bank[..., 1, :, :].tobytes() == bank[..., 0, :, :].tobytes()
 
 
 @settings(max_examples=60, deadline=None)

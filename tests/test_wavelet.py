@@ -17,13 +17,11 @@ from wavelearn.training import backward_full
 from wavelearn.wavelet import (
     DB4_SCALING,
     HAAR_SCALING,
-    FilterBank,
     _periodic_ext,
     analysis_cascade,
     analysis_step,
     cascade_input,
     cqf_from_scaling,
-    db4_filterbank,
     max_depth,
     strided_corr,
     synthesis_cascade,
@@ -35,6 +33,15 @@ S = math.sqrt(0.5)
 # a bank from independent low- and high-pass kernels [h, g], synthesis tied
 # by reversal: h_bar[n] = h[K-1-n], g_bar[n] = g[K-1-n]
 two_kernel_bank = SharingMode.PER_LEVEL_TWO_KERNEL_HT.scheme.derive
+DB4_BANK = cqf_from_scaling(DB4_SCALING)
+
+
+def kernels(bank):
+    """(h, g, h_bar, g_bar) of a (..., 2, 2, K) bank: its encoder stack
+    and its decoder stack, index-reversed back."""
+    return (bank[..., 0, 0, :], bank[..., 0, 1, :], bank[..., 1, 0, ::-1],
+            bank[..., 1, 1, ::-1])
+
 
 # Daubechies-4 wavelet (high-pass) filter from the published table, in the
 # alternating-flip orientation g[n] = (-1)^n h[K-1-n].
@@ -52,43 +59,43 @@ DB4_WAVELET_TABLE = np.array([
 
 class TestCqfConstruction:
     def test_haar_relations_by_hand(self):
-        bank = cqf_from_scaling([S, S])
-        assert np.array_equal(bank.h, [S, S])
-        assert np.array_equal(bank.g, [S, -S])
-        assert np.array_equal(bank.h_bar, [S, S])
-        assert np.array_equal(bank.g_bar, [-S, S])
+        h, g, h_bar, g_bar = kernels(cqf_from_scaling([S, S]))
+        assert np.array_equal(h, [S, S])
+        assert np.array_equal(g, [S, -S])
+        assert np.array_equal(h_bar, [S, S])
+        assert np.array_equal(g_bar, [-S, S])
 
     def test_relations_hold_bitwise(self):
-        for bank in (cqf_from_scaling(HAAR_SCALING), db4_filterbank()):
-            k = bank.h.size
-            n = np.arange(k)
-            assert np.array_equal(bank.g, (-1.0) ** n * bank.h[::-1])
-            assert np.array_equal(bank.h_bar, bank.h[::-1])
-            assert np.array_equal(bank.g_bar, (-1.0) ** (n + 1) * bank.h)
+        for bank in (cqf_from_scaling(HAAR_SCALING), DB4_BANK):
+            h, g, h_bar, g_bar = kernels(bank)
+            n = np.arange(h.size)
+            assert np.array_equal(g, (-1.0) ** n * h[::-1])
+            assert np.array_equal(h_bar, h[::-1])
+            assert np.array_equal(g_bar, (-1.0) ** (n + 1) * h)
 
     def test_db4_matches_published_wavelet_filter(self):
-        assert np.array_equal(db4_filterbank().g, DB4_WAVELET_TABLE)
+        assert np.array_equal(kernels(DB4_BANK)[1], DB4_WAVELET_TABLE)
 
     def test_h_bar_double_reversal_is_identity(self):
-        bank = db4_filterbank()
-        assert np.array_equal(bank.h_bar[::-1], bank.h)
+        h, _, h_bar, _ = kernels(DB4_BANK)
+        assert np.array_equal(h_bar[::-1], h)
 
     def test_db4_normalization(self):
-        bank = db4_filterbank()
-        assert abs(bank.h.sum() - math.sqrt(2)) <= 1e-12
-        assert abs((bank.h ** 2).sum() - 1.0) <= 1e-12
-        assert abs(bank.g.sum()) <= 1e-12
+        h, g, _, _ = kernels(DB4_BANK)
+        assert abs(h.sum() - math.sqrt(2)) <= 1e-12
+        assert abs((h ** 2).sum() - 1.0) <= 1e-12
+        assert abs(g.sum()) <= 1e-12
 
     def test_partial_matches_full_construction(self):
         full = cqf_from_scaling(DB4_SCALING)
-        partial = two_kernel_bank(np.stack((full.h, full.g)))
-        for name in ("h", "g", "h_bar", "g_bar"):
-            assert np.array_equal(getattr(partial, name), getattr(full, name))
+        partial = two_kernel_bank(full[0])
+        for got, want in zip(kernels(partial), kernels(full)):
+            assert np.array_equal(got, want)
 
     def test_partial_haar_by_hand(self):
-        bank = two_kernel_bank(np.array([[S, S], [S, -S]]))
-        assert np.array_equal(bank.h_bar, [S, S])
-        assert np.array_equal(bank.g_bar, [-S, S])
+        _, _, h_bar, g_bar = kernels(two_kernel_bank(np.array([[S, S], [S, -S]])))
+        assert np.array_equal(h_bar, [S, S])
+        assert np.array_equal(g_bar, [-S, S])
 
     def test_invalid_kernels_rejected(self):
         with pytest.raises(InvalidKernelError):
@@ -133,14 +140,13 @@ class TestAnalyzeLevel:
         np.testing.assert_allclose(d, [-S, -S], rtol=0, atol=1e-15)
 
     def test_constant_signal_has_zero_details(self):
-        bank = db4_filterbank()
-        _, d = analyze(np.full(64, 5.0), bank)
+        _, d = analyze(np.full(64, 5.0), DB4_BANK)
         assert np.abs(d).max() <= 1e-10
 
     def test_delta_kernels_select_strided_samples(self):
         h, g = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        a, d = analyze([1.0, 0.0, 0.0, 0.0],
-                       FilterBank(np.stack((h, g)), np.stack((h[::-1], g[::-1]))))
+        # synthesis kernels the reversed analysis ones: both stacks are [h, g]
+        a, d = analyze([1.0, 0.0, 0.0, 0.0], np.stack([np.stack((h, g))] * 2))
         assert np.array_equal(a, [1.0, 0.0])
         assert np.array_equal(d, [0.0, 0.0])
 
@@ -157,12 +163,11 @@ class TestSynthesizeLevel:
         np.testing.assert_allclose(x, [1.0, 2.0, 3.0, 4.0], rtol=0, atol=1e-12)
 
     def test_zero_coefficients_give_zero_signal(self):
-        bank = db4_filterbank()
-        x = synthesize(np.zeros(8), np.zeros(8), bank, 16)
+        x = synthesize(np.zeros(8), np.zeros(8), DB4_BANK, 16)
         assert np.array_equal(x, np.zeros(16))
 
     def test_roundtrip_even_lengths(self):
-        bank = db4_filterbank()
+        bank = DB4_BANK
         rng = np.random.default_rng(42)
         for n in (2, 4, 10, 64, 256):
             x = rng.normal(size=n)
@@ -176,7 +181,7 @@ class TestAdjointness:
         # holds for any bank whose synthesis kernels are reversed analysis
         # kernels, which the CQF and two-kernel schemes guarantee
         rng = np.random.default_rng(7)
-        banks = [cqf_from_scaling(HAAR_SCALING), db4_filterbank()]
+        banks = [cqf_from_scaling(HAAR_SCALING), DB4_BANK]
         banks.append(two_kernel_bank(rng.normal(size=(2, 6))))
         for bank in banks:
             for n in (6, 16, 63, 128):
@@ -189,30 +194,23 @@ class TestAdjointness:
                 rhs = np.dot(u, synthesize(v, w, bank, n))
                 assert abs(lhs - rhs) <= 1e-10
 
-    def test_adjoint_of_adjoint_is_the_bank(self):
-        rng = np.random.default_rng(11)
-        bank = FilterBank(rng.normal(size=(2, 6)), rng.normal(size=(2, 6)))
-        twice = bank.adjoint().adjoint()
-        for kind in ("h", "g", "h_bar", "g_bar"):
-            assert getattr(twice, kind).tobytes() == getattr(bank, kind).tobytes()
-
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 400), k=st.sampled_from([2, 4, 6, 8, 10, 16]),
            seed=st.integers(0, 2**32 - 1))
-    def test_synthesis_on_adjoint_banks_transposes_full_cascade(self, n, k,
-                                                                seed):
+    def test_synthesis_on_swapped_stacks_transposes_full_cascade(self, n, k,
+                                                                 seed):
         # four unrelated kernels per level, at full depth, so the deep
-        # levels' kernels are longer than their inputs
+        # levels' kernels are longer than their inputs; with its two stacks
+        # swapped, a bank's decoder runs the encoder stack
         rng = np.random.default_rng(seed)
-        banks = [FilterBank(rng.normal(size=(2, k)), rng.normal(size=(2, k)))
-                 for _ in range(max_depth(n))]
+        banks = [rng.normal(size=(2, 2, k)) for _ in range(max_depth(n))]
         u = rng.normal(size=n)
         _, lengths, details, approx = analysis_cascade(u, banks)
         w_d = [rng.normal(size=d.size) for d in details]
         w_a = rng.normal(size=approx.size)
         lhs = np.dot(approx, w_a) + sum(np.dot(d, w) for d, w in zip(details, w_d))
-        adjoint = [bank.adjoint() for bank in banks]
-        rhs = np.dot(u, synthesis_cascade(w_a, w_d, lengths, adjoint)[0])
+        swapped = [bank[::-1] for bank in banks]
+        rhs = np.dot(u, synthesis_cascade(w_a, w_d, lengths, swapped)[0])
         scale = abs(np.dot(approx, w_a)) + sum(
             abs(np.dot(d, w)) for d, w in zip(details, w_d))
         assert abs(lhs - rhs) <= 1e-12 * scale
@@ -230,10 +228,10 @@ class TestCascade:
         )
 
     def test_single_level_equals_analyze(self):
-        bank = db4_filterbank()
+        bank = DB4_BANK
         x = np.random.default_rng(0).normal(size=32)
         _, details, cascade_approx = decompose(x, bank, 1)
-        approx, detail = strided_corr(x, np.stack((bank.h, bank.g)))
+        approx, detail = strided_corr(x, bank[0])
         assert np.array_equal(cascade_approx, approx)
         assert np.array_equal(details[0], detail)
 
@@ -255,10 +253,10 @@ class TestCascade:
         assert max_depth(10) == 4
 
     def test_zero_pyramid_inverts_to_zero(self):
-        assert np.array_equal(roundtrip(np.zeros(16), db4_filterbank(), 3), np.zeros(16))
+        assert np.array_equal(roundtrip(np.zeros(16), DB4_BANK, 3), np.zeros(16))
 
     def test_perfect_reconstruction_random_suite(self):
-        bank = db4_filterbank()
+        bank = DB4_BANK
         rng = np.random.default_rng(3)
         worst = 0.0
         for _ in range(100):
@@ -269,7 +267,7 @@ class TestCascade:
 
     def test_perfect_reconstruction_all_small_lengths(self):
         rng = np.random.default_rng(11)
-        for bank in (cqf_from_scaling(HAAR_SCALING), db4_filterbank()):
+        for bank in (cqf_from_scaling(HAAR_SCALING), DB4_BANK):
             for n in range(2, 70):
                 x = rng.normal(size=n)
                 levels = max_depth(n)
@@ -277,7 +275,7 @@ class TestCascade:
                 np.testing.assert_allclose(back, x, rtol=0, atol=1e-8)
 
     def test_odd_length_roundtrips_through_padding(self):
-        bank = db4_filterbank()
+        bank = DB4_BANK
         rng = np.random.default_rng(5)
         for n in (10, 625, 1001):
             x = rng.normal(size=n)
@@ -285,7 +283,7 @@ class TestCascade:
             np.testing.assert_allclose(back, x, rtol=0, atol=1e-8)
 
     def test_energy_preservation_power_of_two(self):
-        bank = db4_filterbank()
+        bank = DB4_BANK
         rng = np.random.default_rng(9)
         for n in (64, 256, 1024):
             x = rng.normal(size=n)
@@ -346,9 +344,22 @@ class TestPolyphaseSynthesis:
         g = -np.sign(residual) / residual.size
         assert np.signbit(g[0])  # -0.0 in the input
         v = np.stack((g, np.zeros_like(g)))
-        for f in (db4_filterbank().analysis, db4_filterbank().synthesis[:, ::-1],
-                  cqf_from_scaling(HAAR_SCALING).analysis):
+        for f in (DB4_BANK[0], DB4_BANK[1], cqf_from_scaling(HAAR_SCALING)[0]):
             assert np.array_equal(upsample_conv(tuple(v), f), roll_sum(v, f))
+
+    @pytest.mark.parametrize("lead", [(), (8,)], ids=["window", "block"])
+    def test_reversed_view_of_a_stack_gives_its_bytes(self, lead):
+        # one output pair per row: the polyphase taps of a negatively strided
+        # stack, were they not copied, reach a matmul path that rounds the
+        # one-row tile another way
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            f = rng.normal(size=(2, 8))
+            view = np.ascontiguousarray(f[:, ::-1])[:, ::-1]
+            assert view.strides[-1] < 0 and np.array_equal(view, f)
+            v = rng.normal(size=(*lead, 2, 1))
+            pair = (v[..., 0, :], v[..., 1, :])
+            assert upsample_conv(pair, view).tobytes() == upsample_conv(pair, f).tobytes()
 
     def test_kernel_longer_than_output_wraps(self):
         v = np.array([[1.5, -2.0], [0.5, 3.0]])
@@ -433,6 +444,7 @@ class TestStridedCorr:
         # one give the bytes of their C-contiguous copies
         rng = np.random.default_rng(n + k)
         bank = cqf_from_scaling(rng.normal(size=(3, k)))
+        encoder, decoder = bank[:, 0], bank[:, 1]
         x = rng.normal(size=n)
         half = (n + 1) // 2
         a, d = rng.normal(size=(2, half))
@@ -453,16 +465,17 @@ class TestStridedCorr:
         ])]
         for block, approx, detail, up_a, up_d, x in cases:
             copies = [np.ascontiguousarray(v) for v in (block, approx, detail, up_a, up_d, x)]
-            for got, want in zip(analysis_step(block, bank), analysis_step(copies[0], bank)):
+            for got, want in zip(analysis_step(block, encoder),
+                                 analysis_step(copies[0], encoder)):
                 assert got.tobytes() == want.tobytes()
-            got = synthesis_step(approx, detail, n, bank.adjoint())
-            want = synthesis_step(copies[1], copies[2], n, bank.adjoint())
+            got = synthesis_step(approx, detail, n, decoder)
+            want = synthesis_step(copies[1], copies[2], n, decoder)
             assert got.tobytes() == want.tobytes()
-            for got, want in zip(analysis_step(block, bank, (up_a, up_d)),
-                                 analysis_step(copies[0], bank, copies[3:5])):
+            for got, want in zip(analysis_step(block, encoder, (up_a, up_d)),
+                                 analysis_step(copies[0], encoder, copies[3:5])):
                 assert got.tobytes() == want.tobytes()
-            for got, want in zip(synthesis_step(approx, detail, n, bank.adjoint(), x),
-                                 synthesis_step(copies[1], copies[2], n, bank.adjoint(),
+            for got, want in zip(synthesis_step(approx, detail, n, decoder, x),
+                                 synthesis_step(copies[1], copies[2], n, decoder,
                                                 copies[5])):
                 assert got.tobytes() == want.tobytes()
 
@@ -626,16 +639,15 @@ class TestOneBankPerRow:
                 else cqf_from_scaling(h[r]) for r in range(rows)]
         x = rng.normal(size=(rows, n))
         x[rng.random(x.shape) < 0.2] = 0.0
-        a_pad, a, d = analysis_step(x, bank)
-        back = synthesis_step(a, d, n, bank.adjoint())
+        a_pad, a, d = analysis_step(x, bank[:, 0])
+        back = synthesis_step(a, d, n, bank[:, 1])
         for r in range(rows):
-            for got, want in zip((bank.h, bank.g, bank.h_bar, bank.g_bar), (
-                    lone[r].h, lone[r].g, lone[r].h_bar, lone[r].g_bar)):
+            for got, want in zip(kernels(bank), kernels(lone[r])):
                 assert got[r].tobytes() == want.tobytes()
-            expect = analysis_step(x[r], lone[r])
+            expect = analysis_step(x[r], lone[r][0])
             for got, want in zip((a_pad, a, d), expect):
                 assert got[r].tobytes() == want.tobytes()
-            want = synthesis_step(expect[1], expect[2], n, lone[r].adjoint())
+            want = synthesis_step(expect[1], expect[2], n, lone[r][1])
             assert back[r].tobytes() == want.tobytes()
 
     def test_one_kernel_serves_every_row(self):
