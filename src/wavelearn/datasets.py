@@ -6,6 +6,10 @@ factor and window size). The synthetic generator provides a desk-scale
 substitute for real machine-sound corpora: tonal burst signals with additive
 Gaussian noise, plus impulse (sparse clicks) and frequency-shift anomalies,
 and a second class with a different frequency pair for classification runs.
+
+Ingest streams: `load_windows` reads each window from just the frames it
+needs, so beyond the windows it returns it holds a few `audio.BLOCK`s of one
+file, whatever the file's length.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import MAX_RATE, decimate, read_wav, window_split
+from .audio import MAX_RATE, WavReader, decimated_windows
 from .errors import ConfigError, FormatError
 from .persist import read_json
 
@@ -110,19 +114,21 @@ class WindowRecord:
 
 def load_windows(manifest: DatasetManifest, split: str | None = None) -> list[WindowRecord]:
     """Read, decimate and window every selected entry, in manifest order.
-    Every file must have the manifest's sample rate."""
+    Every file must have the manifest's sample rate. Each window is bitwise
+    `window_split(decimate(read_wav(path)[0], factor), window_size)`'s, read
+    and filtered from just the frames it needs."""
     out = []
     for entry in manifest.select(split):
-        samples, rate = read_wav(manifest.base_dir / entry.path)
-        if rate != manifest.sample_rate:
-            raise FormatError(f"{entry.path} has sample rate {rate}, the manifest "
-                              f"{manifest.sample_rate}")
-        samples = decimate(samples, manifest.decimate)
-        for i, window in enumerate(window_split(samples, manifest.window_size)):
-            out.append(WindowRecord(
-                id=f"{entry.path}:{i}", label=entry.label,
-                split=entry.split, samples=window,
-            ))
+        with WavReader(manifest.base_dir / entry.path) as wav:
+            if wav.rate != manifest.sample_rate:
+                raise FormatError(f"{entry.path} has sample rate {wav.rate}, the manifest "
+                                  f"{manifest.sample_rate}")
+            windows = decimated_windows(wav, manifest.decimate, manifest.window_size)
+            for i, window in enumerate(windows):
+                out.append(WindowRecord(
+                    id=f"{entry.path}:{i}", label=entry.label,
+                    split=entry.split, samples=window,
+                ))
     return out
 
 

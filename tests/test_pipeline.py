@@ -21,7 +21,7 @@ from wavelearn.datasets import (
     load_windows,
     save_manifest,
 )
-from wavelearn.errors import ConfigError, FormatError
+from wavelearn.errors import ConfigError, FormatError, InvalidSignalError
 from wavelearn.network import SharingMode, WaveletNet, model_forward
 from wavelearn.persist import (
     feature_header,
@@ -162,6 +162,17 @@ class TestDecimate:
         with pytest.raises(ConfigError):
             decimate(np.ones(10), 0)
 
+    @pytest.mark.parametrize("factor", [2.5, 2.0, True, "2", None])
+    def test_factor_that_is_not_an_integer(self, factor):
+        with pytest.raises(ConfigError, match="decimation factor must be an integer"):
+            decimate(np.ones(100), factor)
+
+    @pytest.mark.parametrize("samples", [np.ones((2, 10)), np.float64(1.0),
+                                         [0.0, np.nan, 1.0], [np.inf] + [0.0] * 99])
+    def test_malformed_signal(self, samples):
+        with pytest.raises(InvalidSignalError):
+            decimate(samples, 2)
+
 
 class TestWindowSplit:
     def test_exact_and_remainder(self):
@@ -174,6 +185,17 @@ class TestWindowSplit:
     def test_too_small_window_rejected(self):
         with pytest.raises(ConfigError):
             window_split(np.ones(10), 1)
+
+    @pytest.mark.parametrize("size", [4.0, 2.5, True])
+    def test_window_that_is_not_an_integer(self, size):
+        with pytest.raises(ConfigError, match="window size must be an integer"):
+            window_split(np.ones(10), size)
+
+    @pytest.mark.parametrize("samples", [np.ones((2, 10)), np.float64(1.0),
+                                         [0.0, 1.0, -np.inf, 2.0], [np.nan] * 4])
+    def test_malformed_signal(self, samples):
+        with pytest.raises(InvalidSignalError):
+            window_split(samples, 2)
 
 
 class TestSynthetic:
