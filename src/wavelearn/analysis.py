@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSignalError, UndefinedMetricError
+from .errors import ConfigError, InvalidSignalError, UndefinedMetricError, as_integer
 from .network import SharingMode, WaveletNet, loss_terms, model_forward, sigmoid
 from .training import TrainConfig, TrainReport, train
 
@@ -102,8 +102,7 @@ def elm_fit(features: list[LatentFeatures], neurons: int = 50,
     """
     if not features:
         raise ConfigError("cannot fit a one-class model on an empty set")
-    if neurons < 1:
-        raise ConfigError(f"neurons must be >= 1, got {neurons}")
+    neurons = as_integer(neurons, "neurons", 1)
     if not 0 < ridge_lambda < math.inf:  # false for NaN as well
         raise ConfigError(f"ridge must be finite and > 0, got {ridge_lambda}")
     x = np.stack([f.vector() for f in features])

@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InvalidSignalError
+from .errors import ConfigError, FormatError, InvalidSignalError, as_integer
 
 _SCALE = 32768.0
 # the header stores the rate and the byte rate, 2 * rate, as 32-bit words
@@ -26,13 +26,13 @@ MAX_RATE = (2 ** 32 - 1) // 2
 BLOCK = 16384
 
 
-def _integer(value, name: str, least: int) -> int:
-    """`value` if it is an integer (not a bool) of at least `least`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{name} must be >= {least}, got {value}")
-    return int(value)
+def as_rate(rate) -> int:
+    """`rate` if it is an integer sample rate, 1 to `MAX_RATE`, that a WAV
+    header can hold."""
+    rate = as_integer(rate, "sample rate", 1)
+    if rate > MAX_RATE:
+        raise ConfigError(f"sample rate must be at most {MAX_RATE}, got {rate}")
+    return rate
 
 
 def _signal(samples) -> np.ndarray:
@@ -146,8 +146,7 @@ def write_wav(path, samples, rate: int) -> None:
     by 32768 (so +1.0 saturates at 32767). Non-finite samples, and a rate
     that is not an integer from 1 to `MAX_RATE`, are rejected before the file
     is opened."""
-    if not (isinstance(rate, (int, np.integer)) and 1 <= rate <= MAX_RATE):
-        raise ConfigError(f"sample rate must be an integer from 1 to {MAX_RATE}, got {rate!r}")
+    rate = as_rate(rate)
     samples = _signal(np.asarray(samples, dtype=float).reshape(-1))
     size = 2 * samples.size
     header = b"RIFF" + struct.pack("<I", 36 + size) + b"WAVE"
@@ -212,7 +211,7 @@ def decimate(samples, factor: int) -> np.ndarray:
     """Anti-aliased downsampling: zero-phase 63-tap windowed-sinc low-pass at
     the post-decimation Nyquist, then every factor-th sample. Factor 1 is the
     identity."""
-    factor = _integer(factor, "decimation factor", 1)
+    factor = as_integer(factor, "decimation factor", 1)
     samples = _signal(samples)
     n = samples.size
     return _decimated(lambda a, b: samples[a:b], n, factor, 0, _decimated_size(n, factor))
@@ -221,8 +220,8 @@ def decimate(samples, factor: int) -> np.ndarray:
 def decimated_windows(wav: WavReader, factor: int, window_size: int):
     """Yield `window_split(decimate(read_wav(...)), window_size)` one window
     at a time, each computed from just the frames it needs."""
-    factor = _integer(factor, "decimation factor", 1)
-    window_size = _integer(window_size, "window size", 2)
+    factor = as_integer(factor, "decimation factor", 1)
+    window_size = as_integer(window_size, "window size", 2)
     count = _decimated_size(wav.frames, factor) // window_size
     for i in range(count):
         yield _decimated(wav.read, wav.frames, factor, i * window_size, (i + 1) * window_size)
@@ -231,7 +230,7 @@ def decimated_windows(wav: WavReader, factor: int, window_size: int):
 def window_split(samples, window_size: int) -> list[np.ndarray]:
     """Non-overlapping windows; a trailing remainder shorter than the window
     is dropped."""
-    window_size = _integer(window_size, "window size", 2)
+    window_size = as_integer(window_size, "window size", 2)
     samples = _signal(samples)
     n = samples.size // window_size
     return [samples[i * window_size:(i + 1) * window_size].copy() for i in range(n)]

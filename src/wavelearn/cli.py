@@ -191,23 +191,15 @@ def cmd_classify(args) -> int:
     if not windows:
         raise ConfigError(f"no windows in split {args.split!r}")
     class_labels = dictionary.labels()
-    import csv as _csv
-
-    hits = 0
-    labeled = 0
-    with open(args.out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["id", "predicted"] + [f"loss_{c}" for c in class_labels])
-        for w in windows:
-            predicted, losses = analysis.dict_classify(w.samples, dictionary)
-            writer.writerow([w.id, predicted]
-                            + [repr(losses[c]) for c in class_labels])
-            if w.label is not None:
-                labeled += 1
-                hits += int(predicted == w.label)
+    results = [analysis.dict_classify(w.samples, dictionary) for w in windows]
+    persist.write_table(args.out, ["id", "predicted"] + [f"loss_{c}" for c in class_labels],
+                        ([w.id, predicted] + [losses[c] for c in class_labels]
+                         for w, (predicted, losses) in zip(windows, results)))
+    hits = [predicted == w.label
+            for w, (predicted, _) in zip(windows, results) if w.label is not None]
     summary = {"rows": len(windows), "out": args.out}
-    if labeled:
-        summary["accuracy"] = hits / labeled
+    if hits:
+        summary["accuracy"] = sum(hits) / len(hits)
     print(json.dumps(summary))
     return 0
 

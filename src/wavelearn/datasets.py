@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import MAX_RATE, WavReader, decimated_windows
-from .errors import ConfigError, FormatError
+from .audio import WavReader, as_rate, decimated_windows
+from .errors import ConfigError, FormatError, as_integer
 from .persist import read_json
 
 
@@ -41,12 +41,9 @@ class DatasetManifest:
     base_dir: Path = field(default_factory=Path)
 
     def validate(self) -> None:
-        if not 1 <= self.sample_rate <= MAX_RATE:
-            raise ConfigError(f"sample rate {self.sample_rate} is outside 1 to {MAX_RATE}")
-        if self.window_size < 2:
-            raise ConfigError(f"window size must be >= 2, got {self.window_size}")
-        if self.decimate < 1:
-            raise ConfigError(f"decimate factor must be >= 1, got {self.decimate}")
+        as_rate(self.sample_rate)
+        as_integer(self.window_size, "window size", 2)
+        as_integer(self.decimate, "decimate factor", 1)
         paths = [e.path for e in self.entries]
         if len(set(paths)) != len(paths):
             raise ConfigError("manifest paths must be unique")

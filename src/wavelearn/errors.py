@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+every integer argument goes through."""
+
+import numpy as np
 
 
 class WavelearnError(ValueError):
@@ -20,6 +23,16 @@ class InvalidDepthError(WavelearnError):
 
 class ConfigError(WavelearnError):
     """Invalid configuration value or dataset setup."""
+
+
+def as_integer(value, name: str, least: int) -> int:
+    """`value` if it is an integer (not a bool) of at least `least`;
+    anything else is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 class DivergenceError(WavelearnError):

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSignalError
+from .errors import ConfigError, InvalidSignalError, as_integer
 from .wavelet import (
     DB4_SCALING,
     HAAR_SCALING,
@@ -225,17 +225,20 @@ class WaveletNet:
 
     def __init__(self, levels: int, kernel_size: int, mode: SharingMode,
                  gamma: float = 1.0, sharpness: float = DEFAULT_SHARPNESS):
-        if levels < 1:
-            raise ConfigError(f"levels must be >= 1, got {levels}")
-        if kernel_size < 2 or kernel_size % 2:
-            raise ConfigError(
-                f"kernel size must be even and >= 2, got {kernel_size}"
-            )
+        levels = as_integer(levels, "levels", 1)
+        kernel_size = as_integer(kernel_size, "kernel size", 2)
+        if kernel_size % 2:
+            raise ConfigError(f"kernel size must be even and >= 2, got {kernel_size}")
+        gamma, sharpness = float(gamma), float(sharpness)
+        if not 0 <= gamma < math.inf:  # false for NaN as well
+            raise ConfigError(f"gamma must be finite and >= 0, got {gamma}")
+        if not 0 < sharpness < math.inf:
+            raise ConfigError(f"sharpness must be finite and > 0, got {sharpness}")
         self.levels = levels
         self.kernel_size = mode.scheme.kernel_size or kernel_size
         self.mode = mode
-        self.gamma = float(gamma)
-        self.sharpness = float(sharpness)
+        self.gamma = gamma
+        self.sharpness = sharpness
 
         bank0 = cqf_from_scaling(_init_scaling(self.kernel_size))
         # the kinds are a prefix of (h, g, hb, gb)
@@ -304,15 +307,14 @@ class WaveletNet:
 @dataclass
 class ForwardTrace:
     """One forward pass: the gated coefficients, the reconstruction (of the
-    input's exact shape) and every intermediate the backward pass needs.
-    Arrays keep the input's leading axis: ``(n,)`` for one window, ``(B, n)``
-    for a block. The details of all levels sit in one ``(..., M)`` pyramid,
-    level 1 (the highest frequency) first; level l is
+    input's exact shape) and every intermediate the backward pass needs, the
+    level inputs unpadded. Arrays keep the input's leading axis: ``(n,)`` for
+    one window, ``(B, n)`` for a block. The details of all levels sit in one
+    ``(..., M)`` pyramid, level 1 (the highest frequency) first; level l is
     ``[..., offsets[l]:offsets[l + 1]]``, and `levels` gives the views."""
 
     banks: list[np.ndarray]           # (..., 2, 2, K) bank of each level (one object when shared)
-    padded_inputs: list[np.ndarray]   # encoder input of each level, post-pad
-    pre_lengths: list[int]            # encoder input length of each level, pre-pad
+    inputs: list[np.ndarray]          # encoder input of each level, odd lengths unpadded
     offsets: list[int]                # where each level's details start in a pyramid, then M
     details_pre: np.ndarray           # detail pyramid before gating
     details: np.ndarray               # detail pyramid after gating (`details_pre` without HT)
@@ -336,7 +338,7 @@ def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
     skip-connected, the final approximation is passed through untouched."""
     signal = cascade_input(signal, model.levels)
     banks = model.banks()
-    padded, pre_lengths, details, approx = analysis_cascade(signal, banks)
+    inputs, details, approx = analysis_cascade(signal, banks)
     sizes = [d.shape[-1] for d in details]
     offsets = np.cumsum([0] + sizes).tolist()
     details_pre = np.concatenate(details, -1)
@@ -351,14 +353,13 @@ def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
         details = [gated[..., lo:hi] for lo, hi in zip(offsets, offsets[1:])]
     return ForwardTrace(
         banks=banks,
-        padded_inputs=padded,
-        pre_lengths=pre_lengths,
+        inputs=inputs,
         offsets=offsets,
         details_pre=details_pre,
         details=gated,
         gates=gates,
         approx=approx,
-        recon_chain=synthesis_cascade(approx, details, pre_lengths, banks),
+        recon_chain=synthesis_cascade(approx, details, [a.shape[-1] for a in inputs], banks),
     )
 
 

@@ -107,13 +107,16 @@ def _model_from_doc(doc: dict) -> WaveletNet:
     for (_, key, _), taps in zip(slots, kernels):
         if taps.shape != (kernel_size,):
             raise FormatError(f"kernel {key!r} must hold {kernel_size} finite taps")
-    model = WaveletNet(
-        levels=levels,
-        kernel_size=kernel_size,
-        mode=mode,
-        gamma=_field(doc, "gamma", float),
-        sharpness=_field(doc, "alpha", float) if "alpha" in doc else DEFAULT_SHARPNESS,
-    )
+    try:
+        model = WaveletNet(
+            levels=levels,
+            kernel_size=kernel_size,
+            mode=mode,
+            gamma=_field(doc, "gamma", float),
+            sharpness=_field(doc, "alpha", float) if "alpha" in doc else DEFAULT_SHARPNESS,
+        )
+    except ConfigError as exc:
+        raise FormatError(f"model document: {exc}") from None
     for l, record in enumerate(records):
         model.params["b_plus"][l] = _field(record, "b_plus", float)
         model.params["b_minus"][l] = _field(record, "b_minus", float)
@@ -180,19 +183,26 @@ def feature_header(levels: int) -> list[str]:
             + [f"l1_max_{l}" for l in range(1, levels + 1)])
 
 
+def write_table(path, header: list[str], rows) -> None:
+    """A CSV table: `header`, then one line per row of the iterable `rows`,
+    each written as it comes, str cells as they are and every other cell as
+    a float in its shortest round-trip repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([c if isinstance(c, str) else repr(float(c)) for c in row])
+
+
 def write_features_csv(rows: list[tuple[str, LatentFeatures]], path) -> None:
     """One row per window: id plus the 2 + 2L feature values, full precision."""
     if not rows:
         raise ConfigError("no feature rows to write")
     levels = rows[0][1].l1_mean.size
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(feature_header(levels))
-        for row_id, feats in rows:
-            vec = feats.vector()
-            if feats.l1_mean.size != levels:
-                raise ConfigError("inconsistent feature dimensions")
-            writer.writerow([row_id] + [repr(float(v)) for v in vec])
+    if any(feats.l1_mean.size != levels for _, feats in rows):
+        raise ConfigError("inconsistent feature dimensions")
+    write_table(path, feature_header(levels),
+                ([row_id, *feats.vector()] for row_id, feats in rows))
 
 
 def _read_table(path, min_columns: int) -> list[tuple[str, np.ndarray]]:
@@ -223,11 +233,7 @@ def read_features_csv(path) -> list[tuple[str, LatentFeatures]]:
 
 
 def write_scores_csv(rows: list[tuple[str, float]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "score"])
-        for row_id, score in rows:
-            writer.writerow([row_id, repr(float(score))])
+    write_table(path, ["id", "score"], rows)
 
 
 def read_scores_csv(path) -> list[tuple[str, float]]:

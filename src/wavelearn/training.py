@@ -6,16 +6,16 @@ block of them, by reverse traversal of the cascade: absolute-value terms
 contribute their sign (with sign(0) = 0), the gate its analytic partials
 (formed from the tanh terms the forward trace kept, so the gate is not
 evaluated twice), and each level's transpose is the other level op on the
-same kernel stack (`wavelet` module notes): analysis on the decoder stack,
-synthesis on the encoder stack. Each also gives the level's kernel gradient
-from the window copy it makes anyway: a level copies its windows once going
-down and once coming back. Only the level ops run once per level: the
-details' gradients fill one pyramid laid out like `ForwardTrace.details`,
-whose sparsity signs, gate partials and threshold gradients take one pass
-each. The levels' bank gradients, stacked into one ``(..., L, 2, 2, K)``
-array, fold back onto the model's kernel array in one call of the mode's
-kernel scheme (`KERNEL_SCHEMES` in `network.py`). `kink_free_difference`
-is the independent brute-force oracle used to verify all of it.
+same kernel stack (`wavelet` module notes): `strided_corr` on the decoder
+stack, `upsample_conv` on the encoder stack. Each also gives the level's
+kernel gradient from the window copy it makes anyway: a level copies its
+windows once going down and once coming back. Only the level ops run once
+per level: the details' gradients fill one pyramid laid out like
+`ForwardTrace.details`, whose sparsity signs, gate partials and threshold
+gradients take one pass each. The levels' bank gradients, stacked into one
+``(..., L, 2, 2, K)`` array, fold back onto the model's kernel array in one
+call of the mode's kernel scheme (`KERNEL_SCHEMES` in `network.py`). The
+independent brute-force oracle `kink_free_difference` verifies all of it.
 
 Where the cascade reconstructs perfectly (a fresh model does) the residual
 is rounding noise, and its sign would steer the gradient: one ulp on one
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, as_integer
 from .network import (
     SharingMode,
     WaveletNet,
@@ -46,7 +46,7 @@ from .network import (
     ht_gate_derivatives,
     loss,
 )
-from .wavelet import analysis_step, synthesis_step
+from .wavelet import strided_corr, upsample_conv
 
 # most samples `train` passes to one `backward_full` call
 BLOCK_SAMPLES = 2 ** 16
@@ -73,7 +73,7 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     details = trace.levels(trace.details)
     # gradients on each level's decoder and encoder stacks, keeping the
     # block's row axis until the rows are added
-    dec_grads, enc_grads = [], [None] * model.levels
+    dec_grads, enc_grads = [None] * model.levels, [None] * model.levels
 
     g_x = -residual_sign(signal, trace.reconstruction, model.levels) / signal.shape[-1]
     # decoder, shallow to deep: chain[l] was built from chain[l+1] and
@@ -81,8 +81,8 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     g_details = np.empty_like(trace.details)
     for l, g_d in enumerate(trace.levels(g_details)):
         upstream = (trace.recon_chain[l + 1], details[l])
-        _, g_x, g_d[...], grad = analysis_step(g_x, trace.banks[l][..., 1, :, :], upstream)
-        dec_grads.append(grad)
+        out, dec_grads[l] = strided_corr(g_x, trace.banks[l][..., 1, :, :], upstream)
+        g_x, g_d[...] = out[..., 0, :], out[..., 1, :]
     # every detail's sparsity term, then the gate, over the whole pyramid
     # (in place: on a long window each fresh pyramid is a megabyte to fault in)
     g_details += scale * np.sign(trace.details)
@@ -101,9 +101,9 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     # encoder, deep to shallow
     pre = trace.levels(g_pre)
     for l in range(model.levels - 1, -1, -1):
-        g_a, enc_grads[l] = synthesis_step(
-            g_a, pre[l], trace.pre_lengths[l], trace.banks[l][..., 0, :, :],
-            trace.padded_inputs[l])
+        x = trace.inputs[l]
+        out, enc_grads[l] = upsample_conv((g_a, pre[l]), trace.banks[l][..., 0, :, :], x)
+        g_a = out[..., :x.shape[-1]]
 
     # fold the level-stacked bank gradient onto the kernels it was derived
     # from; a shared kernel sums the levels' parts in level order
@@ -135,7 +135,7 @@ def _bumped_losses(signal, model: WaveletNet, gamma: float, param_index: int,
         trace = forward_trace(model, signal)
         values.append(loss(trace, signal, gamma)[0])
         signs.append([np.sign(t) for t in (signal - trace.reconstruction,
-                                           *trace.details, trace.approx)])
+                                           trace.details, trace.approx)])
     model.set_parameters(vec)
     straddles = any(np.any(up != down) for up, down in zip(*signs))
     return values, straddles
@@ -194,8 +194,7 @@ def gradient_check(mode: SharingMode, seed: int = 0, n_seeds: int = 5,
     straddles a kink (`kink_free_difference`) is reported in `kinks`,
     neither checked nor failed.
     """
-    if n_seeds < 1:
-        raise ConfigError(f"number of seeds must be >= 1, got {n_seeds}")
+    n_seeds = as_integer(n_seeds, "number of seeds", 1)
     if not 0 < rel_tol < math.inf:  # false for NaN as well
         raise ConfigError(f"tolerance must be finite and > 0, got {rel_tol}")
     seeds = list(range(seed, seed + n_seeds))
@@ -247,14 +246,15 @@ class TrainConfig:
     kernel_size: int = 8
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        as_integer(self.epochs, "epochs", 1)
+        as_integer(self.batch_size, "batch size", 1)
+        as_integer(self.kernel_size, "kernel size", 2)
+        if self.levels is not None:
+            as_integer(self.levels, "levels", 1)
         for name, value in (("learning rate", self.learning_rate),
                             ("gamma", self.gamma)):
             if not 0 <= value < math.inf:  # false for NaN as well
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
 
 
 @dataclass

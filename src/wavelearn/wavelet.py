@@ -34,11 +34,12 @@ Conventions used throughout:
   is; a gradient of several tiles sums in another order than one of a
   single tile does;
 * reversal of a finite kernel means ``h[-n] == h[K-1-n]``;
-* odd-length inputs are zero-padded by one sample before striding and the
-  pre-pad length is recorded so inversion can truncate exactly;
-* `analysis_step` and `synthesis_step` define one level each way, and on
-  one stack each is the other's transpose: the backward pass runs analysis
-  on the decoder stack and synthesis on the encoder stack.
+* the level ops alone zero-pad an odd-length level input by one sample:
+  `strided_corr` its input, `upsample_conv` its gradient operand; a caller
+  cuts a synthesis output back to the level input's length;
+* `strided_corr` and `upsample_conv` define one level each way, and on one
+  stack each is the other's transpose: the backward pass runs analysis on
+  the decoder stack and synthesis on the encoder stack.
 """
 
 from __future__ import annotations
@@ -132,17 +133,23 @@ def _windows(ext: np.ndarray, start: int, count: int, taps: int, hop: int):
                       (*ext.strides[:-1], step, hop * step))
 
 
+def _even(x: np.ndarray) -> np.ndarray:
+    """`x`, zero-padded by one sample when its last axis has odd length."""
+    return np.concatenate([x, np.zeros((*x.shape[:-1], 1))], -1) if x.shape[-1] % 2 else x
+
+
 def strided_corr(x: np.ndarray, f: np.ndarray, upstream=None):
     """out[..., c, k] = sum_n f[..., c, n] * x[..., (2k + n) mod N] for k in
-    [0, N/2): BLAS matmuls on a tap-major window copy, one tile of `TILE`
-    outputs at a time (module notes), for a (C, K) kernel stack, (..., C, N/2)
-    out, or for a (B, C, K) stack, one per row of a (B, N) block; a single
-    (K,) kernel gives (..., N/2).  N even.
+    [0, N/2), `x` zero-padded to even N: BLAS matmuls on a tap-major window
+    copy, one tile of `TILE` outputs at a time (module notes), for a (C, K)
+    kernel stack, (..., C, N/2) out, or for a (B, C, K) stack, one per row of
+    a (B, N) block; a single (K,) kernel gives (..., N/2).
 
     Given `upstream`, one array per channel of a (..., C, K) stack's `out`,
     returns (out, grad), the gradient of <upstream, out> on f row by row:
     grad[..., c, n] = sum_k upstream[c][..., k] * x[..., (2k + n) mod N],
     summed over the tiles in tile order."""
+    x = _even(x)
     taps, count = f.shape[-1], x.shape[-1] // 2
     # C order is what `_windows` assumes; a column-major block concatenates
     # to another order
@@ -171,7 +178,8 @@ def upsample_conv(v: tuple[np.ndarray, np.ndarray], f: np.ndarray, x=None):
     one per row for a (B, 2, K) stack. Kernel indices wrap (fold) when the
     kernel is longer than the output.
 
-    Given `x`, shaped like `out`, returns (out, grad), the gradient of
+    Given `x`, shaped like `out` or one sample shorter (an odd level input,
+    zero-padded to `out`'s length), returns (out, grad), the gradient of
     <x, out> on f row by row: grad[..., c, n] = sum_k v[c][..., k] * x[...,
     (2k + n) mod 2 half], summed over the tiles in tile order."""
     a, d = v
@@ -190,7 +198,7 @@ def upsample_conv(v: tuple[np.ndarray, np.ndarray], f: np.ndarray, x=None):
     # matmul rounds another way in a one-row tile
     poly = np.ascontiguousarray(
         f.reshape(*f.shape[:-1], taps, 2)[..., ::-1, :].reshape(*f.shape[:-2], 2 * taps, 2))
-    pairs = None if x is None else x.reshape(*x.shape[:-1], half, 2)
+    pairs = None if x is None else _even(x).reshape(*x.shape[:-1], half, 2)
     outs, grad = [], None
     for lo in range(0, half, TILE):
         cols = min(TILE, half - lo)
@@ -223,52 +231,28 @@ def max_depth(length: int) -> int:
     return depth
 
 
-def analysis_step(a: np.ndarray, stack: np.ndarray, upstream=None):
-    """One encoder level under a ``(..., 2, K)`` kernel stack: (`a`
-    zero-padded to even length, approx, detail). Given `upstream`, a pair
-    shaped like (approx, detail), a fourth entry is their `strided_corr`
-    gradient on `stack`."""
-    if a.shape[-1] % 2:
-        a = np.concatenate([a, np.zeros((*a.shape[:-1], 1))], axis=-1)
-    if upstream is None:
-        out = strided_corr(a, stack)
-        return a, out[..., 0, :], out[..., 1, :]
-    out, grad = strided_corr(a, stack, upstream)
-    return a, out[..., 0, :], out[..., 1, :], grad
-
-
-def synthesis_step(a, d, n: int, stack: np.ndarray, x=None):
-    """One decoder level under a ``(..., 2, K)`` kernel stack: the transpose
-    of analysis, both channels summed and cut to the pre-pad length. Given
-    `x`, an output zero-padded to even length, returns (output, the
-    `upsample_conv` gradient on `stack`)."""
-    if x is None:
-        return upsample_conv((a, d), stack)[..., :n]
-    out, grad = upsample_conv((a, d), stack, x)
-    return out[..., :n], grad
-
-
 def analysis_cascade(signal: np.ndarray, banks: list[np.ndarray]):
     """Encoder: level l analyses the previous approximation with the encoder
-    stack of `banks[l]`. Returns (padded inputs, pre-pad lengths, details,
-    final approximation)."""
-    padded, lengths, details = [], [], []
+    stack of `banks[l]`. Returns (each level's input, details, final
+    approximation)."""
+    inputs, details = [], []
     a = signal
     for bank in banks:
-        lengths.append(a.shape[-1])
-        a_pad, a, d = analysis_step(a, bank[..., 0, :, :])
-        padded.append(a_pad)
-        details.append(d)
-    return padded, lengths, details, a
+        inputs.append(a)
+        out = strided_corr(a, bank[..., 0, :, :])
+        a = out[..., 0, :]
+        details.append(out[..., 1, :])
+    return inputs, details, a
 
 
 def synthesis_cascade(approx, details, lengths, banks: list[np.ndarray]) -> list:
     """Decoder from the deepest level up, level l under the decoder stack of
-    `banks[l]`. Entry l of the result is the signal at depth l (entry 0 the
-    reconstruction, the last one `approx`)."""
+    `banks[l]` cut to `lengths[l]` samples. Entry l of the result is the
+    signal at depth l (entry 0 the reconstruction, the last one `approx`)."""
     chain = [approx]
     for l in range(len(banks) - 1, -1, -1):
-        chain.append(synthesis_step(chain[-1], details[l], lengths[l], banks[l][..., 1, :, :]))
+        out = upsample_conv((chain[-1], details[l]), banks[l][..., 1, :, :])
+        chain.append(out[..., :lengths[l]])
     return chain[::-1]
 
 

@@ -116,6 +116,12 @@ class TestOneClassElm:
         with pytest.raises(ConfigError, match="ridge"):
             elm_fit(feats, neurons=50, ridge_lambda=ridge, seed=0)
 
+    @pytest.mark.parametrize("neurons", [0, 2.5, np.float64(3.0), True])
+    def test_bad_neurons_rejected(self, neurons):
+        feats = _feature_cloud(np.random.default_rng(8), 10, self.CENTER)
+        with pytest.raises(ConfigError, match="neurons"):
+            elm_fit(feats, neurons=neurons, ridge_lambda=1e-3, seed=0)
+
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(7)
         feats = _feature_cloud(rng, 30, self.CENTER)
@@ -385,7 +391,8 @@ class TestRowStackedDictionary:
         trace = forward_trace(dictionary.stacked(), block)
         for r, label in enumerate(dictionary.labels()):
             alone = forward_trace(dictionary.class_models[label], block[r])
-            assert trace.pre_lengths == alone.pre_lengths
+            assert ([a.shape[-1] for a in trace.inputs]
+                    == [a.shape[-1] for a in alone.inputs])
             for got, want in zip(_trace_arrays(trace), _trace_arrays(alone)):
                 row = got[r] if got.ndim > want.ndim else got  # a fixed bank serves all rows
                 assert row.shape == want.shape
@@ -394,5 +401,5 @@ class TestRowStackedDictionary:
 
 def _trace_arrays(trace):
     """Every array a forward trace holds, banks included, in a fixed order."""
-    return (trace.banks + trace.padded_inputs + [trace.details_pre, trace.details,
-                                                 *trace.gates, trace.approx] + trace.recon_chain)
+    return (trace.banks + trace.inputs + [trace.details_pre, trace.details,
+                                          *trace.gates, trace.approx] + trace.recon_chain)

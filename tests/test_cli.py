@@ -1,17 +1,22 @@
 """End-to-end CLI coverage at desk scale (tiny datasets, few epochs)."""
 
+import csv
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from wavelearn.analysis import DictionaryModel, LatentFeatures
+from wavelearn.analysis import DictionaryModel, LatentFeatures, dict_classify
 from wavelearn.audio import write_wav
 from wavelearn.cli import main
+from wavelearn.datasets import load_manifest, load_windows
 from wavelearn.errors import ConfigError, InvalidSignalError
 from wavelearn.network import SharingMode, WaveletNet
 from wavelearn.persist import (
+    feature_header,
+    load_dictionary,
     read_features_csv,
     read_scores_csv,
     save_dictionary,
@@ -27,6 +32,18 @@ def _wav_bytes(channels: int, block_align: int, payload: bytes = bytes(8)) -> by
     body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
             + b"data" + struct.pack("<I", len(payload)) + payload)
     return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def table_bytes(header, rows) -> bytes:
+    """A CSV table byte for byte as each command wrote its own before they
+    shared one writer: csv's default dialect (CRLF line ends), an id cell
+    first, and the float cells in repr."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row_id, *cells in rows:
+        writer.writerow([row_id] + [c if isinstance(c, str) else repr(float(c)) for c in cells])
+    return buf.getvalue().encode()
 
 
 def run(argv, capsys):
@@ -81,6 +98,9 @@ class TestDetectWorkflow:
         rows = read_features_csv(feats_train)
         assert len(rows) == 12
         assert rows[0][1].vector().size == 2 + 2 * 8  # window 256 -> 8 levels
+        # the reader round-trips every float, so these are the written values
+        assert open(feats_train, "rb").read() == table_bytes(
+            feature_header(8), [(row_id, *f.vector()) for row_id, f in rows])
 
         feats_test = str(tmp_path / "test.csv")
         assert run(["features", "--model", model, "--manifest", manifest,
@@ -96,6 +116,8 @@ class TestDetectWorkflow:
         assert run(["detect-score", "--elm", elm, "--features", feats_test,
                     "--out", scores], capsys)[0] == 0
         assert len(read_scores_csv(scores)) == 12
+        assert open(scores, "rb").read() == table_bytes(["id", "score"],
+                                                        read_scores_csv(scores))
 
         code, out, err = run(["eval-auc", "--scores", scores,
                               "--manifest", manifest], capsys)
@@ -158,6 +180,14 @@ class TestClassifyWorkflow:
         assert summary["rows"] == 4
         header = open(preds).readline().strip().split(",")
         assert header == ["id", "predicted", "loss_A", "loss_B"]
+        dictionary = load_dictionary(dict_path)
+        windows = load_windows(load_manifest(manifest), split="test")
+        predictions = [dict_classify(w.samples, dictionary) for w in windows]
+        assert open(preds, "rb").read() == table_bytes(header, [
+            (w.id, label, losses["A"], losses["B"])
+            for w, (label, losses) in zip(windows, predictions)])
+        hits = [label == w.label for w, (label, _) in zip(windows, predictions)]
+        assert summary["accuracy"] == sum(hits) / len(hits)
 
 
 class TestErrorPaths:
@@ -289,7 +319,7 @@ class TestErrorPaths:
             write_wav(tmp_path / "x.wav", np.array(samples), 16000)
         assert not (tmp_path / "x.wav").exists()
 
-    @pytest.mark.parametrize("rate", [-1, 0, 2 ** 31, 16000.0])
+    @pytest.mark.parametrize("rate", [-1, 0, 2 ** 31, 16000.0, True])
     def test_bad_rate_not_written(self, rate, tmp_path):
         with pytest.raises(ConfigError, match="sample rate"):
             write_wav(tmp_path / "x.wav", np.zeros(4), rate)

@@ -4,13 +4,14 @@ they replaced.
 The oracle below is the earlier `forward_trace`, `loss_terms` and
 `backward_full`: one bank derivation, one gate call and one gate backward
 per level, the gate in sigmoid form with an exact-identity branch for zero
-thresholds. The level ops (`analysis_step`, `synthesis_step`, with the
+thresholds. The level ops (`strided_corr`, `upsample_conv`, with the
 kernel gradients they return) are shared, and have oracles of their own in
-test_wavelet.py.
+test_wavelet.py; the oracle splits their channels and cuts their outputs
+itself.
 
 What moved, and by how much (float64 epsilon eps = 2.2e-16):
 
-* the bank, the padded inputs, the pre-gate details and the final
+* the bank, the level inputs, the pre-gate details and the final
   approximation are computed as before: byte for byte equal;
 * the gate is y = x (1 + (t - u)/2) instead of x (q + p): both brackets lie
   within an eps of the exact one, so |dy| <= GATE_EPS eps |x|, and the tanh
@@ -53,11 +54,11 @@ from wavelearn.network import (
 from wavelearn.training import backward_full, residual_sign
 from wavelearn.wavelet import (
     analysis_cascade,
-    analysis_step,
     cascade_input,
     max_depth,
+    strided_corr,
     synthesis_cascade,
-    synthesis_step,
+    upsample_conv,
 )
 
 EPS = np.finfo(float).eps
@@ -98,7 +99,8 @@ def oracle_forward(model, signal):
         banks = [oracle_bank(model, 0)] * model.levels
     else:
         banks = [oracle_bank(model, l) for l in range(model.levels)]
-    padded, pre_lengths, details_pre, approx = analysis_cascade(signal, banks)
+    inputs, details_pre, approx = analysis_cascade(signal, banks)
+    pre_lengths = [a.shape[-1] for a in inputs]
     details, gates = details_pre, []
     if model.mode.trains_thresholds:
         details = []
@@ -108,7 +110,7 @@ def oracle_forward(model, signal):
                                   model.sharpness)
             details.append(y)
             gates.append((p, q))
-    return dict(banks=banks, padded_inputs=padded, pre_lengths=pre_lengths,
+    return dict(banks=banks, inputs=inputs, pre_lengths=pre_lengths,
                 details_pre=details_pre, details=details, gates=gates,
                 approx=approx,
                 recon_chain=synthesis_cascade(approx, details, pre_lengths, banks))
@@ -139,8 +141,8 @@ def oracle_backward(signal, model, gamma):
     grad_d = []
     for l in range(model.levels):
         upstream = (trace["recon_chain"][l + 1], details[l])
-        _, g_x, g_d, dec_grads[l] = analysis_step(g_x, trace["banks"][l][..., 1, :, :],
-                                                  upstream)
+        out, dec_grads[l] = strided_corr(g_x, trace["banks"][l][..., 1, :, :], upstream)
+        g_x, g_d = out[..., 0, :], out[..., 1, :]
         grad_d.append(gamma / m_coeff * np.sign(details[l]) + g_d)
     g_a = g_x + gamma / m_coeff * np.sign(approx)
     for l in range(model.levels - 1, -1, -1):
@@ -152,8 +154,9 @@ def oracle_backward(signal, model, gamma):
             grads["b_minus"][..., l] = np.sum(grad_d[l] * dy_dbm, axis=-1)
         else:
             g_dpre = grad_d[l]
-        g_a, grad = synthesis_step(g_a, g_dpre, trace["pre_lengths"][l],
-                                   trace["banks"][l][..., 0, :, :], trace["padded_inputs"][l])
+        out, grad = upsample_conv((g_a, g_dpre), trace["banks"][l][..., 0, :, :],
+                                  trace["inputs"][l])
+        g_a = out[..., :trace["pre_lengths"][l]]
         bank_grads[l] = np.stack((grad, dec_grads[l]), -3)
     for l, bank_grad in enumerate(bank_grads):
         grads["kernels"][..., 0 if scheme.shared else l, :, :] += scheme.fold(bank_grad)
@@ -184,10 +187,10 @@ def magnitude(trace, signal):
 
 def assert_matches_oracle(trace, expect, signal):
     """Every array of a forward trace against the oracle's, per level."""
-    assert trace.pre_lengths == expect["pre_lengths"]
+    assert [a.shape[-1] for a in trace.inputs] == expect["pre_lengths"]
     for bank, want in zip(trace.banks, expect["banks"]):
         assert_bytes_equal(bank, want)
-    for got, want in zip(trace.padded_inputs, expect["padded_inputs"]):
+    for got, want in zip(trace.inputs, expect["inputs"]):
         assert_bytes_equal(got, want)
     for got, want in zip(trace.levels(trace.details_pre), expect["details_pre"]):
         assert_bytes_equal(got, want)

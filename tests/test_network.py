@@ -135,16 +135,16 @@ class TestSigmoid:
         assert np.isnan(network.sigmoid(np.nan)[0])
 
 
-def _count_calls(monkeypatch, module, name, call):
-    """Calls of `module.name` made while `call()` runs."""
+def _count_calls(monkeypatch, modules, name, call):
+    """Calls of `name` made while `call()` runs, through its binding in each
+    of `modules` (a module that imports a function by name holds its own)."""
     calls = []
-    original = getattr(module, name)
+    for module in modules:
+        def counted(*args, original=getattr(module, name)):
+            calls.append(1)
+            return original(*args)
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     call()
     return len(calls)
 
@@ -164,20 +164,21 @@ class TestGateEvaluatedOnce:
             for signal in (x[0], x):
                 for model, gated in ((despawn, 1), (lcwn, 0)):
                     assert _count_calls(
-                        monkeypatch, network, "ht_activation",
+                        monkeypatch, [network], "ht_activation",
                         lambda: model_forward(signal, model)) == gated
                     assert _count_calls(
-                        monkeypatch, network, "ht_activation",
+                        monkeypatch, [network], "ht_activation",
                         lambda: backward_full(signal, model, 1.0)) == gated
                     assert _count_calls(
-                        monkeypatch, training, "ht_gate_derivatives",
+                        monkeypatch, [training], "ht_gate_derivatives",
                         lambda: backward_full(signal, model, 1.0)) == gated
 
 
 class TestOneSynthesisCallPerLevel:
     """A decoder level synthesizes both channels in one `upsample_conv`
     call: L calls per forward pass, and L more for the backward pass's
-    transposed encoder, for one window or a block."""
+    transposed encoder, for one window or a block, counted through both
+    modules that bind the op."""
 
     def test_counts(self, monkeypatch):
         x = np.random.default_rng(2).normal(size=(3, 256))
@@ -185,9 +186,9 @@ class TestOneSynthesisCallPerLevel:
                      SharingMode.FREE_HT):
             model = WaveletNet(5, 8, mode)
             for signal in (x[0], x):
-                assert _count_calls(monkeypatch, wavelet, "upsample_conv",
+                assert _count_calls(monkeypatch, [wavelet, training], "upsample_conv",
                                     lambda: model_forward(signal, model)) == 5
-                assert _count_calls(monkeypatch, wavelet, "upsample_conv",
+                assert _count_calls(monkeypatch, [wavelet, training], "upsample_conv",
                                     lambda: backward_full(signal, model, 1.0)) == 10
 
 
@@ -222,6 +223,21 @@ class TestBuildModel:
             WaveletNet(0, 8, SharingMode.PER_LEVEL_CQF_HT)
         with pytest.raises(ConfigError):
             WaveletNet(3, 7, SharingMode.PER_LEVEL_CQF_HT)
+        for levels, kernel_size in ((2.5, 8), (True, 8), (3, 4.0), (3, np.float64(8))):
+            with pytest.raises(ConfigError, match="must be an integer"):
+                WaveletNet(levels, kernel_size, SharingMode.PER_LEVEL_CQF_HT)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(gamma=math.nan), dict(gamma=-2.0), dict(gamma=math.inf),
+        dict(sharpness=math.nan), dict(sharpness=0.0), dict(sharpness=-5.0),
+        dict(sharpness=math.inf), dict(gamma=-2.0, sharpness=-5.0),
+    ], ids=["gamma_nan", "gamma_negative", "gamma_inf", "sharpness_nan",
+            "sharpness_zero", "sharpness_negative", "sharpness_inf", "both_negative"])
+    def test_bad_gamma_or_sharpness_rejected(self, kwargs):
+        # gamma weighs the sparsity term (0 turns it off); sharpness scales
+        # the gate, whose tanh form needs it finite and positive
+        with pytest.raises(ConfigError, match="gamma" if "gamma" in kwargs else "sharpness"):
+            WaveletNet(3, 8, SharingMode.PER_LEVEL_CQF_HT, **kwargs)
 
     def test_mode_names_roundtrip(self):
         for mode in SharingMode:
@@ -289,13 +305,13 @@ class TestModelForward:
         for n in (64, 625, 1024):
             x = rng.normal(size=n)
             rec = model_forward(x, model)
-            _, _, details, approx = analysis_cascade(x, [bank] * 5)
+            _, details, approx = analysis_cascade(x, [bank] * 5)
             assert np.abs(rec.reconstruction - x).max() <= 1e-8
             for da, db in zip(rec.levels(rec.details), details):
                 np.testing.assert_allclose(da, db, rtol=0, atol=1e-12)
             np.testing.assert_allclose(rec.approx, approx,
                                        rtol=0, atol=1e-12)
-            assert rec.reconstruction.size == rec.pre_lengths[0] == n
+            assert rec.reconstruction.size == rec.inputs[0].size == n
 
     def test_saturated_thresholds_keep_only_approximation(self):
         rng = np.random.default_rng(3)
@@ -308,7 +324,8 @@ class TestModelForward:
             assert np.array_equal(d, np.zeros_like(d))
         expected = synthesis_cascade(
             rec.approx, [np.zeros_like(d) for d in rec.levels(rec.details)],
-            rec.pre_lengths, [cqf_from_scaling(DB4_SCALING)] * model.levels)[0]
+            [a.shape[-1] for a in rec.inputs],
+            [cqf_from_scaling(DB4_SCALING)] * model.levels)[0]
         np.testing.assert_allclose(rec.reconstruction, expected, rtol=0, atol=1e-12)
 
     def test_constraint_maintained_after_any_assignment(self):
@@ -416,7 +433,7 @@ def _record(details, approx, lengths, recon):
 
     pyramid = np.concatenate(details)
     return ForwardTrace(
-        banks=[], padded_inputs=[], pre_lengths=lengths,
+        banks=[], inputs=[np.zeros(n) for n in lengths],
         offsets=np.cumsum([0] + [d.size for d in details]).tolist(),
         details_pre=pyramid, details=pyramid, gates=(), approx=approx,
         recon_chain=[recon],

@@ -382,10 +382,15 @@ class TestModelPersistence:
         ("despawn", lambda doc: doc["level_params"][1].update(b_plus=float("nan"))),
         ("despawn", lambda doc: doc.update(gamma="high")),
         ("despawn", lambda doc: doc.update(levels=float("inf"))),
+        ("despawn", lambda doc: doc.update(alpha=-5.0)),
+        ("despawn", lambda doc: doc.update(alpha=0.0)),
+        ("despawn", lambda doc: doc.update(gamma=-2.0)),
+        ("despawn", lambda doc: doc.update(levels=0, level_params=[])),
     ], ids=["short_levels", "long_levels", "missing_h", "missing_g_bar",
             "missing_shared_h", "six_taps", "nan_tap", "inf_tap",
             "missing_threshold", "nan_threshold", "gamma_not_numeric",
-            "infinite_levels"])
+            "infinite_levels", "negative_alpha", "zero_alpha", "negative_gamma",
+            "no_levels"])
     def test_inconsistent_document_rejected(self, mode, corrupt, tmp_path):
         model = WaveletNet(3, 8, SharingMode.from_name(mode))
         path = tmp_path / "model.json"
@@ -434,6 +439,13 @@ class TestTablePersistence:
         assert [rid for rid, _ in back] == [rid for rid, _ in rows]
         for (_, fa), (_, fb) in zip(rows, back):
             assert np.array_equal(fa.vector(), fb.vector())
+
+    def test_inconsistent_feature_rows_write_nothing(self, tmp_path):
+        rows = [("a:0", LatentFeatures.from_vector(np.arange(6.0))),
+                ("a:1", LatentFeatures.from_vector(np.arange(8.0)))]
+        with pytest.raises(ConfigError, match="inconsistent"):
+            write_features_csv(rows, tmp_path / "features.csv")
+        assert not (tmp_path / "features.csv").exists()
 
     def test_scores_csv_roundtrip(self, tmp_path):
         rows = [("a:0", 0.125), ("b:1", 1.0 / 3.0)]

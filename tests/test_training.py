@@ -57,6 +57,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("n_seeds,rel_tol", [
         (0, 1e-4), (-1, 1e-4), (1, np.nan), (1, np.inf), (1, -1.0), (1, 0.0),
+        (1.5, 1e-4), (True, 1e-4),
     ])
     def test_gradient_check_that_checks_nothing_rejected(self, n_seeds, rel_tol):
         with pytest.raises(ConfigError):
@@ -145,9 +146,9 @@ def _backward_written_out(signal, model, gamma):
     """`backward_full` with each level's transpose spelled out: going down, a
     zero pad and one strided correlation with the decoder stack (the reversed
     synthesis kernels); coming back, one upsampling convolution of both
-    channels with the encoder stack (the analysis kernels) and a truncation
-    to the pre-pad length. Each of those calls also gives the level's kernel
-    gradient."""
+    channels with the encoder stack (the analysis kernels), against the level
+    input zero-padded likewise, and a truncation to the level input's length.
+    Each of those calls also gives the level's kernel gradient."""
     trace = forward_trace(model, signal)
     total, recon, sparsity = loss(trace, signal, gamma)
     scale = gamma / (trace.details.size + trace.approx.size)
@@ -160,7 +161,7 @@ def _backward_written_out(signal, model, gamma):
         bank = trace.banks[l]
         v = trace.recon_chain[l + 1]
         gy = np.zeros(2 * v.size)
-        gy[: trace.pre_lengths[l]] = g_x
+        gy[: trace.inputs[l].size] = g_x
         (g_x, g), grad = strided_corr(gy, bank[1], (v, details[l]))
         synth_grads.append(grad)
         g_d.append(g)
@@ -177,9 +178,10 @@ def _backward_written_out(signal, model, gamma):
     for l in range(model.levels - 1, -1, -1):
         bank = trace.banks[l]
         g_dpre = trace.levels(g_pre)[l]
-        x_pad = trace.padded_inputs[l]
+        x_pad = np.zeros(2 * g_a.size)
+        x_pad[: trace.inputs[l].size] = trace.inputs[l]
         g_pad, analysis_grads[l] = upsample_conv((g_a, g_dpre), bank[0], x_pad)
-        g_a = g_pad[: trace.pre_lengths[l]]
+        g_a = g_pad[: trace.inputs[l].size]
     kernels = scheme.fold(np.stack((np.stack(analysis_grads), np.stack(synth_grads)), 1))
     grads["kernels"] = kernels.sum(0, keepdims=True) if scheme.shared else kernels
     return (total, recon, sparsity), model.flatten(grads)
@@ -213,8 +215,8 @@ class TestBackwardMatchesWrittenOutTranspose:
 
 def _trace_arrays(trace):
     """Every per-window array a forward trace holds, in a fixed order."""
-    return (trace.padded_inputs + [trace.details_pre, trace.details, *trace.gates,
-                                   trace.approx] + trace.recon_chain)
+    return (trace.inputs + [trace.details_pre, trace.details, *trace.gates,
+                            trace.approx] + trace.recon_chain)
 
 
 class TestBlockPath:
@@ -252,7 +254,8 @@ class TestBlockPath:
             assert np.all(np.abs(got - sum(terms)) <= 1e-12 * scale)
 
         trace = forward_trace(model, block)
-        assert trace.pre_lengths == forward_trace(model, block[0]).pre_lengths
+        assert ([a.shape[-1] for a in trace.inputs]
+                == [a.shape[-1] for a in forward_trace(model, block[0]).inputs])
         for b, x in enumerate(block):
             for got, alone in zip(_trace_arrays(trace), _trace_arrays(forward_trace(model, x))):
                 assert got[b].shape == alone.shape
@@ -445,7 +448,8 @@ class TestTrainLoop:
     @pytest.mark.parametrize("field,value", [
         ("learning_rate", np.nan), ("learning_rate", np.inf),
         ("learning_rate", -1e-3), ("gamma", np.nan), ("gamma", np.inf),
-        ("gamma", -1.0),
+        ("gamma", -1.0), ("epochs", 2.5), ("batch_size", 2.5), ("batch_size", 0),
+        ("kernel_size", 8.0), ("levels", 2.5), ("levels", 0),
     ])
     def test_bad_hyper_parameter_rejected_before_any_step(self, field, value,
                                                           monkeypatch):
@@ -454,7 +458,7 @@ class TestTrainLoop:
                             lambda *args: steps.append(1))
         with pytest.raises(ConfigError):
             train(_sinusoid_set(n_signals=2), SharingMode.PER_LEVEL_CQF_HT,
-                  TrainConfig(epochs=1, levels=5, **{field: value}))
+                  TrainConfig(**{"epochs": 1, "levels": 5, field: value}))
         assert not steps
 
     def test_windows_of_unequal_length_rejected_before_any_step(self,

@@ -19,13 +19,11 @@ from wavelearn.wavelet import (
     HAAR_SCALING,
     _periodic_ext,
     analysis_cascade,
-    analysis_step,
     cascade_input,
     cqf_from_scaling,
     max_depth,
     strided_corr,
     synthesis_cascade,
-    synthesis_step,
     upsample_conv,
 )
 
@@ -107,11 +105,10 @@ class TestCqfConstruction:
 
 
 def decompose(x, bank, levels):
-    """(pre-pad lengths, details, approximation) of a `levels`-deep cascade
-    with one bank at every level."""
-    _, lengths, details, approx = analysis_cascade(cascade_input(x, levels),
-                                                   [bank] * levels)
-    return lengths, details, approx
+    """(level input lengths, details, approximation) of a `levels`-deep
+    cascade with one bank at every level."""
+    inputs, details, approx = analysis_cascade(cascade_input(x, levels), [bank] * levels)
+    return [a.shape[-1] for a in inputs], details, approx
 
 
 def roundtrip(x, bank, levels):
@@ -205,7 +202,8 @@ class TestAdjointness:
         rng = np.random.default_rng(seed)
         banks = [rng.normal(size=(2, 2, k)) for _ in range(max_depth(n))]
         u = rng.normal(size=n)
-        _, lengths, details, approx = analysis_cascade(u, banks)
+        inputs, details, approx = analysis_cascade(u, banks)
+        lengths = [a.shape[-1] for a in inputs]
         w_d = [rng.normal(size=d.size) for d in details]
         w_a = rng.normal(size=approx.size)
         lhs = np.dot(approx, w_a) + sum(np.dot(d, w) for d, w in zip(details, w_d))
@@ -456,28 +454,52 @@ class TestStridedCorr:
              np.asfortranarray(rng.normal(size=(3, half)))),
         ]
         # the other operand of the kernel gradients the backward pass asks
-        # the level ops for: an upstream pair and a padded signal
-        up, padded = rng.normal(size=(2, half)), rng.normal(size=2 * half)
+        # the level ops for: an upstream pair and a level input, unpadded
+        up, signal = rng.normal(size=(2, half)), rng.normal(size=n)
         cases = [case + extra for case, extra in zip(cases, [
-            (*(np.broadcast_to(u, (3, half)) for u in up),
-             np.broadcast_to(padded, (3, 2 * half))),
-            tuple(np.asfortranarray(rng.normal(size=(3, m))) for m in (half, half, 2 * half)),
+            (*(np.broadcast_to(u, (3, half)) for u in up), np.broadcast_to(signal, (3, n))),
+            tuple(np.asfortranarray(rng.normal(size=(3, m))) for m in (half, half, n)),
         ])]
         for block, approx, detail, up_a, up_d, x in cases:
             copies = [np.ascontiguousarray(v) for v in (block, approx, detail, up_a, up_d, x)]
-            for got, want in zip(analysis_step(block, encoder),
-                                 analysis_step(copies[0], encoder)):
-                assert got.tobytes() == want.tobytes()
-            got = synthesis_step(approx, detail, n, decoder)
-            want = synthesis_step(copies[1], copies[2], n, decoder)
+            got = strided_corr(block, encoder)
+            want = strided_corr(copies[0], encoder)
             assert got.tobytes() == want.tobytes()
-            for got, want in zip(analysis_step(block, encoder, (up_a, up_d)),
-                                 analysis_step(copies[0], encoder, copies[3:5])):
+            got = upsample_conv((approx, detail), decoder)[..., :n]
+            want = upsample_conv((copies[1], copies[2]), decoder)[..., :n]
+            assert got.tobytes() == want.tobytes()
+            for got, want in zip(strided_corr(block, encoder, (up_a, up_d)),
+                                 strided_corr(copies[0], encoder, copies[3:5])):
                 assert got.tobytes() == want.tobytes()
-            for got, want in zip(synthesis_step(approx, detail, n, decoder, x),
-                                 synthesis_step(copies[1], copies[2], n, decoder,
-                                                copies[5])):
+            for got, want in zip(upsample_conv((approx, detail), decoder, x),
+                                 upsample_conv((copies[1], copies[2]), decoder, copies[5])):
                 assert got.tobytes() == want.tobytes()
+
+
+class TestOddLengthsPadInside:
+    """Each level op zero-pads an odd-length level input by one sample
+    itself: `strided_corr` its input, `upsample_conv` its gradient operand,
+    byte for byte as on the explicitly padded input."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lead=st.sampled_from([(), (1,), (3,)]), half=st.integers(1, 200),
+           k=st.sampled_from([2, 4, 8, 16]), seed=st.integers(0, 2**32 - 1))
+    def test_equals_explicit_pad(self, lead, half, k, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(*lead, 2 * half - 1))
+        padded = np.concatenate([x, np.zeros((*lead, 1))], -1)
+        stack = rng.normal(size=(2, k))
+        up = tuple(rng.normal(size=(2, *lead, half)))
+        out = strided_corr(x, stack)
+        assert out.shape == (*lead, 2, half)
+        assert out.tobytes() == strided_corr(padded, stack).tobytes()
+        for got, want in zip(strided_corr(x, stack, up), strided_corr(padded, stack, up)):
+            assert got.tobytes() == want.tobytes()
+        synth, grad = upsample_conv(up, stack, x)
+        assert synth.shape == padded.shape
+        assert synth.tobytes() == upsample_conv(up, stack).tobytes()
+        for got, want in zip((synth, grad), upsample_conv(up, stack, padded)):
+            assert got.tobytes() == want.tobytes()
 
 
 def grad_sum(u, x, taps):
@@ -639,15 +661,16 @@ class TestOneBankPerRow:
                 else cqf_from_scaling(h[r]) for r in range(rows)]
         x = rng.normal(size=(rows, n))
         x[rng.random(x.shape) < 0.2] = 0.0
-        a_pad, a, d = analysis_step(x, bank[:, 0])
-        back = synthesis_step(a, d, n, bank[:, 1])
+        out = strided_corr(x, bank[:, 0])
+        a, d = out[..., 0, :], out[..., 1, :]
+        back = upsample_conv((a, d), bank[:, 1])[..., :n]
         for r in range(rows):
             for got, want in zip(kernels(bank), kernels(lone[r])):
                 assert got[r].tobytes() == want.tobytes()
-            expect = analysis_step(x[r], lone[r][0])
-            for got, want in zip((a_pad, a, d), expect):
+            expect = strided_corr(x[r], lone[r][0])
+            for got, want in zip((a, d), expect):
                 assert got[r].tobytes() == want.tobytes()
-            want = synthesis_step(expect[1], expect[2], n, lone[r][1])
+            want = upsample_conv((expect[0], expect[1]), lone[r][1])[..., :n]
             assert back[r].tobytes() == want.tobytes()
 
     def test_one_kernel_serves_every_row(self):
