@@ -4,12 +4,11 @@ random-hidden-layer network, ROC-AUC, and per-class-model classification."""
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSignalError, UndefinedMetricError, as_integer
+from .errors import ConfigError, InvalidSignalError, UndefinedMetricError, as_integer, as_real
 from .network import SharingMode, WaveletNet, loss_terms, model_forward, sigmoid
 from .training import TrainConfig, TrainReport, train
 
@@ -103,8 +102,8 @@ def elm_fit(features: list[LatentFeatures], neurons: int = 50,
     if not features:
         raise ConfigError("cannot fit a one-class model on an empty set")
     neurons = as_integer(neurons, "neurons", 1)
-    if not 0 < ridge_lambda < math.inf:  # false for NaN as well
-        raise ConfigError(f"ridge must be finite and > 0, got {ridge_lambda}")
+    ridge_lambda = as_real(ridge_lambda, "ridge", strict=True)
+    seed = as_integer(seed, "seed", 0)
     x = np.stack([f.vector() for f in features])
     mean = x.mean(axis=0)
     std = x.std(axis=0)
@@ -173,8 +172,7 @@ class DictionaryModel:
                 for m in self.class_models.values()}) > 1:
             raise ConfigError("class models must share one mode, depth, kernel "
                               "size and sharpness")
-        if not 0 <= self.gamma < math.inf:  # false for NaN as well
-            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
+        as_real(self.gamma, "gamma")
 
     def labels(self) -> list[str]:
         return sorted(self.class_models)

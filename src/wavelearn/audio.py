@@ -103,6 +103,8 @@ class WavReader:
             raise FormatError(f"unsupported bit depth {bits}", offset=fmt_offset)
         if channels < 1:
             raise FormatError("zero channels", offset=fmt_offset)
+        if not 1 <= rate <= MAX_RATE:
+            raise FormatError(f"sample rate {rate} outside 1 to {MAX_RATE}", offset=fmt_offset)
         if block_align not in (0, 2 * channels):
             raise FormatError(
                 f"block_align {block_align} != {2 * channels} for {channels} "

@@ -79,8 +79,7 @@ def cmd_train(args) -> int:
     if not windows:
         raise ConfigError("manifest has no training windows")
     config = _train_config(args)
-    report = train([w.samples for w in windows], SharingMode.from_name(args.mode),
-                   config)
+    report = train([w.samples for w in windows], SharingMode(args.mode), config)
     persist.save_model(report.final_model, args.out)
     first, last = report.loss_history[0], report.loss_history[-1]
     print(json.dumps({
@@ -158,7 +157,7 @@ def cmd_grad_check(args) -> int:
     names = TRAINABLE_MODE_NAMES if args.mode == "all" else [args.mode]
     failed = False
     for name in names:
-        report = gradient_check(SharingMode.from_name(name), seed=args.seed,
+        report = gradient_check(SharingMode(name), seed=args.seed,
                                 n_seeds=args.seeds, rel_tol=args.tolerance)
         status = "PASS" if report.passed else "FAIL"
         print(f"{name}: {status} ({report.checked} comparisons, "
@@ -177,7 +176,7 @@ def cmd_classify_train(args) -> int:
         grouped.setdefault(w.label, []).append(w.samples)
     config = _train_config(args)
     dictionary, _reports = analysis.dict_train(
-        grouped, SharingMode.from_name(args.mode), config)
+        grouped, SharingMode(args.mode), config)
     persist.save_dictionary(dictionary, args.out)
     print(json.dumps({"classes": sorted(grouped),
                       "windows": len(windows)}))
@@ -289,7 +288,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (WavelearnError, FileNotFoundError) as exc:
+    except (WavelearnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .audio import WavReader, as_rate, decimated_windows
-from .errors import ConfigError, FormatError, as_integer
-from .persist import read_json
+from .errors import ConfigError, FormatError, as_integer, as_real
+from .persist import _field, _of_type, read_json
 
 
 @dataclass
@@ -70,28 +70,19 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
-def _typed(doc, key: str, *kinds: type):
-    """doc[key] if it has one of the types `kinds`, a missing key reading as
-    None (booleans are not integers here)."""
-    value = doc.get(key) if isinstance(doc, dict) else None
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise FormatError(f"manifest field {key!r} must be of type "
-                          f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
-    return value
-
-
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     doc = read_json(path)
     manifest = DatasetManifest(
-        sample_rate=_typed(doc, "sample_rate", int),
-        window_size=_typed(doc, "window_size", int),
-        decimate=_typed(doc, "decimate", int) if "decimate" in doc else 1,
+        sample_rate=_field(doc, "sample_rate", as_integer, 1),
+        window_size=_field(doc, "window_size", as_integer, 2),
+        decimate=_field(doc, "decimate", as_integer, 1) if "decimate" in doc else 1,
         entries=[
-            ManifestEntry(path=_typed(e, "path", str),
-                          label=_typed(e, "label", str, type(None)),
-                          split=_typed(e, "split", str) if "split" in e else "train")
-            for e in _typed(doc, "entries", list)
+            ManifestEntry(path=_field(e, "path", _of_type, str),
+                          label=_field(e, "label", _of_type, str, type(None))
+                          if "label" in e else None,
+                          split=_field(e, "split", _of_type, str) if "split" in e else "train")
+            for e in _field(doc, "entries", _of_type, list)
         ],
         base_dir=path.parent,
     )
@@ -187,11 +178,11 @@ def base_waveform(n: int, kind: str = "normal",
 
 def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> list[WindowRecord]:
     """Seed-deterministic labeled windows per the spec's task."""
-    if spec.window < 16:
-        raise ConfigError(f"window too short: {spec.window}")
-    if spec.sigma < 0:
-        raise ConfigError("sigma must be >= 0")
-    rng = np.random.default_rng(seed)
+    as_integer(spec.window, "window", 16)
+    as_real(spec.sigma, "sigma")
+    as_integer(spec.n_train, "n_train", 0)
+    as_integer(spec.n_test, "n_test", 0)
+    rng = np.random.default_rng(as_integer(seed, "seed", 0))
     records: list[WindowRecord] = []
 
     def emit(kind: str, label: str, split: str, index: int, base: np.ndarray) -> None:

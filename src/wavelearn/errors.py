@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the integer check that
-every integer argument goes through."""
+"""Exception types shared across the package, and the two rules that every
+number argument and document field goes through: `as_integer` and `as_real`."""
+
+import math
 
 import numpy as np
 
@@ -33,6 +35,23 @@ def as_integer(value, name: str, least: int) -> int:
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def as_real(value, name: str, low: float = 0.0, strict: bool = False) -> float:
+    """`value` as a float if it is a finite real number (not a bool) of at
+    least `low`, or above `low` when `strict`; anything else, an int beyond
+    the float range included, is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:
+        real = math.inf
+    if not math.isfinite(real):
+        raise ConfigError(f"{name} must be finite and real, got {value}")
+    if real < low or (strict and real == low):
+        raise ConfigError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
+    return real
 
 
 class DivergenceError(WavelearnError):

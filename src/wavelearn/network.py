@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSignalError, as_integer
+from .errors import ConfigError, InvalidSignalError, as_integer, as_real
 from .wavelet import (
     DB4_SCALING,
     HAAR_SCALING,
@@ -129,14 +129,9 @@ class SharingMode(enum.Enum):
         return mode
 
     @classmethod
-    def from_name(cls, name: str) -> "SharingMode":
-        for mode in cls:
-            if mode.value == name:
-                return mode
-        raise ConfigError(
-            f"unknown mode {name!r}; expected one of "
-            + ", ".join(m.value for m in cls)
-        )
+    def _missing_(cls, name):  # `SharingMode(name)` of an unknown name
+        raise ConfigError(f"unknown mode {name!r}; expected one of "
+                          + ", ".join(m.value for m in cls))
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
@@ -229,11 +224,8 @@ class WaveletNet:
         kernel_size = as_integer(kernel_size, "kernel size", 2)
         if kernel_size % 2:
             raise ConfigError(f"kernel size must be even and >= 2, got {kernel_size}")
-        gamma, sharpness = float(gamma), float(sharpness)
-        if not 0 <= gamma < math.inf:  # false for NaN as well
-            raise ConfigError(f"gamma must be finite and >= 0, got {gamma}")
-        if not 0 < sharpness < math.inf:
-            raise ConfigError(f"sharpness must be finite and > 0, got {sharpness}")
+        gamma = as_real(gamma, "gamma")
+        sharpness = as_real(sharpness, "sharpness", strict=True)
         self.levels = levels
         self.kernel_size = mode.scheme.kernel_size or kernel_size
         self.mode = mode

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import csv
 import json
-from functools import partial
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import DictionaryModel, LatentFeatures, OneClassElm
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, as_integer, as_real
 from .network import DEFAULT_SHARPNESS, SharingMode, WaveletNet
 
 MODEL_FORMAT_VERSION = 1
@@ -41,31 +41,48 @@ def read_json(path):
     """The JSON document stored in `path`; anything else is a FormatError."""
     try:
         return json.loads(Path(path).read_bytes())
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise FormatError(f"{path} is not a JSON document: {exc}") from None
 
 
-def _field(record, key: str, convert=None):
-    """record[key], passed through `convert` when one is given. A missing
-    key, a value `convert` rejects, or a non-finite number is a FormatError."""
+def _field(record, key: str, rule=None, *args):
+    """record[key], read through `rule(value, key, *args)` when a rule is
+    given: `as_integer`, `as_real`, `_reals` or `_of_type`. A missing key, or a
+    value the rule rejects, is a FormatError naming the key."""
     if not isinstance(record, dict) or key not in record:
         raise FormatError(f"document lacks {key!r}")
-    if convert is None:
+    if rule is None:
         return record[key]
     try:
-        value = convert(record[key])
-    except (TypeError, ValueError, OverflowError):
-        raise FormatError(f"field {key!r} holds an invalid value") from None
-    if isinstance(value, (float, np.ndarray)) and not np.all(np.isfinite(value)):
-        raise FormatError(f"field {key!r} holds a non-finite number")
+        return rule(record[key], repr(key), *args)
+    except ConfigError as exc:
+        raise FormatError(f"document field {exc}") from None
+
+
+def _reals(value, name: str, low: float = -math.inf, strict: bool = False) -> np.ndarray:
+    """Nested lists of numbers as a float array, each entry read through
+    `as_real(entry, name, low, strict)`."""
+    def read(v):
+        return [read(x) for x in v] if isinstance(v, list) else as_real(v, name, low, strict)
+    try:
+        return np.array(read(value), dtype=float)
+    except (ValueError, RecursionError):  # ragged, or nested too deep
+        raise ConfigError(f"{name} must be a rectangular array") from None
+
+
+def _of_type(value, name: str, *kinds: type):
+    """`value` if it is of one of the JSON types `kinds`: str, list, dict or None."""
+    if not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be of type "
+                          f"{' or '.join(k.__name__ for k in kinds)}, got {value!r}")
     return value
 
 
-_floats = partial(np.asarray, dtype=float)
-# the stored fields of a OneClassElm, each with the converter that reads it
-_ELM_FIELDS = {"hidden_weights": _floats, "hidden_bias": _floats,
-               "output_weights": _floats, "scaler_mean": _floats,
-               "scaler_std": _floats, "ridge_lambda": float, "seed": int}
+# the stored fields of a OneClassElm and their rules, as strict as `elm_fit`
+_ELM_FIELDS = {"hidden_weights": (_reals,), "hidden_bias": (_reals,),
+               "output_weights": (_reals,), "scaler_mean": (_reals,),
+               "scaler_std": (_reals, 0.0, True), "ridge_lambda": (as_real, 0.0, True),
+               "seed": (as_integer, 0)}
 
 
 def _model_doc(model: WaveletNet) -> dict:
@@ -88,22 +105,18 @@ def _model_doc(model: WaveletNet) -> dict:
 
 
 def _model_from_doc(doc: dict) -> WaveletNet:
-    if _field(doc, "format_version") != MODEL_FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported model format version {doc.get('format_version')!r}"
-        )
-    mode = SharingMode.from_name(_field(doc, "mode"))
-    levels = _field(doc, "levels", int)
-    kernel_size = _field(doc, "kernel_size", int)
+    if _field(doc, "format_version", as_integer, 0) != MODEL_FORMAT_VERSION:
+        raise FormatError(f"unsupported model format version {doc['format_version']}")
+    mode = SharingMode(_field(doc, "mode"))
+    levels = _field(doc, "levels", as_integer, 1)
+    kernel_size = _field(doc, "kernel_size", as_integer, 2)
     # the depth and kernel size are checked against what the document holds
     # before the model is built, so a bad one allocates nothing
-    records = _field(doc, "level_params")
-    if not isinstance(records, list) or len(records) != levels:
-        raise FormatError(
-            f"level_params must hold one record per level ({levels})"
-        )
+    records = _field(doc, "level_params", _of_type, list)
+    if len(records) != levels:
+        raise FormatError(f"level_params must hold one record per level ({levels})")
     slots = _kernel_slots(doc, mode.scheme, levels)
-    kernels = [_field(record, key, _floats) for record, key, _ in slots]
+    kernels = [_field(record, key, _reals) for record, key, _ in slots]
     for (_, key, _), taps in zip(slots, kernels):
         if taps.shape != (kernel_size,):
             raise FormatError(f"kernel {key!r} must hold {kernel_size} finite taps")
@@ -112,14 +125,15 @@ def _model_from_doc(doc: dict) -> WaveletNet:
             levels=levels,
             kernel_size=kernel_size,
             mode=mode,
-            gamma=_field(doc, "gamma", float),
-            sharpness=_field(doc, "alpha", float) if "alpha" in doc else DEFAULT_SHARPNESS,
+            gamma=_field(doc, "gamma", as_real),
+            sharpness=_field(doc, "alpha", as_real, 0.0, True) if "alpha" in doc
+            else DEFAULT_SHARPNESS,
         )
     except ConfigError as exc:
         raise FormatError(f"model document: {exc}") from None
     for l, record in enumerate(records):
-        model.params["b_plus"][l] = _field(record, "b_plus", float)
-        model.params["b_minus"][l] = _field(record, "b_minus", float)
+        model.params["b_plus"][l] = _field(record, "b_plus", as_real, -math.inf)
+        model.params["b_minus"][l] = _field(record, "b_minus", as_real, -math.inf)
     for (_, _, index), taps in zip(slots, kernels):
         model.params["kernels"][index] = taps
     return model
@@ -143,8 +157,8 @@ def save_elm(elm: OneClassElm, path) -> None:
 
 def load_elm(path) -> OneClassElm:
     doc = read_json(path)
-    elm = OneClassElm(**{name: _field(doc, name, convert)
-                         for name, convert in _ELM_FIELDS.items()})
+    elm = OneClassElm(**{name: _field(doc, name, *rule)
+                         for name, rule in _ELM_FIELDS.items()})
     w = elm.hidden_weights
     if (w.ndim != 2
             or {elm.hidden_bias.shape, elm.output_weights.shape} != {w.shape[1:]}
@@ -166,10 +180,10 @@ def save_dictionary(dictionary: DictionaryModel, path) -> None:
 
 def load_dictionary(path) -> DictionaryModel:
     doc = read_json(path)
-    classes = _field(doc, "classes", dict)
+    classes = _field(doc, "classes", _of_type, dict)
     models = {label: _model_from_doc(mdoc) for label, mdoc in classes.items()}
     try:
-        return DictionaryModel(class_models=models, gamma=_field(doc, "gamma", float))
+        return DictionaryModel(class_models=models, gamma=_field(doc, "gamma", as_real))
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -205,20 +219,21 @@ def write_features_csv(rows: list[tuple[str, LatentFeatures]], path) -> None:
                 ([row_id, *feats.vector()] for row_id, feats in rows))
 
 
-def _read_table(path, min_columns: int) -> list[tuple[str, np.ndarray]]:
-    """The rows of a CSV table under an ``id`` header of at least
-    `min_columns` columns, as (id, the other cells as floats)."""
+def _read_table(path, header_for) -> list[tuple[str, np.ndarray]]:
+    """The rows of a CSV table, at least one, under the header
+    `header_for(n)` of its n columns, as (id, the other cells as floats)."""
     with open(path, newline="") as fh:
         records = list(csv.reader(fh))
     header = records[0] if records else []
-    if len(header) < min_columns or header[0] != "id":
-        raise FormatError(f"{path} lacks an id header of {min_columns}+ columns")
+    if header != header_for(len(header)) or len(records) < 2:
+        expected = ",".join(header_for(len(header)))
+        raise FormatError(f"{path} lacks a row under the header {expected}")
     rows = []
     for line, rec in enumerate(records[1:], start=2):
         try:
             if len(rec) != len(header):
                 raise ValueError(f"{len(rec)} cells under {len(header)} columns")
-            cells = np.array([float(v) for v in rec[1:]])
+            cells = np.array(rec[1:], dtype=float)
             if not np.all(np.isfinite(cells)):
                 raise ValueError("non-finite cell")
             rows.append((rec[0], cells))
@@ -229,7 +244,7 @@ def _read_table(path, min_columns: int) -> list[tuple[str, np.ndarray]]:
 
 def read_features_csv(path) -> list[tuple[str, LatentFeatures]]:
     return [(row_id, LatentFeatures.from_vector(vec))
-            for row_id, vec in _read_table(path, 5)]
+            for row_id, vec in _read_table(path, lambda n: feature_header((n - 3) // 2))]
 
 
 def write_scores_csv(rows: list[tuple[str, float]], path) -> None:
@@ -237,4 +252,4 @@ def write_scores_csv(rows: list[tuple[str, float]], path) -> None:
 
 
 def read_scores_csv(path) -> list[tuple[str, float]]:
-    return [(row_id, float(vec[0])) for row_id, vec in _read_table(path, 2)]
+    return [(row_id, vec.item()) for row_id, vec in _read_table(path, lambda n: ["id", "score"])]

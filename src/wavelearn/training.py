@@ -31,13 +31,12 @@ not finite stops training with `DivergenceError` before the update.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, as_integer
+from .errors import ConfigError, DivergenceError, as_integer, as_real
 from .network import (
     SharingMode,
     WaveletNet,
@@ -194,9 +193,9 @@ def gradient_check(mode: SharingMode, seed: int = 0, n_seeds: int = 5,
     straddles a kink (`kink_free_difference`) is reported in `kinks`,
     neither checked nor failed.
     """
+    seed = as_integer(seed, "seed", 0)
     n_seeds = as_integer(n_seeds, "number of seeds", 1)
-    if not 0 < rel_tol < math.inf:  # false for NaN as well
-        raise ConfigError(f"tolerance must be finite and > 0, got {rel_tol}")
+    rel_tol = as_real(rel_tol, "tolerance", strict=True)
     seeds = list(range(seed, seed + n_seeds))
     failures, kinks = [], []
     checked = 0
@@ -249,12 +248,11 @@ class TrainConfig:
         as_integer(self.epochs, "epochs", 1)
         as_integer(self.batch_size, "batch size", 1)
         as_integer(self.kernel_size, "kernel size", 2)
+        as_integer(self.seed, "seed", 0)
         if self.levels is not None:
             as_integer(self.levels, "levels", 1)
-        for name, value in (("learning rate", self.learning_rate),
-                            ("gamma", self.gamma)):
-            if not 0 <= value < math.inf:  # false for NaN as well
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        as_real(self.learning_rate, "learning rate")
+        as_real(self.gamma, "gamma")
 
 
 @dataclass

@@ -221,14 +221,8 @@ def upsample_conv(v: tuple[np.ndarray, np.ndarray], f: np.ndarray, x=None):
 # full cascade
 
 def max_depth(length: int) -> int:
-    """Number of halvings (with odd-length padding) until one sample is left."""
-    if length < 2:
-        return 0
-    depth = 0
-    while length > 1:
-        length = (length + 1) // 2
-        depth += 1
-    return depth
+    """Halvings (with odd-length padding) until one sample is left: ceil(log2(length))."""
+    return (int(length) - 1).bit_length() if length >= 2 else 0
 
 
 def analysis_cascade(signal: np.ndarray, banks: list[np.ndarray]):

@@ -279,13 +279,18 @@ class TestErrorPaths:
          lambda d, t: _edited(_saved_model(t), lambda doc: doc.update(kernel_size=2 ** 62))),
         (["reconstruct", "--model", "{bad}", "--input", "{wav}"],
          lambda d, t: _edited(_saved_model(t), lambda doc: doc.update(levels=200_000))),
+        (["reconstruct", "--model", "{bad}", "--input", "{wav}"],
+         lambda d, t: _edited(_saved_model(t), lambda doc: doc["level_params"][0].update(
+             h=_nested(900)))),
+        (["reconstruct", "--model", "{bad}", "--input", "{wav}"], "[" * 100_000),
     ], ids=["model_kernel_not_numeric", "model_not_json", "elm_empty",
             "features_cell_not_numeric", "features_cell_not_finite", "features_empty",
             "scores_empty", "score_not_numeric", "dictionary_empty", "manifest_decimate_not_int",
             "manifest_not_json", "manifest_rate_zero", "wav_block_align_below_frame",
             "wav_block_align_odd", "dictionary_no_classes",
             "dictionary_one_class", "dictionary_mixed_levels",
-            "model_kernel_size_huge", "model_levels_huge"])
+            "model_kernel_size_huge", "model_levels_huge", "model_taps_nested_deep",
+            "model_nested_past_the_parser"])
     def test_malformed_input_exits_2(self, argv, content, detect_dir, tmp_path,
                                      capsys):
         bad = tmp_path / "bad"
@@ -357,6 +362,66 @@ class TestErrorPaths:
         assert message in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "train", "detect-train", "grad-check",
+                                         "classify-train"])
+    def test_negative_seed_exits_2(self, command, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert run(["synth", "--out", str(data), "--seed", "1", "--task",
+                    "classify", "--n-normal", "2", "--n-anomal", "1",
+                    "--window", "64"], capsys)[0] == 0
+        features = tmp_path / "features.csv"
+        write_features_csv([(f"w:{i}", LatentFeatures.from_vector(np.arange(4.0) * i))
+                            for i in range(3)], features)
+        argv = {
+            "synth": ["--out", str(out), "--window", "64"],
+            "train": ["--manifest", str(data / "manifest.json"), "--epochs", "1",
+                      "--out", str(out)],
+            "detect-train": ["--features", str(features), "--out", str(out)],
+            "grad-check": ["--mode", "cwn"],
+            "classify-train": ["--manifest", str(data / "manifest.json"), "--epochs", "1",
+                               "--out", str(out)],
+        }[command]
+        code, _, err = run([command, *argv, "--seed", "-1"], capsys)
+        assert code == 2
+        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--sigma", "nan"], "sigma must be finite"),
+        (["--sigma", "inf"], "sigma must be finite"),
+        (["--n-normal", "-5", "--n-anomal", "-2"], "n_train must be >= 0"),
+        (["--n-anomal", "-2"], "n_test must be >= 0"),
+        (["--window", "8"], "window must be >= 16"),
+    ], ids=["sigma_nan", "sigma_inf", "counts_negative", "n_test_negative",
+            "window_short"])
+    def test_bad_synth_spec_exits_2_and_writes_nothing(self, flags, message, tmp_path,
+                                                       capsys):
+        out = tmp_path / "data"
+        code, _, err = run(["synth", "--out", str(out), "--seed", "1", "--n-normal", "2",
+                            "--n-anomal", "1", "--window", "64", *flags], capsys)
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["manifest", "out", "entry"])
+    def test_directory_for_a_file_exits_2(self, where, detect_dir, tmp_path, capsys):
+        # an entry path of "" names the manifest's own directory
+        doc = json.loads((detect_dir / "manifest.json").read_text())
+        for entry in doc["entries"]:
+            entry["path"] = str(detect_dir / entry["path"])
+        if where == "entry":
+            doc["entries"][0]["path"] = ""
+        manifest, out = tmp_path / "manifest.json", tmp_path / "model.json"
+        manifest.write_text(json.dumps(doc))
+        if where == "manifest":
+            manifest = tmp_path
+        if where == "out":
+            out = tmp_path
+        code, _, err = run(["train", "--manifest", str(manifest), "--epochs", "1",
+                            "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["train", "classify-train"])
     def test_divergence_exits_2(self, command, tmp_path, capsys):
         # a finite but huge rate: the first update throws the kernels to
@@ -415,6 +480,14 @@ def _one_level_less(doc):
     """Make class B of a dictionary document one level shallower than A."""
     doc["classes"]["B"]["levels"] -= 1
     doc["classes"]["B"]["level_params"].pop()
+
+
+def _nested(depth: int) -> list:
+    """A list of one tap nested `depth` lists deep."""
+    value = [0.5]
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 def _edited(path, edit) -> str:

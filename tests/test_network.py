@@ -241,9 +241,9 @@ class TestBuildModel:
 
     def test_mode_names_roundtrip(self):
         for mode in SharingMode:
-            assert SharingMode.from_name(mode.value) is mode
+            assert SharingMode(mode.value) is mode
         with pytest.raises(ConfigError):
-            SharingMode.from_name("bogus")
+            SharingMode("bogus")
 
 
 class TestParameterCount:
@@ -354,7 +354,7 @@ class TestModelForward:
         # every scheme derives its banks in one call per forward pass: a
         # shared or fixed scheme one bank for every level, a per-level scheme
         # all levels' banks from its level-stacked kernels
-        mode = SharingMode.from_name(mode)
+        mode = SharingMode(mode)
         real, calls = mode.scheme.derive, []
 
         def counted(*kernels):

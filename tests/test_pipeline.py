@@ -251,6 +251,23 @@ class TestSynthetic:
         assert len(train) == 4 and all(r.label == "normal" for r in train)
         assert sorted({r.label for r in test}) == ["impulse", "normal", "shift"]
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("window", 100.5, "window must be an integer"), ("window", 15, "window must be >= 16"),
+        ("sigma", np.nan, "sigma must be finite"), ("sigma", np.inf, "sigma must be finite"),
+        ("sigma", -0.1, "sigma must be >= 0"), ("sigma", True, "sigma must be a real"),
+        ("n_train", -5, "n_train must be >= 0"), ("n_test", 2.0, "n_test must be an integer"),
+    ])
+    def test_bad_spec_field_rejected(self, field, value, message):
+        # NaN fails both `sigma < 0` and `sigma > 0`, so it once gave
+        # noise-free windows, and negative counts an empty set
+        with pytest.raises(ConfigError, match=message):
+            generate_synthetic(SyntheticSpec(**{field: value}), seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            generate_synthetic(SyntheticSpec(n_train=1, n_test=0), seed=seed)
+
     def test_classify_task_has_two_classes(self):
         spec = SyntheticSpec(task="classify", n_train=3, n_test=2)
         records = generate_synthetic(spec, seed=2)
@@ -392,7 +409,7 @@ class TestModelPersistence:
             "infinite_levels", "negative_alpha", "zero_alpha", "negative_gamma",
             "no_levels"])
     def test_inconsistent_document_rejected(self, mode, corrupt, tmp_path):
-        model = WaveletNet(3, 8, SharingMode.from_name(mode))
+        model = WaveletNet(3, 8, SharingMode(mode))
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text())

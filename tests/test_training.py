@@ -450,6 +450,7 @@ class TestTrainLoop:
         ("learning_rate", -1e-3), ("gamma", np.nan), ("gamma", np.inf),
         ("gamma", -1.0), ("epochs", 2.5), ("batch_size", 2.5), ("batch_size", 0),
         ("kernel_size", 8.0), ("levels", 2.5), ("levels", 0),
+        ("seed", -1), ("seed", 3.5), ("seed", True), ("learning_rate", True),
     ])
     def test_bad_hyper_parameter_rejected_before_any_step(self, field, value,
                                                           monkeypatch):

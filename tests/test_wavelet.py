@@ -250,6 +250,20 @@ class TestCascade:
         decompose(np.arange(10.0), haar, 4)
         assert max_depth(10) == 4
 
+    def test_max_depth_matches_the_halving_loop(self):
+        def halvings(length):
+            # the loop max_depth was once written as
+            if length < 2:
+                return 0
+            depth = 0
+            while length > 1:
+                length = (length + 1) // 2
+                depth += 1
+            return depth
+
+        assert [max_depth(n) for n in range(4097)] == [halvings(n) for n in range(4097)]
+        assert max_depth(np.int64(160_000)) == halvings(160_000) == 18
+
     def test_zero_pyramid_inverts_to_zero(self):
         assert np.array_equal(roundtrip(np.zeros(16), DB4_BANK, 3), np.zeros(16))
 
