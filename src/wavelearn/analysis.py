@@ -104,7 +104,10 @@ def elm_fit(features: list[LatentFeatures], neurons: int = 50,
     neurons = as_integer(neurons, "neurons", 1)
     ridge_lambda = as_real(ridge_lambda, "ridge", strict=True)
     seed = as_integer(seed, "seed", 0)
-    x = np.stack([f.vector() for f in features])
+    vectors = [f.vector() for f in features]
+    if len({v.size for v in vectors}) > 1:
+        raise ConfigError(f"feature dimensions differ: {sorted({v.size for v in vectors})}")
+    x = np.stack(vectors)
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std[std == 0.0] = 1.0  # constant dimensions pass through unscaled
@@ -159,20 +162,18 @@ def roc_auc(scores, labels) -> float:
 class DictionaryModel:
     """One model per class; a sample is assigned to the class whose model
     gives it the smallest total loss. At least two classes, whose models
-    share one mode, depth, kernel size and sharpness, so that they stack."""
+    share one mode, depth, kernel size and gamma, so that they stack."""
 
     class_models: dict[str, WaveletNet]
-    gamma: float
 
     def __post_init__(self):
         if len(self.class_models) < 2:
             raise ConfigError(
                 f"a dictionary needs at least two classes, got {len(self.class_models)}")
-        if len({(m.mode, m.levels, m.kernel_size, m.sharpness)
+        if len({(m.mode, m.levels, m.kernel_size, m.gamma)
                 for m in self.class_models.values()}) > 1:
             raise ConfigError("class models must share one mode, depth, kernel "
-                              "size and sharpness")
-        as_real(self.gamma, "gamma")
+                              "size and gamma")
 
     def labels(self) -> list[str]:
         return sorted(self.class_models)
@@ -203,7 +204,7 @@ def dict_train(class_datasets: dict[str, list], mode: SharingMode,
         report = train(class_datasets[label], mode, config)
         models[label] = report.final_model
         reports[label] = report
-    return DictionaryModel(class_models=models, gamma=config.gamma), reports
+    return DictionaryModel(class_models=models), reports
 
 
 def dict_classify(signal, dictionary: DictionaryModel) -> tuple[str, dict[str, float]]:
@@ -219,8 +220,8 @@ def dict_classify(signal, dictionary: DictionaryModel) -> tuple[str, dict[str, f
         raise InvalidSignalError("dict_classify takes one 1-D signal")
     labels = dictionary.labels()
     block = np.broadcast_to(signal, (len(labels), signal.size))
-    record = model_forward(block, dictionary.stacked())
-    totals = loss_terms(record, block, dictionary.gamma)[0]
+    rows = dictionary.stacked()
+    totals = loss_terms(model_forward(block, rows), block, rows.gamma)[0]
     losses = dict(zip(labels, totals.tolist()))
     best = min(labels, key=lambda lab: (losses[lab], lab))
     return best, losses

@@ -145,11 +145,11 @@ def read_wav(path) -> tuple[np.ndarray, int]:
 
 def write_wav(path, samples, rate: int) -> None:
     """Write mono 16-bit PCM; float input is clipped to [-1, 1] and scaled
-    by 32768 (so +1.0 saturates at 32767). Non-finite samples, and a rate
-    that is not an integer from 1 to `MAX_RATE`, are rejected before the file
-    is opened."""
+    by 32768 (so +1.0 saturates at 32767). Samples that are not a finite 1-D
+    signal, and a rate that is not an integer from 1 to `MAX_RATE`, are
+    rejected before the file is opened."""
     rate = as_rate(rate)
-    samples = _signal(np.asarray(samples, dtype=float).reshape(-1))
+    samples = _signal(samples)
     size = 2 * samples.size
     header = b"RIFF" + struct.pack("<I", 36 + size) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16)

@@ -8,7 +8,8 @@ through skip connections.
 Only the level ops run once per level. The details of every level sit in
 one ``(..., M)`` pyramid buffer, level 1 first (`ForwardTrace.levels` gives
 per-level views), and the activation gates the whole pyramid in one call,
-each coefficient under its level's thresholds. It is written in tanh terms,
+each coefficient under its level's thresholds. Its slope is the fixed
+a = `SHARPNESS` of the paper's gate. It is written in tanh terms,
 t = tanh(a/2 (x - b+)) and u = tanh(a/2 (x + b-)), which it returns with its
 output; the forward trace keeps them, so the backward pass forms the gate's
 partials from them, again in one call over the pyramid.
@@ -54,7 +55,8 @@ from .wavelet import (
     synthesis_cascade,
 )
 
-DEFAULT_SHARPNESS = 10.0
+# the slope a of the hard-threshold gate, fixed as in the paper
+SHARPNESS = 10.0
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,12 @@ def sigmoid(t: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.tanh(0.5 * t)
 
 
-def ht_activation(x: np.ndarray, b_plus, b_minus, sharpness=DEFAULT_SHARPNESS):
-    """Soft hard-threshold gate y = x * (p + q), with p = sigmoid(a*(x-b+))
-    and q = sigmoid(-a*(x+b-)), in tanh terms: returns (y, t, u) with
-    t = tanh(a/2 (x - b+)) and u = tanh(a/2 (x + b-)), so p = (1 + t)/2,
-    q = (1 - u)/2 and y = x * (1 + (t - u)/2); the backward pass reuses t
-    and u instead of evaluating the gate again.
+def ht_activation(x: np.ndarray, b_plus, b_minus):
+    """Soft hard-threshold gate y = x * (p + q), with p = sigmoid(a*(x-b+)),
+    q = sigmoid(-a*(x+b-)) and a = `SHARPNESS`, in tanh terms: returns
+    (y, t, u) with t = tanh(a/2 (x - b+)) and u = tanh(a/2 (x + b-)), so
+    p = (1 + t)/2, q = (1 - u)/2 and y = x * (1 + (t - u)/2); the backward
+    pass reuses t and u instead of evaluating the gate again.
 
     Thresholds broadcast against `x`: a scalar pair, one pair per row
     (shape (..., 1)), or one per coefficient. Where both are zero, t and u
@@ -158,7 +160,7 @@ def ht_activation(x: np.ndarray, b_plus, b_minus, sharpness=DEFAULT_SHARPNESS):
     """
     # in place, as the expressions above: on a pyramid of a long window
     # every fresh temporary is another megabyte to fault in
-    half = 0.5 * sharpness
+    half = 0.5 * SHARPNESS
     t = np.subtract(x, b_plus)
     t *= half
     np.tanh(t, out=t)
@@ -172,8 +174,7 @@ def ht_activation(x: np.ndarray, b_plus, b_minus, sharpness=DEFAULT_SHARPNESS):
     return y, t, u
 
 
-def ht_gate_derivatives(x: np.ndarray, t: np.ndarray, u: np.ndarray,
-                        sharpness: float):
+def ht_gate_derivatives(x: np.ndarray, t: np.ndarray, u: np.ndarray):
     """Partial derivatives of the activation output y = x * (1 + (t - u)/2),
     formed from the tanh terms `ht_activation` returned for the same `x`:
     with p and q its sigmoid terms, p (1 - p) = (1 + t)(1 - t)/4 and
@@ -182,7 +183,7 @@ def ht_gate_derivatives(x: np.ndarray, t: np.ndarray, u: np.ndarray,
 
     Returns (dy/dx, dy/db_plus, dy/db_minus) evaluated elementwise.
     """
-    c = (-0.25 * sharpness) * x
+    c = (-0.25 * SHARPNESS) * x
     dy_dbp = (1.0 + t) * (1.0 - t)
     dy_dbp *= c
     dy_dbm = (1.0 + u) * (1.0 - u)
@@ -216,21 +217,21 @@ class WaveletNet:
     db4 bank (or a padded Haar for short kernels) with zero thresholds, so
     its forward pass is a plain fixed-filter transform. Row-stacked
     parameters (module notes) give one bank and one threshold pair per row.
+    `gamma` weighs the sparsity term of the model's training loss; the
+    gradient and the dictionary classifier read it from here.
     """
 
     def __init__(self, levels: int, kernel_size: int, mode: SharingMode,
-                 gamma: float = 1.0, sharpness: float = DEFAULT_SHARPNESS):
+                 gamma: float = 1.0):
         levels = as_integer(levels, "levels", 1)
         kernel_size = as_integer(kernel_size, "kernel size", 2)
         if kernel_size % 2:
             raise ConfigError(f"kernel size must be even and >= 2, got {kernel_size}")
         gamma = as_real(gamma, "gamma")
-        sharpness = as_real(sharpness, "sharpness", strict=True)
         self.levels = levels
         self.kernel_size = mode.scheme.kernel_size or kernel_size
         self.mode = mode
         self.gamma = gamma
-        self.sharpness = sharpness
 
         bank0 = cqf_from_scaling(_init_scaling(self.kernel_size))
         # the kinds are a prefix of (h, g, hb, gb)
@@ -340,7 +341,7 @@ def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
         # row-stacked model)
         gated, t, u = ht_activation(
             details_pre, np.repeat(model.params["b_plus"], sizes, axis=-1),
-            np.repeat(model.params["b_minus"], sizes, axis=-1), model.sharpness)
+            np.repeat(model.params["b_minus"], sizes, axis=-1))
         gates = (t, u)
         details = [gated[..., lo:hi] for lo, hi in zip(offsets, offsets[1:])]
     return ForwardTrace(

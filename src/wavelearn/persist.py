@@ -8,7 +8,10 @@ A model document stores each kernel of the model's kernel array under its
 own key: one set shared by every level as ``shared_h``, and level l's
 ``h``/``g``/``hb``/``gb`` as ``h``/``g``/``h_bar``/``g_bar`` in
 ``level_params[l]``, so the format never depends on the mode. The ``seed``
-key older versions wrote is ignored."""
+key older versions wrote is ignored. ``alpha`` records the gate's fixed
+slope, `network.SHARPNESS`, and a document giving another is refused. A
+dictionary document holds gamma only in its class models' documents; the
+top-level ``gamma`` older versions also wrote must equal theirs."""
 
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from .analysis import DictionaryModel, LatentFeatures, OneClassElm
 from .errors import ConfigError, FormatError, as_integer, as_real
-from .network import DEFAULT_SHARPNESS, SharingMode, WaveletNet
+from .network import SHARPNESS, SharingMode, WaveletNet
 
 MODEL_FORMAT_VERSION = 1
 # the document key of each kernel kind, in `KernelScheme.kinds` order
@@ -91,7 +94,7 @@ def _model_doc(model: WaveletNet) -> dict:
         "mode": model.mode.value,
         "levels": model.levels,
         "kernel_size": model.kernel_size,
-        "alpha": model.sharpness,
+        "alpha": SHARPNESS,
         "gamma": model.gamma,
         "level_params": [
             {"b_plus": float(model.params["b_plus"][l]),
@@ -120,15 +123,11 @@ def _model_from_doc(doc: dict) -> WaveletNet:
     for (_, key, _), taps in zip(slots, kernels):
         if taps.shape != (kernel_size,):
             raise FormatError(f"kernel {key!r} must hold {kernel_size} finite taps")
+    if "alpha" in doc and _field(doc, "alpha", as_real) != SHARPNESS:
+        raise FormatError(f"model document: alpha must be {SHARPNESS}, got {doc['alpha']}")
     try:
-        model = WaveletNet(
-            levels=levels,
-            kernel_size=kernel_size,
-            mode=mode,
-            gamma=_field(doc, "gamma", as_real),
-            sharpness=_field(doc, "alpha", as_real, 0.0, True) if "alpha" in doc
-            else DEFAULT_SHARPNESS,
-        )
+        model = WaveletNet(levels=levels, kernel_size=kernel_size, mode=mode,
+                           gamma=_field(doc, "gamma", as_real))
     except ConfigError as exc:
         raise FormatError(f"model document: {exc}") from None
     for l, record in enumerate(records):
@@ -160,7 +159,7 @@ def load_elm(path) -> OneClassElm:
     elm = OneClassElm(**{name: _field(doc, name, *rule)
                          for name, rule in _ELM_FIELDS.items()})
     w = elm.hidden_weights
-    if (w.ndim != 2
+    if (w.ndim != 2 or w.shape[1] < 1
             or {elm.hidden_bias.shape, elm.output_weights.shape} != {w.shape[1:]}
             or {elm.scaler_mean.shape, elm.scaler_std.shape} != {w.shape[:1]}):
         raise FormatError("ELM document holds arrays of inconsistent shapes")
@@ -168,13 +167,8 @@ def load_elm(path) -> OneClassElm:
 
 
 def save_dictionary(dictionary: DictionaryModel, path) -> None:
-    doc = {
-        "gamma": dictionary.gamma,
-        "classes": {
-            label: _model_doc(model)
-            for label, model in dictionary.class_models.items()
-        },
-    }
+    doc = {"classes": {label: _model_doc(model)
+                       for label, model in dictionary.class_models.items()}}
     Path(path).write_text(json.dumps(doc))
 
 
@@ -183,9 +177,13 @@ def load_dictionary(path) -> DictionaryModel:
     classes = _field(doc, "classes", _of_type, dict)
     models = {label: _model_from_doc(mdoc) for label, mdoc in classes.items()}
     try:
-        return DictionaryModel(class_models=models, gamma=_field(doc, "gamma", as_real))
+        dictionary = DictionaryModel(class_models=models)
     except ConfigError as exc:
         raise FormatError(f"{path}: {exc}") from None
+    gamma = next(iter(models.values())).gamma
+    if "gamma" in doc and _field(doc, "gamma", as_real) != gamma:
+        raise FormatError(f"{path}: gamma {doc['gamma']} is not the class models' {gamma}")
+    return dictionary
 
 
 # ---------------------------------------------------------------------------

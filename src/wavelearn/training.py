@@ -60,14 +60,14 @@ def residual_sign(signal: np.ndarray, reconstruction: np.ndarray,
     return np.where(np.abs(residual) <= tol, 0.0, np.sign(residual))
 
 
-def backward_full(signal, model: WaveletNet, gamma: float):
-    """Loss triple plus the flat gradient vector, aligned with
-    `model.get_parameters()`, of one window or, for a (B, N) block, both
-    summed over its rows."""
+def backward_full(signal, model: WaveletNet):
+    """Loss triple, under the model's `gamma`, plus the flat gradient
+    vector, aligned with `model.get_parameters()`, of one window or, for a
+    (B, N) block, both summed over its rows."""
     signal = np.asarray(signal, dtype=float)
     trace = forward_trace(model, signal)
-    total, recon, sparsity = loss(trace, signal, gamma)
-    scale = gamma / (trace.details.shape[-1] + trace.approx.shape[-1])
+    total, recon, sparsity = loss(trace, signal, model.gamma)
+    scale = model.gamma / (trace.details.shape[-1] + trace.approx.shape[-1])
 
     details = trace.levels(trace.details)
     # gradients on each level's decoder and encoder stacks, keeping the
@@ -88,7 +88,7 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     grads = {}
     g_pre = g_details
     if model.mode.trains_thresholds:
-        partials = ht_gate_derivatives(trace.details_pre, *trace.gates, model.sharpness)
+        partials = ht_gate_derivatives(trace.details_pre, *trace.gates)
         for partial in partials:
             partial *= g_details
         g_pre, dy_dbp, dy_dbm = partials
@@ -115,8 +115,7 @@ def backward_full(signal, model: WaveletNet, gamma: float):
     return (total, recon, sparsity), sum(flat) if flat.ndim > 1 else flat
 
 
-def _bumped_losses(signal, model: WaveletNet, gamma: float, param_index: int,
-                   step: float):
+def _bumped_losses(signal, model: WaveletNet, param_index: int, step: float):
     """Total loss with one trainable scalar moved by +step and by -step, and
     whether an argument of one of the loss's |.| terms (a residual, gated
     detail or final approximation) changes sign between the two."""
@@ -132,7 +131,7 @@ def _bumped_losses(signal, model: WaveletNet, gamma: float, param_index: int,
         bumped[param_index] += delta
         model.set_parameters(bumped)
         trace = forward_trace(model, signal)
-        values.append(loss(trace, signal, gamma)[0])
+        values.append(loss(trace, signal, model.gamma)[0])
         signs.append([np.sign(t) for t in (signal - trace.reconstruction,
                                            trace.details, trace.approx)])
     model.set_parameters(vec)
@@ -140,15 +139,15 @@ def _bumped_losses(signal, model: WaveletNet, gamma: float, param_index: int,
     return values, straddles
 
 
-def kink_free_difference(signal, model: WaveletNet, gamma: float,
-                         param_index: int, steps) -> float | None:
+def kink_free_difference(signal, model: WaveletNet, param_index: int,
+                         steps) -> float | None:
     """Central difference of the total loss along one trainable scalar, the
     brute-force oracle for `backward_full`, at the first of the decreasing
     `steps` across which no |.| term of the loss changes sign, or None when
     every step straddles one: the scalar is at a kink, where the difference
     mixes the slopes of both sides and no subgradient has to match it."""
     for step in steps:
-        values, straddles = _bumped_losses(signal, model, gamma, param_index, step)
+        values, straddles = _bumped_losses(signal, model, param_index, step)
         if not straddles:
             return (values[0] - values[1]) / (2.0 * step)
     return None
@@ -209,10 +208,10 @@ def gradient_check(mode: SharingMode, seed: int = 0, n_seeds: int = 5,
             model.set_parameters(vec + rng.normal(0.0, GRAD_CHECK_PERTURB, vec.size))
         signal = rng.normal(size=GRAD_CHECK_LENGTH)
         vec = model.get_parameters()
-        _, grads = backward_full(signal, model, GRAD_CHECK_GAMMA)
+        _, grads = backward_full(signal, model)
         for i in range(vec.size):
             steps = [step * max(1.0, abs(vec[i])) for step in GRAD_CHECK_STEPS]
-            fd = kink_free_difference(signal, model, GRAD_CHECK_GAMMA, i, steps)
+            fd = kink_free_difference(signal, model, i, steps)
             if fd is None:
                 kinks.append((s, i))
                 continue
@@ -323,7 +322,7 @@ def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
             grad_sum = np.zeros_like(state.m)
             for first in range(0, batch.size, rows):
                 block = np.stack([signals[i] for i in batch[first:first + rows]])
-                triple, flat = backward_full(block, model, config.gamma)
+                triple, flat = backward_full(block, model)
                 if not (np.all(np.isfinite(triple)) and np.all(np.isfinite(flat))):
                     raise DivergenceError(
                         f"training diverged at epoch {epoch + 1}, batch "

@@ -130,6 +130,12 @@ class TestOneClassElm:
         with pytest.raises(ConfigError):
             elm_score(elm, other)
 
+    def test_ragged_training_set_rejected(self):
+        feats = _feature_cloud(np.random.default_rng(7), 5, self.CENTER)
+        feats.append(LatentFeatures.from_vector(np.ones(12)))
+        with pytest.raises(ConfigError, match="feature dimensions differ"):
+            elm_fit(feats, neurons=10, ridge_lambda=1e-3, seed=0)
+
 
 def _auc_bruteforce(scores, labels):
     pos = [s for s, y in zip(scores, labels) if y]
@@ -225,8 +231,7 @@ class TestDictClassify:
     def test_identical_models_tie_break_lexicographic(self):
         model_a = WaveletNet(3, 8, SharingMode.DB4_FIXED)
         model_b = WaveletNet(3, 8, SharingMode.DB4_FIXED)
-        dictionary = DictionaryModel(
-            class_models={"b": model_b, "a": model_a}, gamma=1.0)
+        dictionary = DictionaryModel(class_models={"b": model_b, "a": model_a})
         x = np.random.default_rng(11).normal(size=64)
         label, losses = dict_classify(x, dictionary)
         assert label == "a"
@@ -241,8 +246,7 @@ class TestDictClassify:
         model_b.params["b_minus"][:] = 1e6
         rng = np.random.default_rng(12)
         x = rng.normal(size=128)  # white noise is detail-dominated
-        dictionary = DictionaryModel(
-            class_models={"A": model_a, "B": model_b}, gamma=1.0)
+        dictionary = DictionaryModel(class_models={"A": model_a, "B": model_b})
         label, losses = dict_classify(x, dictionary)
         assert label == "A"
         assert losses["A"] < losses["B"]
@@ -252,8 +256,8 @@ class TestDictClassify:
         model_b = WaveletNet(3, 8, SharingMode.DB4_FIXED_HT)
         model_b.params["b_plus"][:] = 10.0
         x = np.random.default_rng(13).normal(size=64)
-        d1 = DictionaryModel(class_models={"u": model_a, "v": model_b}, gamma=1.0)
-        d2 = DictionaryModel(class_models={"v": model_a, "u": model_b}, gamma=1.0)
+        d1 = DictionaryModel(class_models={"u": model_a, "v": model_b})
+        d2 = DictionaryModel(class_models={"v": model_a, "u": model_b})
         l1, _ = dict_classify(x, d1)
         l2, _ = dict_classify(x, d2)
         mapping = {"u": "v", "v": "u"}
@@ -261,8 +265,7 @@ class TestDictClassify:
 
     def test_one_window_only(self):
         dictionary = DictionaryModel(
-            class_models={c: WaveletNet(3, 8, SharingMode.DB4_FIXED) for c in "ab"},
-            gamma=1.0)
+            class_models={c: WaveletNet(3, 8, SharingMode.DB4_FIXED) for c in "ab"})
         with pytest.raises(InvalidSignalError):
             dict_classify(np.zeros((2, 64)), dictionary)
 
@@ -273,26 +276,25 @@ class TestDictionaryModel:
             with pytest.raises(ConfigError, match="two classes"):
                 DictionaryModel(class_models={
                     str(c): WaveletNet(3, 8, SharingMode.DB4_FIXED)
-                    for c in range(count)}, gamma=1.0)
+                    for c in range(count)})
 
     @pytest.mark.parametrize("other", [
         WaveletNet(4, 8, SharingMode.SHARED_CQF_HT),
         WaveletNet(3, 4, SharingMode.SHARED_CQF_HT),
         WaveletNet(3, 8, SharingMode.SHARED_CQF),
-        WaveletNet(3, 8, SharingMode.SHARED_CQF_HT, sharpness=5.0),
-    ], ids=["levels", "kernel_size", "mode", "sharpness"])
+        WaveletNet(3, 8, SharingMode.SHARED_CQF_HT, gamma=0.5),
+    ], ids=["levels", "kernel_size", "mode", "gamma"])
     def test_mixed_structure_rejected(self, other):
         with pytest.raises(ConfigError, match="share one mode"):
             DictionaryModel(class_models={
-                "A": WaveletNet(3, 8, SharingMode.SHARED_CQF_HT), "B": other},
-                gamma=1.0)
+                "A": WaveletNet(3, 8, SharingMode.SHARED_CQF_HT), "B": other})
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
     def test_bad_gamma_rejected(self, gamma):
+        # a dictionary's gamma is its class models', which refuse a bad one
         with pytest.raises(ConfigError, match="gamma"):
             DictionaryModel(class_models={
-                c: WaveletNet(3, 8, SharingMode.DB4_FIXED) for c in "AB"},
-                gamma=gamma)
+                c: WaveletNet(3, 8, SharingMode.DB4_FIXED, gamma=gamma) for c in "AB"})
 
     def test_one_bank_derivation_per_window(self, monkeypatch):
         real, calls = network.cqf_from_scaling, []
@@ -302,7 +304,7 @@ class TestDictionaryModel:
             return real(h)
 
         dictionary = DictionaryModel(class_models={
-            c: WaveletNet(4, 8, SharingMode.SHARED_CQF_HT) for c in "ABC"}, gamma=1.0)
+            c: WaveletNet(4, 8, SharingMode.SHARED_CQF_HT) for c in "ABC"})
         monkeypatch.setattr(network, "cqf_from_scaling", counted)
         dict_classify(np.random.default_rng(15).normal(size=64), dictionary)
         # one scaling kernel per class, stacked on the shared scheme's
@@ -311,7 +313,7 @@ class TestDictionaryModel:
 
     def test_stack_follows_changed_parameters(self):
         dictionary = DictionaryModel(class_models={
-            c: WaveletNet(3, 8, SharingMode.SHARED_CQF_HT) for c in "AB"}, gamma=1.0)
+            c: WaveletNet(3, 8, SharingMode.SHARED_CQF_HT) for c in "AB"})
         x = np.random.default_rng(14).normal(size=64)
         before = dict_classify(x, dictionary)[1]
         dictionary.class_models["B"].params["b_plus"][:] = 0.5
@@ -327,7 +329,7 @@ def _per_model_classify(signal, dictionary):
     losses = {}
     for label in dictionary.labels():
         record = model_forward(signal, dictionary.class_models[label])
-        losses[label] = loss(record, signal, dictionary.gamma)[0]
+        losses[label] = loss(record, signal, dictionary.class_models[label].gamma)[0]
     best = min(dictionary.labels(), key=lambda lab: (losses[lab], lab))
     return best, losses
 
@@ -347,7 +349,10 @@ def _drawn_dictionary(rng, mode, classes, n, k, depth, thresholds):
         for name in ("b_plus", "b_minus"):
             model.params[name] = np.where(zero, 0.0, rng.uniform(0.05, 1.0, levels))
         models[f"class{c}"] = model
-    return DictionaryModel(class_models=models, gamma=float(rng.choice([0.0, 0.5, 1.0])))
+    gamma = float(rng.choice([0.0, 0.5, 1.0]))
+    for model in models.values():
+        model.gamma = gamma
+    return DictionaryModel(class_models=models)
 
 
 _DICTIONARY_DRAWS = dict(

@@ -4,11 +4,12 @@ import csv
 import io
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wavelearn.analysis import DictionaryModel, LatentFeatures, dict_classify
+from wavelearn.analysis import DictionaryModel, LatentFeatures, dict_classify, elm_fit
 from wavelearn.audio import write_wav
 from wavelearn.cli import main
 from wavelearn.datasets import load_manifest, load_windows
@@ -20,6 +21,7 @@ from wavelearn.persist import (
     read_features_csv,
     read_scores_csv,
     save_dictionary,
+    save_elm,
     save_model,
     write_features_csv,
 )
@@ -304,6 +306,25 @@ class TestErrorPaths:
         assert code == 2
         assert "error" in err and "Traceback" not in err
 
+    def test_elm_without_neurons_exits_2(self, tmp_path, capsys):
+        # an ELM with no hidden neurons would score every window 1.0
+        features = [(f"w:{i}", LatentFeatures.from_vector(np.arange(6.0) + i))
+                    for i in range(4)]
+        feats, elm, out = (str(tmp_path / name) for name in ("f.csv", "elm.json", "s.csv"))
+        write_features_csv(features, feats)
+        save_elm(elm_fit([f for _, f in features], neurons=3, seed=0), elm)
+        argv = ["detect-score", "--elm", elm, "--features", feats, "--out", out]
+        assert run(argv, capsys)[0] == 0
+        doc = json.loads(Path(elm).read_text())
+        doc.update(hidden_weights=[[] for _ in doc["hidden_weights"]], hidden_bias=[],
+                   output_weights=[])
+        Path(elm).write_text(json.dumps(doc))
+        Path(out).unlink()
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "error" in err and "Traceback" not in err
+        assert not Path(out).exists()
+
     @pytest.mark.parametrize("rate", ["-1", "0", "5000000000"])
     def test_bad_synth_rate_exits_2(self, rate, tmp_path, capsys):
         # -1 and 5e9 do not fit the header's 32-bit words; 0 does, but no
@@ -472,7 +493,7 @@ def _saved_dictionary(tmp_path):
     tmp_path.mkdir(exist_ok=True)
     path = tmp_path / "dictionary.json"
     save_dictionary(DictionaryModel(class_models={
-        c: WaveletNet(3, 8, SharingMode.DB4_FIXED_HT) for c in "AB"}, gamma=1.0), path)
+        c: WaveletNet(3, 8, SharingMode.DB4_FIXED_HT) for c in "AB"}), path)
     return path
 
 

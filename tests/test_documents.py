@@ -213,7 +213,7 @@ def good(tmp_path_factory):
     persist.write_features_csv(features, out / "features")
     persist.save_elm(elm_fit([f for _, f in features], neurons=4, seed=1), out / "elm")
     persist.save_dictionary(DictionaryModel(
-        {c: WaveletNet(2, 4, SharingMode.SHARED_CQF_HT) for c in "AB"}, gamma=0.5),
+        {c: WaveletNet(2, 4, SharingMode.SHARED_CQF_HT, gamma=0.5) for c in "AB"}),
         out / "dictionary")
     save_manifest(DatasetManifest(
         sample_rate=16000, window_size=64, decimate=2,

@@ -25,7 +25,7 @@ What moved, and by how much (float64 epsilon eps = 2.2e-16):
   LOSS_REL (|term| + m), per row;
 * the gate's partials are formed from 1 - t and 1 + t instead of from
   1 - p, which rounds away the relative accuracy of a gate term near 0 or
-  1: each partial moves by up to a few eps a |d| (sharpness a), so every
+  1: each partial moves by up to a few eps a |d| (a = `SHARPNESS`), so every
   gradient entry stays within GRAD_REL of the gradient's largest entry plus
   GATE_GRAD eps a m max(1, m). A gradient made of such saturated terms
   alone moved by up to 1.4e-10 of its largest entry, all of it the
@@ -45,6 +45,7 @@ from hypothesis import given, settings, strategies as st
 
 from wavelearn.analysis import DictionaryModel, extract_features
 from wavelearn.network import (
+    SHARPNESS,
     SharingMode,
     WaveletNet,
     forward_trace,
@@ -73,18 +74,18 @@ GATE_GRAD = 16
 # the per-level oracle
 
 
-def oracle_gate(x, b_plus, b_minus, sharpness):
-    p = sigmoid(sharpness * (x - b_plus))
-    q = sigmoid(-sharpness * (x + b_minus))
+def oracle_gate(x, b_plus, b_minus):
+    p = sigmoid(SHARPNESS * (x - b_plus))
+    q = sigmoid(-SHARPNESS * (x + b_minus))
     identity = (b_plus == 0.0) & (b_minus == 0.0)
     return np.where(identity, x, x * (q + p)), p, q
 
 
-def oracle_gate_derivatives(x, p, q, sharpness):
+def oracle_gate_derivatives(x, p, q):
     dp = p * (1.0 - p)
     dq = q * (1.0 - q)
-    return ((p + q) + sharpness * x * (dp - dq), -sharpness * x * dp,
-            -sharpness * x * dq)
+    return ((p + q) + SHARPNESS * x * (dp - dq), -SHARPNESS * x * dp,
+            -SHARPNESS * x * dq)
 
 
 def oracle_bank(model, level):
@@ -106,8 +107,7 @@ def oracle_forward(model, signal):
         details = []
         b_plus, b_minus = model.params["b_plus"], model.params["b_minus"]
         for l, d in enumerate(details_pre):
-            y, p, q = oracle_gate(d, b_plus[..., l, None], b_minus[..., l, None],
-                                  model.sharpness)
+            y, p, q = oracle_gate(d, b_plus[..., l, None], b_minus[..., l, None])
             details.append(y)
             gates.append((p, q))
     return dict(banks=banks, inputs=inputs, pre_lengths=pre_lengths,
@@ -148,7 +148,7 @@ def oracle_backward(signal, model, gamma):
     for l in range(model.levels - 1, -1, -1):
         if model.mode.trains_thresholds:
             dy_dx, dy_dbp, dy_dbm = oracle_gate_derivatives(
-                trace["details_pre"][l], *trace["gates"][l], model.sharpness)
+                trace["details_pre"][l], *trace["gates"][l])
             g_dpre = grad_d[l] * dy_dx
             grads["b_plus"][..., l] = np.sum(grad_d[l] * dy_dbp, axis=-1)
             grads["b_minus"][..., l] = np.sum(grad_d[l] * dy_dbm, axis=-1)
@@ -260,13 +260,14 @@ class TestAgainstPerLevelOracle:
                              oracle_loss_terms(expect, signal, gamma)):
             assert_near(got, want, LOSS_REL * (np.abs(want) + m))
 
-        triple, grads = backward_full(signal, model, gamma)
+        model.gamma = gamma
+        triple, grads = backward_full(signal, model)
         expect_triple, expect_grads = oracle_backward(signal, model, gamma)
         assert_near(np.array(triple), np.array(expect_triple),
                     LOSS_REL * (np.abs(expect_triple) + (rows or 1) * m))
         assert_near(grads, expect_grads,
                     GRAD_REL * np.max(np.abs(expect_grads), initial=0.0)
-                    + GATE_GRAD * EPS * model.sharpness * m * max(1.0, m))
+                    + GATE_GRAD * EPS * SHARPNESS * m * max(1.0, m))
 
     @settings(max_examples=100, deadline=None)
     @given(classes=st.integers(2, 5), **DRAWS)
@@ -310,7 +311,7 @@ def test_dictionary_stack_matches_the_oracle_rows():
     rng = np.random.default_rng(5)
     models = {c: perturbed_model(rng, SharingMode.SHARED_CQF_HT, 6, 8, "nonzero")
               for c in "ABC"}
-    dictionary = DictionaryModel(class_models=models, gamma=1.0)
+    dictionary = DictionaryModel(class_models=models)
     x = rng.normal(size=256)
     block = np.broadcast_to(x, (3, x.size))
     trace = forward_trace(dictionary.stacked(), block)

@@ -75,14 +75,14 @@ class TestHtActivation:
     def test_differentiable_everywhere(self):
         # the partials formed from the returned gate terms match central
         # differences in x, b+ and b- at every probe
-        bp, bm, a = 0.6, 0.25, 10.0
+        bp, bm = 0.6, 0.25
         xs = np.array([-3.0, -0.6, -0.25, 0.0, 0.25, 0.6, 1e-9, 3.0])
-        _, p, q = ht_activation(xs, bp, bm, a)
-        dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(xs, p, q, a)
+        _, p, q = ht_activation(xs, bp, bm)
+        dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(xs, p, q)
         eps = 1e-6
 
         def y(x=xs, b_plus=bp, b_minus=bm):
-            return ht_activation(x, b_plus, b_minus, a)[0]
+            return ht_activation(x, b_plus, b_minus)[0]
 
         for analytic, diff in ((dy_dx, y(x=xs + eps) - y(x=xs - eps)),
                                (dy_dbp, y(b_plus=bp + eps) - y(b_plus=bp - eps)),
@@ -168,10 +168,10 @@ class TestGateEvaluatedOnce:
                         lambda: model_forward(signal, model)) == gated
                     assert _count_calls(
                         monkeypatch, [network], "ht_activation",
-                        lambda: backward_full(signal, model, 1.0)) == gated
+                        lambda: backward_full(signal, model)) == gated
                     assert _count_calls(
                         monkeypatch, [training], "ht_gate_derivatives",
-                        lambda: backward_full(signal, model, 1.0)) == gated
+                        lambda: backward_full(signal, model)) == gated
 
 
 class TestOneSynthesisCallPerLevel:
@@ -189,7 +189,7 @@ class TestOneSynthesisCallPerLevel:
                 assert _count_calls(monkeypatch, [wavelet, training], "upsample_conv",
                                     lambda: model_forward(signal, model)) == 5
                 assert _count_calls(monkeypatch, [wavelet, training], "upsample_conv",
-                                    lambda: backward_full(signal, model, 1.0)) == 10
+                                    lambda: backward_full(signal, model)) == 10
 
 
 class TestBuildModel:
@@ -229,14 +229,11 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("kwargs", [
         dict(gamma=math.nan), dict(gamma=-2.0), dict(gamma=math.inf),
-        dict(sharpness=math.nan), dict(sharpness=0.0), dict(sharpness=-5.0),
-        dict(sharpness=math.inf), dict(gamma=-2.0, sharpness=-5.0),
-    ], ids=["gamma_nan", "gamma_negative", "gamma_inf", "sharpness_nan",
-            "sharpness_zero", "sharpness_negative", "sharpness_inf", "both_negative"])
+    ], ids=["gamma_nan", "gamma_negative", "gamma_inf"])
     def test_bad_gamma_or_sharpness_rejected(self, kwargs):
-        # gamma weighs the sparsity term (0 turns it off); sharpness scales
-        # the gate, whose tanh form needs it finite and positive
-        with pytest.raises(ConfigError, match="gamma" if "gamma" in kwargs else "sharpness"):
+        # gamma weighs the sparsity term (0 turns it off); the gate's
+        # sharpness is the fixed `network.SHARPNESS`, no setting
+        with pytest.raises(ConfigError, match="gamma"):
             WaveletNet(3, 8, SharingMode.PER_LEVEL_CQF_HT, **kwargs)
 
     def test_mode_names_roundtrip(self):

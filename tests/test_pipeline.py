@@ -39,6 +39,7 @@ from wavelearn.persist import (
 from wavelearn.analysis import (
     DictionaryModel,
     LatentFeatures,
+    dict_classify,
     elm_fit,
     extract_features,
 )
@@ -106,6 +107,14 @@ class TestWavIo:
         assert np.array_equal(first, second)
         assert p1.read_bytes() == p2.read_bytes()
         assert np.abs(first - original).max() <= 0.5 / 32768
+
+    @pytest.mark.parametrize("samples", [np.zeros((2, 10)), np.float64(0.5)],
+                             ids=["block", "scalar"])
+    def test_signal_that_is_not_1d_writes_nothing(self, samples, tmp_path):
+        # a block is not one recording, nor a scalar a one-sample one
+        with pytest.raises(InvalidSignalError, match="1-D"):
+            write_wav(tmp_path / "w.wav", samples, 16000)
+        assert not (tmp_path / "w.wav").exists()
 
     def test_malformed_inputs_carry_offsets(self, tmp_path):
         p = tmp_path / "bad.wav"
@@ -401,13 +410,14 @@ class TestModelPersistence:
         ("despawn", lambda doc: doc.update(levels=float("inf"))),
         ("despawn", lambda doc: doc.update(alpha=-5.0)),
         ("despawn", lambda doc: doc.update(alpha=0.0)),
+        ("despawn", lambda doc: doc.update(alpha=5.0)),
         ("despawn", lambda doc: doc.update(gamma=-2.0)),
         ("despawn", lambda doc: doc.update(levels=0, level_params=[])),
     ], ids=["short_levels", "long_levels", "missing_h", "missing_g_bar",
             "missing_shared_h", "six_taps", "nan_tap", "inf_tap",
             "missing_threshold", "nan_threshold", "gamma_not_numeric",
-            "infinite_levels", "negative_alpha", "zero_alpha", "negative_gamma",
-            "no_levels"])
+            "infinite_levels", "negative_alpha", "zero_alpha", "alpha_not_ten",
+            "negative_gamma", "no_levels"])
     def test_inconsistent_document_rejected(self, mode, corrupt, tmp_path):
         model = WaveletNet(3, 8, SharingMode(mode))
         path = tmp_path / "model.json"
@@ -497,21 +507,53 @@ class TestTablePersistence:
         with pytest.raises(FormatError):
             load_elm(path)
 
+    def test_elm_without_neurons_rejected(self, tmp_path):
+        # `elm_fit` draws at least one neuron; with none every score is 1.0
+        rng = np.random.default_rng(6)
+        feats = [LatentFeatures.from_vector(rng.normal(size=6)) for _ in range(20)]
+        path = tmp_path / "elm.json"
+        save_elm(elm_fit(feats, neurons=5, seed=1), path)
+        doc = json.loads(path.read_text())
+        doc.update(hidden_weights=[[] for _ in doc["hidden_weights"]], hidden_bias=[],
+                   output_weights=[])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="inconsistent shapes"):
+            load_elm(path)
+
     def test_dictionary_roundtrip(self, tmp_path):
         d = DictionaryModel(
             class_models={
-                "A": WaveletNet(3, 8, SharingMode.DB4_FIXED_HT),
-                "B": WaveletNet(3, 8, SharingMode.DB4_FIXED_HT),
+                "A": WaveletNet(3, 8, SharingMode.DB4_FIXED_HT, gamma=0.25),
+                "B": WaveletNet(3, 8, SharingMode.DB4_FIXED_HT, gamma=0.25),
             },
-            gamma=1.0,
         )
         d.class_models["B"].params["b_plus"][:] = 0.25
         path = tmp_path / "dict.json"
         save_dictionary(d, path)
+        # gamma is stored once per class model, with no dictionary-wide copy
+        assert "gamma" not in json.loads(path.read_text())
         back = load_dictionary(path)
         assert back.labels() == ["A", "B"]
+        assert back.stacked().gamma == 0.25
         assert np.array_equal(back.class_models["B"].params["b_plus"],
                               d.class_models["B"].params["b_plus"])
+
+    def test_committed_dictionary_loads_and_classifies_the_same(self, tmp_path):
+        # written by the version that stored gamma at the top as well, with
+        # the labels and losses it gave for four windows
+        data = Path(__file__).parent / "data"
+        path = data / "dictionary_despawn_L3_K4.json"
+        expect = json.loads((data / "dictionary_despawn_L3_K4.classify.json").read_text())
+        assert json.loads(path.read_text())["gamma"] == 0.5
+        resaved = tmp_path / "again.json"
+        save_dictionary(load_dictionary(path), resaved)
+        assert "gamma" not in json.loads(resaved.read_text())
+        for dictionary in (load_dictionary(path), load_dictionary(resaved)):
+            assert dictionary.stacked().gamma == 0.5
+            got = [dict_classify(np.array(w), dictionary) for w in expect["windows"]]
+            assert [label for label, _ in got] == expect["labels"] == [
+                "pump", "fan", "fan", "pump"]
+            assert [losses for _, losses in got] == expect["losses"]
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.update(classes={}),
@@ -521,11 +563,13 @@ class TestTablePersistence:
         lambda doc: doc["classes"]["B"].update(mode="db4"),
         lambda doc: doc["classes"]["B"].update(alpha=5.0),
         lambda doc: doc.update(gamma=-1.0),
+        lambda doc: doc["classes"]["B"].update(gamma=0.5),
+        lambda doc: doc.update(gamma=0.5),
     ], ids=["no_classes", "one_class", "mixed_levels", "mixed_modes",
-            "mixed_sharpness", "negative_gamma"])
+            "mixed_sharpness", "negative_gamma", "mixed_gamma", "top_gamma_differs"])
     def test_dictionary_that_cannot_stack_rejected(self, edit, tmp_path):
         d = DictionaryModel(class_models={
-            c: WaveletNet(3, 8, SharingMode.DB4_FIXED_HT) for c in "AB"}, gamma=1.0)
+            c: WaveletNet(3, 8, SharingMode.DB4_FIXED_HT) for c in "AB"})
         path = tmp_path / "dict.json"
         save_dictionary(d, path)
         doc = json.loads(path.read_text())

@@ -38,15 +38,14 @@ class TestBackward:
     def test_zero_signal_gives_zero_gradients(self):
         for mode in TRAINABLE_MODES:
             model = WaveletNet(4, 8, mode)
-            (total, _, _), grads = backward_full(np.zeros(64), model, 1.0)
+            (total, _, _), grads = backward_full(np.zeros(64), model)
             assert total == 0.0
             assert np.array_equal(grads, np.zeros_like(grads))
 
     def test_gradient_shape_matches_mode(self):
         for mode in SharingMode:
             model = WaveletNet(6, 8, mode)
-            _, grads = backward_full(np.random.default_rng(0).normal(size=128),
-                                     model, 1.0)
+            _, grads = backward_full(np.random.default_rng(0).normal(size=128), model)
             assert grads.shape == (model.parameter_count(),)
             assert np.all(np.isfinite(grads))
 
@@ -67,8 +66,8 @@ class TestBackward:
     def test_scalar_at_a_kink_is_neither_checked_nor_failed(self, monkeypatch):
         real = training.kink_free_difference
 
-        def kink_at_zero(signal, model, gamma, index, steps):
-            return None if index == 0 else real(signal, model, gamma, index, steps)
+        def kink_at_zero(signal, model, index, steps):
+            return None if index == 0 else real(signal, model, index, steps)
 
         monkeypatch.setattr(training, "kink_free_difference", kink_at_zero)
         report = gradient_check(SharingMode.SHARED_CQF, seed=0, n_seeds=2)
@@ -87,14 +86,15 @@ class TestBackward:
         model = WaveletNet(4, 8, SharingMode.DB4_FIXED_HT)
         model.params["b_plus"][:] = np.abs(rng.normal(0, 0.05, 4))
         model.params["b_minus"][:] = np.abs(rng.normal(0, 0.05, 4))
-        _, g1 = backward_full(signal, model, 1.0)
-        _, g0 = backward_full(signal, model, 0.0)
+        _, g1 = backward_full(signal, model)
+        model.gamma = 0.0
+        _, g0 = backward_full(signal, model)
         spars_grad = g1 - g0
 
         trace = forward_trace(model, signal)
         m_total = trace.details.size + trace.approx.size
         _, dy_dbp, dy_dbm = ht_gate_derivatives(
-            trace.details_pre, *trace.gates, model.sharpness)
+            trace.details_pre, *trace.gates)
         for level, (signs, bp, bm) in enumerate(zip(
                 *(trace.levels(a) for a in (np.sign(trace.details), dy_dbp, dy_dbm)))):
             expect_bp = np.dot(signs, bp) / m_total
@@ -108,14 +108,14 @@ class TestBackward:
         # noise; `residual_sign` keeps the gradient from following it
         train_x, _, config = detect_training
         model = WaveletNet(config.levels, config.kernel_size,
-                           SharingMode.PER_LEVEL_CQF_HT)
+                           SharingMode.PER_LEVEL_CQF_HT, gamma=config.gamma)
         vec = model.get_parameters()
-        _, before = backward_full(train_x[0], model, config.gamma)
+        _, before = backward_full(train_x[0], model)
         for tap in range(model.kernel_size):
             moved = vec.copy()
             moved[tap] = np.nextafter(moved[tap], np.inf)
             model.set_parameters(moved)
-            _, after = backward_full(train_x[0], model, config.gamma)
+            _, after = backward_full(train_x[0], model)
             assert np.linalg.norm(after - before) <= 1e-12 * np.linalg.norm(before)
 
     def test_residual_within_rounding_counts_as_zero(self):
@@ -135,9 +135,9 @@ class TestBackward:
         model = WaveletNet(4, 8, SharingMode.DB4_FIXED_HT)
         model.params["b_plus"][:] = 0.01
         model.params["b_minus"][:] = 0.01
-        _, grads = backward_full(signal, model, 1.0)
+        _, grads = backward_full(signal, model)
         for i in range(grads.size):
-            fd = kink_free_difference(signal, model, 1.0, i, [1e-6])
+            fd = kink_free_difference(signal, model, i, [1e-6])
             assert fd is not None
             assert abs(grads[i] - fd) <= max(1e-7, 1e-4 * max(abs(fd), abs(grads[i])))
 
@@ -170,7 +170,7 @@ def _backward_written_out(signal, model, gamma):
     g_pre = g_details
     if model.mode.trains_thresholds:
         dy_dx, dy_dbp, dy_dbm = ht_gate_derivatives(
-            trace.details_pre, *trace.gates, model.sharpness)
+            trace.details_pre, *trace.gates)
         g_pre = g_details * dy_dx
         grads["b_plus"] = np.add.reduceat(g_details * dy_dbp, trace.offsets[:-1])
         grads["b_minus"] = np.add.reduceat(g_details * dy_dbm, trace.offsets[:-1])
@@ -202,12 +202,12 @@ class TestBackwardMatchesWrittenOutTranspose:
         # depth 1.0 reaches max_depth, where kernels outgrow the signal;
         # an unperturbed model reconstructs exactly, so residuals are zero
         rng = np.random.default_rng(seed)
-        model = WaveletNet(1 + round(depth * (max_depth(n) - 1)), k, mode)
+        model = WaveletNet(1 + round(depth * (max_depth(n) - 1)), k, mode, gamma=gamma)
         vec = model.get_parameters()
         model.set_parameters(vec + rng.normal(0.0, perturb, vec.size))
         signal = rng.normal(size=n)
         signal[rng.random(n) < zeros] = 0.0
-        triple, grads = backward_full(signal, model, gamma)
+        triple, grads = backward_full(signal, model)
         expect_triple, expect_grads = _backward_written_out(signal, model, gamma)
         assert np.array(triple).tobytes() == np.array(expect_triple).tobytes()
         assert grads.tobytes() == expect_grads.tobytes()
@@ -238,16 +238,16 @@ class TestBlockPath:
                                    zeros, gamma, seed):
         rng = np.random.default_rng(seed)
         depth = max_depth(n) if full_depth else max(1, max_depth(n) // 2)
-        model = WaveletNet(depth, k, mode)
+        model = WaveletNet(depth, k, mode, gamma=gamma)
         vec = model.get_parameters()
         model.set_parameters(vec + rng.normal(0.0, perturb, vec.size))
         block = rng.normal(size=(rows, n))
         block[rng.random(block.shape) < zeros] = 0.0
 
-        triple, grads = backward_full(block, model, gamma)
-        column_major = backward_full(np.asfortranarray(block), model, gamma)
+        triple, grads = backward_full(block, model)
+        column_major = backward_full(np.asfortranarray(block), model)
         assert column_major[1].tobytes() == grads.tobytes()
-        per_row = [backward_full(x, model, gamma) for x in block]
+        per_row = [backward_full(x, model) for x in block]
         for got, terms in ((np.array(triple), [np.array(t) for t, _ in per_row]),
                            (grads, [g for _, g in per_row])):
             scale = sum(np.abs(t) for t in terms)
@@ -269,10 +269,10 @@ class TestBlockPath:
         real = training.backward_full
         windows = []
 
-        def per_window(block, model, gamma):
+        def per_window(block, model):
             total, grad = np.zeros(3), 0.0
             for x in block:
-                triple, flat = real(x, model, gamma)
+                triple, flat = real(x, model)
                 total, grad = total + triple, grad + flat
             windows.append(len(block))
             return tuple(total), grad
@@ -321,10 +321,10 @@ class TestProperties:
         model.set_parameters(vec + rng.normal(0.0, 0.02, vec.size))
         vec = model.get_parameters()
         signal = rng.normal(size=n)
-        _, grads = backward_full(signal, model, 1.0)
+        _, grads = backward_full(signal, model)
         for i in rng.choice(vec.size, size=min(6, vec.size), replace=False):
             steps = [step * max(1.0, abs(vec[i])) for step in training.GRAD_CHECK_STEPS]
-            fd = kink_free_difference(signal, model, 1.0, int(i), steps)
+            fd = kink_free_difference(signal, model, int(i), steps)
             if fd is not None:
                 assert abs(grads[i] - fd) <= max(1e-7, 1e-4 * max(abs(fd), abs(grads[i])))
 
@@ -337,16 +337,16 @@ class TestProperties:
         vec = model.get_parameters()
         model.set_parameters(vec + rng.normal(0.0, 0.02, vec.size))
         signal = rng.normal(size=96)
-        _, grads = backward_full(signal, model, 1.0)
+        _, grads = backward_full(signal, model)
         for i in (1, 2):
-            (up, down), straddles = training._bumped_losses(signal, model, 1.0, i, 1e-6)
+            (up, down), straddles = training._bumped_losses(signal, model, i, 1e-6)
             assert straddles
             straddled = (up - down) / 2e-6
             assert abs(grads[i] - straddled) > 1e-3
-            fd = kink_free_difference(signal, model, 1.0, i, training.GRAD_CHECK_STEPS)
+            fd = kink_free_difference(signal, model, i, training.GRAD_CHECK_STEPS)
             assert abs(grads[i] - fd) <= 1e-4 * abs(grads[i])
             # no smaller step: the scalar is at a kink, not a pass or failure
-            assert kink_free_difference(signal, model, 1.0, i, [1e-6]) is None
+            assert kink_free_difference(signal, model, i, [1e-6]) is None
 
 
 class TestFiniteDifferenceOracle:
@@ -354,11 +354,11 @@ class TestFiniteDifferenceOracle:
         model = WaveletNet(3, 8, SharingMode.DB4_FIXED)
         assert model.get_parameters().size == 0
         with pytest.raises(IndexError):
-            kink_free_difference(np.ones(16), model, 1.0, 0, [1e-6])
+            kink_free_difference(np.ones(16), model, 0, [1e-6])
 
     def test_constant_loss_region_gives_zero(self):
         model = WaveletNet(3, 8, SharingMode.DB4_FIXED_HT)
-        assert kink_free_difference(np.zeros(16), model, 1.0, 0, [1e-6]) == 0.0
+        assert kink_free_difference(np.zeros(16), model, 0, [1e-6]) == 0.0
 
     def test_twenty_random_parameter_picks(self):
         rng = np.random.default_rng(21)
@@ -367,18 +367,17 @@ class TestFiniteDifferenceOracle:
         model.set_parameters(vec + rng.normal(0, 0.02, vec.size))
         vec = model.get_parameters()
         signal = rng.normal(size=256)
-        _, grads = backward_full(signal, model, 1.0)
+        _, grads = backward_full(signal, model)
         for i in rng.choice(vec.size, size=20, replace=False):
             step = 1e-6 * max(1.0, abs(vec[i]))
-            fd = kink_free_difference(signal, model, 1.0, int(i), [step])
+            fd = kink_free_difference(signal, model, int(i), [step])
             assert fd is not None
             assert abs(grads[i] - fd) <= max(1e-7, 1e-4 * max(abs(fd), abs(grads[i])))
 
     def test_restores_parameters_exactly(self):
         model = WaveletNet(4, 8, SharingMode.PER_LEVEL_CQF_HT)
         before = model.get_parameters()
-        kink_free_difference(np.random.default_rng(0).normal(size=64),
-                             model, 1.0, 3, [1e-6])
+        kink_free_difference(np.random.default_rng(0).normal(size=64), model, 3, [1e-6])
         assert np.array_equal(model.get_parameters(), before)
 
 
@@ -479,9 +478,9 @@ class TestTrainLoop:
         real = training.backward_full
         shapes = []
 
-        def recorded(block, model, gamma):
+        def recorded(block, model):
             shapes.append(block.shape)
-            return real(block, model, gamma)
+            return real(block, model)
 
         monkeypatch.setattr("wavelearn.training.backward_full", recorded)
         monkeypatch.setattr("wavelearn.training.BLOCK_SAMPLES", 3 * 256)
@@ -569,7 +568,7 @@ def test_non_finite_signal_rejected_before_any_step(bad):
     with pytest.raises(InvalidSignalError):
         model_forward(signals[2], model)
     with pytest.raises(InvalidSignalError):
-        backward_full(signals[2], model, 1.0)
+        backward_full(signals[2], model)
     with pytest.raises(InvalidSignalError):
         train(signals, SharingMode.PER_LEVEL_CQF_HT,
               TrainConfig(epochs=1, levels=5))

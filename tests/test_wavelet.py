@@ -646,13 +646,13 @@ class TestTiles:
                              ids=lambda m: m.value)
     def test_backward_full_under_aligned_tiles(self, monkeypatch, mode):
         rng = np.random.default_rng(4)
-        model = WaveletNet(12, 8, mode)
+        model = WaveletNet(12, 8, mode, gamma=0.1)
         model.set_parameters(model.get_parameters()
                              + rng.normal(0.0, 0.01, model.parameter_count()))
         x = rng.normal(size=(2, 4096))
-        losses, grad = backward_full(x, model, 0.1)
+        losses, grad = backward_full(x, model)
         monkeypatch.setattr(wavelet, "TILE", 64)
-        tiled_losses, tiled_grad = backward_full(x, model, 0.1)
+        tiled_losses, tiled_grad = backward_full(x, model)
         assert np.array(tiled_losses).tobytes() == np.array(losses).tobytes()
         assert np.max(np.abs(tiled_grad - grad)) <= 1e-13 * np.max(np.abs(grad))
 
