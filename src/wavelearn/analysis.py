@@ -3,8 +3,9 @@ random-hidden-layer network, ROC-AUC, and per-class-model classification."""
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -83,9 +84,9 @@ class OneClassElm:
     def predict(self, features: LatentFeatures) -> float:
         x = features.vector()
         if x.size != self.scaler_mean.size:
-            raise ConfigError(
-                f"feature dimension {x.size} != fitted {self.scaler_mean.size}"
-            )
+            raise ConfigError(f"feature dimension {x.size} != fitted {self.scaler_mean.size}")
+        if not np.isfinite(x).all():
+            raise ConfigError("feature vector holds non-finite entries")
         return float(self._hidden(x[None, :])[0] @ self.output_weights)
 
 
@@ -108,6 +109,8 @@ def elm_fit(features: list[LatentFeatures], neurons: int = 50,
     if len({v.size for v in vectors}) > 1:
         raise ConfigError(f"feature dimensions differ: {sorted({v.size for v in vectors})}")
     x = np.stack(vectors)
+    if not np.isfinite(x).all():
+        raise ConfigError("training feature vectors hold non-finite entries")
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std[std == 0.0] = 1.0  # constant dimensions pass through unscaled
@@ -158,35 +161,34 @@ def roc_auc(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 # per-class-model classification
 
-@dataclass
+@dataclass(frozen=True)
 class DictionaryModel:
     """One model per class; a sample is assigned to the class whose model
     gives it the smallest total loss. At least two classes, whose models
-    share one mode, depth, kernel size and gamma, so that they stack."""
+    share one mode, depth, kernel size and gamma, so that they stack.
+    Immutable, as its models are: `class_models` is a read-only mapping."""
 
-    class_models: dict[str, WaveletNet]
+    class_models: Mapping[str, WaveletNet]
+    _stacked: WaveletNet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.class_models) < 2:
-            raise ConfigError(
-                f"a dictionary needs at least two classes, got {len(self.class_models)}")
-        if len({(m.mode, m.levels, m.kernel_size, m.gamma)
-                for m in self.class_models.values()}) > 1:
-            raise ConfigError("class models must share one mode, depth, kernel "
-                              "size and gamma")
+        models = dict(self.class_models)
+        if len(models) < 2:
+            raise ConfigError(f"a dictionary needs at least two classes, got {len(models)}")
+        if len({(m.mode, m.levels, m.kernel_size, m.gamma) for m in models.values()}) > 1:
+            raise ConfigError("class models must share one mode, depth, kernel size and gamma")
+        object.__setattr__(self, "class_models", MappingProxyType(models))
+        object.__setattr__(self, "_stacked", models[self.labels()[0]].with_parameters(
+            np.stack([models[label].get_parameters() for label in self.labels()])))
 
     def labels(self) -> list[str]:
         return sorted(self.class_models)
 
     def stacked(self) -> WaveletNet:
         """The class models in `labels` order as one row-stacked model
-        (`network` module notes): each parameter is theirs stacked row by
-        row. Built on every call, so it always follows their `params`."""
-        models = [self.class_models[label] for label in self.labels()]
-        rows = copy.copy(models[0])
-        rows.params = {name: np.stack([m.params[name] for m in models])
-                       for name in rows.params}
-        return rows
+        (`network` module notes), each trainable parameter theirs stacked
+        row by row. Built once, with the dictionary: neither can change."""
+        return self._stacked
 
 
 def dict_train(class_datasets: dict[str, list], mode: SharingMode,

@@ -23,7 +23,8 @@ mode. A model keeps its kernels as one level-stacked array,
 one set across levels (layout in `KernelScheme`). `WaveletNet.banks` derives
 every level's bank from it in one call of the scheme, level l's bank being
 a view into the result, and the backward pass folds the level-stacked bank
-gradient back onto that array in one call.
+gradient back onto that array in one call. A model is immutable (new
+parameters make a new model), so it derives its banks once, on first use.
 
 The forward pass is row-stacked: a model's parameters may carry a leading
 row axis, C models of one structure stacked row by row, and then every bank
@@ -38,6 +39,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -207,18 +210,19 @@ def _init_scaling(k_n: int) -> np.ndarray:
 
 
 class WaveletNet:
-    """Learnable cascade auto-encoder.
+    """Learnable cascade auto-encoder; assigning an attribute raises.
 
-    Parameters are stored in `params`: the mode's kernels as one array
-    ``kernels``, level by level (`KernelScheme`), and the threshold
-    vectors ``b_plus`` / ``b_minus`` (length L, trainable only in HT modes).
-    The flat parameter vector is the kernels in C order (level by level, kind
-    by kind within a level), then the thresholds. A fresh model starts at the
-    db4 bank (or a padded Haar for short kernels) with zero thresholds, so
-    its forward pass is a plain fixed-filter transform. Row-stacked
-    parameters (module notes) give one bank and one threshold pair per row.
-    `gamma` weighs the sparsity term of the model's training loss; the
-    gradient and the dictionary classifier read it from here.
+    Parameters are stored in `params`, a read-only mapping of non-writeable
+    arrays: the mode's kernels as one array ``kernels``, level by level
+    (`KernelScheme`), and the threshold vectors ``b_plus`` / ``b_minus``
+    (length L, trainable only in HT modes). The flat parameter vector is the
+    kernels in C order (level by level, kind by kind within a level), then
+    the thresholds. A fresh model starts at the db4 bank (or a padded Haar
+    for short kernels) with zero thresholds, so its forward pass is a plain
+    fixed-filter transform. Row-stacked parameters (module notes) give one
+    bank and one threshold pair per row. `gamma` weighs the sparsity term of
+    the model's training loss; the gradient and the dictionary classifier
+    read it from here.
     """
 
     def __init__(self, levels: int, kernel_size: int, mode: SharingMode,
@@ -228,20 +232,26 @@ class WaveletNet:
         if kernel_size % 2:
             raise ConfigError(f"kernel size must be even and >= 2, got {kernel_size}")
         gamma = as_real(gamma, "gamma")
-        self.levels = levels
-        self.kernel_size = mode.scheme.kernel_size or kernel_size
-        self.mode = mode
-        self.gamma = gamma
-
-        bank0 = cqf_from_scaling(_init_scaling(self.kernel_size))
+        kernel_size = mode.scheme.kernel_size or kernel_size
+        bank0 = cqf_from_scaling(_init_scaling(kernel_size))
         # the kinds are a prefix of (h, g, hb, gb)
         kernels = np.concatenate((bank0[0], bank0[1, :, ::-1]))[:len(mode.scheme.kinds)]
         # thresholds always exist; they stay at zero unless the mode trains them
-        self.params: dict[str, np.ndarray] = {
-            "kernels": np.tile(kernels, (1 if mode.scheme.shared else levels, 1, 1)),
-            "b_plus": np.zeros(levels),
-            "b_minus": np.zeros(levels),
-        }
+        self._settle({"kernels": np.tile(kernels, (1 if mode.scheme.shared else levels, 1, 1)),
+                      "b_plus": np.zeros(levels), "b_minus": np.zeros(levels)},
+                     levels=levels, kernel_size=kernel_size, mode=mode, gamma=gamma)
+
+    def _settle(self, params: dict[str, np.ndarray], **settings) -> "WaveletNet":
+        # the one way in past `__setattr__`, with arrays nobody else holds
+        for value in params.values():
+            value.flags.writeable = False
+        vars(self).update(settings, params=MappingProxyType(params))
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a WaveletNet is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -254,7 +264,7 @@ class WaveletNet:
     def get_parameters(self) -> np.ndarray:
         return self.flatten(self.params)
 
-    def flatten(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
+    def flatten(self, tensors) -> np.ndarray:
         """The trainable entries of `tensors`, keyed like `params`, as one
         flat vector in `get_parameters` order (one per row when the tensors
         carry a leading row axis)."""
@@ -262,51 +272,55 @@ class WaveletNet:
         return np.concatenate([kernels.reshape(*kernels.shape[:-3], -1)]
                               + [tensors[n] for n in self.trainable_names()[1:]], axis=-1)
 
-    def set_parameters(self, flat: np.ndarray) -> None:
+    def with_parameters(self, flat) -> "WaveletNet":
+        """A new model, of this one's structure and gamma, holding the
+        trainable parameters `flat` in `get_parameters` order: a vector, or
+        a (C, P) array for a row-stacked model (module notes)."""
         flat = np.asarray(flat, dtype=float)
-        if flat.size != self.parameter_count():
-            raise ConfigError(
-                f"parameter vector has {flat.size} entries, "
-                f"model has {self.parameter_count()}"
-            )
-        if not np.all(np.isfinite(flat)):
+        count, params, pos = self.parameter_count(), dict(self.params), 0
+        if flat.ndim > 2 or flat.shape[-1:] != (count,):
+            raise ConfigError(f"parameter vector has {flat.size} entries, model has {count}")
+        if not np.isfinite(flat).all():
             raise ConfigError("parameter vector holds non-finite entries")
-        pos = 0
         for name in self.trainable_names():
-            shape = self.params[name].shape
-            size = self.params[name].size
+            old = params[name]
             # a copy: the model never shares memory with the caller's vector
-            self.params[name] = flat[pos:pos + size].reshape(shape).copy()
-            pos += size
+            params[name] = flat[..., pos:pos + old.size].reshape(flat.shape[:-1] + old.shape).copy()
+            pos += old.size
+        return object.__new__(WaveletNet)._settle(
+            params, levels=self.levels, kernel_size=self.kernel_size, mode=self.mode,
+            gamma=self.gamma)
 
     # -- derived structure ----------------------------------------------------
 
-    def banks(self) -> list[np.ndarray]:
-        """The ``(..., 2, 2, K)`` filter bank of every level, derived from
-        the kernels through the mode's scheme in one call, so the constraint
-        relations can never drift. Level l's bank is a view into the
-        level-stacked one; a shared scheme's one bank serves every level."""
+    @cached_property
+    def banks(self) -> tuple[np.ndarray, ...]:
+        """The ``(..., 2, 2, K)`` filter bank of every level, derived on
+        first use from the kernels through the mode's scheme in one call, so
+        the constraint relations can never drift. Level l's bank is a
+        non-writeable view into the level-stacked one; a shared scheme's one
+        bank serves every level."""
         bank = self.mode.scheme.derive(self.params["kernels"])
-        views = [bank[..., l, :, :, :] for l in range(bank.shape[-4])]
+        bank.flags.writeable = False
+        views = tuple(bank[..., l, :, :, :] for l in range(bank.shape[-4]))
         return views * self.levels if self.mode.scheme.shared else views
 
     def synthesis_gain_ratios(self) -> np.ndarray:
         """Per-level ||h_bar|| / ||h||; diverging ratios flag the known
         instability of fully unconstrained banks."""
         return np.array([np.linalg.norm(bank[..., 1, 0, ::-1]) / np.linalg.norm(bank[..., 0, 0, :])
-                         for bank in self.banks()])
+                         for bank in self.banks])
 
 
 @dataclass
 class ForwardTrace:
     """One forward pass: the gated coefficients, the reconstruction (of the
-    input's exact shape) and every intermediate the backward pass needs, the
-    level inputs unpadded. Arrays keep the input's leading axis: ``(n,)`` for
+    input's exact shape) and every intermediate the backward pass needs
+    besides the model's banks, the level inputs unpadded. Arrays keep the input's leading axis: ``(n,)`` for
     one window, ``(B, n)`` for a block. The details of all levels sit in one
     ``(..., M)`` pyramid, level 1 (the highest frequency) first; level l is
     ``[..., offsets[l]:offsets[l + 1]]``, and `levels` gives the views."""
 
-    banks: list[np.ndarray]           # (..., 2, 2, K) bank of each level (one object when shared)
     inputs: list[np.ndarray]          # encoder input of each level, odd lengths unpadded
     offsets: list[int]                # where each level's details start in a pyramid, then M
     details_pre: np.ndarray           # detail pyramid before gating
@@ -330,8 +344,7 @@ def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
     (module notes): details are gated before being stored and
     skip-connected, the final approximation is passed through untouched."""
     signal = cascade_input(signal, model.levels)
-    banks = model.banks()
-    inputs, details, approx = analysis_cascade(signal, banks)
+    inputs, details, approx = analysis_cascade(signal, model.banks)
     sizes = [d.shape[-1] for d in details]
     offsets = np.cumsum([0] + sizes).tolist()
     details_pre = np.concatenate(details, -1)
@@ -345,14 +358,14 @@ def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
         gates = (t, u)
         details = [gated[..., lo:hi] for lo, hi in zip(offsets, offsets[1:])]
     return ForwardTrace(
-        banks=banks,
         inputs=inputs,
         offsets=offsets,
         details_pre=details_pre,
         details=gated,
         gates=gates,
         approx=approx,
-        recon_chain=synthesis_cascade(approx, details, [a.shape[-1] for a in inputs], banks),
+        recon_chain=synthesis_cascade(approx, details, [a.shape[-1] for a in inputs],
+                                      model.banks),
     )
 
 

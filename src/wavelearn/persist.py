@@ -9,7 +9,8 @@ own key: one set shared by every level as ``shared_h``, and level l's
 ``h``/``g``/``hb``/``gb`` as ``h``/``g``/``h_bar``/``g_bar`` in
 ``level_params[l]``, so the format never depends on the mode. The ``seed``
 key older versions wrote is ignored. ``alpha`` records the gate's fixed
-slope, `network.SHARPNESS`, and a document giving another is refused. A
+slope, `network.SHARPNESS`, and a document giving another is refused, as is
+one giving nonzero thresholds to a mode that trains none. A
 dictionary document holds gamma only in its class models' documents; the
 top-level ``gamma`` older versions also wrote must equal theirs."""
 
@@ -130,12 +131,12 @@ def _model_from_doc(doc: dict) -> WaveletNet:
                            gamma=_field(doc, "gamma", as_real))
     except ConfigError as exc:
         raise FormatError(f"model document: {exc}") from None
-    for l, record in enumerate(records):
-        model.params["b_plus"][l] = _field(record, "b_plus", as_real, -math.inf)
-        model.params["b_minus"][l] = _field(record, "b_minus", as_real, -math.inf)
-    for (_, _, index), taps in zip(slots, kernels):
-        model.params["kernels"][index] = taps
-    return model
+    thresholds = np.array([[_field(record, name, as_real, -math.inf) for record in records]
+                           for name in ("b_plus", "b_minus")])
+    if not mode.trains_thresholds and thresholds.any():  # no forward pass would read them
+        raise FormatError(f"model document: {mode.value} trains no thresholds, got nonzero ones")
+    # the slots run in the flat vector's order, and the thresholds follow
+    return model.with_parameters(np.concatenate([*kernels, *thresholds])[:model.parameter_count()])
 
 
 def save_model(model: WaveletNet, path) -> None:

@@ -80,7 +80,7 @@ def backward_full(signal, model: WaveletNet):
     g_details = np.empty_like(trace.details)
     for l, g_d in enumerate(trace.levels(g_details)):
         upstream = (trace.recon_chain[l + 1], details[l])
-        out, dec_grads[l] = strided_corr(g_x, trace.banks[l][..., 1, :, :], upstream)
+        out, dec_grads[l] = strided_corr(g_x, model.banks[l][..., 1, :, :], upstream)
         g_x, g_d[...] = out[..., 0, :], out[..., 1, :]
     # every detail's sparsity term, then the gate, over the whole pyramid
     # (in place: on a long window each fresh pyramid is a megabyte to fault in)
@@ -101,7 +101,7 @@ def backward_full(signal, model: WaveletNet):
     pre = trace.levels(g_pre)
     for l in range(model.levels - 1, -1, -1):
         x = trace.inputs[l]
-        out, enc_grads[l] = upsample_conv((g_a, pre[l]), trace.banks[l][..., 0, :, :], x)
+        out, enc_grads[l] = upsample_conv((g_a, pre[l]), model.banks[l][..., 0, :, :], x)
         g_a = out[..., :x.shape[-1]]
 
     # fold the level-stacked bank gradient onto the kernels it was derived
@@ -121,20 +121,15 @@ def _bumped_losses(signal, model: WaveletNet, param_index: int, step: float):
     detail or final approximation) changes sign between the two."""
     vec = model.get_parameters()
     if param_index < 0 or param_index >= vec.size:
-        raise IndexError(
-            f"parameter index {param_index} out of range for "
-            f"{vec.size} trainables"
-        )
+        raise IndexError(f"parameter index {param_index} out of range for {vec.size} trainables")
     values, signs = [], []
     for delta in (step, -step):
         bumped = vec.copy()
         bumped[param_index] += delta
-        model.set_parameters(bumped)
-        trace = forward_trace(model, signal)
+        trace = forward_trace(model.with_parameters(bumped), signal)
         values.append(loss(trace, signal, model.gamma)[0])
         signs.append([np.sign(t) for t in (signal - trace.reconstruction,
                                            trace.details, trace.approx)])
-    model.set_parameters(vec)
     straddles = any(np.any(up != down) for up, down in zip(*signs))
     return values, straddles
 
@@ -153,14 +148,13 @@ def kink_free_difference(signal, model: WaveletNet, param_index: int,
     return None
 
 
-# `gradient_check`'s signal length, absolute error floor, loss weight gamma,
-# the spread of the normal nudge applied to the initial parameters, and its
+# `gradient_check`'s signal length, absolute error floor, the spread of the
+# normal nudge applied to the initial parameters, and its
 # central-difference steps relative to max(1, |p|), tried in order while the
 # step straddles a kink (at 1e-8 the rounding of a loss near 1 is still
 # within the error floor)
 GRAD_CHECK_LENGTH = 256
 GRAD_CHECK_ABS_TOL = 1e-7
-GRAD_CHECK_GAMMA = 1.0
 GRAD_CHECK_PERTURB = 0.02
 GRAD_CHECK_STEPS = (1e-6, 1e-7, 1e-8)
 
@@ -201,11 +195,9 @@ def gradient_check(mode: SharingMode, seed: int = 0, n_seeds: int = 5,
     max_ratio = 0.0
     for s in seeds:
         rng = np.random.default_rng(s)
-        model = WaveletNet(default_levels_for(GRAD_CHECK_LENGTH), 8, mode,
-                           gamma=GRAD_CHECK_GAMMA)
+        model = WaveletNet(default_levels_for(GRAD_CHECK_LENGTH), 8, mode)
         vec = model.get_parameters()
-        if vec.size:
-            model.set_parameters(vec + rng.normal(0.0, GRAD_CHECK_PERTURB, vec.size))
+        model = model.with_parameters(vec + rng.normal(0.0, GRAD_CHECK_PERTURB, vec.size))
         signal = rng.normal(size=GRAD_CHECK_LENGTH)
         vec = model.get_parameters()
         _, grads = backward_full(signal, model)
@@ -267,22 +259,20 @@ class AdamState:
 
 def adam_step(model: WaveletNet, grads: np.ndarray, state: AdamState,
               config: TrainConfig):
-    """One bias-corrected Adam update applied in place to the model's
-    trainable parameters. Returns (model, state)."""
+    """One bias-corrected Adam update of the model's trainable parameters.
+    Models are immutable, so it returns (a new model holding the updated
+    parameters, state) and leaves the given model as it was."""
     params = model.get_parameters()
     if grads.shape != params.shape or state.m.shape != params.shape:
-        raise ConfigError(
-            f"gradient/state shape {grads.shape}/{state.m.shape} does not "
-            f"match {params.shape} parameters"
-        )
+        raise ConfigError(f"gradient/state shape {grads.shape}/{state.m.shape} does not "
+                          f"match {params.shape} parameters")
     state.t += 1
     state.m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grads
     state.v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grads * grads
     m_hat = state.m / (1 - ADAM_BETA1 ** state.t)
     v_hat = state.v / (1 - ADAM_BETA2 ** state.t)
     params = params - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    model.set_parameters(params)
-    return model, state
+    return model.with_parameters(params), state
 
 
 @dataclass
@@ -290,7 +280,6 @@ class TrainReport:
     loss_history: list[tuple[float, float, float]]  # per-epoch mean (total, recon, sparsity)
     final_model: WaveletNet
     wall_time: float
-    synthesis_gain_ratios: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
@@ -332,9 +321,4 @@ def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
             model, state = adam_step(model, grad_sum / batch.size, state, config)
         history.append(tuple(epoch_losses / n))
     wall = time.perf_counter() - start
-    return TrainReport(
-        loss_history=history,
-        final_model=model,
-        wall_time=wall,
-        synthesis_gain_ratios=model.synthesis_gain_ratios(),
-    )
+    return TrainReport(loss_history=history, final_model=model, wall_time=wall)

@@ -136,6 +136,25 @@ class TestOneClassElm:
         with pytest.raises(ConfigError, match="feature dimensions differ"):
             elm_fit(feats, neurons=10, ridge_lambda=1e-3, seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_training_features_rejected(self, bad):
+        # one poisoned vector would make the scaler mean, and every score, NaN
+        feats = _feature_cloud(np.random.default_rng(7), 20, self.CENTER)
+        vec = self.CENTER.copy()
+        vec[3] = bad
+        feats.append(LatentFeatures.from_vector(vec))
+        with pytest.raises(ConfigError, match="non-finite"):
+            elm_fit(feats, neurons=10, ridge_lambda=1e-3, seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_scored_rejected(self, bad):
+        feats = _feature_cloud(np.random.default_rng(7), 20, self.CENTER)
+        elm = elm_fit(feats, neurons=10, ridge_lambda=1e-3, seed=0)
+        vec = self.CENTER.copy()
+        vec[0] = bad
+        with pytest.raises(ConfigError, match="non-finite"):
+            elm_score(elm, LatentFeatures.from_vector(vec))
+
 
 def _auc_bruteforce(scores, labels):
     pos = [s for s, y in zip(scores, labels) if y]
@@ -241,9 +260,8 @@ class TestDictClassify:
         # class A reconstructs (fixed bank); class B annihilates details and
         # pays a large residual on a detail-heavy signal
         model_a = WaveletNet(3, 8, SharingMode.DB4_FIXED_HT)
-        model_b = WaveletNet(3, 8, SharingMode.DB4_FIXED_HT)
-        model_b.params["b_plus"][:] = 1e6
-        model_b.params["b_minus"][:] = 1e6
+        # the fixed bank trains only the thresholds: b+ then b-
+        model_b = WaveletNet(3, 8, SharingMode.DB4_FIXED_HT).with_parameters(np.full(6, 1e6))
         rng = np.random.default_rng(12)
         x = rng.normal(size=128)  # white noise is detail-dominated
         dictionary = DictionaryModel(class_models={"A": model_a, "B": model_b})
@@ -253,8 +271,8 @@ class TestDictClassify:
 
     def test_label_permutation_consistency(self):
         model_a = WaveletNet(3, 8, SharingMode.DB4_FIXED_HT)
-        model_b = WaveletNet(3, 8, SharingMode.DB4_FIXED_HT)
-        model_b.params["b_plus"][:] = 10.0
+        model_b = WaveletNet(3, 8, SharingMode.DB4_FIXED_HT).with_parameters(
+            np.repeat([10.0, 0.0], 3))
         x = np.random.default_rng(13).normal(size=64)
         d1 = DictionaryModel(class_models={"u": model_a, "v": model_b})
         d2 = DictionaryModel(class_models={"v": model_a, "u": model_b})
@@ -312,14 +330,54 @@ class TestDictionaryModel:
         assert calls == [(3, 1, 8)]
 
     def test_stack_follows_changed_parameters(self):
-        dictionary = DictionaryModel(class_models={
-            c: WaveletNet(3, 8, SharingMode.SHARED_CQF_HT) for c in "AB"})
+        # a dictionary rebuilt from a changed class model follows it, and
+        # the old dictionary keeps its losses
+        models = {c: WaveletNet(3, 8, SharingMode.SHARED_CQF_HT) for c in "AB"}
+        dictionary = DictionaryModel(class_models=models)
         x = np.random.default_rng(14).normal(size=64)
         before = dict_classify(x, dictionary)[1]
-        dictionary.class_models["B"].params["b_plus"][:] = 0.5
-        after = dict_classify(x, dictionary)[1]
+        # the shared kernel's 8 taps, then b+ and b- of each level
+        vec = models["B"].get_parameters()
+        vec[8:11] = 0.5
+        rebuilt = DictionaryModel(class_models={**models, "B": models["B"].with_parameters(vec)})
+        after = dict_classify(x, rebuilt)[1]
         assert after["A"] == before["A"] and after["B"] != before["B"]
-        assert after == _per_model_classify(x, dictionary)[1]
+        assert after == _per_model_classify(x, rebuilt)[1]
+        assert dict_classify(x, dictionary)[1] == before
+
+    def test_class_models_cannot_be_replaced(self):
+        models = {c: WaveletNet(3, 8, SharingMode.SHARED_CQF_HT) for c in "AB"}
+        dictionary = DictionaryModel(class_models=models)
+        other = WaveletNet(3, 8, SharingMode.SHARED_CQF_HT, gamma=0.0)
+        with pytest.raises(TypeError):
+            dictionary.class_models["B"] = other
+        with pytest.raises(AttributeError):
+            dictionary.class_models = {"A": other, "B": other}
+        # the dictionary holds its own mapping: the caller's dict is not it
+        models["B"] = other
+        assert dictionary.class_models["B"] is not other
+        assert dictionary.stacked().gamma == 1.0
+
+    def test_banks_derived_once_per_model(self, monkeypatch):
+        # two classifications and two feature extractions derive each
+        # model's banks once: the dictionary's stacked model once, and the
+        # lone model once
+        real, calls = network.cqf_from_scaling, []
+
+        def counted(h):
+            calls.append(np.shape(h))
+            return real(h)
+
+        monkeypatch.setattr(network, "cqf_from_scaling", counted)
+        dictionary = DictionaryModel(class_models={
+            c: WaveletNet(4, 8, SharingMode.SHARED_CQF_HT) for c in "ABC"})
+        model = dictionary.class_models["A"]
+        calls.clear()  # the models' own construction
+        rng = np.random.default_rng(16)
+        for _ in range(2):
+            dict_classify(rng.normal(size=64), dictionary)
+            extract_features(rng.normal(size=64), model)
+        assert calls == [(3, 1, 8), (1, 8)]
 
 
 def _per_model_classify(signal, dictionary):
@@ -339,20 +397,19 @@ def _drawn_dictionary(rng, mode, classes, n, k, depth, thresholds):
     are all zero, all nonzero, or (``mixed``) zero at random (class, level)
     entries, so zero-threshold rows sit next to gated ones."""
     levels = 1 + round(depth * (max_depth(n) - 1))
-    models = {}
+    model = WaveletNet(levels, k, mode)
+    rows = {}
     for c in range(classes):
-        model = WaveletNet(levels, k, mode)
         vec = model.get_parameters()
-        model.set_parameters(vec + rng.normal(0.0, 0.1, vec.size))
+        params = dict(model.with_parameters(vec + rng.normal(0.0, 0.1, vec.size)).params)
         zero = {"zero": True, "nonzero": False,
                 "mixed": rng.random(levels) < 0.5}[thresholds]
-        for name in ("b_plus", "b_minus"):
-            model.params[name] = np.where(zero, 0.0, rng.uniform(0.05, 1.0, levels))
-        models[f"class{c}"] = model
-    gamma = float(rng.choice([0.0, 0.5, 1.0]))
-    for model in models.values():
-        model.gamma = gamma
-    return DictionaryModel(class_models=models)
+        for name in ("b_plus", "b_minus"):  # drawn in every mode, kept in HT modes
+            params[name] = np.where(zero, 0.0, rng.uniform(0.05, 1.0, levels))
+        rows[f"class{c}"] = model.flatten(params)
+    model = WaveletNet(levels, k, mode, gamma=float(rng.choice([0.0, 0.5, 1.0])))
+    return DictionaryModel(class_models={c: model.with_parameters(row)
+                                         for c, row in rows.items()})
 
 
 _DICTIONARY_DRAWS = dict(
@@ -393,18 +450,21 @@ class TestRowStackedDictionary:
         dictionary = _drawn_dictionary(rng, mode, classes, n, k, depth, thresholds)
         block = rng.normal(size=(classes, n))  # a different window per row
         block[rng.random(block.shape) < zeros] = 0.0
-        trace = forward_trace(dictionary.stacked(), block)
+        rows = dictionary.stacked()
+        trace = forward_trace(rows, block)
         for r, label in enumerate(dictionary.labels()):
-            alone = forward_trace(dictionary.class_models[label], block[r])
+            model = dictionary.class_models[label]
+            alone = forward_trace(model, block[r])
             assert ([a.shape[-1] for a in trace.inputs]
                     == [a.shape[-1] for a in alone.inputs])
-            for got, want in zip(_trace_arrays(trace), _trace_arrays(alone)):
+            for got, want in zip(_trace_arrays(rows, trace), _trace_arrays(model, alone)):
                 row = got[r] if got.ndim > want.ndim else got  # a fixed bank serves all rows
                 assert row.shape == want.shape
                 assert row.tobytes() == want.tobytes()
 
 
-def _trace_arrays(trace):
-    """Every array a forward trace holds, banks included, in a fixed order."""
-    return (trace.banks + trace.inputs + [trace.details_pre, trace.details,
-                                          *trace.gates, trace.approx] + trace.recon_chain)
+def _trace_arrays(model, trace):
+    """The model's banks and every array its forward trace holds, in a
+    fixed order."""
+    return (list(model.banks) + trace.inputs + [trace.details_pre, trace.details,
+                                                *trace.gates, trace.approx] + trace.recon_chain)

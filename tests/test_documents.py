@@ -26,7 +26,7 @@ from wavelearn.analysis import DictionaryModel, LatentFeatures, elm_fit
 from wavelearn.audio import read_wav, write_wav
 from wavelearn.cli import main
 from wavelearn.datasets import DatasetManifest, ManifestEntry, load_manifest, save_manifest
-from wavelearn.errors import ConfigError, WavelearnError, as_integer, as_real
+from wavelearn.errors import ConfigError, FormatError, WavelearnError, as_integer, as_real
 from wavelearn.network import SharingMode, WaveletNet
 
 # what each field becomes: DELETE deletes it, AS_FLOAT turns an integer into
@@ -205,8 +205,8 @@ def good(tmp_path_factory):
     out = tmp_path_factory.mktemp("documents")
     rng = np.random.default_rng(0)
     model = WaveletNet(3, 8, SharingMode.PER_LEVEL_CQF_HT, gamma=0.5)
-    model.set_parameters(model.get_parameters()
-                         + rng.normal(0.0, 0.05, model.parameter_count()))
+    model = model.with_parameters(model.get_parameters()
+                                  + rng.normal(0.0, 0.05, model.parameter_count()))
     persist.save_model(model, out / "model")
     features = [(f"w{i}.wav:0", LatentFeatures.from_vector(rng.uniform(0.1, 1.0, 6)))
                 for i in range(3)]
@@ -275,6 +275,21 @@ def test_rejected_documents_exit_2_through_the_cli(target, good, tmp_path, capsy
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (case, err)
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", [m for m in SharingMode if not m.trains_thresholds],
+                         ids=lambda m: m.value)
+@pytest.mark.parametrize("name, value", [("b_plus", 5.0), ("b_minus", -0.5)])
+def test_thresholds_of_a_mode_that_trains_none_rejected(mode, name, value, tmp_path):
+    # every forward pass of such a mode ignores them; its own zeros load
+    path = tmp_path / "model"
+    persist.save_model(WaveletNet(3, 8, mode), path)
+    assert not persist.load_model(path).params[name].any()
+    doc = json.loads(path.read_text())
+    doc["level_params"][1][name] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="trains no thresholds"):
+        persist.load_model(path)
 
 
 class TestNumberRules:

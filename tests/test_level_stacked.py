@@ -185,10 +185,11 @@ def magnitude(trace, signal):
     return max(np.max(np.abs(a)) for a in (signal, trace.details_pre, trace.approx))
 
 
-def assert_matches_oracle(trace, expect, signal):
-    """Every array of a forward trace against the oracle's, per level."""
+def assert_matches_oracle(model, trace, expect, signal):
+    """The model's banks and every array of its forward trace against the
+    oracle's, per level."""
     assert [a.shape[-1] for a in trace.inputs] == expect["pre_lengths"]
-    for bank, want in zip(trace.banks, expect["banks"]):
+    for bank, want in zip(model.banks, expect["banks"]):
         assert_bytes_equal(bank, want)
     for got, want in zip(trace.inputs, expect["inputs"]):
         assert_bytes_equal(got, want)
@@ -208,22 +209,21 @@ def assert_matches_oracle(trace, expect, signal):
         assert_near(got, want, ARRAY_REL * magnitude(trace, signal))
 
 
-def perturbed_model(rng, mode, levels, k, thresholds, rows=None):
+def perturbed_model(rng, mode, levels, k, thresholds, rows=None, gamma=1.0):
     """A model with nudged kernels and zero, nonzero or mixed thresholds;
     with `rows`, each parameter carries a leading row axis of that size."""
-    model = WaveletNet(levels, k, mode)
+    model = WaveletNet(levels, k, mode, gamma=gamma)
     vec = model.get_parameters()
-    model.set_parameters(vec + rng.normal(0.0, 0.1, vec.size))
+    params = dict(model.with_parameters(vec + rng.normal(0.0, 0.1, vec.size)).params)
     shape = (levels,) if rows is None else (rows, levels)
-    for name in ("b_plus", "b_minus"):
+    for name in ("b_plus", "b_minus"):  # drawn in every mode, kept in HT modes
         zero = {"zero": True, "nonzero": False,
                 "mixed": rng.random(shape) < 0.5}[thresholds]
-        model.params[name] = np.where(zero, 0.0, rng.uniform(0.05, 1.0, shape))
+        params[name] = np.where(zero, 0.0, rng.uniform(0.05, 1.0, shape))
     if rows is not None:
-        for name, value in model.params.items():
-            if name not in ("b_plus", "b_minus"):
-                model.params[name] = value + rng.normal(0.0, 0.1, (rows, *value.shape))
-    return model
+        kernels = params["kernels"]
+        params["kernels"] = kernels + rng.normal(0.0, 0.1, (rows, *kernels.shape))
+    return model.with_parameters(model.flatten(params))
 
 
 DRAWS = dict(
@@ -248,19 +248,18 @@ class TestAgainstPerLevelOracle:
                               rows, gamma):
         # rows None is one window, else a (rows, n) block under one model
         rng = np.random.default_rng(seed)
-        model = perturbed_model(rng, mode, _levels(n, depth), k, thresholds)
+        model = perturbed_model(rng, mode, _levels(n, depth), k, thresholds, gamma=gamma)
         signal = rng.normal(size=n if rows is None else (rows, n))
         signal[rng.random(signal.shape) < zeros] = 0.0
 
         trace = forward_trace(model, signal)
         expect = oracle_forward(model, signal)
         m = magnitude(trace, signal)
-        assert_matches_oracle(trace, expect, signal)
+        assert_matches_oracle(model, trace, expect, signal)
         for got, want in zip(loss_terms(trace, signal, gamma),
                              oracle_loss_terms(expect, signal, gamma)):
             assert_near(got, want, LOSS_REL * (np.abs(want) + m))
 
-        model.gamma = gamma
         triple, grads = backward_full(signal, model)
         expect_triple, expect_grads = oracle_backward(signal, model, gamma)
         assert_near(np.array(triple), np.array(expect_triple),
@@ -281,7 +280,7 @@ class TestAgainstPerLevelOracle:
         block[rng.random(block.shape) < zeros] = 0.0
         trace = forward_trace(model, block)
         expect = oracle_forward(model, block)
-        assert_matches_oracle(trace, expect, block)
+        assert_matches_oracle(model, trace, expect, block)
         for got, want in zip(loss_terms(trace, block, 1.0),
                              oracle_loss_terms(expect, block, 1.0)):
             assert_near(got, want, LOSS_REL * (np.abs(want) + magnitude(trace, block)))

@@ -30,6 +30,14 @@ S = math.sqrt(0.5)
 HT_ONE_HALF_HALF = 0.9933074549779422
 
 
+def _with(model, **tensors):
+    """`model` with the named parameter arrays replaced, each broadcast to
+    its shape."""
+    return model.with_parameters(model.flatten(
+        {**model.params, **{k: np.broadcast_to(v, model.params[k].shape)
+                            for k, v in tensors.items()}}))
+
+
 class TestHtActivation:
     def test_zero_thresholds_exact_identity(self):
         grid = np.linspace(-50.0, 50.0, 10_000)
@@ -157,9 +165,8 @@ class TestGateEvaluatedOnce:
     def test_counts(self, monkeypatch):
         x = np.random.default_rng(2).normal(size=(3, 256))
         for levels in (1, 5, 8):
-            despawn = WaveletNet(levels, 8, SharingMode.PER_LEVEL_CQF_HT)
-            despawn.params["b_plus"][:] = 0.3
-            despawn.params["b_minus"][:] = 0.2
+            despawn = _with(WaveletNet(levels, 8, SharingMode.PER_LEVEL_CQF_HT),
+                            b_plus=0.3, b_minus=0.2)
             lcwn = WaveletNet(levels, 8, SharingMode.PER_LEVEL_CQF)
             for signal in (x[0], x):
                 for model, gated in ((despawn, 1), (lcwn, 0)):
@@ -269,8 +276,18 @@ class TestParameterCount:
             vec = model.get_parameters()
             assert vec.size == model.parameter_count()
             bumped = vec + 0.25
-            model.set_parameters(bumped)
-            assert np.array_equal(model.get_parameters(), bumped)
+            assert np.array_equal(model.with_parameters(bumped).get_parameters(), bumped)
+            assert np.array_equal(model.get_parameters(), vec)
+
+    def test_row_stacked_vectors_roundtrip(self):
+        for mode in SharingMode:
+            model = WaveletNet(4, 8, mode)
+            rows = model.get_parameters() + np.arange(3.0)[:, None]
+            stacked = model.with_parameters(rows)
+            assert np.array_equal(stacked.get_parameters(), rows)
+            assert stacked.params["kernels"].shape == (3, *model.params["kernels"].shape)
+        with pytest.raises(ConfigError):
+            model.with_parameters(rows[None])
 
     @pytest.mark.parametrize("entry, bad", [(-1, np.nan), (0, np.inf)],
                              ids=["nan_threshold", "inf_kernel"])
@@ -281,17 +298,61 @@ class TestParameterCount:
         want = model.get_parameters()
         vec[entry] = bad
         with pytest.raises(ConfigError):
-            model.set_parameters(vec)
+            model.with_parameters(vec)
         assert np.array_equal(model.get_parameters(), want)
+
+    def test_with_parameters_rejects_a_vector_of_another_size(self):
+        model = WaveletNet(4, 8, SharingMode.PER_LEVEL_CQF_HT)
+        for vec in (np.zeros(model.parameter_count() + 1), np.zeros(1)):
+            with pytest.raises(ConfigError, match="entries"):
+                model.with_parameters(vec)
 
     @pytest.mark.parametrize("mode", list(SharingMode))
     def test_set_parameters_keeps_no_view_of_the_vector(self, mode):
         model = WaveletNet(4, 8, mode)
         vec = model.get_parameters() + 0.25
         want = vec.copy()
-        model.set_parameters(vec)
+        model = model.with_parameters(vec)
         vec += 1.0
         assert np.array_equal(model.get_parameters(), want)
+
+
+class TestImmutable:
+    """A model cannot change once built, so nothing it derives from its
+    parameters can go stale."""
+
+    @pytest.mark.parametrize("name", ["levels", "kernel_size", "mode", "gamma",
+                                      "params", "banks", "other"])
+    def test_assigning_an_attribute_raises(self, name):
+        model = WaveletNet(3, 8, SharingMode.PER_LEVEL_CQF_HT)
+        model.banks  # derived and kept, as after a forward pass
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(model, name, 0.5)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(model, name)
+        assert (model.levels, model.kernel_size, model.gamma) == (3, 8, 1.0)
+
+    @pytest.mark.parametrize("mode", list(SharingMode), ids=lambda m: m.value)
+    def test_writing_a_parameter_or_bank_raises(self, mode):
+        model = WaveletNet(3, 8, mode)
+        want = model.get_parameters()
+        for name in model.params:
+            with pytest.raises(ValueError, match="read-only"):
+                model.params[name][...] = 0.5
+        with pytest.raises(TypeError):
+            model.params["b_plus"] = np.ones(3)
+        for bank in model.banks:
+            with pytest.raises(ValueError, match="read-only"):
+                bank[...] = 0.5
+        assert np.array_equal(model.get_parameters(), want)
+        assert not np.any(model.params["b_plus"])
+
+    def test_banks_kept_from_the_first_use(self):
+        model = WaveletNet(4, 8, SharingMode.PER_LEVEL_CQF_HT)
+        banks = model.banks
+        assert isinstance(banks, tuple) and model.banks is banks
+        model_forward(np.ones(64), model)
+        assert model.banks is banks
 
 
 class TestModelForward:
@@ -313,9 +374,8 @@ class TestModelForward:
     def test_saturated_thresholds_keep_only_approximation(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=256)
-        model = WaveletNet(4, 8, SharingMode.PER_LEVEL_CQF_HT)
-        model.params["b_plus"][:] = 1e6
-        model.params["b_minus"][:] = 1e6
+        model = _with(WaveletNet(4, 8, SharingMode.PER_LEVEL_CQF_HT),
+                      b_plus=1e6, b_minus=1e6)
         rec = model_forward(x, model)
         for d in rec.levels(rec.details):
             assert np.array_equal(d, np.zeros_like(d))
@@ -329,16 +389,16 @@ class TestModelForward:
         rng = np.random.default_rng(8)
         for mode in (SharingMode.SHARED_CQF_HT, SharingMode.PER_LEVEL_CQF_HT):
             model = WaveletNet(4, 8, mode)
-            model.set_parameters(rng.normal(size=model.parameter_count()))
-            for bank in model.banks():
+            model = model.with_parameters(rng.normal(size=model.parameter_count()))
+            for bank in model.banks:
                 (h, g), (h_bar, g_bar) = bank[0], bank[1, :, ::-1]
                 n = np.arange(8)
                 assert np.array_equal(g, (-1.0) ** n * h[::-1])
                 assert np.array_equal(h_bar, h[::-1])
                 assert np.array_equal(g_bar, (-1.0) ** (n + 1) * h)
         model = WaveletNet(4, 8, SharingMode.PER_LEVEL_TWO_KERNEL_HT)
-        model.set_parameters(rng.normal(size=model.parameter_count()))
-        for bank in model.banks():
+        model = model.with_parameters(rng.normal(size=model.parameter_count()))
+        for bank in model.banks:
             (h, g), (h_bar, g_bar) = bank[0], bank[1, :, ::-1]
             assert np.array_equal(h_bar, h[::-1])
             assert np.array_equal(g_bar, g[::-1])
@@ -348,9 +408,10 @@ class TestModelForward:
         ("lcwn", 5), ("despawn", 5), ("despawn2", 5), ("free", 5)])
     def test_banks_derived_once_per_scheme_set(self, mode, distinct_banks,
                                                monkeypatch):
-        # every scheme derives its banks in one call per forward pass: a
-        # shared or fixed scheme one bank for every level, a per-level scheme
-        # all levels' banks from its level-stacked kernels
+        # every scheme derives a model's banks in one call, on its first
+        # forward pass, and never again: a shared or fixed scheme one bank
+        # for every level, a per-level scheme all levels' banks from its
+        # level-stacked kernels
         mode = SharingMode(mode)
         real, calls = mode.scheme.derive, []
 
@@ -362,20 +423,24 @@ class TestModelForward:
                             dataclasses.replace(mode.scheme, derive=counted))
         model = WaveletNet(5, 8, mode)
         x = np.random.default_rng(9).normal(size=(2, 64))
-        for signal in (x[0], x):
-            calls.clear()
+        for signal in (x[0], x, x[1]):
             trace = model_forward(signal, model)
             assert len(calls) == 1
-            assert len(trace.banks) == 5
-            assert len({id(bank) for bank in trace.banks}) == distinct_banks
+            assert len(model.banks) == 5
+            assert len({id(bank) for bank in model.banks}) == distinct_banks
 
     @pytest.mark.parametrize("mode", [m for m in SharingMode if m.scheme.kinds],
                              ids=lambda m: m.value)
     def test_non_finite_kernel_rejected(self, mode):
+        # a model refuses the kernel, and its scheme would refuse to derive
+        # a bank from it
         model = WaveletNet(3, 4, mode)
-        model.params["kernels"][..., -1, -1] = np.nan
+        kernels = np.array(model.params["kernels"])
+        kernels[..., -1, -1] = np.nan
+        with pytest.raises(ConfigError, match="non-finite"):
+            _with(model, kernels=kernels)
         with pytest.raises(InvalidKernelError):
-            model_forward(np.ones(16), model)
+            mode.scheme.derive(kernels)
 
     def test_depth_and_signal_validation(self):
         model = WaveletNet(8, 8, SharingMode.DB4_FIXED)
@@ -410,7 +475,7 @@ class TestLoss:
     def test_non_negativity(self):
         rng = np.random.default_rng(5)
         model = WaveletNet(5, 8, SharingMode.PER_LEVEL_CQF_HT)
-        model.set_parameters(
+        model = model.with_parameters(
             model.get_parameters() + rng.normal(0, 0.1, model.parameter_count()))
         for _ in range(10):
             x = rng.normal(size=128)
@@ -430,7 +495,7 @@ def _record(details, approx, lengths, recon):
 
     pyramid = np.concatenate(details)
     return ForwardTrace(
-        banks=[], inputs=[np.zeros(n) for n in lengths],
+        inputs=[np.zeros(n) for n in lengths],
         offsets=np.cumsum([0] + [d.size for d in details]).tolist(),
         details_pre=pyramid, details=pyramid, gates=(), approx=approx,
         recon_chain=[recon],

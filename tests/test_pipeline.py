@@ -365,7 +365,7 @@ class TestModelPersistence:
         rng = np.random.default_rng(3)
         model = WaveletNet(4, 8, mode, gamma=0.7)
         if model.parameter_count():
-            model.set_parameters(
+            model = model.with_parameters(
                 model.get_parameters()
                 + rng.normal(0, 0.1, model.parameter_count()))
         path = tmp_path / "model.json"
@@ -521,13 +521,14 @@ class TestTablePersistence:
             load_elm(path)
 
     def test_dictionary_roundtrip(self, tmp_path):
+        # the fixed bank trains only the thresholds: b+ then b-
         d = DictionaryModel(
             class_models={
                 "A": WaveletNet(3, 8, SharingMode.DB4_FIXED_HT, gamma=0.25),
-                "B": WaveletNet(3, 8, SharingMode.DB4_FIXED_HT, gamma=0.25),
+                "B": WaveletNet(3, 8, SharingMode.DB4_FIXED_HT, gamma=0.25).with_parameters(
+                    np.repeat([0.25, 0.0], 3)),
             },
         )
-        d.class_models["B"].params["b_plus"][:] = 0.25
         path = tmp_path / "dict.json"
         save_dictionary(d, path)
         # gamma is stored once per class model, with no dictionary-wide copy

@@ -56,14 +56,14 @@ def test_fold_is_the_transpose_of_derive(mode, size, levels, data):
        extra=st.integers(0, 40), data=st.data())
 def test_trace_keeps_the_banks_bank_for_level_derives(mode, size, levels, extra, data):
     model = WaveletNet(levels, size, mode)
-    model.set_parameters(data.draw(taps(model.parameter_count())))
+    model = model.with_parameters(data.draw(taps(model.parameter_count())))
     length = 2 ** levels + extra
     assert max_depth(length) >= levels
     signal = data.draw(arrays(np.float64, length, elements=st.floats(-10.0, 10.0)))
     trace = forward_trace(model, signal)
-    assert len(trace.banks) == levels
+    assert len(model.banks) == levels
     scheme = model.mode.scheme
-    for level, bank in enumerate(trace.banks):
+    for level, bank in enumerate(model.banks):
         # the level's bank derived from its own slice of the kernel array
         # (the one set of a shared scheme) equals its view of the stacked one
         own = 0 if scheme.shared else level
@@ -103,7 +103,7 @@ def test_trainable_names_keep_the_interleaved_layout(mode, size, levels):
     assert model.params["kernels"].shape == (sets, len(kinds), kernel)
     # the flat order: level by level (one set when shared), kind by kind
     # within a level, tap by tap, then b_plus and b_minus level by level
-    model.set_parameters(np.arange(float(count)))
+    model = model.with_parameters(np.arange(float(count)))
     kernels = model.params["kernels"]
     flat = [kernels[l, i, n] for l in range(sets)
             for i in range(len(kinds)) for n in range(kernel)]

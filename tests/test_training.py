@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavelearn.errors import ConfigError, InvalidSignalError
+from wavelearn.errors import ConfigError, InvalidDepthError, InvalidSignalError
 from wavelearn.network import (
     SharingMode,
     WaveletNet,
@@ -83,11 +83,12 @@ class TestBackward:
         # (1/M) sum sign(d_l) * dHT/db+ evaluated termwise.
         rng = np.random.default_rng(12)
         signal = rng.normal(size=256)
-        model = WaveletNet(4, 8, SharingMode.DB4_FIXED_HT)
-        model.params["b_plus"][:] = np.abs(rng.normal(0, 0.05, 4))
-        model.params["b_minus"][:] = np.abs(rng.normal(0, 0.05, 4))
+        # the fixed bank trains only the thresholds: b+ then b-
+        thresholds = np.abs(rng.normal(0, 0.05, 8))
+        model = WaveletNet(4, 8, SharingMode.DB4_FIXED_HT).with_parameters(thresholds)
         _, g1 = backward_full(signal, model)
-        model.gamma = 0.0
+        model = WaveletNet(4, 8, SharingMode.DB4_FIXED_HT, gamma=0.0).with_parameters(
+            thresholds)
         _, g0 = backward_full(signal, model)
         spars_grad = g1 - g0
 
@@ -114,8 +115,7 @@ class TestBackward:
         for tap in range(model.kernel_size):
             moved = vec.copy()
             moved[tap] = np.nextafter(moved[tap], np.inf)
-            model.set_parameters(moved)
-            _, after = backward_full(train_x[0], model)
+            _, after = backward_full(train_x[0], model.with_parameters(moved))
             assert np.linalg.norm(after - before) <= 1e-12 * np.linalg.norm(before)
 
     def test_residual_within_rounding_counts_as_zero(self):
@@ -132,9 +132,7 @@ class TestBackward:
         # thresholds nudged off the exact kink so the oracle is well posed
         rng = np.random.default_rng(3)
         signal = rng.normal(size=256)
-        model = WaveletNet(4, 8, SharingMode.DB4_FIXED_HT)
-        model.params["b_plus"][:] = 0.01
-        model.params["b_minus"][:] = 0.01
+        model = WaveletNet(4, 8, SharingMode.DB4_FIXED_HT).with_parameters(np.full(8, 0.01))
         _, grads = backward_full(signal, model)
         for i in range(grads.size):
             fd = kink_free_difference(signal, model, i, [1e-6])
@@ -158,7 +156,7 @@ def _backward_written_out(signal, model, gamma):
     g_x = -residual_sign(signal, trace.reconstruction, model.levels) / signal.size
     g_d = []
     for l in range(model.levels):
-        bank = trace.banks[l]
+        bank = model.banks[l]
         v = trace.recon_chain[l + 1]
         gy = np.zeros(2 * v.size)
         gy[: trace.inputs[l].size] = g_x
@@ -176,7 +174,7 @@ def _backward_written_out(signal, model, gamma):
         grads["b_minus"] = np.add.reduceat(g_details * dy_dbm, trace.offsets[:-1])
     g_a = g_x + scale * np.sign(trace.approx)
     for l in range(model.levels - 1, -1, -1):
-        bank = trace.banks[l]
+        bank = model.banks[l]
         g_dpre = trace.levels(g_pre)[l]
         x_pad = np.zeros(2 * g_a.size)
         x_pad[: trace.inputs[l].size] = trace.inputs[l]
@@ -204,7 +202,7 @@ class TestBackwardMatchesWrittenOutTranspose:
         rng = np.random.default_rng(seed)
         model = WaveletNet(1 + round(depth * (max_depth(n) - 1)), k, mode, gamma=gamma)
         vec = model.get_parameters()
-        model.set_parameters(vec + rng.normal(0.0, perturb, vec.size))
+        model = model.with_parameters(vec + rng.normal(0.0, perturb, vec.size))
         signal = rng.normal(size=n)
         signal[rng.random(n) < zeros] = 0.0
         triple, grads = backward_full(signal, model)
@@ -240,7 +238,7 @@ class TestBlockPath:
         depth = max_depth(n) if full_depth else max(1, max_depth(n) // 2)
         model = WaveletNet(depth, k, mode, gamma=gamma)
         vec = model.get_parameters()
-        model.set_parameters(vec + rng.normal(0.0, perturb, vec.size))
+        model = model.with_parameters(vec + rng.normal(0.0, perturb, vec.size))
         block = rng.normal(size=(rows, n))
         block[rng.random(block.shape) < zeros] = 0.0
 
@@ -318,7 +316,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         model = WaveletNet(1 + round(depth * (max_depth(n) - 1)), k, mode)
         vec = model.get_parameters()
-        model.set_parameters(vec + rng.normal(0.0, 0.02, vec.size))
+        model = model.with_parameters(vec + rng.normal(0.0, 0.02, vec.size))
         vec = model.get_parameters()
         signal = rng.normal(size=n)
         _, grads = backward_full(signal, model)
@@ -335,7 +333,7 @@ class TestProperties:
         rng = np.random.default_rng(879038057)
         model = WaveletNet(3, 8, SharingMode.PER_LEVEL_CQF)
         vec = model.get_parameters()
-        model.set_parameters(vec + rng.normal(0.0, 0.02, vec.size))
+        model = model.with_parameters(vec + rng.normal(0.0, 0.02, vec.size))
         signal = rng.normal(size=96)
         _, grads = backward_full(signal, model)
         for i in (1, 2):
@@ -364,7 +362,7 @@ class TestFiniteDifferenceOracle:
         rng = np.random.default_rng(21)
         model = WaveletNet(8, 8, SharingMode.PER_LEVEL_CQF_HT)
         vec = model.get_parameters()
-        model.set_parameters(vec + rng.normal(0, 0.02, vec.size))
+        model = model.with_parameters(vec + rng.normal(0, 0.02, vec.size))
         vec = model.get_parameters()
         signal = rng.normal(size=256)
         _, grads = backward_full(signal, model)
@@ -375,10 +373,18 @@ class TestFiniteDifferenceOracle:
             assert abs(grads[i] - fd) <= max(1e-7, 1e-4 * max(abs(fd), abs(grads[i])))
 
     def test_restores_parameters_exactly(self):
-        model = WaveletNet(4, 8, SharingMode.PER_LEVEL_CQF_HT)
-        before = model.get_parameters()
-        kink_free_difference(np.random.default_rng(0).normal(size=64), model, 3, [1e-6])
-        assert np.array_equal(model.get_parameters(), before)
+        # the bumped parameters go to models of their own: the oracle's
+        # model keeps its parameters and its banks bitwise, even when a
+        # forward pass of a bumped model raises
+        for mode in TRAINABLE_MODES:
+            model = WaveletNet(4, 8, mode)
+            before = {name: value.tobytes() for name, value in model.params.items()}
+            banks = model.banks
+            kink_free_difference(np.random.default_rng(0).normal(size=64), model, 3, [1e-6])
+            with pytest.raises(InvalidDepthError):
+                kink_free_difference(np.ones(8), model, 3, [1e-6])
+            assert {name: value.tobytes() for name, value in model.params.items()} == before
+            assert model.banks is banks
 
 
 class TestAdam:
@@ -389,8 +395,8 @@ class TestAdam:
         model = WaveletNet(3, 8, SharingMode.PER_LEVEL_CQF_HT)
         before = model.get_parameters()
         state = AdamState.zeros(before.size)
-        adam_step(model, np.zeros(before.size), state, self._config())
-        assert np.array_equal(model.get_parameters(), before)
+        stepped, state = adam_step(model, np.zeros(before.size), state, self._config())
+        assert np.array_equal(stepped.get_parameters(), before)
         assert np.array_equal(state.m, np.zeros_like(state.m))
 
     def test_zero_gradient_decays_moments(self):
@@ -407,10 +413,13 @@ class TestAdam:
         grads = np.full(before.size, 0.37)
         state = AdamState.zeros(before.size)
         lr = 1e-2
-        adam_step(model, grads, state, self._config(lr))
-        delta = model.get_parameters() - before
+        stepped, state = adam_step(model, grads, state, self._config(lr))
+        delta = stepped.get_parameters() - before
         # bias-corrected m/sqrt(v) is sign(g) on the first step
         np.testing.assert_allclose(delta, -lr * np.ones_like(delta), rtol=1e-6)
+        # a new model: the given one keeps its parameters
+        assert stepped is not model
+        assert np.array_equal(model.get_parameters(), before)
 
     def test_shape_mismatch_rejected(self):
         model = WaveletNet(2, 8, SharingMode.SHARED_CQF)
@@ -425,8 +434,8 @@ class TestAdam:
             state = AdamState.zeros(model.get_parameters().size)
             rng = np.random.default_rng(17)
             for _ in range(5):
-                adam_step(model, rng.normal(size=state.m.size), state,
-                          self._config())
+                model, state = adam_step(model, rng.normal(size=state.m.size), state,
+                                         self._config())
             results.append(model.get_parameters())
         assert np.array_equal(results[0], results[1])
 
@@ -544,7 +553,7 @@ class TestTrainLoop:
         config = TrainConfig(epochs=3, levels=5, seed=0)
         report = train(signals, SharingMode.PER_LEVEL_CQF_HT, config)
         model = report.final_model
-        for bank in model.banks():
+        for bank in model.banks:
             (h, g), (h_bar, g_bar) = bank[0], bank[1, :, ::-1]
             n = np.arange(h.size)
             assert np.array_equal(g, (-1.0) ** n * h[::-1])
@@ -555,7 +564,7 @@ class TestTrainLoop:
         signals = _sinusoid_set(n_signals=6)
         report = train(signals, SharingMode.FREE_HT,
                        TrainConfig(epochs=2, levels=5, seed=0))
-        ratios = report.synthesis_gain_ratios
+        ratios = report.final_model.synthesis_gain_ratios()
         assert ratios.shape == (5,)
         assert np.all(np.isfinite(ratios)) and np.all(ratios > 0)
 

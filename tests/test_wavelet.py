@@ -647,8 +647,8 @@ class TestTiles:
     def test_backward_full_under_aligned_tiles(self, monkeypatch, mode):
         rng = np.random.default_rng(4)
         model = WaveletNet(12, 8, mode, gamma=0.1)
-        model.set_parameters(model.get_parameters()
-                             + rng.normal(0.0, 0.01, model.parameter_count()))
+        model = model.with_parameters(model.get_parameters()
+                                      + rng.normal(0.0, 0.01, model.parameter_count()))
         x = rng.normal(size=(2, 4096))
         losses, grad = backward_full(x, model)
         monkeypatch.setattr(wavelet, "TILE", 64)
