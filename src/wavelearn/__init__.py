@@ -13,7 +13,6 @@ from .network import (
     WaveletNet,
     default_levels_for,
     ht_activation,
-    loss,
     model_forward,
 )
 from .training import (

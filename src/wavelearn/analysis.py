@@ -77,17 +77,19 @@ class OneClassElm:
     def neurons(self) -> int:
         return self.hidden_bias.size
 
-    def _hidden(self, x: np.ndarray) -> np.ndarray:
-        z = (x - self.scaler_mean) / self.scaler_std
-        return sigmoid(z @ self.hidden_weights + self.hidden_bias)
-
     def predict(self, features: LatentFeatures) -> float:
         x = features.vector()
         if x.size != self.scaler_mean.size:
             raise ConfigError(f"feature dimension {x.size} != fitted {self.scaler_mean.size}")
         if not np.isfinite(x).all():
             raise ConfigError("feature vector holds non-finite entries")
-        return float(self._hidden(x[None, :])[0] @ self.output_weights)
+        return float(_hidden(x[None, :], self.scaler_mean, self.scaler_std, self.hidden_weights,
+                             self.hidden_bias)[0] @ self.output_weights)
+
+
+def _hidden(x, mean, std, weights, bias) -> np.ndarray:
+    """The ELM's hidden layer on the rows of `x`, standardized first."""
+    return sigmoid(((x - mean) / std) @ weights + bias)
 
 
 def elm_fit(features: list[LatentFeatures], neurons: int = 50,
@@ -118,7 +120,7 @@ def elm_fit(features: list[LatentFeatures], neurons: int = 50,
     scale = 1.0 / np.sqrt(x.shape[1])
     w = rng.uniform(-1.0, 1.0, size=(x.shape[1], neurons)) * scale
     b = rng.uniform(-1.0, 1.0, size=neurons) * scale
-    h = sigmoid(((x - mean) / std) @ w + b)
+    h = _hidden(x, mean, std, w, b)
     gram = h.T @ h + ridge_lambda * np.eye(neurons)
     beta = np.linalg.solve(gram, h.T @ np.ones(x.shape[0]))
     return OneClassElm(hidden_weights=w, hidden_bias=b, output_weights=beta,

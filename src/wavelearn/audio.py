@@ -24,6 +24,8 @@ _SCALE = 32768.0
 MAX_RATE = (2 ** 32 - 1) // 2
 # samples read, filtered or written per step (128 KiB of float64)
 BLOCK = 16384
+# length of `decimate`'s anti-aliasing filter (odd, so it is zero-phase)
+LOWPASS_TAPS = 63
 
 
 def as_rate(rate) -> int:
@@ -161,10 +163,10 @@ def write_wav(path, samples, rate: int) -> None:
             f.write(np.clip(np.rint(block * _SCALE), -32768, 32767).astype("<i2"))
 
 
-def _lowpass_kernel(cutoff: float, taps: int = 63) -> np.ndarray:
-    """Hann-windowed sinc, unit DC gain. `cutoff` in cycles per sample."""
-    mid = taps // 2
-    t = np.arange(taps) - mid
+def _lowpass_kernel(cutoff: float) -> np.ndarray:
+    """Hann-windowed sinc of `LOWPASS_TAPS` taps, unit DC gain. `cutoff` in cycles/sample."""
+    mid = LOWPASS_TAPS // 2
+    t = np.arange(LOWPASS_TAPS) - mid
     kernel = 2.0 * cutoff * np.sinc(2.0 * cutoff * t)
     window = 0.5 + 0.5 * np.cos(np.pi * t / mid)
     kernel *= window
@@ -210,9 +212,9 @@ def _decimated_size(n: int, factor: int) -> int:
 
 
 def decimate(samples, factor: int) -> np.ndarray:
-    """Anti-aliased downsampling: zero-phase 63-tap windowed-sinc low-pass at
-    the post-decimation Nyquist, then every factor-th sample. Factor 1 is the
-    identity."""
+    """Anti-aliased downsampling: zero-phase `LOWPASS_TAPS`-tap windowed-sinc
+    low-pass at the post-decimation Nyquist, then every factor-th sample.
+    Factor 1 is the identity."""
     factor = as_integer(factor, "decimation factor", 1)
     samples = _signal(samples)
     n = samples.size

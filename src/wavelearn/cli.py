@@ -4,11 +4,15 @@ Subcommands cover the full workflow: synthetic data generation, model
 training, reconstruction, feature extraction, one-class detector fit/score,
 AUC evaluation, gradient checking, and dictionary classification. All
 commands exit 0 on success and nonzero with a message on stderr otherwise.
+
+A library option reaches the library under the library's name only when the
+command line gives it, so an option left out takes the library's default.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -22,46 +26,56 @@ from .network import SharingMode, model_forward
 from .training import TrainConfig, gradient_check, train
 
 MODE_NAMES = [m.value for m in SharingMode]
-TRAINABLE_MODE_NAMES = [m.value for m in SharingMode if m is not SharingMode.DB4_FIXED]
+TRAINABLE_MODE_NAMES = [m.value for m in SharingMode if m.scheme.kinds or m.trains_thresholds]
+
+
+def _given(args, target) -> dict:
+    """The parameters of `target` (a function or a config class) that have a
+    default and that the command line gave, under `target`'s names."""
+    return {name: getattr(args, name) for name, p in inspect.signature(target).parameters.items()
+            if p.default is not p.empty and hasattr(args, name)}
 
 
 def _add_training_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--manifest", required=True)
+    sub.add_argument("--out", required=True)
     sub.add_argument("--mode", choices=MODE_NAMES, default="despawn")
-    sub.add_argument("--gamma", type=float, default=1.0)
-    sub.add_argument("--levels", default="auto",
-                     help="decomposition depth, or 'auto' for log2 of the window")
-    sub.add_argument("--kernel-size", type=int, default=8)
-    sub.add_argument("--epochs", type=int, default=100)
-    sub.add_argument("--lr", type=float, default=1e-3)
-    sub.add_argument("--batch", type=int, default=8)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--gamma", type=float)
+    sub.add_argument("--levels", help="decomposition depth, or 'auto' for log2 of the window")
+    sub.add_argument("--kernel-size", type=int)
+    sub.add_argument("--epochs", type=int)
+    sub.add_argument("--lr", type=float, dest="learning_rate")
+    sub.add_argument("--batch", type=int, dest="batch_size")
+    sub.add_argument("--seed", type=int)
 
 
 def _train_config(args) -> TrainConfig:
-    try:
-        levels = None if args.levels == "auto" else int(args.levels)
-    except ValueError:
-        raise ConfigError(
-            f"levels must be an integer or 'auto', got {args.levels!r}") from None
-    return TrainConfig(
-        epochs=args.epochs, learning_rate=args.lr, batch_size=args.batch,
-        seed=args.seed, gamma=args.gamma, levels=levels,
-        kernel_size=args.kernel_size,
-    )
+    options = _given(args, TrainConfig)
+    if "levels" in options:
+        text = options["levels"]
+        try:
+            options["levels"] = None if text == "auto" else int(text)
+        except ValueError:
+            raise ConfigError(f"levels must be an integer or 'auto', got {text!r}") from None
+    return TrainConfig(**options)
+
+
+def _windows(manifest: str, split: str) -> list:
+    windows = datasets.load_windows(datasets.load_manifest(manifest), split=split)
+    if not windows:
+        raise ConfigError(f"no windows in split {split!r}")
+    return windows
 
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    spec = datasets.SyntheticSpec(
-        task=args.task, window=args.window, sigma=args.sigma,
-        n_train=args.n_normal, n_test=args.n_anomal,
-    )
+    spec = datasets.SyntheticSpec(**_given(args, datasets.SyntheticSpec))
     records = datasets.generate_synthetic(spec, seed=args.seed)
     entries = [datasets.ManifestEntry(path=rec.id.rsplit("/", 1)[-1] + ".wav",
                                       label=rec.label, split=rec.split)
                for rec in records]
     manifest = datasets.DatasetManifest(
-        sample_rate=args.rate, window_size=args.window,
+        sample_rate=args.rate, window_size=spec.window,
         entries=entries, decimate=1, base_dir=out,
     )
     manifest.validate()
@@ -74,10 +88,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    manifest = datasets.load_manifest(args.manifest)
-    windows = datasets.load_windows(manifest, split="train")
-    if not windows:
-        raise ConfigError("manifest has no training windows")
+    windows = _windows(args.manifest, "train")
     config = _train_config(args)
     report = train([w.samples for w in windows], SharingMode(args.mode), config)
     persist.save_model(report.final_model, args.out)
@@ -109,10 +120,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_features(args) -> int:
     model = persist.load_model(args.model)
-    manifest = datasets.load_manifest(args.manifest)
-    windows = datasets.load_windows(manifest, split=args.split)
-    if not windows:
-        raise ConfigError(f"no windows in split {args.split!r}")
+    windows = _windows(args.manifest, args.split)
     rows = [(w.id, analysis.extract_features(w.samples, model)) for w in windows]
     persist.write_features_csv(rows, args.out)
     print(json.dumps({"rows": len(rows), "out": args.out}))
@@ -121,8 +129,7 @@ def cmd_features(args) -> int:
 
 def cmd_detect_train(args) -> int:
     rows = persist.read_features_csv(args.features)
-    elm = analysis.elm_fit([f for _, f in rows], neurons=args.neurons,
-                           ridge_lambda=args.ridge, seed=args.seed)
+    elm = analysis.elm_fit([f for _, f in rows], **_given(args, analysis.elm_fit))
     persist.save_elm(elm, args.out)
     print(json.dumps({"samples": len(rows), "neurons": elm.neurons}))
     return 0
@@ -157,8 +164,7 @@ def cmd_grad_check(args) -> int:
     names = TRAINABLE_MODE_NAMES if args.mode == "all" else [args.mode]
     failed = False
     for name in names:
-        report = gradient_check(SharingMode(name), seed=args.seed,
-                                n_seeds=args.seeds, rel_tol=args.tolerance)
+        report = gradient_check(SharingMode(name), **_given(args, gradient_check))
         status = "PASS" if report.passed else "FAIL"
         print(f"{name}: {status} ({report.checked} comparisons, "
               f"{len(report.kinks)} at a kink, worst ratio {report.max_ratio:.3g})")
@@ -167,8 +173,7 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_classify_train(args) -> int:
-    manifest = datasets.load_manifest(args.manifest)
-    windows = datasets.load_windows(manifest, split="train")
+    windows = _windows(args.manifest, "train")
     grouped: dict[str, list] = {}
     for w in windows:
         if w.label is None:
@@ -185,10 +190,7 @@ def cmd_classify_train(args) -> int:
 
 def cmd_classify(args) -> int:
     dictionary = persist.load_dictionary(args.dict)
-    manifest = datasets.load_manifest(args.manifest)
-    windows = datasets.load_windows(manifest, split=args.split)
-    if not windows:
-        raise ConfigError(f"no windows in split {args.split!r}")
+    windows = _windows(args.manifest, args.split)
     class_labels = dictionary.labels()
     results = [analysis.dict_classify(w.samples, dictionary) for w in windows]
     persist.write_table(args.out, ["id", "predicted"] + [f"loss_{c}" for c in class_labels],
@@ -210,75 +212,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic WAV dataset")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        # an option with no default of its own stays out of the namespace
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("synth", cmd_synth, "generate a synthetic WAV dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--n-normal", type=int, default=200)
-    p.add_argument("--n-anomal", type=int, default=50)
-    p.add_argument("--window", type=int, default=1024)
-    p.add_argument("--task", choices=["detect", "classify"], default="detect")
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--n-normal", type=int, dest="n_train")
+    p.add_argument("--n-anomal", type=int, dest="n_test")
+    p.add_argument("--window", type=int)
+    p.add_argument("--task", choices=["detect", "classify"])
     p.add_argument("--rate", type=int, default=16000)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a model on the manifest's train split")
-    p.add_argument("--manifest", required=True)
+    p = command("train", cmd_train, "train a model on the manifest's train split")
     _add_training_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("reconstruct", help="run a model over one WAV file")
+    p = command("reconstruct", cmd_reconstruct, "run a model over one WAV file")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("features", help="extract latent features to CSV")
+    p = command("features", cmd_features, "extract latent features to CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=["train", "test", "all"], default="all")
-    p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("detect-train", help="fit the one-class scorer")
+    p = command("detect-train", cmd_detect_train, "fit the one-class scorer")
     p.add_argument("--features", required=True)
-    p.add_argument("--neurons", type=int, default=50)
-    p.add_argument("--ridge", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--neurons", type=int)
+    p.add_argument("--ridge", type=float, dest="ridge_lambda")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_detect_train)
 
-    p = sub.add_parser("detect-score", help="score features with a fitted scorer")
+    p = command("detect-score", cmd_detect_score, "score features with a fitted scorer")
     p.add_argument("--elm", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_detect_score)
 
-    p = sub.add_parser("eval-auc", help="AUC of scores against manifest labels")
+    p = command("eval-auc", cmd_eval_auc, "AUC of scores against manifest labels")
     p.add_argument("--scores", required=True)
     p.add_argument("--manifest", required=True)
-    p.set_defaults(func=cmd_eval_auc)
 
-    p = sub.add_parser("grad-check", help="verify gradients against finite differences")
+    p = command("grad-check", cmd_grad_check, "verify gradients against finite differences")
     p.add_argument("--mode", choices=TRAINABLE_MODE_NAMES + ["all"], required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=5,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--seeds", type=int, dest="n_seeds",
                    help="number of consecutive seeds to run")
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.set_defaults(func=cmd_grad_check)
+    p.add_argument("--tolerance", type=float, dest="rel_tol")
 
-    p = sub.add_parser("classify-train", help="train one model per class")
-    p.add_argument("--manifest", required=True)
+    p = command("classify-train", cmd_classify_train, "train one model per class")
     _add_training_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_classify_train)
 
-    p = sub.add_parser("classify", help="assign windows to the minimal-loss class")
+    p = command("classify", cmd_classify, "assign windows to the minimal-loss class")
     p.add_argument("--dict", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=["train", "test", "all"], default="test")
-    p.set_defaults(func=cmd_classify)
 
     return parser
 

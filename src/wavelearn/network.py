@@ -391,12 +391,6 @@ def loss_terms(trace: ForwardTrace, signal, gamma: float):
     return recon + gamma * sparsity, recon, sparsity
 
 
-def loss(trace: ForwardTrace, signal, gamma: float):
-    """The loss triple of `loss_terms`, each term summed over a (B, N)
-    block's rows."""
-    return tuple(float(term.sum()) for term in loss_terms(trace, signal, gamma))
-
-
 def default_levels_for(length: int) -> int:
     """Customary depth: nearest integer to log2 of the window length."""
     if length < 2:

@@ -43,7 +43,7 @@ from .network import (
     default_levels_for,
     forward_trace,
     ht_gate_derivatives,
-    loss,
+    loss_terms,
 )
 from .wavelet import strided_corr, upsample_conv
 
@@ -66,7 +66,7 @@ def backward_full(signal, model: WaveletNet):
     (B, N) block, both summed over its rows."""
     signal = np.asarray(signal, dtype=float)
     trace = forward_trace(model, signal)
-    total, recon, sparsity = loss(trace, signal, model.gamma)
+    triple = tuple(float(term.sum()) for term in loss_terms(trace, signal, model.gamma))
     scale = model.gamma / (trace.details.shape[-1] + trace.approx.shape[-1])
 
     details = trace.levels(trace.details)
@@ -112,7 +112,7 @@ def backward_full(signal, model: WaveletNet):
     flat = model.flatten(grads)
     # a block adds its rows' gradients in row order, as a loop over its
     # windows would, so training on blocks follows the per-window loop
-    return (total, recon, sparsity), sum(flat) if flat.ndim > 1 else flat
+    return triple, sum(flat) if flat.ndim > 1 else flat
 
 
 def _bumped_losses(signal, model: WaveletNet, param_index: int, step: float):
@@ -127,7 +127,7 @@ def _bumped_losses(signal, model: WaveletNet, param_index: int, step: float):
         bumped = vec.copy()
         bumped[param_index] += delta
         trace = forward_trace(model.with_parameters(bumped), signal)
-        values.append(loss(trace, signal, model.gamma)[0])
+        values.append(float(loss_terms(trace, signal, model.gamma)[0].sum()))
         signs.append([np.sign(t) for t in (signal - trace.reconstruction,
                                            trace.details, trace.approx)])
     straddles = any(np.any(up != down) for up, down in zip(*signs))
@@ -227,6 +227,9 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class TrainConfig:
+    """Settings of one `train` run. The model checks its own structure
+    settings (levels, kernel size, gamma) when `train` builds it."""
+
     epochs: int = 100
     learning_rate: float = 1e-3
     batch_size: int = 8
@@ -238,12 +241,8 @@ class TrainConfig:
     def validate(self) -> None:
         as_integer(self.epochs, "epochs", 1)
         as_integer(self.batch_size, "batch size", 1)
-        as_integer(self.kernel_size, "kernel size", 2)
         as_integer(self.seed, "seed", 0)
-        if self.levels is not None:
-            as_integer(self.levels, "levels", 1)
         as_real(self.learning_rate, "learning rate")
-        as_real(self.gamma, "gamma")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from wavelearn.analysis import (
     roc_auc,
 )
 from wavelearn.errors import ConfigError, InvalidSignalError, UndefinedMetricError
-from wavelearn.network import SharingMode, WaveletNet, forward_trace, loss, model_forward
+from wavelearn.network import SharingMode, WaveletNet, forward_trace, loss_terms, model_forward
 from wavelearn.wavelet import max_depth
 
 S = math.sqrt(0.5)
@@ -387,7 +387,7 @@ def _per_model_classify(signal, dictionary):
     losses = {}
     for label in dictionary.labels():
         record = model_forward(signal, dictionary.class_models[label])
-        losses[label] = loss(record, signal, dictionary.class_models[label].gamma)[0]
+        losses[label] = float(loss_terms(record, signal, dictionary.class_models[label].gamma)[0])
     best = min(dictionary.labels(), key=lambda lab: (losses[lab], lab))
     return best, losses
 

@@ -1,6 +1,8 @@
 """End-to-end CLI coverage at desk scale (tiny datasets, few epochs)."""
 
 import csv
+import functools
+import importlib
 import io
 import json
 import struct
@@ -12,7 +14,7 @@ import pytest
 from wavelearn.analysis import DictionaryModel, LatentFeatures, dict_classify, elm_fit
 from wavelearn.audio import write_wav
 from wavelearn.cli import main
-from wavelearn.datasets import load_manifest, load_windows
+from wavelearn.datasets import SyntheticSpec, load_manifest, load_windows
 from wavelearn.errors import ConfigError, InvalidSignalError
 from wavelearn.network import SharingMode, WaveletNet
 from wavelearn.persist import (
@@ -25,6 +27,7 @@ from wavelearn.persist import (
     save_model,
     write_features_csv,
 )
+from wavelearn.training import TrainConfig
 
 
 def _wav_bytes(channels: int, block_align: int, payload: bytes = bytes(8)) -> bytes:
@@ -479,6 +482,93 @@ class TestErrorPaths:
         with pytest.raises(SystemExit):
             main(["train", "--manifest", "m.json", "--mode", "not-a-mode",
                   "--out", "o.json"])
+
+
+class _Stop(Exception):
+    """Raised by a stand-in for a library call once it has its arguments."""
+
+
+def _library_call(monkeypatch, target, argv):
+    """The (args, kwargs) with which `main(argv)` calls `target`, a dotted
+    name, replaced by a stand-in that keeps `target`'s signature (the CLI
+    reads it to know which options are the library's)."""
+    module, name = target.rsplit(".", 1)
+    calls = []
+
+    @functools.wraps(getattr(importlib.import_module(module), name))
+    def stand_in(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Stop
+
+    monkeypatch.setattr(target, stand_in)
+    with pytest.raises(_Stop):
+        main(argv)
+    (call,) = calls
+    return call
+
+
+class TestLibraryOptions:
+    """A library option left out of the command line is not passed, so the
+    library's own default applies; a given one arrives under its library name."""
+
+    @pytest.mark.parametrize("command,target", [
+        ("train", "wavelearn.cli.train"),
+        ("classify-train", "wavelearn.analysis.dict_train"),
+    ])
+    def test_training_options(self, command, target, detect_dir, tmp_path, monkeypatch):
+        argv = [command, "--manifest", str(detect_dir / "manifest.json"),
+                "--out", str(tmp_path / "out.json")]
+        (_, mode, config), _ = _library_call(monkeypatch, target, argv)
+        assert config == TrainConfig() and config.levels is None
+        assert mode is SharingMode.PER_LEVEL_CQF_HT
+        (_, mode, config), _ = _library_call(monkeypatch, target, argv + [
+            "--mode", "cwn", "--gamma", "0.5", "--levels", "4", "--kernel-size", "6",
+            "--epochs", "3", "--lr", "0.01", "--batch", "2", "--seed", "7"])
+        assert mode is SharingMode.SHARED_CQF
+        assert config == TrainConfig(epochs=3, learning_rate=0.01, batch_size=2, seed=7,
+                                     gamma=0.5, levels=4, kernel_size=6)
+        (_, _, config), _ = _library_call(monkeypatch, target,
+                                          argv + ["--levels", "auto", "--epochs", "2"])
+        assert config == TrainConfig(epochs=2) and config.levels is None
+
+    def test_synth_options(self, tmp_path, monkeypatch):
+        target, argv = "wavelearn.datasets.generate_synthetic", [
+            "synth", "--out", str(tmp_path / "data"), "--seed", "5"]
+        assert _library_call(monkeypatch, target, argv) == ((SyntheticSpec(),), {"seed": 5})
+        assert _library_call(monkeypatch, target, argv + [
+            "--sigma", "0.2", "--n-normal", "3", "--n-anomal", "2", "--window", "64",
+            "--task", "classify"]) == (
+            (SyntheticSpec(task="classify", window=64, sigma=0.2, n_train=3, n_test=2),),
+            {"seed": 5})
+        assert not (tmp_path / "data").exists()
+
+    def test_detect_train_options(self, tmp_path, monkeypatch):
+        features = tmp_path / "features.csv"
+        write_features_csv([(f"w:{i}", LatentFeatures.from_vector(np.arange(4.0) * i))
+                            for i in range(3)], features)
+        target, argv = "wavelearn.analysis.elm_fit", [
+            "detect-train", "--features", str(features), "--out", str(tmp_path / "elm.json")]
+        (rows,), kwargs = _library_call(monkeypatch, target, argv)
+        assert len(rows) == 3 and kwargs == {}
+        _, kwargs = _library_call(monkeypatch, target,
+                                  argv + ["--neurons", "7", "--ridge", "0.5", "--seed", "3"])
+        assert kwargs == {"neurons": 7, "ridge_lambda": 0.5, "seed": 3}
+
+    def test_grad_check_options(self, monkeypatch):
+        target, argv = "wavelearn.cli.gradient_check", ["grad-check", "--mode", "cwn"]
+        assert _library_call(monkeypatch, target, argv) == ((SharingMode.SHARED_CQF,), {})
+        _, kwargs = _library_call(monkeypatch, target,
+                                  argv + ["--seed", "2", "--seeds", "3", "--tolerance", "1e-3"])
+        assert kwargs == {"seed": 2, "n_seeds": 3, "rel_tol": 1e-3}
+
+    @pytest.mark.parametrize("command", [
+        "synth", "train", "reconstruct", "features", "detect-train", "detect-score",
+        "eval-auc", "grad-check", "classify-train", "classify"])
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        assert f"wavelearn {command}" in capsys.readouterr().out
 
 
 def _saved_model(tmp_path):

@@ -18,7 +18,7 @@ from wavelearn.network import (
     WaveletNet,
     ht_activation,
     ht_gate_derivatives,
-    loss,
+    loss_terms,
     model_forward,
 )
 from wavelearn.training import backward_full
@@ -455,19 +455,19 @@ class TestLoss:
         x = np.zeros(8)
         model = WaveletNet(2, 8, SharingMode.DB4_FIXED)
         rec = model_forward(x, model)
-        assert loss(rec, x, 1.0) == (0.0, 0.0, 0.0)
+        assert loss_terms(rec, x, 1.0) == (0.0, 0.0, 0.0)
 
     def test_mean_absolute_residual(self):
         rec = _record(details=[np.zeros(2)], approx=np.zeros(2),
                       lengths=[4], recon=np.zeros(4))
-        total, recon, spars = loss(rec, np.ones(4), 0.0)
+        total, recon, spars = loss_terms(rec, np.ones(4), 0.0)
         assert recon == 1.0 and total == 1.0 and spars == 0.0
 
     def test_hand_computed_sparsity(self):
         signal = np.array([1.0, 2.0, 3.0, 4.0])
         rec = _record(details=[np.array([1.0, -1.0]), np.array([0.0])],
                       approx=np.array([2.0]), lengths=[4, 2], recon=signal.copy())
-        total, recon, spars = loss(rec, signal, 1.0)
+        total, recon, spars = loss_terms(rec, signal, 1.0)
         assert recon == 0.0
         assert spars == pytest.approx(1.0, abs=0)
         assert total == pytest.approx(1.0, abs=0)
@@ -479,7 +479,7 @@ class TestLoss:
             model.get_parameters() + rng.normal(0, 0.1, model.parameter_count()))
         for _ in range(10):
             x = rng.normal(size=128)
-            total, recon, spars = loss(model_forward(x, model), x, 0.7)
+            total, recon, spars = loss_terms(model_forward(x, model), x, 0.7)
             assert total >= 0 and recon >= 0 and spars >= 0
             assert total == pytest.approx(recon + 0.7 * spars, rel=1e-15)
 
@@ -487,7 +487,7 @@ class TestLoss:
         model = WaveletNet(2, 8, SharingMode.DB4_FIXED)
         rec = model_forward(np.ones(16), model)
         with pytest.raises(InvalidSignalError):
-            loss(rec, np.ones(17), 1.0)
+            loss_terms(rec, np.ones(17), 1.0)
 
 
 def _record(details, approx, lengths, recon):

@@ -11,7 +11,7 @@ from wavelearn.network import (
     WaveletNet,
     forward_trace,
     ht_gate_derivatives,
-    loss,
+    loss_terms,
     model_forward,
 )
 from wavelearn import training
@@ -148,7 +148,7 @@ def _backward_written_out(signal, model, gamma):
     input zero-padded likewise, and a truncation to the level input's length.
     Each of those calls also gives the level's kernel gradient."""
     trace = forward_trace(model, signal)
-    total, recon, sparsity = loss(trace, signal, gamma)
+    total, recon, sparsity = loss_terms(trace, signal, gamma)
     scale = gamma / (trace.details.size + trace.approx.size)
     scheme = model.mode.scheme
     details = trace.levels(trace.details)
@@ -457,7 +457,7 @@ class TestTrainLoop:
         ("learning_rate", np.nan), ("learning_rate", np.inf),
         ("learning_rate", -1e-3), ("gamma", np.nan), ("gamma", np.inf),
         ("gamma", -1.0), ("epochs", 2.5), ("batch_size", 2.5), ("batch_size", 0),
-        ("kernel_size", 8.0), ("levels", 2.5), ("levels", 0),
+        ("kernel_size", 8.0), ("kernel_size", 3), ("levels", 2.5), ("levels", 0),
         ("seed", -1), ("seed", 3.5), ("seed", True), ("learning_rate", True),
     ])
     def test_bad_hyper_parameter_rejected_before_any_step(self, field, value,
@@ -515,10 +515,8 @@ class TestTrainLoop:
                               fresh.get_parameters())
         assert len(report.loss_history) == 1
         # recorded history equals the initial loss (parameters never moved)
-        from wavelearn.network import loss as loss_fn
-
         expect = np.mean([
-            loss_fn(model_forward(s, fresh), s, config.gamma)[0]
+            loss_terms(model_forward(s, fresh), s, config.gamma)[0]
             for s in signals
         ])
         assert report.loss_history[0][0] == pytest.approx(expect, rel=1e-12)
