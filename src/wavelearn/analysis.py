@@ -1,43 +1,67 @@
 """Downstream heads: latent-feature extraction, one-class scoring with a
-random-hidden-layer network, ROC-AUC, and per-class-model classification."""
+random-hidden-layer network, ROC-AUC, and per-class-model classification.
+
+The objects they pass are immutable and derive what their readers need once,
+at construction: `LatentFeatures` its feature vector, `OneClassElm` its
+scoring map with the scaler folded into the weights, and `DictionaryModel`
+its row-stacked model."""
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ConfigError, InvalidSignalError, UndefinedMetricError, as_integer, as_real
-from .network import SharingMode, WaveletNet, loss_terms, model_forward, sigmoid
+from .network import SharingMode, WaveletNet, loss_terms, model_forward
 from .training import TrainConfig, TrainReport, train
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatentFeatures:
     """Per-window summary of a forward pass: residual statistics plus the
-    mean and max absolute detail coefficient of every level. Dimension is
-    always 2 + 2*levels regardless of window length."""
+    mean and max absolute detail coefficient of each of L >= 1 levels.
+    Dimension is always 2 + 2L regardless of window length.
+
+    Immutable: it builds its read-only (2 + 2L,) feature vector once, and
+    `l1_mean` and `l1_max` are views into it; `finite` says once whether
+    every entry is finite, for each model that scores the window. `l1_mean`
+    and `l1_max` that are not 1-D of one length L >= 1 raise ConfigError."""
 
     res_mean: float
     res_max: float
     l1_mean: np.ndarray  # length L
     l1_max: np.ndarray   # length L
+    _vector: np.ndarray = field(init=False, repr=False, compare=False)
+    finite: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        l1_mean = np.asarray(self.l1_mean, dtype=float)
+        l1_max = np.asarray(self.l1_max, dtype=float)
+        if l1_mean.ndim != 1 or l1_mean.shape != l1_max.shape or not l1_mean.size:
+            raise ConfigError("l1_mean and l1_max must be 1-D and of one length L >= 1, "
+                              f"got shapes {l1_mean.shape} and {l1_max.shape}")
+        vec = np.concatenate([[self.res_mean, self.res_max], l1_mean, l1_max])
+        vec.flags.writeable = False
+        # past the frozen `__setattr__`, as `WaveletNet` does
+        vars(self).update(l1_mean=vec[2:2 + l1_mean.size], l1_max=vec[2 + l1_mean.size:],
+                          _vector=vec, finite=bool(np.isfinite(vec).all()))
 
     def vector(self) -> np.ndarray:
-        return np.concatenate([[self.res_mean, self.res_max],
-                               self.l1_mean, self.l1_max])
+        """[res_mean, res_max, *l1_mean, *l1_max]: the same read-only array
+        on every call."""
+        return self._vector
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "LatentFeatures":
         vec = np.asarray(vec, dtype=float)
-        if vec.size < 4 or vec.size % 2:
-            raise ConfigError(f"feature vector length {vec.size} is not 2 + 2L")
+        if vec.ndim != 1 or vec.size < 4 or vec.size % 2:
+            raise ConfigError(f"feature vector of shape {vec.shape} is not 2 + 2L long")
         levels = (vec.size - 2) // 2
         return cls(res_mean=float(vec[0]), res_max=float(vec[1]),
-                   l1_mean=vec[2:2 + levels].copy(),
-                   l1_max=vec[2 + levels:].copy())
+                   l1_mean=vec[2:2 + levels], l1_max=vec[2 + levels:])
 
 
 def extract_features(signal, model: WaveletNet) -> LatentFeatures:
@@ -59,43 +83,78 @@ def extract_features(signal, model: WaveletNet) -> LatentFeatures:
 # ---------------------------------------------------------------------------
 # one-class scoring
 
-@dataclass
+# the array fields of a OneClassElm
+_ELM_ARRAYS = ("hidden_weights", "hidden_bias", "output_weights", "scaler_mean", "scaler_std")
+
+
+@dataclass(frozen=True)
 class OneClassElm:
     """Single hidden layer with fixed random weights and a ridge-regressed
     readout trained to the constant target 1 on normal data. The anomaly
-    score of a sample is its deviation |1 - prediction|."""
+    score of a feature vector x is its deviation |1 - prediction|, with
+
+        prediction = sigmoid(((x - mean) / std) @ W + b) @ beta
+
+    for the hidden weights W, hidden bias b, output weights beta and the
+    scaler's mean and std.
+
+    Immutable, with read-only copies of its arrays. It derives its scoring
+    map once, at construction: in the sigmoid's tanh form 1/2 + tanh(t/2)/2,
+    with the scaler's 1/std and the halving folded into
+    W' = W / (2 std)[:, None], b' = b/2 and beta' = beta/2, the prediction
+    is sum(beta') + tanh((x - mean) @ W' + b') @ beta'. The mean is
+    subtracted apart, not folded into b', so that a feature with a large
+    mean and a small spread loses no digits. Inconsistent shapes, no
+    neurons, or a W' that is not finite raise ConfigError."""
 
     hidden_weights: np.ndarray   # (dim, neurons)
     hidden_bias: np.ndarray      # (neurons,)
     output_weights: np.ndarray   # (neurons,)
-    scaler_mean: np.ndarray
-    scaler_std: np.ndarray
+    scaler_mean: np.ndarray      # (dim,)
+    scaler_std: np.ndarray       # (dim,)
     ridge_lambda: float
     seed: int
+    # the folded map: W', b', beta' and the prediction's offset 1 - sum(beta')
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _bias: np.ndarray = field(init=False, repr=False, compare=False)
+    _readout: np.ndarray = field(init=False, repr=False, compare=False)
+    _offset: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = {name: np.array(getattr(self, name), dtype=float) for name in _ELM_ARRAYS}
+        w = arrays["hidden_weights"]
+        if (w.ndim != 2 or w.shape[1] < 1
+                or {arrays["hidden_bias"].shape, arrays["output_weights"].shape} != {w.shape[1:]}
+                or {arrays["scaler_mean"].shape, arrays["scaler_std"].shape} != {w.shape[:1]}):
+            raise ConfigError("ELM arrays of inconsistent shapes: " + ", ".join(
+                f"{name} {a.shape}" for name, a in arrays.items()))
+        with np.errstate(all="ignore"):  # a zero or tiny std is caught below
+            weights = w / arrays["scaler_std"][:, None] / 2.0
+        if not np.isfinite(weights).all():
+            raise ConfigError("ELM hidden weights divided by the scaler's std must be finite")
+        arrays.update(_weights=weights, _bias=arrays["hidden_bias"] / 2.0,
+                      _readout=arrays["output_weights"] / 2.0)
+        for value in arrays.values():
+            value.flags.writeable = False
+        vars(self).update(arrays, _offset=1.0 - float(arrays["_readout"].sum()))
 
     @property
     def neurons(self) -> int:
         return self.hidden_bias.size
 
-    def predict(self, features: LatentFeatures) -> float:
-        x = features.vector()
-        if x.size != self.scaler_mean.size:
-            raise ConfigError(f"feature dimension {x.size} != fitted {self.scaler_mean.size}")
-        if not np.isfinite(x).all():
-            raise ConfigError("feature vector holds non-finite entries")
-        return float(_hidden(x[None, :], self.scaler_mean, self.scaler_std, self.hidden_weights,
-                             self.hidden_bias)[0] @ self.output_weights)
-
-
-def _hidden(x, mean, std, weights, bias) -> np.ndarray:
-    """The ELM's hidden layer on the rows of `x`, standardized first."""
-    return sigmoid(((x - mean) / std) @ weights + bias)
+    def tanh_layer(self, x: np.ndarray) -> np.ndarray:
+        """tanh((x - mean) @ W' + b') on the feature vector, or the rows, x:
+        the hidden layer is 1/2 + this/2."""
+        # ndarray.dot skips the matmul ufunc's dispatch, a third of a score
+        return np.tanh((x - self.scaler_mean).dot(self._weights) + self._bias)
 
 
 def elm_fit(features: list[LatentFeatures], neurons: int = 50,
             ridge_lambda: float = 1e-3, seed: int = 0) -> OneClassElm:
     """Standardize by training statistics, draw the hidden layer from the
-    seed, and ridge-solve the readout to the target 1.
+    seed, and ridge-solve the readout to the target 1. The hidden layer is
+    the one the fitted model scores with: a draft model with a zero readout
+    derives it.
 
     Hidden weights and biases are uniform in [-1, 1] scaled by
     1/sqrt(dimension): unscaled draws saturate the sigmoid on standardized
@@ -110,27 +169,35 @@ def elm_fit(features: list[LatentFeatures], neurons: int = 50,
     vectors = [f.vector() for f in features]
     if len({v.size for v in vectors}) > 1:
         raise ConfigError(f"feature dimensions differ: {sorted({v.size for v in vectors})}")
-    x = np.stack(vectors)
-    if not np.isfinite(x).all():
+    if not all(f.finite for f in features):
         raise ConfigError("training feature vectors hold non-finite entries")
+    x = np.stack(vectors)
     mean = x.mean(axis=0)
     std = x.std(axis=0)
-    std[std == 0.0] = 1.0  # constant dimensions pass through unscaled
+    # constant dimensions, whose mean may round off their value, and any whose
+    # spread rounds to zero pass through unscaled
+    std[(std == 0.0) | (np.ptp(x, axis=0) == 0.0)] = 1.0
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(x.shape[1])
     w = rng.uniform(-1.0, 1.0, size=(x.shape[1], neurons)) * scale
     b = rng.uniform(-1.0, 1.0, size=neurons) * scale
-    h = _hidden(x, mean, std, w, b)
+    draft = OneClassElm(hidden_weights=w, hidden_bias=b, output_weights=np.zeros(neurons),
+                        scaler_mean=mean, scaler_std=std, ridge_lambda=ridge_lambda, seed=seed)
+    h = 0.5 + 0.5 * draft.tanh_layer(x)
     gram = h.T @ h + ridge_lambda * np.eye(neurons)
     beta = np.linalg.solve(gram, h.T @ np.ones(x.shape[0]))
-    return OneClassElm(hidden_weights=w, hidden_bias=b, output_weights=beta,
-                       scaler_mean=mean, scaler_std=std,
-                       ridge_lambda=ridge_lambda, seed=seed)
+    return replace(draft, output_weights=beta)
 
 
 def elm_score(model: OneClassElm, features: LatentFeatures) -> float:
-    """Anomaly score |1 - prediction|; larger means more anomalous."""
-    return abs(1.0 - model.predict(features))
+    """Anomaly score |1 - prediction|; larger means more anomalous. Reads
+    the model's folded map: |1 - sum(beta') - tanh((x - mean) @ W' + b') @ beta'|."""
+    x = features.vector()
+    if x.size != model.scaler_mean.size:
+        raise ConfigError(f"feature dimension {x.size} != fitted {model.scaler_mean.size}")
+    if not features.finite:
+        raise ConfigError("feature vector holds non-finite entries")
+    return float(abs(model._offset - model.tanh_layer(x).dot(model._readout)))
 
 
 # ---------------------------------------------------------------------------

@@ -157,14 +157,11 @@ def save_elm(elm: OneClassElm, path) -> None:
 
 def load_elm(path) -> OneClassElm:
     doc = read_json(path)
-    elm = OneClassElm(**{name: _field(doc, name, *rule)
-                         for name, rule in _ELM_FIELDS.items()})
-    w = elm.hidden_weights
-    if (w.ndim != 2 or w.shape[1] < 1
-            or {elm.hidden_bias.shape, elm.output_weights.shape} != {w.shape[1:]}
-            or {elm.scaler_mean.shape, elm.scaler_std.shape} != {w.shape[:1]}):
-        raise FormatError("ELM document holds arrays of inconsistent shapes")
-    return elm
+    fields = {name: _field(doc, name, *rule) for name, rule in _ELM_FIELDS.items()}
+    try:
+        return OneClassElm(**fields)
+    except ConfigError as exc:
+        raise FormatError(f"ELM document: {exc}") from None
 
 
 def save_dictionary(dictionary: DictionaryModel, path) -> None:

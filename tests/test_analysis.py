@@ -1,6 +1,7 @@
 """Latent features, one-class scoring, AUC and dictionary classification."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from wavelearn import network
 from wavelearn.analysis import (
     DictionaryModel,
     LatentFeatures,
+    OneClassElm,
     dict_classify,
     elm_fit,
     elm_score,
@@ -62,6 +64,37 @@ class TestExtractFeatures:
                                l1_max=np.array([3.0, 4.0]))
         back = LatentFeatures.from_vector(feats.vector())
         assert np.array_equal(back.vector(), feats.vector())
+
+    @pytest.mark.parametrize("l1_mean, l1_max", [
+        ([1.0, 2.0], [3.0]), ([], []), ([[1.0]], [[2.0]]), (1.0, 2.0)],
+        ids=["unequal", "empty", "2-D", "0-D"])
+    def test_level_statistics_not_1d_of_one_length_rejected(self, l1_mean, l1_max, tmp_path):
+        # each would write a features CSV row that its reader rejects
+        with pytest.raises(ConfigError, match="l1_mean and l1_max"):
+            LatentFeatures(res_mean=0.1, res_max=0.2, l1_mean=l1_mean, l1_max=l1_max)
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 3)])
+    def test_vector_not_2_plus_2l_long_rejected(self, shape):
+        with pytest.raises(ConfigError, match="2 \\+ 2L"):
+            LatentFeatures.from_vector(np.ones(shape))
+
+    def test_immutable_with_one_read_only_vector(self):
+        l1_mean = np.array([1.0, 2.0])
+        feats = LatentFeatures(res_mean=0.5, res_max=2.0, l1_mean=l1_mean,
+                               l1_max=np.array([3.0, 4.0]))
+        l1_mean[0] = 9.0  # the caller's array is copied, not held
+        assert feats.vector() is feats.vector()
+        assert feats.vector().tolist() == [0.5, 2.0, 1.0, 2.0, 3.0, 4.0]
+        for array in (feats.vector(), feats.l1_mean, feats.l1_max):
+            assert not array.flags.writeable
+        for name in ("res_mean", "l1_mean", "finite"):
+            with pytest.raises(AttributeError):
+                setattr(feats, name, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_finite_says_whether_every_entry_is(self, bad):
+        assert LatentFeatures.from_vector(np.arange(6.0)).finite
+        assert not LatentFeatures.from_vector(np.array([0.0, 1.0, 2.0, bad])).finite
 
 
 def _feature_cloud(rng, n, center):
@@ -154,6 +187,100 @@ class TestOneClassElm:
         vec[0] = bad
         with pytest.raises(ConfigError, match="non-finite"):
             elm_score(elm, LatentFeatures.from_vector(vec))
+
+    @staticmethod
+    def _defining_score(elm, x):
+        """|1 - sigmoid(((x - mean) / std) @ W + b) @ beta|, as written."""
+        hidden = network.sigmoid(((x - elm.scaler_mean) / elm.scaler_std)
+                                 @ elm.hidden_weights + elm.hidden_bias)
+        return abs(1.0 - hidden @ elm.output_weights)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_folded_score_matches_defining_formula(self, seed):
+        # the scaler, the sigmoid's halving and its offset are folded into
+        # the weights once; every rounding that moves stays below 1e-12
+        rng = np.random.default_rng(seed)
+        dim, neurons = 2 + 2 * int(rng.integers(1, 12)), int(rng.integers(1, 80))
+        center = rng.uniform(-5.0, 5.0, dim) * 10.0 ** rng.uniform(-3.0, 3.0, dim)
+        spread = 10.0 ** rng.uniform(-4.0, 1.0, dim)
+        normal = [center + spread * rng.normal(size=dim) for _ in range(60)]
+        for row in normal:
+            row[-1] = center[-1]  # a constant dimension, passed through unscaled
+        fitted = elm_fit([LatentFeatures.from_vector(v) for v in normal], neurons=neurons,
+                         ridge_lambda=10.0 ** rng.uniform(-6.0, 0.0), seed=seed)
+        assert fitted.scaler_std[-1] == 1.0
+        drawn = OneClassElm(hidden_weights=rng.normal(size=(dim, neurons)),
+                            hidden_bias=rng.normal(size=neurons),
+                            output_weights=rng.normal(size=neurons) * 10.0,
+                            scaler_mean=center, scaler_std=spread, ridge_lambda=1.0, seed=0)
+        # near the cloud, far out, and far enough to saturate every neuron
+        probes = normal[:10] + [center + spread * rng.normal(size=dim) * k
+                                for k in (1e3, 1e8, -1e8)]
+        for elm in (fitted, drawn):
+            for x in probes:
+                got = elm_score(elm, LatentFeatures.from_vector(x))
+                assert abs(got - self._defining_score(elm, x)) <= 1e-12
+
+    def test_immutable_with_read_only_arrays(self):
+        feats = _feature_cloud(np.random.default_rng(9), 20, self.CENTER)
+        elm = elm_fit(feats, neurons=5, ridge_lambda=1e-3, seed=0)
+        for name in ("hidden_weights", "hidden_bias", "output_weights", "scaler_mean",
+                     "scaler_std"):
+            assert not getattr(elm, name).flags.writeable
+            with pytest.raises(AttributeError):
+                setattr(elm, name, np.zeros(1))
+        with pytest.raises(AttributeError):
+            elm.seed = 1
+        weights = np.ones((2, 1))
+        copy = OneClassElm(hidden_weights=weights, hidden_bias=[0.0], output_weights=[1.0],
+                           scaler_mean=[0.0, 0.0], scaler_std=[1.0, 1.0], ridge_lambda=1.0,
+                           seed=0)
+        weights[0, 0] = 5.0  # the caller's array is copied, not held
+        assert copy.hidden_weights.tolist() == [[1.0], [1.0]]
+
+    @pytest.mark.parametrize("name", ["hidden_weights", "hidden_bias", "output_weights",
+                                      "scaler_mean", "scaler_std", "neurons"])
+    def test_inconsistent_shapes_rejected(self, name):
+        arrays = {"hidden_weights": np.ones((4, 3)), "hidden_bias": np.zeros(3),
+                  "output_weights": np.ones(3), "scaler_mean": np.zeros(4),
+                  "scaler_std": np.ones(4)}
+        if name == "neurons":  # none: every score would be 1
+            arrays.update(hidden_weights=np.ones((4, 0)), hidden_bias=np.zeros(0),
+                          output_weights=np.zeros(0))
+        else:
+            arrays[name] = arrays[name][:-1]
+        with pytest.raises(ConfigError, match="inconsistent shapes"):
+            OneClassElm(**arrays, ridge_lambda=1.0, seed=0)
+
+    @pytest.mark.parametrize("std", [0.0, 1e-320])
+    def test_weights_that_overflow_over_the_std_rejected(self, std):
+        with pytest.raises(ConfigError, match="must be finite"):
+            OneClassElm(hidden_weights=np.ones((2, 1)), hidden_bias=np.zeros(1),
+                        output_weights=np.ones(1), scaler_mean=np.zeros(2),
+                        scaler_std=np.array([1.0, std]), ridge_lambda=1.0, seed=0)
+
+    def test_one_score_makes_three_python_and_three_c_calls(self):
+        # a warm score, counted under sys.setprofile: 9 Python-level and 6
+        # C-level calls before the scoring map was folded at construction
+        feats = _feature_cloud(np.random.default_rng(10), 20, self.CENTER)
+        elm = elm_fit(feats, neurons=10, ridge_lambda=1e-3, seed=0)
+        elm_score(elm, feats[0])
+        calls = []
+
+        def record(frame, event, arg):
+            if event == "call":
+                calls.append(("python", frame.f_code.co_name))
+            elif event == "c_call":
+                calls.append(("c", arg.__name__))
+
+        sys.setprofile(record)
+        try:
+            elm_score(elm, feats[0])
+        finally:
+            sys.setprofile(None)
+        assert calls.pop() == ("c", "setprofile")  # the call that ends the count
+        assert calls == [("python", "elm_score"), ("python", "vector"),
+                         ("python", "tanh_layer"), ("c", "dot"), ("c", "dot"), ("c", "abs")]
 
 
 def _auc_bruteforce(scores, labels):
