@@ -1,5 +1,16 @@
 """Learnable wavelet cascade networks for sparse decomposition, denoising,
-anomaly detection and classification of 1-D signals."""
+anomaly detection and classification of 1-D signals.
+
+Importing the package raises glibc's malloc thresholds once, for the whole
+process: arrays under 32 MiB come from the heap rather than from their own
+mappings, and up to 64 MiB of freed heap stays mapped. A training step frees
+megabyte temporaries that the next step allocates again; at glibc's defaults
+the heap hands those pages back to the kernel and faults them in anew on every
+step. The two values are the ceilings glibc's own adaptive policy reaches on
+64-bit. On any other C library nothing changes."""
+
+import ctypes
+import os
 
 from .wavelet import (
     DB4_SCALING,
@@ -59,3 +70,24 @@ from .persist import (
 )
 
 __version__ = "0.1.0"
+
+# mallopt's parameter numbers, from glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap_mapped() -> None:
+    """Set glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB.
+    Does nothing, and never raises or warns, on any other C library or where
+    the C library cannot be loaded; calling it again sets the same values."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        libc = ctypes.CDLL("libc.so.6")
+        libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        libc.mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    except (AttributeError, OSError, ValueError):  # no confstr, libc or mallopt
+        pass
+
+
+_keep_freed_heap_mapped()

@@ -14,7 +14,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSignalError, UndefinedMetricError, as_integer, as_real
+from .errors import (ConfigError, InvalidSignalError, UndefinedMetricError, as_floats, as_integer,
+                     as_real, as_signal)
 from .network import SharingMode, WaveletNet, loss_terms, model_forward
 from .training import TrainConfig, TrainReport, train
 
@@ -27,8 +28,9 @@ class LatentFeatures:
 
     Immutable: it builds its read-only (2 + 2L,) feature vector once, and
     `l1_mean` and `l1_max` are views into it; `finite` says once whether
-    every entry is finite, for each model that scores the window. `l1_mean`
-    and `l1_max` that are not 1-D of one length L >= 1 raise ConfigError."""
+    every entry is finite, for each model that scores the window. Entries
+    that are not real numbers, or `l1_mean` and `l1_max` that are not 1-D of
+    one length L >= 1, raise ConfigError."""
 
     res_mean: float
     res_max: float
@@ -38,12 +40,13 @@ class LatentFeatures:
     finite: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        l1_mean = np.asarray(self.l1_mean, dtype=float)
-        l1_max = np.asarray(self.l1_max, dtype=float)
+        head = as_floats([self.res_mean, self.res_max], "res_mean and res_max")
+        l1_mean = as_floats(self.l1_mean, "l1_mean")
+        l1_max = as_floats(self.l1_max, "l1_max")
         if l1_mean.ndim != 1 or l1_mean.shape != l1_max.shape or not l1_mean.size:
             raise ConfigError("l1_mean and l1_max must be 1-D and of one length L >= 1, "
                               f"got shapes {l1_mean.shape} and {l1_max.shape}")
-        vec = np.concatenate([[self.res_mean, self.res_max], l1_mean, l1_max])
+        vec = np.concatenate([head, l1_mean, l1_max])
         vec.flags.writeable = False
         # past the frozen `__setattr__`, as `WaveletNet` does
         vars(self).update(l1_mean=vec[2:2 + l1_mean.size], l1_max=vec[2 + l1_mean.size:],
@@ -56,7 +59,7 @@ class LatentFeatures:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "LatentFeatures":
-        vec = np.asarray(vec, dtype=float)
+        vec = as_floats(vec, "feature vector")
         if vec.ndim != 1 or vec.size < 4 or vec.size % 2:
             raise ConfigError(f"feature vector of shape {vec.shape} is not 2 + 2L long")
         levels = (vec.size - 2) // 2
@@ -65,7 +68,7 @@ class LatentFeatures:
 
 
 def extract_features(signal, model: WaveletNet) -> LatentFeatures:
-    signal = np.asarray(signal, dtype=float)
+    signal = as_signal(signal)
     if signal.ndim != 1:
         raise InvalidSignalError("extract_features takes one 1-D signal")
     record = model_forward(signal, model)
@@ -230,11 +233,20 @@ def roc_auc(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 # per-class-model classification
 
+def _check_labels(classes: Mapping) -> None:
+    """Class labels are strings: a document stores them so, and `sorted`
+    orders them."""
+    for label in classes:
+        if not isinstance(label, str):
+            raise ConfigError(f"class labels must be strings, got {label!r}")
+
+
 @dataclass(frozen=True)
 class DictionaryModel:
     """One model per class; a sample is assigned to the class whose model
-    gives it the smallest total loss. At least two classes, whose models
-    share one mode, depth, kernel size and gamma, so that they stack.
+    gives it the smallest total loss. At least two classes, labelled by
+    strings, whose models share one mode, depth, kernel size and gamma, so
+    that they stack; any other label raises ConfigError.
     Immutable, as its models are: `class_models` is a read-only mapping."""
 
     class_models: Mapping[str, WaveletNet]
@@ -244,6 +256,7 @@ class DictionaryModel:
         models = dict(self.class_models)
         if len(models) < 2:
             raise ConfigError(f"a dictionary needs at least two classes, got {len(models)}")
+        _check_labels(models)
         if len({(m.mode, m.levels, m.kernel_size, m.gamma) for m in models.values()}) > 1:
             raise ConfigError("class models must share one mode, depth, kernel size and gamma")
         object.__setattr__(self, "class_models", MappingProxyType(models))
@@ -266,6 +279,7 @@ def dict_train(class_datasets: dict[str, list], mode: SharingMode,
     comparability)."""
     if len(class_datasets) < 2:
         raise ConfigError("classification needs at least two classes")
+    _check_labels(class_datasets)
     for label, signals in class_datasets.items():
         if not signals:
             raise ConfigError(f"class {label!r} has no training signals")
@@ -286,7 +300,7 @@ def dict_classify(signal, dictionary: DictionaryModel) -> tuple[str, dict[str, f
     block, runs row r under the r-th label's model of the row-stacked
     dictionary, so each label's loss is byte for byte its model's loss on
     the window alone."""
-    signal = np.asarray(signal, dtype=float)
+    signal = as_signal(signal)
     if signal.ndim != 1:
         raise InvalidSignalError("dict_classify takes one 1-D signal")
     labels = dictionary.labels()

@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InvalidSignalError, as_integer
+from .errors import ConfigError, FormatError, InvalidSignalError, as_integer, as_signal
 
 _SCALE = 32768.0
 # the header stores the rate and the byte rate, 2 * rate, as 32-bit words
@@ -40,7 +40,7 @@ def as_rate(rate) -> int:
 def _signal(samples) -> np.ndarray:
     """`samples` as a 1-D float array with finite entries, checked a block at
     a time."""
-    samples = np.asarray(samples, dtype=float)
+    samples = as_signal(samples)
     if samples.ndim != 1:
         raise InvalidSignalError(f"expected a 1-D signal, got shape {samples.shape}")
     for start in range(0, samples.size, BLOCK):

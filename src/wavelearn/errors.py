@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the two rules that every
-number argument and document field goes through: `as_integer` and `as_real`."""
+"""Exception types shared across the package, the two rules that every
+number argument and document field goes through, `as_integer` and `as_real`,
+and `as_floats`, which reads an array of real numbers (`as_signal` for a
+signal)."""
 
 import math
 
@@ -52,6 +54,23 @@ def as_real(value, name: str, low: float = 0.0, strict: bool = False) -> float:
     if real < low or (strict and real == low):
         raise ConfigError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
     return real
+
+
+def as_floats(value, name: str, error: type[WavelearnError] = ConfigError) -> np.ndarray:
+    """`value` as a float array if numpy reads it as real numbers; text, a
+    ragged nesting, complex numbers or objects raise `error`."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as err:
+        raise error(f"{name} must hold real numbers: {err}") from None
+    if array.dtype.kind not in "biuf":
+        raise error(f"{name} must hold real numbers, got {array.dtype} entries")
+    return array.astype(float, copy=False)
+
+
+def as_signal(signal) -> np.ndarray:
+    """`signal` as a float array, or an InvalidSignalError (`as_floats`)."""
+    return as_floats(signal, "signal", InvalidSignalError)
 
 
 class DivergenceError(WavelearnError):

@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSignalError, as_integer, as_real
+from .errors import ConfigError, InvalidSignalError, as_integer, as_real, as_signal
 from .wavelet import (
     DB4_SCALING,
     HAAR_SCALING,
@@ -379,7 +379,7 @@ def loss_terms(trace: ForwardTrace, signal, gamma: float):
     input's leading shape: mean absolute residual plus gamma times the mean
     absolute value over all retained coefficients (details and final
     approximation together)."""
-    signal = np.asarray(signal, dtype=float)
+    signal = as_signal(signal)
     if signal.shape != trace.reconstruction.shape:
         raise InvalidSignalError(
             f"signal shape {signal.shape} != reconstruction "

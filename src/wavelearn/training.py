@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, as_integer, as_real
+from .errors import ConfigError, DivergenceError, as_integer, as_real, as_signal
 from .network import (
     SharingMode,
     WaveletNet,
@@ -64,7 +64,7 @@ def backward_full(signal, model: WaveletNet):
     """Loss triple, under the model's `gamma`, plus the flat gradient
     vector, aligned with `model.get_parameters()`, of one window or, for a
     (B, N) block, both summed over its rows."""
-    signal = np.asarray(signal, dtype=float)
+    signal = as_signal(signal)
     trace = forward_trace(model, signal)
     triple = tuple(float(term.sum()) for term in loss_terms(trace, signal, model.gamma))
     scale = model.gamma / (trace.details.shape[-1] + trace.approx.shape[-1])
@@ -288,7 +288,7 @@ def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
     config.validate()
     if not signals:
         raise ConfigError("training set is empty")
-    signals = [np.asarray(s, dtype=float) for s in signals]
+    signals = [as_signal(s) for s in signals]
     shape = signals[0].shape
     if len(shape) != 1 or any(s.shape != shape for s in signals):
         raise ConfigError("training windows must be 1-D and share one length")

@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidDepthError, InvalidKernelError, InvalidSignalError
+from .errors import InvalidDepthError, InvalidKernelError, InvalidSignalError, as_signal
 
 # 8-tap Daubechies-4 scaling filter, normalized so sum(h) = sqrt(2) and
 # sum(h^2) = 1 hold exactly in float64 (values rounded from a 60-digit
@@ -253,7 +253,7 @@ def synthesis_cascade(approx, details, lengths, banks: list[np.ndarray]) -> list
 def cascade_input(signal, levels: int) -> np.ndarray:
     """`signal`, one window or a (B, N) block of them, as a float array
     checked for a `levels`-deep cascade."""
-    a = np.asarray(signal, dtype=float)
+    a = as_signal(signal)
     if a.ndim not in (1, 2) or a.shape[-1] < 2 or a.size == 0:
         raise InvalidSignalError(
             "signal must be 1-D, or a (B, N) block, with at least 2 samples")

@@ -13,6 +13,7 @@ from wavelearn.analysis import (
     LatentFeatures,
     OneClassElm,
     dict_classify,
+    dict_train,
     elm_fit,
     elm_score,
     extract_features,
@@ -20,6 +21,7 @@ from wavelearn.analysis import (
 )
 from wavelearn.errors import ConfigError, InvalidSignalError, UndefinedMetricError
 from wavelearn.network import SharingMode, WaveletNet, forward_trace, loss_terms, model_forward
+from wavelearn.training import TrainConfig
 from wavelearn.wavelet import max_depth
 
 S = math.sqrt(0.5)
@@ -77,6 +79,18 @@ class TestExtractFeatures:
     def test_vector_not_2_plus_2l_long_rejected(self, shape):
         with pytest.raises(ConfigError, match="2 \\+ 2L"):
             LatentFeatures.from_vector(np.ones(shape))
+
+    @pytest.mark.parametrize("fields", [
+        ("x", 0.2, [1.0], [2.0]), (0.1, [0.2, 0.3], [1.0], [2.0]),
+        (0.1, 0.2, ["a"], [2.0]), (0.1, 0.2, [1.0], [1j])],
+        ids=["text", "sequence", "text level", "complex level"])
+    def test_fields_that_are_not_real_numbers_rejected(self, fields):
+        with pytest.raises(ConfigError, match="real numbers"):
+            LatentFeatures(*fields)
+
+    def test_vector_that_is_not_real_numbers_rejected(self):
+        with pytest.raises(ConfigError, match="real numbers"):
+            LatentFeatures.from_vector(["0", "1", "2", "3"])
 
     def test_immutable_with_one_read_only_vector(self):
         l1_mean = np.array([1.0, 2.0])
@@ -433,6 +447,17 @@ class TestDictionaryModel:
         with pytest.raises(ConfigError, match="share one mode"):
             DictionaryModel(class_models={
                 "A": WaveletNet(3, 8, SharingMode.SHARED_CQF_HT), "B": other})
+
+    @pytest.mark.parametrize("labels", [(1, 2), (1, "b")], ids=["integers", "mixed"])
+    def test_labels_that_are_not_strings_rejected(self, labels):
+        # a saved dictionary would reload integer labels as strings, and
+        # mixed labels do not sort
+        model = WaveletNet(3, 8, SharingMode.DB4_FIXED)
+        with pytest.raises(ConfigError, match="strings"):
+            DictionaryModel(class_models=dict.fromkeys(labels, model))
+        with pytest.raises(ConfigError, match="strings"):
+            dict_train(dict.fromkeys(labels, [np.zeros(64)]), SharingMode.DB4_FIXED,
+                       TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
     def test_bad_gamma_rejected(self, gamma):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wavelearn import network, training, wavelet
+from wavelearn import analysis, audio, network, training, wavelet
 from wavelearn.errors import (
     ConfigError,
     InvalidDepthError,
@@ -448,6 +448,31 @@ class TestModelForward:
             model_forward(np.zeros(100), model)  # max depth 7
         with pytest.raises(InvalidSignalError):
             model_forward(np.zeros(1), model)
+
+
+# every entry point that takes a signal, each reading it through
+# `errors.as_signal`
+_TWO_CLASSES = {c: WaveletNet(2, 8, SharingMode.DB4_FIXED) for c in "ab"}
+_SIGNAL_READERS = {
+    "train": lambda x: training.train([x], SharingMode.DB4_FIXED, training.TrainConfig(epochs=1)),
+    "backward_full": lambda x: backward_full(x, _TWO_CLASSES["a"]),
+    "forward_trace": lambda x: network.forward_trace(_TWO_CLASSES["a"], x),
+    "loss_terms": lambda x: loss_terms(model_forward(np.zeros(8), _TWO_CLASSES["a"]), x, 1.0),
+    "extract_features": lambda x: analysis.extract_features(x, _TWO_CLASSES["a"]),
+    "dict_classify": lambda x: analysis.dict_classify(
+        x, analysis.DictionaryModel(class_models=_TWO_CLASSES)),
+    "decimate": lambda x: audio.decimate(x, 2),
+    "window_split": lambda x: audio.window_split(x, 2),
+}
+
+
+@pytest.mark.parametrize("signal", [
+    "abcdefgh", ["a", "b"] * 4, [[1.0, 2.0], [3.0]], [1j] * 8, [None] * 8, [{}] * 8],
+    ids=["text", "list of text", "ragged", "complex", "none", "objects"])
+@pytest.mark.parametrize("reader", _SIGNAL_READERS)
+def test_signal_that_is_not_real_numbers_rejected(reader, signal):
+    with pytest.raises(InvalidSignalError, match="real numbers"):
+        _SIGNAL_READERS[reader](signal)
 
 
 class TestLoss:
