@@ -40,6 +40,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable
 
@@ -49,12 +50,14 @@ from .errors import ConfigError, InvalidSignalError, as_integer, as_real, as_sig
 from .wavelet import (
     DB4_SCALING,
     HAAR_SCALING,
+    CascadePlan,
     analysis_cascade,
     as_kernel,
     cascade_input,
     cqf_fold,
     cqf_from_scaling,
     max_depth,
+    polyphase,
     synthesis_cascade,
 )
 
@@ -305,6 +308,17 @@ class WaveletNet:
         views = tuple(bank[..., l, :, :, :] for l in range(bank.shape[-4]))
         return views * self.levels if self.mode.scheme.shared else views
 
+    @cached_property
+    def operands(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """The level ops' operands, per level and each contiguous: (encoder
+        stacks, decoder stacks, their polyphase taps), derived once from the
+        banks stacked level first."""
+        stacked = np.stack(self.banks)
+        ops = [op(stacked[..., i, :, :]) for op in (np.ascontiguousarray, polyphase) for i in (0, 1)]
+        for op in ops:
+            op.flags.writeable = False
+        return tuple(tuple(op) for op in ops)
+
     def synthesis_gain_ratios(self) -> np.ndarray:
         """Per-level ||h_bar|| / ||h||; diverging ratios flag the known
         instability of fully unconstrained banks."""
@@ -338,15 +352,20 @@ class ForwardTrace:
         return [pyramid[..., lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:])]
 
 
-def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
+def forward_trace(model: WaveletNet, signal, plan: CascadePlan | None = None) -> ForwardTrace:
     """Encoder-decoder pass over one window or a (B, N) block of them, every
     row under the same banks, or row r under model r of a row-stacked model
     (module notes): details are gated before being stored and
-    skip-connected, the final approximation is passed through untouched."""
+    skip-connected, the final approximation is passed through untouched; in
+    the scratch of `plan`, a `wavelet.CascadePlan` for this shape, if given."""
     signal = cascade_input(signal, model.levels)
-    inputs, details, approx = analysis_cascade(signal, model.banks)
+    if plan is not None and plan.key != (signal.shape, model.levels, model.kernel_size):
+        raise ConfigError(f"a plan for {plan.key} cannot run {signal.shape} under {model.levels}"
+                          f" levels of {model.kernel_size} taps")
+    enc, _, _, dec_taps = model.operands
+    inputs, details, approx = analysis_cascade(signal, enc, plan)
     sizes = [d.shape[-1] for d in details]
-    offsets = np.cumsum([0] + sizes).tolist()
+    offsets = list(accumulate(sizes, initial=0))
     details_pre = np.concatenate(details, -1)
     gated, gates = details_pre, ()
     if model.mode.trains_thresholds:
@@ -365,7 +384,7 @@ def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
         gates=gates,
         approx=approx,
         recon_chain=synthesis_cascade(approx, details, [a.shape[-1] for a in inputs],
-                                      model.banks),
+                                      dec_taps, plan),
     )
 
 

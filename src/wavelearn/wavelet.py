@@ -20,10 +20,11 @@ Conventions used throughout:
   polyphase-matrix form (Vaidyanathan 1993, ch. 5): output
   ``2j + p`` sums taps ``2s + p`` of both channels against input ``j - s``,
   so a tap-major copy of the input's periodic windows, transposed, times
-  the ``(2 * K/2, 2)`` polyphase taps is one matmul;
+  the stack's ``(K, 2)`` polyphase taps (`polyphase`) is one matmul;
 * a kernel gradient, ``sum_k u[..., c, k] * x[..., (2k + n) mod N]``, is
   one more matmul on the copy a level op makes anyway: ``u`` times ``win``
-  transposed, or in synthesis the copy times ``x`` as ``(N/2, 2)`` pairs;
+  transposed, or in synthesis the copy times ``x`` as ``(N/2, 2)`` pairs,
+  which gives it on the polyphase taps;
 * the copy is K times the size of its input, so a level op makes it one
   tile of `TILE` outputs per row at a time, small enough to stay in a
   core's L2 cache while every matmul on it reads it; the tiles' outputs
@@ -39,7 +40,13 @@ Conventions used throughout:
   cuts a synthesis output back to the level input's length;
 * `strided_corr` and `upsample_conv` define one level each way, and on one
   stack each is the other's transpose: the backward pass runs analysis on
-  the decoder stack and synthesis on the encoder stack.
+  the decoder stack and synthesis on the encoder stack;
+* a level op fills its periodic extension and tile copy in fresh buffers,
+  or in a `CascadePlan`'s, planned once per shape (rows, N, L, K) in one
+  arena that level 1 sizes, as one level op runs at a time (FFTW's split of
+  planning from running: Frigo and Johnson, Proc. IEEE 93(2), 2005). The
+  caller that repeats a shape owns the plan; two threads take two. No
+  array a level op returns is scratch, so it outlives later calls.
 """
 
 from __future__ import annotations
@@ -115,22 +122,13 @@ def cqf_fold(grad: np.ndarray) -> np.ndarray:
 TILE = 8192
 
 
-def _periodic_ext(x: np.ndarray, after: int) -> np.ndarray:
-    """x[..., i mod N] for i in [0, N + after): x extended periodically along
-    its last axis (a pad longer than N wraps several times, as a kernel
-    longer than the signal does at the deep levels)."""
-    n = x.shape[-1]
-    if after <= n:
-        return np.concatenate((x, x[..., :after]), -1) if after else x
-    return x.take(np.arange(n + after) % n, -1)
-
-
-def _windows(ext: np.ndarray, start: int, count: int, taps: int, hop: int):
-    """(..., taps, count) tap-major view of a C-ordered `ext`, view[..., n, k]
-    = ext[..., start + hop*k + n]; columns overlap, so it is only read."""
-    step = ext.itemsize
-    return np.ndarray((*ext.shape[:-1], taps, count), ext.dtype, ext, start * step,
-                      (*ext.strides[:-1], step, hop * step))
+def polyphase(stack: np.ndarray) -> np.ndarray:
+    """The ``(..., K, 2)`` polyphase taps of a ``(..., 2, K)`` stack,
+    ``poly[..., c*K/2 + s, p] = stack[..., c, K - 2 - 2s + p]``, copied (a
+    negatively strided operand makes matmul round another way); on taps read
+    back as ``(..., 2, K)`` it undoes itself, so it maps gradients too."""
+    pairs = stack.reshape(*stack.shape[:-1], stack.shape[-1] // 2, 2)[..., ::-1, :]
+    return np.ascontiguousarray(pairs).reshape(*stack.shape[:-2], stack.shape[-1], 2)
 
 
 def _even(x: np.ndarray) -> np.ndarray:
@@ -138,83 +136,120 @@ def _even(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.zeros((*x.shape[:-1], 1))], -1) if x.shape[-1] % 2 else x
 
 
-def strided_corr(x: np.ndarray, f: np.ndarray, upstream=None):
+def _scratch(lead, n: int, taps: int, synthesis: bool, arena=None):
+    """One level op's buffers over (*lead, n) inputs, at the start of `arena`
+    or fresh: the periodic extension, (*lead, 2, N/2 + K/2 - 1) in synthesis;
+    the gather that wraps it, or None where slices do; and per tile its
+    bounds, a (*lead, K, cols) copy, contiguous as BLAS needs, that copy in
+    the windows' shape, the read-only view of the overlapping windows, the
+    copy transposed."""
+    half = (n + 1) // 2
+    width, cols = 2 * half + taps - 2, min(TILE, half)
+    if synthesis:  # windows[..., c, s, k] = ext[..., c, lo + k + s]
+        shape, hop, ext_shape = (*lead, 2, taps // 2), 1, (*lead, 2, width // 2)
+        wrap = np.arange(1 - taps // 2, 0) % half if half < taps // 2 - 1 else None
+    else:  # windows[..., s, k] = ext[..., 2 (lo + k) + s]
+        shape, hop, ext_shape = (*lead, taps), 2, (*lead, width)
+        wrap = np.arange(2 * half, width) % (2 * half) if 2 * half < taps - 2 else None
+    if arena is None:
+        ext, copy = np.empty(ext_shape), np.empty((*lead, taps, cols))
+    else:
+        rows = math.prod(lead)
+        ext = arena[:rows * width].reshape(ext_shape)
+        copy = arena[rows * width:rows * (width + taps * cols)].reshape(*lead, taps, cols)
+    strides, tiles = (*ext.strides[:-1], 8, 8 * hop), []
+    for lo in range(0, half, cols):
+        tile = copy if half - lo >= cols else copy[..., :half - lo]  # the last tile is short
+        cols = tile.shape[-1]
+        tiles.append((lo, lo + cols, tile, tile.reshape(*shape, cols) if synthesis else tile,
+                      np.ndarray((*shape, cols), float, ext, 8 * hop * lo, strides),
+                      tile.swapaxes(-1, -2)))
+    return ext, wrap, tiles
+
+
+class CascadePlan:
+    """Level l's scratch for `strided_corr`, `corr[l]`, and `upsample_conv`,
+    `conv[l]`, for `levels` levels over signals of `shape` under `taps`-tap
+    stacks, as views into one arena (module notes)."""
+
+    def __init__(self, shape, levels: int, taps: int):
+        self.key = (tuple(shape), levels, taps)
+        *lead, n = shape
+        # level 1's buffers size the arena; level l's input has ceil(N / 2^l) samples
+        ext, _, tiles = _scratch(lead, n, taps, False)
+        arena = np.empty(ext.size + tiles[0][2].size)
+        self.corr = [_scratch(lead, -(-n >> l), taps, False, arena) for l in range(levels)]
+        self.conv = [_scratch(lead, -(-n >> l), taps, True, arena) for l in range(levels)]
+
+
+def strided_corr(x: np.ndarray, f: np.ndarray, upstream=None, grad=None, scratch=None):
     """out[..., c, k] = sum_n f[..., c, n] * x[..., (2k + n) mod N] for k in
     [0, N/2), `x` zero-padded to even N: BLAS matmuls on a tap-major window
-    copy, one tile of `TILE` outputs at a time (module notes), for a (C, K)
-    kernel stack, (..., C, N/2) out, or for a (B, C, K) stack, one per row of
-    a (B, N) block; a single (K,) kernel gives (..., N/2).
+    copy, one tile of `TILE` outputs at a time, in `scratch`, a plan's
+    buffers for the level, or fresh ones (module notes), for a (C, K) kernel
+    stack with taps at a unit stride, (..., C, N/2) out, or for a (B, C, K)
+    stack, one per row of a (B, N) block; a (K,) kernel gives (..., N/2).
 
     Given `upstream`, one array per channel of a (..., C, K) stack's `out`,
-    returns (out, grad), the gradient of <upstream, out> on f row by row:
+    also writes into `grad` the gradient of <upstream, out> on f row by row,
     grad[..., c, n] = sum_k upstream[c][..., k] * x[..., (2k + n) mod N],
-    summed over the tiles in tile order."""
-    x = _even(x)
-    taps, count = f.shape[-1], x.shape[-1] // 2
-    # C order is what `_windows` assumes; a column-major block concatenates
-    # to another order
-    ext = np.ascontiguousarray(_periodic_ext(x, taps - 2))
-    # numpy's matmul reaches BLAS only through operands with a unit stride,
-    # so each tile's windows, sample axis contiguous, and a reversed stack
-    # are copied
-    f = np.ascontiguousarray(f)
-    outs, grad = [], None
-    for lo in range(0, count, TILE):
-        win = np.ascontiguousarray(_windows(ext, 2 * lo, min(TILE, count - lo), taps, 2))
-        outs.append(f @ win)
-        if upstream is not None:
-            part = np.concatenate([u[..., None, lo:lo + TILE] @ win.swapaxes(-1, -2)
-                                   for u in upstream], -2)
-            grad = part if grad is None else grad + part
-    out = outs[0] if len(outs) == 1 else np.concatenate(outs, -1)
-    return out if upstream is None else (out, grad)
+    summed in tile order."""
+    n, taps = x.shape[-1], f.shape[-1]
+    ext, wrap, tiles = scratch or _scratch(x.shape[:-1], n, taps, False)
+    m = n + n % 2
+    ext[..., :n] = x
+    if n < m:
+        ext[..., n] = 0.0
+    ext[..., m:] = ext[..., :taps - 2] if wrap is None else ext[..., wrap]
+    # one tile's product is the output; several fill a fresh one
+    out = np.empty((*x.shape[:-1], *f.shape[-2:-1], m // 2)) if len(tiles) > 1 else None
+    for lo, hi, copy, _, view, copy_t in tiles:
+        np.copyto(copy, view)
+        if out is None:
+            out = f @ copy
+        else:
+            np.matmul(f, copy, out=out[..., lo:hi])
+        for c, u in enumerate(upstream or ()):
+            part = np.matmul(u[..., None, lo:hi], copy_t, out=None if lo else grad[..., c:c + 1, :])
+            if lo:
+                grad[..., c:c + 1, :] += part
+    return out
 
 
-def upsample_conv(v: tuple[np.ndarray, np.ndarray], f: np.ndarray, x=None):
+def upsample_conv(v: tuple[np.ndarray, np.ndarray], poly: np.ndarray, x=None, grad=None,
+                  scratch=None):
     """out[..., m] = sum_c sum_k v[c][..., k] * f[..., c, (m - 2k) mod 2 half],
-    the transpose of `strided_corr` with the same (..., 2, K) kernel stack,
-    for the channel pair v = (a, d), each (..., half): BLAS matmuls in
-    polyphase form, one tile of `TILE` output pairs at a time (module notes),
-    one per row for a (B, 2, K) stack. Kernel indices wrap (fold) when the
-    kernel is longer than the output.
+    the transpose of `strided_corr` with the same (..., 2, K) kernel stack f,
+    given as its polyphase taps `poly`, for the channel pair v = (a, d), each
+    (..., half): BLAS matmuls in polyphase form, tiled and in `scratch` as in
+    `strided_corr`, one per row for (B, K, 2) taps. Kernel indices wrap
+    (fold) when the kernel is longer than the output.
 
     Given `x`, shaped like `out` or one sample shorter (an odd level input,
-    zero-padded to `out`'s length), returns (out, grad), the gradient of
-    <x, out> on f row by row: grad[..., c, n] = sum_k v[c][..., k] * x[...,
-    (2k + n) mod 2 half], summed over the tiles in tile order."""
+    zero-padded to `out`'s length), also writes into `grad` the gradient of
+    <x, out> on `poly` row by row, summed in tile order; `polyphase` maps it
+    to the gradient on f, grad[..., c, n] = sum_k v[c][..., k] * x[...,
+    (2k + n) mod 2 half]."""
     a, d = v
-    half, taps = a.shape[-1], f.shape[-1] // 2
-    # ext[..., c, i] = v[c][..., (i - taps + 1) mod half], filled once; the
-    # wrap columns repeat the last taps - 1 samples, or gather them when the
-    # channels are shorter than that
-    ext = np.empty((*a.shape[:-1], 2, half + taps - 1))
-    ext[..., 0, taps - 1:], ext[..., 1, taps - 1:] = a, d
-    if half >= taps - 1:
-        ext[..., :taps - 1] = ext[..., half:]
-    else:
-        ext[..., :taps - 1] = ext[..., taps - 1:].take(np.arange(1 - taps, 0) % half, -1)
-    # poly[..., c*taps + s, p] = f[..., c, 2 (taps - 1 - s) + p], copied: of a
-    # reversed stack the reshape is a view with a negative stride, which
-    # matmul rounds another way in a one-row tile
-    poly = np.ascontiguousarray(
-        f.reshape(*f.shape[:-1], taps, 2)[..., ::-1, :].reshape(*f.shape[:-2], 2 * taps, 2))
-    pairs = None if x is None else _even(x).reshape(*x.shape[:-1], half, 2)
-    outs, grad = [], None
-    for lo in range(0, half, TILE):
-        cols = min(TILE, half - lo)
-        # the reshape copies the tile's windows, sample axis contiguous
-        rows = _windows(ext, lo, cols, taps, 1).reshape(*ext.shape[:-2], 2 * taps, cols)
-        tile = rows.swapaxes(-1, -2) @ poly
-        outs.append(tile.reshape(*tile.shape[:-2], 2 * cols))
+    lead, half, taps = a.shape[:-1], a.shape[-1], poly.shape[-2]
+    ext, wrap, tiles = scratch or _scratch(lead, 2 * half, taps, True)
+    # ext[..., c, i] = v[c][..., (i - K/2 + 1) mod half]
+    ext[..., 0, taps // 2 - 1:], ext[..., 1, taps // 2 - 1:] = a, d
+    ext[..., :taps // 2 - 1] = ext[..., half:] if wrap is None else ext[..., taps // 2 - 1:][..., wrap]
+    out = np.empty((*lead, half, 2)) if len(tiles) > 1 else None  # as in `strided_corr`
+    if x is not None:
+        pairs = _even(x).reshape(*x.shape[:-1], half, 2)
+    for lo, hi, copy, shaped, view, copy_t in tiles:
+        np.copyto(shaped, view)
+        if out is None:
+            out = copy_t @ poly
+        else:
+            np.matmul(copy_t, poly, out=out[..., lo:hi, :])
         if x is not None:
-            # (rows @ pairs)[..., c*taps + s, p] = grad[..., c, 2 (taps - 1 - s) + p]
-            part = rows @ pairs[..., lo:lo + TILE, :]
-            grad = part if grad is None else grad + part
-    out = outs[0] if len(outs) == 1 else np.concatenate(outs, -1)
-    if x is None:
-        return out
-    grad = grad.reshape(*grad.shape[:-2], 2, taps, 2)
-    return out, grad[..., ::-1, :].reshape(*grad.shape[:-3], 2, 2 * taps)
+            part = np.matmul(copy, pairs[..., lo:hi, :], out=None if lo else grad)
+            if lo:
+                grad += part
+    return out.reshape(*lead, 2 * half)
 
 
 # ---------------------------------------------------------------------------
@@ -225,27 +260,28 @@ def max_depth(length: int) -> int:
     return (int(length) - 1).bit_length() if length >= 2 else 0
 
 
-def analysis_cascade(signal: np.ndarray, banks: list[np.ndarray]):
+def analysis_cascade(signal: np.ndarray, stacks, plan: CascadePlan | None = None):
     """Encoder: level l analyses the previous approximation with the encoder
-    stack of `banks[l]`. Returns (each level's input, details, final
-    approximation)."""
+    stack `stacks[l]`, in `plan`'s scratch when given. Returns (each level's
+    input, details, final approximation)."""
     inputs, details = [], []
     a = signal
-    for bank in banks:
+    for l, stack in enumerate(stacks):
         inputs.append(a)
-        out = strided_corr(a, bank[..., 0, :, :])
+        out = strided_corr(a, stack, scratch=plan and plan.corr[l])
         a = out[..., 0, :]
         details.append(out[..., 1, :])
     return inputs, details, a
 
 
-def synthesis_cascade(approx, details, lengths, banks: list[np.ndarray]) -> list:
-    """Decoder from the deepest level up, level l under the decoder stack of
-    `banks[l]` cut to `lengths[l]` samples. Entry l of the result is the
-    signal at depth l (entry 0 the reconstruction, the last one `approx`)."""
+def synthesis_cascade(approx, details, lengths, taps, plan: CascadePlan | None = None) -> list:
+    """Decoder from the deepest level up, level l under the decoder stack's
+    polyphase taps `taps[l]` cut to `lengths[l]` samples, in `plan`'s scratch
+    when given. Entry l of the result is the signal at depth l (entry 0 the
+    reconstruction, the last one `approx`)."""
     chain = [approx]
-    for l in range(len(banks) - 1, -1, -1):
-        out = upsample_conv((chain[-1], details[l]), banks[l][..., 1, :, :])
+    for l in range(len(taps) - 1, -1, -1):
+        out = upsample_conv((chain[-1], details[l]), taps[l], scratch=plan and plan.conv[l])
         chain.append(out[..., :lengths[l]])
     return chain[::-1]
 
@@ -257,7 +293,7 @@ def cascade_input(signal, levels: int) -> np.ndarray:
     if a.ndim not in (1, 2) or a.shape[-1] < 2 or a.size == 0:
         raise InvalidSignalError(
             "signal must be 1-D, or a (B, N) block, with at least 2 samples")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidSignalError("signal holds non-finite samples")
     n = a.shape[-1]
     if not 1 <= levels <= max_depth(n):

@@ -1,9 +1,11 @@
-"""Session fixtures shared by the acceptance suite.
+"""Session fixtures shared by the acceptance suite, and a call counter.
 
 The expensive pipelines (training, feature extraction, scoring) run once per
 tag; the determinism criterion compares the two tagged runs bit for bit.
 """
 
+import gc
+import sys
 import time
 
 import numpy as np
@@ -101,3 +103,37 @@ def detect_runs():
 @pytest.fixture(scope="session")
 def classify_runs():
     return {tag: _classify_pipeline() for tag in ("first", "second")}
+
+
+def _count_calls(fn, *args):
+    """The calls one warm call `fn(*args)` makes, after one warm-up call,
+    counted under sys.setprofile in call order: ("python", name) for a
+    function written in Python, ("c", name) for a C function or method.
+    Python-level calls include numpy's own wrappers, so the counts belong to
+    one numpy version; a ufunc call (np.matmul, an operator) is neither."""
+    fn(*args)
+    calls = []
+    # no collection mid-count: a finalizer it runs would count as a call
+    collecting = gc.isenabled()
+    gc.disable()
+
+    def record(frame, event, arg):
+        if event == "call":
+            calls.append(("python", frame.f_code.co_name))
+        elif event == "c_call":
+            calls.append(("c", arg.__name__))
+
+    sys.setprofile(record)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    assert calls.pop() == ("c", "setprofile")  # the call that ends the count
+    return calls
+
+
+@pytest.fixture
+def count_calls():
+    return _count_calls

@@ -1,7 +1,6 @@
 """Latent features, one-class scoring, AUC and dictionary classification."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -273,28 +272,14 @@ class TestOneClassElm:
                         output_weights=np.ones(1), scaler_mean=np.zeros(2),
                         scaler_std=np.array([1.0, std]), ridge_lambda=1.0, seed=0)
 
-    def test_one_score_makes_three_python_and_three_c_calls(self):
+    def test_one_score_makes_three_python_and_three_c_calls(self, count_calls):
         # a warm score, counted under sys.setprofile: 9 Python-level and 6
         # C-level calls before the scoring map was folded at construction
         feats = _feature_cloud(np.random.default_rng(10), 20, self.CENTER)
         elm = elm_fit(feats, neurons=10, ridge_lambda=1e-3, seed=0)
-        elm_score(elm, feats[0])
-        calls = []
-
-        def record(frame, event, arg):
-            if event == "call":
-                calls.append(("python", frame.f_code.co_name))
-            elif event == "c_call":
-                calls.append(("c", arg.__name__))
-
-        sys.setprofile(record)
-        try:
-            elm_score(elm, feats[0])
-        finally:
-            sys.setprofile(None)
-        assert calls.pop() == ("c", "setprofile")  # the call that ends the count
-        assert calls == [("python", "elm_score"), ("python", "vector"),
-                         ("python", "tanh_layer"), ("c", "dot"), ("c", "dot"), ("c", "abs")]
+        assert count_calls(elm_score, elm, feats[0]) == [
+            ("python", "elm_score"), ("python", "vector"), ("python", "tanh_layer"),
+            ("c", "dot"), ("c", "dot"), ("c", "abs")]
 
 
 def _auc_bruteforce(scores, labels):

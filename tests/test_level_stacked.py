@@ -54,9 +54,11 @@ from wavelearn.network import (
 )
 from wavelearn.training import backward_full, residual_sign
 from wavelearn.wavelet import (
+    CascadePlan,
     analysis_cascade,
     cascade_input,
     max_depth,
+    polyphase,
     strided_corr,
     synthesis_cascade,
     upsample_conv,
@@ -100,7 +102,7 @@ def oracle_forward(model, signal):
         banks = [oracle_bank(model, 0)] * model.levels
     else:
         banks = [oracle_bank(model, l) for l in range(model.levels)]
-    inputs, details_pre, approx = analysis_cascade(signal, banks)
+    inputs, details_pre, approx = analysis_cascade(signal, [b[..., 0, :, :] for b in banks])
     pre_lengths = [a.shape[-1] for a in inputs]
     details, gates = details_pre, []
     if model.mode.trains_thresholds:
@@ -113,7 +115,8 @@ def oracle_forward(model, signal):
     return dict(banks=banks, inputs=inputs, pre_lengths=pre_lengths,
                 details_pre=details_pre, details=details, gates=gates,
                 approx=approx,
-                recon_chain=synthesis_cascade(approx, details, pre_lengths, banks))
+                recon_chain=synthesis_cascade(approx, details, pre_lengths,
+                                              [polyphase(b[..., 1, :, :]) for b in banks]))
 
 
 def oracle_loss_terms(trace, signal, gamma):
@@ -141,7 +144,8 @@ def oracle_backward(signal, model, gamma):
     grad_d = []
     for l in range(model.levels):
         upstream = (trace["recon_chain"][l + 1], details[l])
-        out, dec_grads[l] = strided_corr(g_x, trace["banks"][l][..., 1, :, :], upstream)
+        dec_grads[l] = np.empty(signal.shape[:-1] + trace["banks"][l].shape[-2:])
+        out = strided_corr(g_x, trace["banks"][l][..., 1, :, :], upstream, dec_grads[l])
         g_x, g_d = out[..., 0, :], out[..., 1, :]
         grad_d.append(gamma / m_coeff * np.sign(details[l]) + g_d)
     g_a = g_x + gamma / m_coeff * np.sign(approx)
@@ -154,8 +158,10 @@ def oracle_backward(signal, model, gamma):
             grads["b_minus"][..., l] = np.sum(grad_d[l] * dy_dbm, axis=-1)
         else:
             g_dpre = grad_d[l]
-        out, grad = upsample_conv((g_a, g_dpre), trace["banks"][l][..., 0, :, :],
-                                  trace["inputs"][l])
+        grad = np.empty(signal.shape[:-1] + trace["banks"][l].shape[-1:] + (2,))
+        out = upsample_conv((g_a, g_dpre), polyphase(trace["banks"][l][..., 0, :, :]),
+                            trace["inputs"][l], grad)
+        grad = polyphase(grad.reshape(*grad.shape[:-2], 2, -1)).reshape(*grad.shape[:-2], 2, -1)
         g_a = out[..., :trace["pre_lengths"][l]]
         bank_grads[l] = np.stack((grad, dec_grads[l]), -3)
     for l, bank_grad in enumerate(bank_grads):
@@ -177,6 +183,16 @@ def assert_near(got, want, scale):
     """|got - want| <= scale, elementwise."""
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= scale)
+
+
+def assert_same_trace(got, want):
+    """Every array of two forward traces byte for byte equal."""
+    for name in ("inputs", "details_pre", "details", "gates", "approx", "recon_chain"):
+        a, b = getattr(got, name), getattr(want, name)
+        a, b = (a, b) if isinstance(a, (list, tuple)) else ([a], [b])
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_bytes_equal(x, y)
 
 
 def magnitude(trace, signal):
@@ -261,6 +277,11 @@ class TestAgainstPerLevelOracle:
             assert_near(got, want, LOSS_REL * (np.abs(want) + m))
 
         triple, grads = backward_full(signal, model)
+        # a plan's scratch changes no bit of the trace, losses or gradient
+        plan = CascadePlan(signal.shape, model.levels, model.kernel_size)
+        assert_same_trace(forward_trace(model, signal, plan), trace)
+        planned_triple, planned_grads = backward_full(signal, model, plan)
+        assert planned_triple == triple and planned_grads.tobytes() == grads.tobytes()
         expect_triple, expect_grads = oracle_backward(signal, model, gamma)
         assert_near(np.array(triple), np.array(expect_triple),
                     LOSS_REL * (np.abs(expect_triple) + (rows or 1) * m))
@@ -281,6 +302,8 @@ class TestAgainstPerLevelOracle:
         trace = forward_trace(model, block)
         expect = oracle_forward(model, block)
         assert_matches_oracle(model, trace, expect, block)
+        plan = CascadePlan(block.shape, model.levels, model.kernel_size)
+        assert_same_trace(forward_trace(model, block, plan), trace)
         for got, want in zip(loss_terms(trace, block, 1.0),
                              oracle_loss_terms(expect, block, 1.0)):
             assert_near(got, want, LOSS_REL * (np.abs(want) + magnitude(trace, block)))

@@ -22,7 +22,13 @@ from wavelearn.network import (
     model_forward,
 )
 from wavelearn.training import backward_full
-from wavelearn.wavelet import DB4_SCALING, analysis_cascade, cqf_from_scaling, synthesis_cascade
+from wavelearn.wavelet import (
+    DB4_SCALING,
+    analysis_cascade,
+    cqf_from_scaling,
+    polyphase,
+    synthesis_cascade,
+)
 
 S = math.sqrt(0.5)
 
@@ -148,9 +154,9 @@ def _count_calls(monkeypatch, modules, name, call):
     of `modules` (a module that imports a function by name holds its own)."""
     calls = []
     for module in modules:
-        def counted(*args, original=getattr(module, name)):
+        def counted(*args, original=getattr(module, name), **kwargs):
             calls.append(1)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     call()
@@ -322,7 +328,7 @@ class TestImmutable:
     parameters can go stale."""
 
     @pytest.mark.parametrize("name", ["levels", "kernel_size", "mode", "gamma",
-                                      "params", "banks", "other"])
+                                      "params", "banks", "operands", "other"])
     def test_assigning_an_attribute_raises(self, name):
         model = WaveletNet(3, 8, SharingMode.PER_LEVEL_CQF_HT)
         model.banks  # derived and kept, as after a forward pass
@@ -341,7 +347,7 @@ class TestImmutable:
                 model.params[name][...] = 0.5
         with pytest.raises(TypeError):
             model.params["b_plus"] = np.ones(3)
-        for bank in model.banks:
+        for bank in model.banks + sum(model.operands, ()):
             with pytest.raises(ValueError, match="read-only"):
                 bank[...] = 0.5
         assert np.array_equal(model.get_parameters(), want)
@@ -349,10 +355,10 @@ class TestImmutable:
 
     def test_banks_kept_from_the_first_use(self):
         model = WaveletNet(4, 8, SharingMode.PER_LEVEL_CQF_HT)
-        banks = model.banks
+        banks, operands = model.banks, model.operands
         assert isinstance(banks, tuple) and model.banks is banks
         model_forward(np.ones(64), model)
-        assert model.banks is banks
+        assert model.banks is banks and model.operands is operands
 
 
 class TestModelForward:
@@ -363,7 +369,7 @@ class TestModelForward:
         for n in (64, 625, 1024):
             x = rng.normal(size=n)
             rec = model_forward(x, model)
-            _, details, approx = analysis_cascade(x, [bank] * 5)
+            _, details, approx = analysis_cascade(x, [bank[0]] * 5)
             assert np.abs(rec.reconstruction - x).max() <= 1e-8
             for da, db in zip(rec.levels(rec.details), details):
                 np.testing.assert_allclose(da, db, rtol=0, atol=1e-12)
@@ -382,7 +388,7 @@ class TestModelForward:
         expected = synthesis_cascade(
             rec.approx, [np.zeros_like(d) for d in rec.levels(rec.details)],
             [a.shape[-1] for a in rec.inputs],
-            [cqf_from_scaling(DB4_SCALING)] * model.levels)[0]
+            [polyphase(cqf_from_scaling(DB4_SCALING)[1])] * model.levels)[0]
         np.testing.assert_allclose(rec.reconstruction, expected, rtol=0, atol=1e-12)
 
     def test_constraint_maintained_after_any_assignment(self):

@@ -1,6 +1,8 @@
 """Gradient correctness against the finite-difference oracle, optimizer
 behavior, and the training loop contract."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,9 @@ from wavelearn.network import (
 )
 from wavelearn import training
 from wavelearn.wavelet import (
+    CascadePlan,
     max_depth,
+    polyphase,
     strided_corr,
     upsample_conv,
 )
@@ -66,8 +70,8 @@ class TestBackward:
     def test_scalar_at_a_kink_is_neither_checked_nor_failed(self, monkeypatch):
         real = training.kink_free_difference
 
-        def kink_at_zero(signal, model, index, steps):
-            return None if index == 0 else real(signal, model, index, steps)
+        def kink_at_zero(signal, model, index, steps, plan=None):
+            return None if index == 0 else real(signal, model, index, steps, plan)
 
         monkeypatch.setattr(training, "kink_free_difference", kink_at_zero)
         report = gradient_check(SharingMode.SHARED_CQF, seed=0, n_seeds=2)
@@ -160,7 +164,8 @@ def _backward_written_out(signal, model, gamma):
         v = trace.recon_chain[l + 1]
         gy = np.zeros(2 * v.size)
         gy[: trace.inputs[l].size] = g_x
-        (g_x, g), grad = strided_corr(gy, bank[1], (v, details[l]))
+        grad = np.empty((2, bank.shape[-1]))
+        g_x, g = strided_corr(gy, bank[1], (v, details[l]), grad)
         synth_grads.append(grad)
         g_d.append(g)
     g_details = scale * np.sign(trace.details) + np.concatenate(g_d)
@@ -178,7 +183,9 @@ def _backward_written_out(signal, model, gamma):
         g_dpre = trace.levels(g_pre)[l]
         x_pad = np.zeros(2 * g_a.size)
         x_pad[: trace.inputs[l].size] = trace.inputs[l]
-        g_pad, analysis_grads[l] = upsample_conv((g_a, g_dpre), bank[0], x_pad)
+        grad = np.empty((bank.shape[-1], 2))
+        g_pad = upsample_conv((g_a, g_dpre), polyphase(bank[0]), x_pad, grad)
+        analysis_grads[l] = polyphase(grad.reshape(2, -1)).reshape(2, -1)
         g_a = g_pad[: trace.inputs[l].size]
     kernels = scheme.fold(np.stack((np.stack(analysis_grads), np.stack(synth_grads)), 1))
     grads["kernels"] = kernels.sum(0, keepdims=True) if scheme.shared else kernels
@@ -267,7 +274,7 @@ class TestBlockPath:
         real = training.backward_full
         windows = []
 
-        def per_window(block, model):
+        def per_window(block, model, plan=None):
             total, grad = np.zeros(3), 0.0
             for x in block:
                 triple, flat = real(x, model)
@@ -282,6 +289,120 @@ class TestBlockPath:
         block = np.array(detect_runs["first"]["report"].loss_history)
         assert loop.shape == block.shape == (config.epochs, 3)
         assert np.max(np.abs(block - loop) / np.abs(loop)) <= 1e-4
+
+
+def _perturbed(mode, levels, rng, k=8):
+    model = WaveletNet(levels, k, mode, gamma=0.7)
+    vec = model.get_parameters()
+    return model.with_parameters(vec + rng.normal(0.0, 0.05, vec.size))
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCascadePlans:
+    """A plan only lends scratch: every array of a trace, the loss triple and
+    the gradient are byte for byte those of the no-plan path, and none of
+    them is part of the plan, so later calls on it leave them alone."""
+
+    @pytest.mark.parametrize("mode", list(SharingMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("shape", [(7,), (33,), (3, 100), (625,), (2, 1024)])
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_equal_to_the_no_plan_path(self, mode, shape, k):
+        # full depth, where the deepest kernels wrap around their inputs
+        rng = np.random.default_rng(shape[-1] + k)
+        model = _perturbed(mode, max_depth(shape[-1]), rng, k)
+        x = rng.normal(size=shape)
+        plan = CascadePlan(shape, model.levels, model.kernel_size)
+        want = _trace_arrays(forward_trace(model, x))
+        triple, grad = backward_full(x, model)
+        for _ in range(2):  # a fresh plan and a used one
+            _assert_same_bytes(_trace_arrays(forward_trace(model, x, plan)), want)
+            got_triple, got_grad = backward_full(x, model, plan)
+            assert got_triple == triple
+            assert got_grad.tobytes() == grad.tobytes()
+
+    def test_results_outlive_later_calls_on_the_plan(self):
+        rng = np.random.default_rng(1)
+        model = _perturbed(SharingMode.PER_LEVEL_CQF_HT, 10, rng)
+        x, y, z = rng.normal(size=(3, 8, 1024))
+        plan = CascadePlan(x.shape, 10, 8)
+        trace = forward_trace(model, x, plan)
+        kept = [a.copy() for a in _trace_arrays(trace)]
+        _, grad = backward_full(x, model, plan)
+        kept_grad = grad.copy()
+        forward_trace(model, y, plan)
+        backward_full(z, model, plan)
+        _assert_same_bytes(_trace_arrays(trace), kept)
+        assert grad.tobytes() == kept_grad.tobytes()
+
+    def test_two_threads_with_two_plans_give_the_serial_results(self):
+        rng = np.random.default_rng(2)
+        model = _perturbed(SharingMode.FREE_HT, 8, rng)
+        blocks = rng.normal(size=(2, 6, 4, 300))
+        serial = [[backward_full(x, model)[1] for x in rows] for rows in blocks]
+        results = [[], []]
+
+        def run(t):
+            plan = CascadePlan(blocks[t, 0].shape, 8, 8)
+            for _ in range(5):
+                results[t].append([backward_full(x, model, plan)[1] for x in blocks[t]])
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        for t in range(2):
+            assert len(results[t]) == 5
+            for grads in results[t]:
+                _assert_same_bytes(grads, serial[t])
+
+    @pytest.mark.parametrize("shape, levels, taps", [
+        ((8, 1024), 10, 8), ((1024,), 10, 8), ((8, 512), 10, 8), ((8, 1024), 9, 8),
+        ((8, 1024), 10, 4)])
+    def test_plan_of_another_shape_rejected(self, shape, levels, taps):
+        model = WaveletNet(10, 8, SharingMode.PER_LEVEL_CQF_HT)
+        x = np.zeros((8, 1024))
+        plan = CascadePlan(shape, levels, taps)
+        if plan.key == (x.shape, 10, 8):
+            assert forward_trace(model, x, plan).reconstruction.shape == x.shape
+            return
+        with pytest.raises(ConfigError, match="plan"):
+            forward_trace(model, x, plan)
+        with pytest.raises(ConfigError, match="plan"):
+            backward_full(x, model, plan)
+
+
+class TestCallCounts:
+    """Exact call counts of one warm pass at (8, 1 024), L = 10, despawn,
+    measured with numpy 2.4.6; they include numpy's own Python wrappers, so
+    another numpy version may move them. Before the level ops took plans
+    and precomputed operands, the forward made 95 Python-level and 214
+    C-level calls and the backward 256 and 494, db4-ht's backward 255 and
+    495."""
+
+    @staticmethod
+    def _tally(calls):
+        return (sum(kind == "python" for kind, _ in calls),
+                sum(kind == "c" for kind, _ in calls))
+
+    @pytest.mark.parametrize("mode, planned, forward, backward", [
+        ("despawn", False, (80, 184), (193, 384)),
+        ("despawn", True, (60, 70), (153, 156)),
+        ("db4-ht", False, (80, 184), (182, 375)),
+        ("db4-ht", True, (60, 70), (142, 147)),
+    ])
+    def test_counts(self, count_calls, mode, planned, forward, backward):
+        model = _perturbed(SharingMode(mode), 10, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(8, 1024))
+        plan = (CascadePlan(x.shape, 10, 8),) if planned else ()
+        assert self._tally(count_calls(forward_trace, model, x, *plan)) == forward
+        assert self._tally(count_calls(backward_full, x, model, *plan)) == backward
 
 
 class TestProperties:
@@ -485,18 +606,24 @@ class TestTrainLoop:
     def test_a_batch_runs_in_blocks_of_at_most_block_samples(self,
                                                              monkeypatch):
         real = training.backward_full
-        shapes = []
+        shapes, plans = [], {}
 
-        def recorded(block, model):
+        def recorded(block, model, plan=None):
             shapes.append(block.shape)
-            return real(block, model)
+            assert plans.setdefault(block.shape, plan) is plan
+            return real(block, model, plan)
 
         monkeypatch.setattr("wavelearn.training.backward_full", recorded)
         monkeypatch.setattr("wavelearn.training.BLOCK_SAMPLES", 3 * 256)
         train(_sinusoid_set(n_signals=12), SharingMode.PER_LEVEL_CQF_HT,
               TrainConfig(epochs=1, levels=5, batch_size=8))
         assert shapes == [(3, 256), (3, 256), (2, 256), (3, 256), (1, 256)]
+        # one plan per block shape, kept for the whole run
+        assert {shape: plan.key for shape, plan in plans.items()} == {
+            shape: (shape, 5, 8) for shape in shapes}
+        assert len(set(map(id, plans.values()))) == 3
         shapes.clear()
+        plans.clear()
         monkeypatch.setattr("wavelearn.training.BLOCK_SAMPLES", 100)
         train(_sinusoid_set(n_signals=3), SharingMode.PER_LEVEL_CQF_HT,
               TrainConfig(epochs=1, levels=5, batch_size=2))

@@ -17,11 +17,12 @@ from wavelearn.training import backward_full
 from wavelearn.wavelet import (
     DB4_SCALING,
     HAAR_SCALING,
-    _periodic_ext,
+    CascadePlan,
     analysis_cascade,
     cascade_input,
     cqf_from_scaling,
     max_depth,
+    polyphase,
     strided_corr,
     synthesis_cascade,
     upsample_conv,
@@ -32,6 +33,26 @@ S = math.sqrt(0.5)
 # by reversal: h_bar[n] = h[K-1-n], g_bar[n] = g[K-1-n]
 two_kernel_bank = SharingMode.PER_LEVEL_TWO_KERNEL_HT.scheme.derive
 DB4_BANK = cqf_from_scaling(DB4_SCALING)
+
+
+def corr(x, f, upstream=None, **kwargs):
+    """`strided_corr`; given `upstream`, (out, the kernel gradient it writes)."""
+    if upstream is None:
+        return strided_corr(x, f, **kwargs)
+    grad = np.empty((*x.shape[:-1], len(upstream), f.shape[-1]))
+    return strided_corr(x, f, upstream, grad, **kwargs), grad
+
+
+def synth(v, f, x=None, **kwargs):
+    """`upsample_conv` under the (..., 2, K) kernel stack `f`, through its
+    polyphase taps; given `x`, (out, the kernel gradient it writes, mapped
+    back onto the stack by `polyphase` as well)."""
+    if x is None:
+        return upsample_conv(v, polyphase(f), **kwargs)
+    grad = np.empty((*v[0].shape[:-1], f.shape[-1], 2))
+    out = upsample_conv(v, polyphase(f), x, grad, **kwargs)
+    stack = grad.reshape(*grad.shape[:-2], 2, -1)
+    return out, polyphase(stack).reshape(stack.shape)
 
 
 def kernels(bank):
@@ -107,14 +128,14 @@ class TestCqfConstruction:
 def decompose(x, bank, levels):
     """(level input lengths, details, approximation) of a `levels`-deep
     cascade with one bank at every level."""
-    inputs, details, approx = analysis_cascade(cascade_input(x, levels), [bank] * levels)
+    inputs, details, approx = analysis_cascade(cascade_input(x, levels), [bank[0]] * levels)
     return [a.shape[-1] for a in inputs], details, approx
 
 
 def roundtrip(x, bank, levels):
     """`x` decomposed `levels` deep with one bank and reconstructed."""
     lengths, details, approx = decompose(x, bank, levels)
-    return synthesis_cascade(approx, details, lengths, [bank] * levels)[0]
+    return synthesis_cascade(approx, details, lengths, [polyphase(bank[1])] * levels)[0]
 
 
 def analyze(x, bank):
@@ -126,7 +147,7 @@ def analyze(x, bank):
 def synthesize(a, d, bank, n):
     """Inverse of a one-level cascade, truncated to `n` samples."""
     return synthesis_cascade(np.asarray(a, dtype=float), [np.asarray(d, dtype=float)],
-                             [n], [bank])[0]
+                             [n], [polyphase(bank[1])])[0]
 
 
 class TestAnalyzeLevel:
@@ -202,12 +223,12 @@ class TestAdjointness:
         rng = np.random.default_rng(seed)
         banks = [rng.normal(size=(2, 2, k)) for _ in range(max_depth(n))]
         u = rng.normal(size=n)
-        inputs, details, approx = analysis_cascade(u, banks)
+        inputs, details, approx = analysis_cascade(u, [bank[0] for bank in banks])
         lengths = [a.shape[-1] for a in inputs]
         w_d = [rng.normal(size=d.size) for d in details]
         w_a = rng.normal(size=approx.size)
         lhs = np.dot(approx, w_a) + sum(np.dot(d, w) for d, w in zip(details, w_d))
-        swapped = [bank[::-1] for bank in banks]
+        swapped = [polyphase(bank[::-1][1]) for bank in banks]
         rhs = np.dot(u, synthesis_cascade(w_a, w_d, lengths, swapped)[0])
         scale = abs(np.dot(approx, w_a)) + sum(
             abs(np.dot(d, w)) for d, w in zip(details, w_d))
@@ -342,12 +363,14 @@ class TestPolyphaseSynthesis:
         v[rng.random(v.shape) < zeros / 2] = -0.0
         synthesis = rng.normal(size=(2, taps))
         f = synthesis[:, ::-1] if reversed_view else synthesis
-        got = upsample_conv(tuple(v), f)
+        got = synth(tuple(v), f)
         # each output sums K products either way, so each side is within
         # (K/2) eps of the exact sum of absolute terms (float64 unit
         # roundoff eps/2 per addition); the two differ by at most K eps
         bound = taps * np.finfo(float).eps * roll_sum(np.abs(v), np.abs(f))
         assert np.all(np.abs(got - roll_sum(v, f)) <= bound)
+        planned = synth(tuple(v), f, scratch=CascadePlan((2 * half,), 1, taps).conv[0])
+        assert planned.tobytes() == got.tobytes()
 
     def test_negative_zero_gradient_gives_the_roll_loop_values(self):
         # with 8 samples every product is exact (g = +-1/8) and at most two
@@ -357,7 +380,7 @@ class TestPolyphaseSynthesis:
         assert np.signbit(g[0])  # -0.0 in the input
         v = np.stack((g, np.zeros_like(g)))
         for f in (DB4_BANK[0], DB4_BANK[1], cqf_from_scaling(HAAR_SCALING)[0]):
-            assert np.array_equal(upsample_conv(tuple(v), f), roll_sum(v, f))
+            assert np.array_equal(synth(tuple(v), f), roll_sum(v, f))
 
     @pytest.mark.parametrize("lead", [(), (8,)], ids=["window", "block"])
     def test_reversed_view_of_a_stack_gives_its_bytes(self, lead):
@@ -371,7 +394,7 @@ class TestPolyphaseSynthesis:
             assert view.strides[-1] < 0 and np.array_equal(view, f)
             v = rng.normal(size=(*lead, 2, 1))
             pair = (v[..., 0, :], v[..., 1, :])
-            assert upsample_conv(pair, view).tobytes() == upsample_conv(pair, f).tobytes()
+            assert synth(pair, view).tobytes() == synth(pair, f).tobytes()
 
     def test_kernel_longer_than_output_wraps(self):
         v = np.array([[1.5, -2.0], [0.5, 3.0]])
@@ -381,7 +404,7 @@ class TestPolyphaseSynthesis:
             for k in range(v.shape[1]):
                 for n in range(f.shape[1]):
                     expect[(2 * k + n) % 4] += v[c, k] * f[c, n]
-        np.testing.assert_allclose(upsample_conv(tuple(v), f), expect, rtol=0,
+        np.testing.assert_allclose(synth(tuple(v), f), expect, rtol=0,
                                    atol=1e-12)
 
     @settings(max_examples=300, deadline=None)
@@ -397,18 +420,31 @@ class TestPolyphaseSynthesis:
         y = rng.normal(size=(rows, 2, half))
         f = rng.normal(size=(rows, 2, taps) if per_row else (2, taps))
         lhs = np.sum(strided_corr(x, f) * y)
-        rhs = np.sum(x * upsample_conv((y[:, 0], y[:, 1]), f))
+        rhs = np.sum(x * synth((y[:, 0], y[:, 1]), f))
         # either side sums each of its (K + B N) absolute terms at most once
         # per rounding, so each is within (K + B N) eps/2 of the exact sum
         terms = np.sum(strided_corr(np.abs(x), np.abs(f)) * np.abs(y))
         assert abs(lhs - rhs) <= (taps + x.size) * np.finfo(float).eps * terms
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 40), after=st.integers(0, 130))
-    def test_periodic_ext_is_modular_indexing(self, n, after):
-        x = np.random.default_rng(n).normal(size=n)
-        got = _periodic_ext(x, after)
-        assert got.tobytes() == x[np.arange(n + after) % n].tobytes()
+    @given(n=st.integers(1, 40), taps=st.integers(1, 66).map(lambda t: 2 * t))
+    def test_periodic_ext_is_modular_indexing(self, n, taps):
+        # the extensions the level ops fill in their scratch: the zero-padded
+        # input, then its first K - 2 samples in analysis; each channel after
+        # its last K/2 - 1 in synthesis; wrapping several times when the
+        # kernel outgrows the input
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        m = n + n % 2
+        corr = wavelet._scratch((), n, taps, False)
+        strided_corr(x, np.ones((2, taps)), scratch=corr)
+        padded = np.concatenate([x, np.zeros(n % 2)])
+        assert corr[0].tobytes() == padded[np.arange(m + taps - 2) % m].tobytes()
+        v = rng.normal(size=(2, m // 2))
+        conv = wavelet._scratch((), n, taps, True)
+        upsample_conv(tuple(v), np.ones((taps, 2)), scratch=conv)
+        wrapped = v[:, np.arange(1 - taps // 2, m // 2) % (m // 2)]
+        assert conv[0].tobytes() == wrapped.tobytes()
 
 
 def corr_sum(x, f):
@@ -479,14 +515,14 @@ class TestStridedCorr:
             got = strided_corr(block, encoder)
             want = strided_corr(copies[0], encoder)
             assert got.tobytes() == want.tobytes()
-            got = upsample_conv((approx, detail), decoder)[..., :n]
-            want = upsample_conv((copies[1], copies[2]), decoder)[..., :n]
+            got = synth((approx, detail), decoder)[..., :n]
+            want = synth((copies[1], copies[2]), decoder)[..., :n]
             assert got.tobytes() == want.tobytes()
-            for got, want in zip(strided_corr(block, encoder, (up_a, up_d)),
-                                 strided_corr(copies[0], encoder, copies[3:5])):
+            for got, want in zip(corr(block, encoder, (up_a, up_d)),
+                                 corr(copies[0], encoder, copies[3:5])):
                 assert got.tobytes() == want.tobytes()
-            for got, want in zip(upsample_conv((approx, detail), decoder, x),
-                                 upsample_conv((copies[1], copies[2]), decoder, copies[5])):
+            for got, want in zip(synth((approx, detail), decoder, x),
+                                 synth((copies[1], copies[2]), decoder, copies[5])):
                 assert got.tobytes() == want.tobytes()
 
 
@@ -507,12 +543,12 @@ class TestOddLengthsPadInside:
         out = strided_corr(x, stack)
         assert out.shape == (*lead, 2, half)
         assert out.tobytes() == strided_corr(padded, stack).tobytes()
-        for got, want in zip(strided_corr(x, stack, up), strided_corr(padded, stack, up)):
+        for got, want in zip(corr(x, stack, up), corr(padded, stack, up)):
             assert got.tobytes() == want.tobytes()
-        synth, grad = upsample_conv(up, stack, x)
-        assert synth.shape == padded.shape
-        assert synth.tobytes() == upsample_conv(up, stack).tobytes()
-        for got, want in zip((synth, grad), upsample_conv(up, stack, padded)):
+        out, grad = synth(up, stack, x)
+        assert out.shape == padded.shape
+        assert out.tobytes() == synth(up, stack).tobytes()
+        for got, want in zip((out, grad), synth(up, stack, padded)):
             assert got.tobytes() == want.tobytes()
 
 
@@ -554,10 +590,10 @@ class TestKernelGradient:
         # sum of absolute terms
         bound = half * np.finfo(float).eps * grad_sum(np.abs(u), np.abs(x), taps)
         pair = (u[..., 0, :], u[..., 1, :])
-        out, corr_grad = strided_corr(x, f, pair)
+        out, corr_grad = corr(x, f, pair)
         assert out.tobytes() == strided_corr(x, f).tobytes()
-        out, conv_grad = upsample_conv(pair, f, x)
-        assert out.tobytes() == upsample_conv(pair, f).tobytes()
+        out, conv_grad = synth(pair, f, x)
+        assert out.tobytes() == synth(pair, f).tobytes()
         for got in (corr_grad, conv_grad):
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= bound)
@@ -572,7 +608,7 @@ class TestKernelGradient:
                 for n in range(10):
                     expect[c, n] += u[c, k] * x[(2 * k + n) % 4]
         f = np.ones((2, 10))
-        for got in (strided_corr(x, f, tuple(u))[1], upsample_conv(tuple(u), f, x)[1]):
+        for got in (corr(x, f, tuple(u))[1], synth(tuple(u), f, x)[1]):
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
 
@@ -614,12 +650,17 @@ class TestTiles:
         pair = (u[..., 0, :], u[..., 1, :])
         eps = np.finfo(float).eps
         monkeypatch.setattr(wavelet, "TILE", tile)
-        out, corr_grad = strided_corr(x, f, pair)
+        out, corr_grad = corr(x, f, pair)
         assert out.tobytes() == strided_corr(x, f).tobytes()
+        plan = CascadePlan(x.shape, 1, taps)
+        for got, want in ((corr(x, f, pair, scratch=plan.corr[0]), (out, corr_grad)),
+                          (synth(pair, f, x, scratch=plan.conv[0]), synth(pair, f, x))):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
         assert np.all(np.abs(out - corr_sum(x, f))
                       <= taps * eps * corr_sum(np.abs(x), np.abs(f)))
-        out, conv_grad = upsample_conv(pair, f, x)
-        assert out.tobytes() == upsample_conv(pair, f).tobytes()
+        out, conv_grad = synth(pair, f, x)
+        assert out.tobytes() == synth(pair, f).tobytes()
         assert np.all(np.abs(out - conv_sum(u, f))
                       <= taps * eps * conv_sum(np.abs(u), np.abs(f)))
         want = grad_sum(u, x, taps)
@@ -635,12 +676,19 @@ class TestTiles:
         # `TILE`; only the gradients add their tiles' partial sums
         x, u, f = self.operands(lead, 197, 8, per_row)
         pair = (u[..., 0, :], u[..., 1, :])
-        untiled = (strided_corr(x, f, pair), upsample_conv(pair, f, x))
+        untiled = (corr(x, f, pair), synth(pair, f, x))
         monkeypatch.setattr(wavelet, "TILE", 64)
-        for (out, grad), (want_out, want_grad) in zip(
-                (strided_corr(x, f, pair), upsample_conv(pair, f, x)), untiled):
+        tiled = (corr(x, f, pair), synth(pair, f, x))
+        for (out, grad), (want_out, want_grad) in zip(tiled, untiled):
             assert out.tobytes() == want_out.tobytes()
             assert np.max(np.abs(grad - want_grad)) <= 1e-13 * np.max(np.abs(want_grad))
+        # the four tiles of a plan's scratch keep every bit of the tiled ops
+        plan = CascadePlan(x.shape, 1, 8)
+        planned = (corr(x, f, pair, scratch=plan.corr[0]),
+                   synth(pair, f, x, scratch=plan.conv[0]))
+        for got, want in zip(planned, tiled):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("mode", [m for m in SharingMode if m.scheme.kinds],
                              ids=lambda m: m.value)
@@ -677,21 +725,24 @@ class TestOneBankPerRow:
         x[rng.random(x.shape) < 0.2] = 0.0
         out = strided_corr(x, bank[:, 0])
         a, d = out[..., 0, :], out[..., 1, :]
-        back = upsample_conv((a, d), bank[:, 1])[..., :n]
+        back = synth((a, d), bank[:, 1])[..., :n]
+        plan = CascadePlan(x.shape, 1, k)
+        assert strided_corr(x, bank[:, 0], scratch=plan.corr[0]).tobytes() == out.tobytes()
+        assert synth((a, d), bank[:, 1], scratch=plan.conv[0])[..., :n].tobytes() == back.tobytes()
         for r in range(rows):
             for got, want in zip(kernels(bank), kernels(lone[r])):
                 assert got[r].tobytes() == want.tobytes()
             expect = strided_corr(x[r], lone[r][0])
             for got, want in zip((a, d), expect):
                 assert got[r].tobytes() == want.tobytes()
-            want = upsample_conv((expect[0], expect[1]), lone[r][1])[..., :n]
+            want = synth((expect[0], expect[1]), lone[r][1])[..., :n]
             assert back[r].tobytes() == want.tobytes()
 
     def test_one_kernel_serves_every_row(self):
         v = np.random.default_rng(3).normal(size=(3, 2, 16))
         f = np.random.default_rng(4).normal(size=(2, 8))
-        out = upsample_conv((v[:, 0], v[:, 1]), np.tile(f, (3, 1, 1)))
-        assert out.tobytes() == upsample_conv((v[:, 0], v[:, 1]), f).tobytes()
+        out = synth((v[:, 0], v[:, 1]), np.tile(f, (3, 1, 1)))
+        assert out.tobytes() == synth((v[:, 0], v[:, 1]), f).tobytes()
 
     def test_odd_or_mismatched_row_kernels_rejected(self):
         with pytest.raises(InvalidKernelError):
