@@ -281,7 +281,7 @@ def dict_train(class_datasets: dict[str, list], mode: SharingMode,
         raise ConfigError("classification needs at least two classes")
     _check_labels(class_datasets)
     for label, signals in class_datasets.items():
-        if not signals:
+        if len(signals) == 0:
             raise ConfigError(f"class {label!r} has no training signals")
     reports = {}
     models = {}

@@ -20,11 +20,11 @@ and how each level's filter bank follows from them. The table
 forward pass, the gradient and persistence read it and never branch on the
 mode. A model keeps its kernels as one level-stacked array,
 ``params["kernels"]``, whose level axis has length 1 when the scheme shares
-one set across levels (layout in `KernelScheme`). `WaveletNet.banks` derives
-every level's bank from it in one call of the scheme, level l's bank being
-a view into the result, and the backward pass folds the level-stacked bank
-gradient back onto that array in one call. A model is immutable (new
-parameters make a new model), so it derives its banks once, on first use.
+one set across levels (layout in `KernelScheme`). `WaveletNet.operands`
+derives every level's stacks from it in one call of the scheme, level
+first, and the backward pass folds the level-stacked bank gradient back onto
+that array in one call. A model is immutable (new parameters make a new
+model), so it derives its operands once, on first use.
 
 The forward pass is row-stacked: a model's parameters may carry a leading
 row axis, C models of one structure stacked row by row, and then every bank
@@ -77,9 +77,9 @@ class KernelScheme:
     row-stacked model. `derive(kernels)` maps that array to a
     ``(..., 2, 2, K)`` bank (`wavelet` module notes), whose two stacks are
     equal except in the free scheme, with the same leading axes (the fixed
-    scheme's one db4 bank, level axis of length 1, broadcasts against
-    them); its transpose `fold(bank_grad)` maps a gradient on such a bank
-    back to the kernels' shape. `kernel_size`, when set, pins the length."""
+    scheme's one db4 bank has a level axis of length 1 and no row axis);
+    its transpose `fold(bank_grad)` maps a gradient on such a bank back to
+    the kernels' shape. `kernel_size`, when set, is the only length it takes."""
 
     kinds: tuple[str, ...]
     derive: Callable[[np.ndarray], np.ndarray]
@@ -235,7 +235,9 @@ class WaveletNet:
         if kernel_size % 2:
             raise ConfigError(f"kernel size must be even and >= 2, got {kernel_size}")
         gamma = as_real(gamma, "gamma")
-        kernel_size = mode.scheme.kernel_size or kernel_size
+        pinned = mode.scheme.kernel_size or kernel_size
+        if pinned != kernel_size:
+            raise ConfigError(f"mode {mode.value} takes {pinned}-tap kernels, got {kernel_size}")
         bank0 = cqf_from_scaling(_init_scaling(kernel_size))
         # the kinds are a prefix of (h, g, hb, gb)
         kernels = np.concatenate((bank0[0], bank0[1, :, ::-1]))[:len(mode.scheme.kinds)]
@@ -297,43 +299,35 @@ class WaveletNet:
     # -- derived structure ----------------------------------------------------
 
     @cached_property
-    def banks(self) -> tuple[np.ndarray, ...]:
-        """The ``(..., 2, 2, K)`` filter bank of every level, derived on
-        first use from the kernels through the mode's scheme in one call, so
-        the constraint relations can never drift. Level l's bank is a
-        non-writeable view into the level-stacked one; a shared scheme's one
-        bank serves every level."""
+    def operands(self) -> tuple[np.ndarray, ...]:
+        """The level ops' operands, level first and read-only: the encoder
+        and decoder stacks, ``(L, ..., 2, K)``, then their polyphase taps,
+        ``(L, ..., K, 2)``, derived on first use in one call of the mode's
+        scheme, so no relation can drift; a shared set serves every level."""
         bank = self.mode.scheme.derive(self.params["kernels"])
-        bank.flags.writeable = False
-        views = tuple(bank[..., l, :, :, :] for l in range(bank.shape[-4]))
-        return views * self.levels if self.mode.scheme.shared else views
-
-    @cached_property
-    def operands(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The level ops' operands, per level and each contiguous: (encoder
-        stacks, decoder stacks, their polyphase taps), derived once from the
-        banks stacked level first."""
-        stacked = np.stack(self.banks)
-        ops = [op(stacked[..., i, :, :]) for op in (np.ascontiguousarray, polyphase) for i in (0, 1)]
+        # stacks first, then levels: `repeat` copies in that order, each stack contiguous
+        enc, dec = bank.transpose(-3, -4, *range(bank.ndim - 4), -2, -1).repeat(
+            self.levels // bank.shape[-4], 1)
+        ops = enc, dec, polyphase(enc), polyphase(dec)
         for op in ops:
             op.flags.writeable = False
-        return tuple(tuple(op) for op in ops)
+        return ops
 
     def synthesis_gain_ratios(self) -> np.ndarray:
         """Per-level ||h_bar|| / ||h||; diverging ratios flag the known
         instability of fully unconstrained banks."""
-        return np.array([np.linalg.norm(bank[..., 1, 0, ::-1]) / np.linalg.norm(bank[..., 0, 0, :])
-                         for bank in self.banks])
+        return np.array([np.linalg.norm(dec[..., 0, ::-1]) / np.linalg.norm(enc[..., 0, :])
+                         for enc, dec in zip(*self.operands[:2])])
 
 
 @dataclass
 class ForwardTrace:
     """One forward pass: the gated coefficients, the reconstruction (of the
     input's exact shape) and every intermediate the backward pass needs
-    besides the model's banks, the level inputs unpadded. Arrays keep the input's leading axis: ``(n,)`` for
-    one window, ``(B, n)`` for a block. The details of all levels sit in one
-    ``(..., M)`` pyramid, level 1 (the highest frequency) first; level l is
-    ``[..., offsets[l]:offsets[l + 1]]``, and `levels` gives the views."""
+    besides the model's operands, the level inputs unpadded. Arrays keep the
+    input's leading axis, ``(n,)`` for one window, ``(B, n)`` for a block.
+    The details of all levels sit in one ``(..., M)`` pyramid, level 1 (the
+    highest frequency) first, level l at ``[..., offsets[l]:offsets[l + 1]]``."""
 
     inputs: list[np.ndarray]          # encoder input of each level, odd lengths unpadded
     offsets: list[int]                # where each level's details start in a pyramid, then M

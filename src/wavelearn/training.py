@@ -297,7 +297,7 @@ def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
     permuted every epoch by a generator seeded from the config. The windows
     must share one length, because a batch runs as (B, N) blocks."""
     config.validate()
-    if not signals:
+    if len(signals) == 0:  # a (0, N) array as well as an empty list
         raise ConfigError("training set is empty")
     signals = [as_signal(s) for s in signals]
     shape = signals[0].shape

@@ -131,11 +131,6 @@ def polyphase(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(pairs).reshape(*stack.shape[:-2], stack.shape[-1], 2)
 
 
-def _even(x: np.ndarray) -> np.ndarray:
-    """`x`, zero-padded by one sample when its last axis has odd length."""
-    return np.concatenate([x, np.zeros((*x.shape[:-1], 1))], -1) if x.shape[-1] % 2 else x
-
-
 def _scratch(lead, n: int, taps: int, synthesis: bool, arena=None):
     """One level op's buffers over (*lead, n) inputs, at the start of `arena`
     or fresh: the periodic extension, (*lead, 2, N/2 + K/2 - 1) in synthesis;
@@ -237,8 +232,9 @@ def upsample_conv(v: tuple[np.ndarray, np.ndarray], poly: np.ndarray, x=None, gr
     ext[..., 0, taps // 2 - 1:], ext[..., 1, taps // 2 - 1:] = a, d
     ext[..., :taps // 2 - 1] = ext[..., half:] if wrap is None else ext[..., taps // 2 - 1:][..., wrap]
     out = np.empty((*lead, half, 2)) if len(tiles) > 1 else None  # as in `strided_corr`
-    if x is not None:
-        pairs = _even(x).reshape(*x.shape[:-1], half, 2)
+    if x is not None:  # an odd-length `x` zero-padded by one sample
+        pairs = np.concatenate([x, np.zeros((*x.shape[:-1], 1))], -1) if x.shape[-1] % 2 else x
+        pairs = pairs.reshape(*x.shape[:-1], half, 2)
     for lo, hi, copy, shaped, view, copy_t in tiles:
         np.copyto(shaped, view)
         if out is None:

@@ -444,6 +444,20 @@ class TestDictionaryModel:
             dict_train(dict.fromkeys(labels, [np.zeros(64)]), SharingMode.DB4_FIXED,
                        TrainConfig(epochs=1))
 
+    def test_blocks_of_windows_train_as_their_lists(self):
+        rng = np.random.default_rng(17)
+        data = {label: rng.normal(size=(3, 64)) for label in "AB"}
+        config = TrainConfig(epochs=2, levels=4, batch_size=2)
+        want, _ = dict_train({label: list(x) for label, x in data.items()},
+                             SharingMode.SHARED_CQF_HT, config)
+        got, _ = dict_train(data, SharingMode.SHARED_CQF_HT, config)
+        for label in "AB":
+            assert (got.class_models[label].get_parameters().tobytes()
+                    == want.class_models[label].get_parameters().tobytes())
+        with pytest.raises(ConfigError, match="no training signals"):
+            dict_train({"A": data["A"], "B": np.zeros((0, 64))}, SharingMode.SHARED_CQF_HT,
+                       config)
+
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
     def test_bad_gamma_rejected(self, gamma):
         # a dictionary's gamma is its class models', which refuse a bad one
@@ -533,7 +547,7 @@ def _drawn_dictionary(rng, mode, classes, n, k, depth, thresholds):
     """`classes` perturbed models of one structure. Each model's thresholds
     are all zero, all nonzero, or (``mixed``) zero at random (class, level)
     entries, so zero-threshold rows sit next to gated ones."""
-    levels = 1 + round(depth * (max_depth(n) - 1))
+    levels, k = 1 + round(depth * (max_depth(n) - 1)), mode.scheme.kernel_size or k
     model = WaveletNet(levels, k, mode)
     rows = {}
     for c in range(classes):
@@ -601,7 +615,7 @@ class TestRowStackedDictionary:
 
 
 def _trace_arrays(model, trace):
-    """The model's banks and every array its forward trace holds, in a
-    fixed order."""
-    return (list(model.banks) + trace.inputs + [trace.details_pre, trace.details,
-                                                *trace.gates, trace.approx] + trace.recon_chain)
+    """Every level's operands of the model and every array its forward
+    trace holds, in a fixed order."""
+    return ([level for operand in model.operands for level in operand] + trace.inputs
+            + [trace.details_pre, trace.details, *trace.gates, trace.approx] + trace.recon_chain)

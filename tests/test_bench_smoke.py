@@ -36,12 +36,12 @@ def test_traced_run_is_correct(workload):
     # timed loop never to train
     details, result = _run(workload, trace=1)
     # layers the benchmark names but the package no longer defines: the
-    # bank derivation runs in `WaveletNet.banks`, and each kernel gradient
+    # bank derivation runs in `WaveletNet.operands`, and each kernel gradient
     # inside the level op that makes its window copy. A rename that drops
     # another layer from the trace fails here.
     assert set(details["missing_layers"]) == {"network.bank_for_level",
                                               "wavelet.kernel_grad"}
     if workload == "score-stream":
-        # a model derives its banks once: about one derivation per Adam step
+        # a model derives its operands once: about one derivation per Adam step
         # of set-up's training and one per model, not two per scored window
         assert result["metrics"]["wavelet.cqf_from_scaling.calls"]["value"] <= 100

@@ -216,6 +216,15 @@ class TestErrorPaths:
         assert code == 2
         assert "error" in err and "Traceback" not in err
 
+    def test_fixed_mode_of_another_kernel_size_exits_2(self, detect_dir, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code, _, err = run(["train", "--manifest", str(detect_dir / "manifest.json"),
+                            "--mode", "db4", "--kernel-size", "4", "--epochs", "1",
+                            "--out", str(out)], capsys)
+        assert code == 2
+        assert "8-tap kernels, got 4" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_manifest_without_sample_rate_exits_2(self, detect_dir, tmp_path,
                                                   capsys):
         doc = json.loads((detect_dir / "manifest.json").read_text())

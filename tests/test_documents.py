@@ -292,6 +292,20 @@ def test_thresholds_of_a_mode_that_trains_none_rejected(mode, name, value, tmp_p
         persist.load_model(path)
 
 
+@pytest.mark.parametrize("mode", [SharingMode.DB4_FIXED, SharingMode.DB4_FIXED_HT],
+                         ids=lambda m: m.value)
+def test_fixed_mode_of_another_kernel_size_rejected(mode, tmp_path):
+    # a db4 document holds no taps to check its kernel size against; the
+    # model it would build has 8 taps, so any other size is a bad document
+    path = tmp_path / "model"
+    persist.save_model(WaveletNet(3, 8, mode), path)
+    doc = json.loads(path.read_text())
+    doc["kernel_size"] = 4
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="8-tap kernels, got 4"):
+        persist.load_model(path)
+
+
 class TestNumberRules:
     @pytest.mark.parametrize("value", [True, np.bool_(True), "1", None, [1], 1 + 0j])
     def test_non_numbers_rejected(self, value):

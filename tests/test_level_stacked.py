@@ -205,8 +205,12 @@ def assert_matches_oracle(model, trace, expect, signal):
     """The model's banks and every array of its forward trace against the
     oracle's, per level."""
     assert [a.shape[-1] for a in trace.inputs] == expect["pre_lengths"]
-    for bank, want in zip(model.banks, expect["banks"]):
-        assert_bytes_equal(bank, want)
+    enc, dec, enc_taps, dec_taps = model.operands
+    assert len(enc) == len(expect["banks"])
+    for l, want in enumerate(expect["banks"]):
+        assert_bytes_equal(np.stack((enc[l], dec[l]), -3), want)
+        assert_bytes_equal(enc_taps[l], polyphase(want[..., 0, :, :]))
+        assert_bytes_equal(dec_taps[l], polyphase(want[..., 1, :, :]))
     for got, want in zip(trace.inputs, expect["inputs"]):
         assert_bytes_equal(got, want)
     for got, want in zip(trace.levels(trace.details_pre), expect["details_pre"]):
@@ -228,7 +232,7 @@ def assert_matches_oracle(model, trace, expect, signal):
 def perturbed_model(rng, mode, levels, k, thresholds, rows=None, gamma=1.0):
     """A model with nudged kernels and zero, nonzero or mixed thresholds;
     with `rows`, each parameter carries a leading row axis of that size."""
-    model = WaveletNet(levels, k, mode, gamma=gamma)
+    model = WaveletNet(levels, mode.scheme.kernel_size or k, mode, gamma=gamma)
     vec = model.get_parameters()
     params = dict(model.with_parameters(vec + rng.normal(0.0, 0.1, vec.size)).params)
     shape = (levels,) if rows is None else (rows, levels)

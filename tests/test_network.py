@@ -240,6 +240,16 @@ class TestBuildModel:
             with pytest.raises(ConfigError, match="must be an integer"):
                 WaveletNet(levels, kernel_size, SharingMode.PER_LEVEL_CQF_HT)
 
+    @pytest.mark.parametrize("mode", [SharingMode.DB4_FIXED, SharingMode.DB4_FIXED_HT],
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("kernel_size", [2, 4, 6, 16])
+    def test_pinned_kernel_size_is_the_only_one(self, mode, kernel_size):
+        # the fixed scheme's db4 bank has 8 taps; any other size is refused,
+        # not silently swapped for 8
+        assert WaveletNet(3, 8, mode).kernel_size == 8
+        with pytest.raises(ConfigError, match=f"8-tap kernels, got {kernel_size}"):
+            WaveletNet(3, kernel_size, mode)
+
     @pytest.mark.parametrize("kwargs", [
         dict(gamma=math.nan), dict(gamma=-2.0), dict(gamma=math.inf),
     ], ids=["gamma_nan", "gamma_negative", "gamma_inf"])
@@ -328,10 +338,10 @@ class TestImmutable:
     parameters can go stale."""
 
     @pytest.mark.parametrize("name", ["levels", "kernel_size", "mode", "gamma",
-                                      "params", "banks", "operands", "other"])
+                                      "params", "operands", "other"])
     def test_assigning_an_attribute_raises(self, name):
         model = WaveletNet(3, 8, SharingMode.PER_LEVEL_CQF_HT)
-        model.banks  # derived and kept, as after a forward pass
+        model.operands  # derived and kept, as after a forward pass
         with pytest.raises(AttributeError, match="immutable"):
             setattr(model, name, 0.5)
         with pytest.raises(AttributeError, match="immutable"):
@@ -347,18 +357,20 @@ class TestImmutable:
                 model.params[name][...] = 0.5
         with pytest.raises(TypeError):
             model.params["b_plus"] = np.ones(3)
-        for bank in model.banks + sum(model.operands, ()):
+        for operand in model.operands:
             with pytest.raises(ValueError, match="read-only"):
-                bank[...] = 0.5
+                operand[...] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                operand[-1, ...] = 0.5  # a level's view too
         assert np.array_equal(model.get_parameters(), want)
         assert not np.any(model.params["b_plus"])
 
-    def test_banks_kept_from_the_first_use(self):
+    def test_operands_kept_from_the_first_use(self):
         model = WaveletNet(4, 8, SharingMode.PER_LEVEL_CQF_HT)
-        banks, operands = model.banks, model.operands
-        assert isinstance(banks, tuple) and model.banks is banks
+        operands = model.operands
+        assert isinstance(operands, tuple) and model.operands is operands
         model_forward(np.ones(64), model)
-        assert model.banks is banks and model.operands is operands
+        assert model.operands is operands
 
 
 class TestModelForward:
@@ -396,7 +408,7 @@ class TestModelForward:
         for mode in (SharingMode.SHARED_CQF_HT, SharingMode.PER_LEVEL_CQF_HT):
             model = WaveletNet(4, 8, mode)
             model = model.with_parameters(rng.normal(size=model.parameter_count()))
-            for bank in model.banks:
+            for bank in np.stack(model.operands[:2], -3):
                 (h, g), (h_bar, g_bar) = bank[0], bank[1, :, ::-1]
                 n = np.arange(8)
                 assert np.array_equal(g, (-1.0) ** n * h[::-1])
@@ -404,7 +416,7 @@ class TestModelForward:
                 assert np.array_equal(g_bar, (-1.0) ** (n + 1) * h)
         model = WaveletNet(4, 8, SharingMode.PER_LEVEL_TWO_KERNEL_HT)
         model = model.with_parameters(rng.normal(size=model.parameter_count()))
-        for bank in model.banks:
+        for bank in np.stack(model.operands[:2], -3):
             (h, g), (h_bar, g_bar) = bank[0], bank[1, :, ::-1]
             assert np.array_equal(h_bar, h[::-1])
             assert np.array_equal(g_bar, g[::-1])
@@ -414,10 +426,10 @@ class TestModelForward:
         ("lcwn", 5), ("despawn", 5), ("despawn2", 5), ("free", 5)])
     def test_banks_derived_once_per_scheme_set(self, mode, distinct_banks,
                                                monkeypatch):
-        # every scheme derives a model's banks in one call, on its first
+        # every scheme derives a model's operands in one call, on its first
         # forward pass, and never again: a shared or fixed scheme one bank
         # for every level, a per-level scheme all levels' banks from its
-        # level-stacked kernels
+        # level-stacked kernels (perturbed, so that no two levels agree)
         mode = SharingMode(mode)
         real, calls = mode.scheme.derive, []
 
@@ -427,13 +439,17 @@ class TestModelForward:
 
         monkeypatch.setattr(mode, "scheme",
                             dataclasses.replace(mode.scheme, derive=counted))
+        rng = np.random.default_rng(9)
         model = WaveletNet(5, 8, mode)
-        x = np.random.default_rng(9).normal(size=(2, 64))
+        model = model.with_parameters(model.get_parameters()
+                                      + rng.normal(0.0, 0.02, model.parameter_count()))
+        x = rng.normal(size=(2, 64))
         for signal in (x[0], x, x[1]):
             trace = model_forward(signal, model)
             assert len(calls) == 1
-            assert len(model.banks) == 5
-            assert len({id(bank) for bank in model.banks}) == distinct_banks
+            assert all(len(operand) == 5 for operand in model.operands)
+            for operand in model.operands:
+                assert len({level.tobytes() for level in operand}) == distinct_banks
 
     @pytest.mark.parametrize("mode", [m for m in SharingMode if m.scheme.kinds],
                              ids=lambda m: m.value)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wavelearn.network import SharingMode, WaveletNet, forward_trace
-from wavelearn.wavelet import max_depth
+from wavelearn.wavelet import max_depth, polyphase
 
 # flat parameter layout of each mode: (per-level kernel kinds, one shared
 # set for all levels, thresholds trained); kinds interleave level by level
@@ -55,20 +55,24 @@ def test_fold_is_the_transpose_of_derive(mode, size, levels, data):
 @given(mode=modes, size=kernel_sizes, levels=st.integers(1, 6),
        extra=st.integers(0, 40), data=st.data())
 def test_trace_keeps_the_banks_bank_for_level_derives(mode, size, levels, extra, data):
-    model = WaveletNet(levels, size, mode)
+    model = WaveletNet(levels, mode.scheme.kernel_size or size, mode)
     model = model.with_parameters(data.draw(taps(model.parameter_count())))
     length = 2 ** levels + extra
     assert max_depth(length) >= levels
     signal = data.draw(arrays(np.float64, length, elements=st.floats(-10.0, 10.0)))
     trace = forward_trace(model, signal)
-    assert len(model.banks) == levels
+    enc, dec, enc_taps, dec_taps = model.operands
+    assert len(enc) == len(dec) == len(enc_taps) == len(dec_taps) == levels
     scheme = model.mode.scheme
-    for level, bank in enumerate(model.banks):
+    for level in range(levels):
         # the level's bank derived from its own slice of the kernel array
-        # (the one set of a shared scheme) equals its view of the stacked one
+        # (the one set of a shared scheme) equals its stacks, and their
+        # polyphase taps follow from them
         own = 0 if scheme.shared else level
         again = scheme.derive(model.params["kernels"][..., own:own + 1, :, :])
-        assert np.array_equal(bank, again[..., 0, :, :, :])
+        assert np.array_equal(np.stack((enc[level], dec[level]), -3), again[..., 0, :, :, :])
+        assert np.array_equal(enc_taps[level], polyphase(enc[level]))
+        assert np.array_equal(dec_taps[level], polyphase(dec[level]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,7 +96,7 @@ def test_derive_gives_equal_stacks_or_free_fold_inverts_it(mode, size, levels, r
 @settings(max_examples=60, deadline=None)
 @given(mode=modes, size=kernel_sizes, levels=st.integers(1, 12))
 def test_trainable_names_keep_the_interleaved_layout(mode, size, levels):
-    model = WaveletNet(levels, size, mode)
+    model = WaveletNet(levels, mode.scheme.kernel_size or size, mode)
     kinds, shared, thresholds = LAYOUT[mode]
     assert (model.mode.scheme.kinds, model.mode.scheme.shared) == (kinds, shared)
     assert model.trainable_names() == ["kernels"] + ["b_plus", "b_minus"] * thresholds

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavelearn.analysis import DictionaryModel, dict_classify, extract_features
 from wavelearn.errors import ConfigError, InvalidDepthError, InvalidSignalError
 from wavelearn.network import (
     SharingMode,
@@ -156,11 +157,12 @@ def _backward_written_out(signal, model, gamma):
     scale = gamma / (trace.details.size + trace.approx.size)
     scheme = model.mode.scheme
     details = trace.levels(trace.details)
+    banks = np.stack(model.operands[:2], -3)  # level l's (2, 2, K) bank
     synth_grads, analysis_grads = [], [None] * model.levels
     g_x = -residual_sign(signal, trace.reconstruction, model.levels) / signal.size
     g_d = []
     for l in range(model.levels):
-        bank = model.banks[l]
+        bank = banks[l]
         v = trace.recon_chain[l + 1]
         gy = np.zeros(2 * v.size)
         gy[: trace.inputs[l].size] = g_x
@@ -179,7 +181,7 @@ def _backward_written_out(signal, model, gamma):
         grads["b_minus"] = np.add.reduceat(g_details * dy_dbm, trace.offsets[:-1])
     g_a = g_x + scale * np.sign(trace.approx)
     for l in range(model.levels - 1, -1, -1):
-        bank = model.banks[l]
+        bank = banks[l]
         g_dpre = trace.levels(g_pre)[l]
         x_pad = np.zeros(2 * g_a.size)
         x_pad[: trace.inputs[l].size] = trace.inputs[l]
@@ -207,7 +209,8 @@ class TestBackwardMatchesWrittenOutTranspose:
         # depth 1.0 reaches max_depth, where kernels outgrow the signal;
         # an unperturbed model reconstructs exactly, so residuals are zero
         rng = np.random.default_rng(seed)
-        model = WaveletNet(1 + round(depth * (max_depth(n) - 1)), k, mode, gamma=gamma)
+        model = WaveletNet(1 + round(depth * (max_depth(n) - 1)), mode.scheme.kernel_size or k,
+                           mode, gamma=gamma)
         vec = model.get_parameters()
         model = model.with_parameters(vec + rng.normal(0.0, perturb, vec.size))
         signal = rng.normal(size=n)
@@ -243,7 +246,7 @@ class TestBlockPath:
                                    zeros, gamma, seed):
         rng = np.random.default_rng(seed)
         depth = max_depth(n) if full_depth else max(1, max_depth(n) // 2)
-        model = WaveletNet(depth, k, mode, gamma=gamma)
+        model = WaveletNet(depth, mode.scheme.kernel_size or k, mode, gamma=gamma)
         vec = model.get_parameters()
         model = model.with_parameters(vec + rng.normal(0.0, perturb, vec.size))
         block = rng.normal(size=(rows, n))
@@ -292,7 +295,7 @@ class TestBlockPath:
 
 
 def _perturbed(mode, levels, rng, k=8):
-    model = WaveletNet(levels, k, mode, gamma=0.7)
+    model = WaveletNet(levels, mode.scheme.kernel_size or k, mode, gamma=0.7)
     vec = model.get_parameters()
     return model.with_parameters(vec + rng.normal(0.0, 0.05, vec.size))
 
@@ -384,7 +387,11 @@ class TestCallCounts:
     another numpy version may move them. Before the level ops took plans
     and precomputed operands, the forward made 95 Python-level and 214
     C-level calls and the backward 256 and 494, db4-ht's backward 255 and
-    495."""
+    495. Before a model derived its level-first operands in one pass and
+    `upsample_conv` padded its gradient operand inline, despawn's backward
+    made 193 and 384 (153 and 156 with a plan), and a new model's first
+    planned backward 196 and 202 (db4-ht), 208 and 213 (decwn), 216 and 211
+    (despawn), 205 and 204 (despawn2), 206 and 204 (free)."""
 
     @staticmethod
     def _tally(calls):
@@ -392,8 +399,8 @@ class TestCallCounts:
                 sum(kind == "c" for kind, _ in calls))
 
     @pytest.mark.parametrize("mode, planned, forward, backward", [
-        ("despawn", False, (80, 184), (193, 384)),
-        ("despawn", True, (60, 70), (153, 156)),
+        ("despawn", False, (80, 184), (183, 384)),
+        ("despawn", True, (60, 70), (143, 156)),
         ("db4-ht", False, (80, 184), (182, 375)),
         ("db4-ht", True, (60, 70), (142, 147)),
     ])
@@ -403,6 +410,30 @@ class TestCallCounts:
         plan = (CascadePlan(x.shape, 10, 8),) if planned else ()
         assert self._tally(count_calls(forward_trace, model, x, *plan)) == forward
         assert self._tally(count_calls(backward_full, x, model, *plan)) == backward
+
+    @pytest.mark.parametrize("mode, counts", [
+        ("db4-ht", (179, 186)), ("decwn", (181, 197)), ("despawn", (180, 195)),
+        ("despawn2", (169, 188)), ("free", (170, 188)),
+    ])
+    def test_a_new_models_first_backward(self, count_calls, mode, counts):
+        # a training step runs on the model the last Adam step made, so its
+        # backward derives that model's operands; one mode per kernel scheme
+        model = _perturbed(SharingMode(mode), 10, np.random.default_rng(0))
+        vec = model.get_parameters()
+        x = np.random.default_rng(1).normal(size=(8, 1024))
+        plan = CascadePlan(x.shape, 10, 8)
+        calls = count_calls(lambda: backward_full(x, model.with_parameters(vec), plan))
+        assert self._tally(calls) == counts
+
+    def test_read_path(self, count_calls):
+        # one window's features, and its losses under a 2-class dictionary
+        model = _perturbed(SharingMode.PER_LEVEL_CQF_HT, 10, np.random.default_rng(0))
+        dictionary = DictionaryModel(class_models={
+            c: _perturbed(SharingMode.PER_LEVEL_CQF_HT, 10, np.random.default_rng(i))
+            for i, c in enumerate("AB")})
+        x = np.random.default_rng(1).normal(size=1024)
+        assert self._tally(count_calls(extract_features, x, model)) == (97, 212)
+        assert self._tally(count_calls(dict_classify, x, dictionary)) == (105, 208)
 
 
 class TestProperties:
@@ -421,7 +452,8 @@ class TestProperties:
            seed=st.integers(0, 2**32 - 1))
     def test_fresh_model_reconstructs_perfectly(self, mode, n, k, depth, rows,
                                                 seed):
-        model = WaveletNet(1 + round(depth * (max_depth(n) - 1)), k, mode)
+        model = WaveletNet(1 + round(depth * (max_depth(n) - 1)), mode.scheme.kernel_size or k,
+                           mode)
         block = np.random.default_rng(seed).normal(size=(rows, n))
         recon = forward_trace(model, block).reconstruction
         assert np.max(np.abs(recon - block)) <= 1e-8
@@ -435,7 +467,8 @@ class TestProperties:
     def test_gradient_matches_finite_differences(self, mode, n, k, depth,
                                                  seed):
         rng = np.random.default_rng(seed)
-        model = WaveletNet(1 + round(depth * (max_depth(n) - 1)), k, mode)
+        model = WaveletNet(1 + round(depth * (max_depth(n) - 1)), mode.scheme.kernel_size or k,
+                           mode)
         vec = model.get_parameters()
         model = model.with_parameters(vec + rng.normal(0.0, 0.02, vec.size))
         vec = model.get_parameters()
@@ -500,12 +533,12 @@ class TestFiniteDifferenceOracle:
         for mode in TRAINABLE_MODES:
             model = WaveletNet(4, 8, mode)
             before = {name: value.tobytes() for name, value in model.params.items()}
-            banks = model.banks
+            operands = model.operands
             kink_free_difference(np.random.default_rng(0).normal(size=64), model, 3, [1e-6])
             with pytest.raises(InvalidDepthError):
                 kink_free_difference(np.ones(8), model, 3, [1e-6])
             assert {name: value.tobytes() for name, value in model.params.items()} == before
-            assert model.banks is banks
+            assert model.operands is operands
 
 
 class TestAdam:
@@ -632,6 +665,18 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             train([], SharingMode.PER_LEVEL_CQF_HT, TrainConfig(epochs=1))
+        with pytest.raises(ConfigError, match="empty"):
+            train(np.zeros((0, 256)), SharingMode.PER_LEVEL_CQF_HT, TrainConfig(epochs=1))
+
+    def test_a_block_of_windows_trains_as_their_list(self):
+        # a (B, N) array is B windows, not a truth value numpy refuses
+        signals = _sinusoid_set(n_signals=5)
+        config = TrainConfig(epochs=2, levels=5, batch_size=2)
+        want = train(signals, SharingMode.PER_LEVEL_CQF_HT, config)
+        got = train(np.stack(signals), SharingMode.PER_LEVEL_CQF_HT, config)
+        assert got.final_model.get_parameters().tobytes() == \
+            want.final_model.get_parameters().tobytes()
+        assert got.loss_history == want.loss_history
 
     def test_zero_learning_rate_is_a_noop(self):
         signals = _sinusoid_set()
@@ -678,7 +723,7 @@ class TestTrainLoop:
         config = TrainConfig(epochs=3, levels=5, seed=0)
         report = train(signals, SharingMode.PER_LEVEL_CQF_HT, config)
         model = report.final_model
-        for bank in model.banks:
+        for bank in np.stack(model.operands[:2], -3):
             (h, g), (h_bar, g_bar) = bank[0], bank[1, :, ::-1]
             n = np.arange(h.size)
             assert np.array_equal(g, (-1.0) ** n * h[::-1])
