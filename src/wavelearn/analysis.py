@@ -2,9 +2,9 @@
 random-hidden-layer network, ROC-AUC, and per-class-model classification.
 
 The objects they pass are immutable and derive what their readers need once,
-at construction: `LatentFeatures` its feature vector, `OneClassElm` its
-scoring map with the scaler folded into the weights, and `DictionaryModel`
-its row-stacked model."""
+at construction: `LatentFeatures` whether its vector is finite, `OneClassElm`
+its scoring map with the scaler folded into the weights, and
+`DictionaryModel` its row-stacked model."""
 
 from __future__ import annotations
 
@@ -20,54 +20,36 @@ from .network import SharingMode, WaveletNet, loss_terms, model_forward
 from .training import TrainConfig, TrainReport, train
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class LatentFeatures:
-    """Per-window summary of a forward pass: residual statistics plus the
-    mean and max absolute detail coefficient of each of L >= 1 levels.
-    Dimension is always 2 + 2L regardless of window length.
+    """Per-window summary of a forward pass: one read-only (2 + 2L,) vector
+    [res_mean, res_max, *l1_mean, *l1_max], the mean and max of the absolute
+    residual, then the mean and the max absolute detail coefficient of each
+    of L >= 1 levels, level 1 first, whatever the window's length.
 
-    Immutable: it builds its read-only (2 + 2L,) feature vector once, and
-    `l1_mean` and `l1_max` are views into it; `finite` says once whether
-    every entry is finite, for each model that scores the window. Entries
-    that are not real numbers, or `l1_mean` and `l1_max` that are not 1-D of
-    one length L >= 1, raise ConfigError."""
+    Immutable: it holds its own copy of the vector it is given, and `finite`
+    says once whether every entry is finite, for each model that scores the
+    window. A vector that is not 1-D real numbers of an even size >= 4
+    raises ConfigError."""
 
-    res_mean: float
-    res_max: float
-    l1_mean: np.ndarray  # length L
-    l1_max: np.ndarray   # length L
-    _vector: np.ndarray = field(init=False, repr=False, compare=False)
-    finite: bool = field(init=False, repr=False, compare=False)
+    _vector: np.ndarray
+    finite: bool
 
-    def __post_init__(self):
-        head = as_floats([self.res_mean, self.res_max], "res_mean and res_max")
-        l1_mean = as_floats(self.l1_mean, "l1_mean")
-        l1_max = as_floats(self.l1_max, "l1_max")
-        if l1_mean.ndim != 1 or l1_mean.shape != l1_max.shape or not l1_mean.size:
-            raise ConfigError("l1_mean and l1_max must be 1-D and of one length L >= 1, "
-                              f"got shapes {l1_mean.shape} and {l1_max.shape}")
-        vec = np.concatenate([head, l1_mean, l1_max])
+    def __init__(self, vector):
+        vec = np.array(as_floats(vector, "feature vector"))
+        if vec.ndim != 1 or vec.size < 4 or vec.size % 2:
+            raise ConfigError(f"feature vector of shape {vec.shape} is not 2 + 2L long, L >= 1")
         vec.flags.writeable = False
         # past the frozen `__setattr__`, as `WaveletNet` does
-        vars(self).update(l1_mean=vec[2:2 + l1_mean.size], l1_max=vec[2 + l1_mean.size:],
-                          _vector=vec, finite=bool(np.isfinite(vec).all()))
+        vars(self).update(_vector=vec, finite=bool(np.isfinite(vec).all()))
 
     def vector(self) -> np.ndarray:
-        """[res_mean, res_max, *l1_mean, *l1_max]: the same read-only array
-        on every call."""
+        """The feature vector: the same read-only array on every call."""
         return self._vector
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "LatentFeatures":
-        vec = as_floats(vec, "feature vector")
-        if vec.ndim != 1 or vec.size < 4 or vec.size % 2:
-            raise ConfigError(f"feature vector of shape {vec.shape} is not 2 + 2L long")
-        levels = (vec.size - 2) // 2
-        return cls(res_mean=float(vec[0]), res_max=float(vec[1]),
-                   l1_mean=vec[2:2 + levels], l1_max=vec[2 + levels:])
 
 
 def extract_features(signal, model: WaveletNet) -> LatentFeatures:
+    """One 1-D window's `LatentFeatures` under `model`, from one forward pass."""
     signal = as_signal(signal)
     if signal.ndim != 1:
         raise InvalidSignalError("extract_features takes one 1-D signal")
@@ -75,12 +57,10 @@ def extract_features(signal, model: WaveletNet) -> LatentFeatures:
     residual = np.abs(signal - record.reconstruction)
     magnitude = np.abs(record.details)
     starts = record.offsets[:-1]
-    return LatentFeatures(
-        res_mean=float(residual.mean()),
-        res_max=float(residual.max()),
-        l1_mean=np.add.reduceat(magnitude, starts, axis=-1) / np.diff(record.offsets),
-        l1_max=np.maximum.reduceat(magnitude, starts, axis=-1),
-    )
+    return LatentFeatures(np.concatenate([
+        [residual.mean(), residual.max()],
+        np.add.reduceat(magnitude, starts, axis=-1) / np.diff(record.offsets),
+        np.maximum.reduceat(magnitude, starts, axis=-1)]))
 
 
 # ---------------------------------------------------------------------------

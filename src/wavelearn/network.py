@@ -88,11 +88,15 @@ class KernelScheme:
     kernel_size: int | None = None
 
 
+# the fixed scheme's one db4 bank, derived once and shared by its models
+_DB4_BANK = cqf_from_scaling(DB4_SCALING[None])
+_DB4_BANK.flags.writeable = False
+
 # the lambdas look their functions up at call time, so a rebound module
 # name (a tracer's or a test's wrapper) is what the table calls
 KERNEL_SCHEMES = {
     "fixed": KernelScheme(
-        (), lambda k: cqf_from_scaling(DB4_SCALING[None]),
+        (), lambda k: _DB4_BANK,
         lambda grad: grad[..., 0, :0, :],
         shared=True, kernel_size=DB4_SCALING.size),
     "shared_h": KernelScheme(

@@ -208,10 +208,10 @@ def write_features_csv(rows: list[tuple[str, LatentFeatures]], path) -> None:
     """One row per window: id plus the 2 + 2L feature values, full precision."""
     if not rows:
         raise ConfigError("no feature rows to write")
-    levels = rows[0][1].l1_mean.size
-    if any(feats.l1_mean.size != levels for _, feats in rows):
-        raise ConfigError("inconsistent feature dimensions")
-    write_table(path, feature_header(levels),
+    sizes = {feats.vector().size for _, feats in rows}
+    if len(sizes) > 1:
+        raise ConfigError(f"inconsistent feature dimensions: {sorted(sizes)}")
+    write_table(path, feature_header((sizes.pop() - 2) // 2),
                 ([row_id, *feats.vector()] for row_id, feats in rows))
 
 
@@ -239,7 +239,7 @@ def _read_table(path, header_for) -> list[tuple[str, np.ndarray]]:
 
 
 def read_features_csv(path) -> list[tuple[str, LatentFeatures]]:
-    return [(row_id, LatentFeatures.from_vector(vec))
+    return [(row_id, LatentFeatures(vec))
             for row_id, vec in _read_table(path, lambda n: feature_header((n - 3) // 2))]
 
 

@@ -30,20 +30,22 @@ class TestExtractFeatures:
     def test_perfect_reconstruction_gives_zero_residual(self):
         model = WaveletNet(5, 8, SharingMode.DB4_FIXED)
         x = np.random.default_rng(0).normal(size=512)
-        feats = extract_features(x, model)
-        assert feats.res_mean <= 1e-8 and feats.res_max <= 1e-8
+        res_mean, res_max = extract_features(x, model).vector()[:2]
+        assert res_mean <= 1e-8 and res_max <= 1e-8
 
     def test_constant_signal_has_near_zero_details(self):
         model = WaveletNet(4, 8, SharingMode.DB4_FIXED)
         feats = extract_features(np.full(256, 3.0), model)
-        assert np.all(feats.l1_mean <= 1e-9)
-        assert np.all(feats.l1_max <= 1e-9)
+        l1_mean, l1_max = np.split(feats.vector()[2:], 2)
+        assert np.all(l1_mean <= 1e-9)
+        assert np.all(l1_max <= 1e-9)
 
     def test_two_tap_hand_example(self):
         model = WaveletNet(1, 2, SharingMode.PER_LEVEL_CQF)
         feats = extract_features(np.array([1.0, 2.0, 3.0, 4.0]), model)
-        assert feats.l1_mean[0] == pytest.approx(S, abs=1e-12)
-        assert feats.l1_max[0] == pytest.approx(S, abs=1e-12)
+        l1_mean, l1_max = feats.vector()[2:]
+        assert l1_mean == pytest.approx(S, abs=1e-12)
+        assert l1_max == pytest.approx(S, abs=1e-12)
 
     def test_dimension_is_two_plus_two_levels(self):
         rng = np.random.default_rng(1)
@@ -60,61 +62,57 @@ class TestExtractFeatures:
             extract_features(np.random.default_rng(2).normal(size=(2, 64)), model)
 
     def test_vector_roundtrip(self):
-        feats = LatentFeatures(res_mean=0.5, res_max=2.0,
-                               l1_mean=np.array([1.0, 2.0]),
-                               l1_max=np.array([3.0, 4.0]))
-        back = LatentFeatures.from_vector(feats.vector())
+        feats = LatentFeatures(np.array([0.5, 2.0, 1.0, 2.0, 3.0, 4.0]))
+        back = LatentFeatures(feats.vector())
         assert np.array_equal(back.vector(), feats.vector())
 
-    @pytest.mark.parametrize("l1_mean, l1_max", [
-        ([1.0, 2.0], [3.0]), ([], []), ([[1.0]], [[2.0]]), (1.0, 2.0)],
+    @pytest.mark.parametrize("vector", [
+        [0.1, 0.2, 1.0, 2.0, 3.0], [0.1, 0.2], [[0.1, 0.2, 1.0, 2.0]], 1.0],
         ids=["unequal", "empty", "2-D", "0-D"])
-    def test_level_statistics_not_1d_of_one_length_rejected(self, l1_mean, l1_max, tmp_path):
+    def test_level_statistics_not_1d_of_one_length_rejected(self, vector):
         # each would write a features CSV row that its reader rejects
-        with pytest.raises(ConfigError, match="l1_mean and l1_max"):
-            LatentFeatures(res_mean=0.1, res_max=0.2, l1_mean=l1_mean, l1_max=l1_max)
+        with pytest.raises(ConfigError, match="2 \\+ 2L"):
+            LatentFeatures(vector)
 
     @pytest.mark.parametrize("shape", [(3,), (5,), (2, 3)])
     def test_vector_not_2_plus_2l_long_rejected(self, shape):
         with pytest.raises(ConfigError, match="2 \\+ 2L"):
-            LatentFeatures.from_vector(np.ones(shape))
+            LatentFeatures(np.ones(shape))
 
-    @pytest.mark.parametrize("fields", [
-        ("x", 0.2, [1.0], [2.0]), (0.1, [0.2, 0.3], [1.0], [2.0]),
-        (0.1, 0.2, ["a"], [2.0]), (0.1, 0.2, [1.0], [1j])],
+    @pytest.mark.parametrize("vector", [
+        ["x", 0.2, 1.0, 2.0], [0.1, [0.2, 0.3], 1.0, 2.0],
+        [0.1, 0.2, "a", 2.0], [0.1, 0.2, 1.0, 1j]],
         ids=["text", "sequence", "text level", "complex level"])
-    def test_fields_that_are_not_real_numbers_rejected(self, fields):
+    def test_fields_that_are_not_real_numbers_rejected(self, vector):
         with pytest.raises(ConfigError, match="real numbers"):
-            LatentFeatures(*fields)
+            LatentFeatures(vector)
 
     def test_vector_that_is_not_real_numbers_rejected(self):
         with pytest.raises(ConfigError, match="real numbers"):
-            LatentFeatures.from_vector(["0", "1", "2", "3"])
+            LatentFeatures(["0", "1", "2", "3"])
 
     def test_immutable_with_one_read_only_vector(self):
-        l1_mean = np.array([1.0, 2.0])
-        feats = LatentFeatures(res_mean=0.5, res_max=2.0, l1_mean=l1_mean,
-                               l1_max=np.array([3.0, 4.0]))
-        l1_mean[0] = 9.0  # the caller's array is copied, not held
+        vector = np.array([0.5, 2.0, 1.0, 2.0, 3.0, 4.0])
+        feats = LatentFeatures(vector)
+        vector[2] = 9.0  # the caller's array is copied, not held
         assert feats.vector() is feats.vector()
         assert feats.vector().tolist() == [0.5, 2.0, 1.0, 2.0, 3.0, 4.0]
-        for array in (feats.vector(), feats.l1_mean, feats.l1_max):
-            assert not array.flags.writeable
-        for name in ("res_mean", "l1_mean", "finite"):
+        assert not feats.vector().flags.writeable
+        for name in ("_vector", "finite"):
             with pytest.raises(AttributeError):
                 setattr(feats, name, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_finite_says_whether_every_entry_is(self, bad):
-        assert LatentFeatures.from_vector(np.arange(6.0)).finite
-        assert not LatentFeatures.from_vector(np.array([0.0, 1.0, 2.0, bad])).finite
+        assert LatentFeatures(np.arange(6.0)).finite
+        assert not LatentFeatures(np.array([0.0, 1.0, 2.0, bad])).finite
 
 
 def _feature_cloud(rng, n, center):
     out = []
     for _ in range(n):
         vec = center + rng.normal(0, 0.05, center.size)
-        out.append(LatentFeatures.from_vector(np.abs(vec)))
+        out.append(LatentFeatures(np.abs(vec)))
     return out
 
 
@@ -133,7 +131,7 @@ class TestOneClassElm:
         feats = _feature_cloud(rng, 80, self.CENTER)
         elm = elm_fit(feats, neurons=50, ridge_lambda=1e-3, seed=3)
         near = elm_score(elm, feats[0])
-        far = elm_score(elm, LatentFeatures.from_vector(self.CENTER * 8 + 5.0))
+        far = elm_score(elm, LatentFeatures(self.CENTER * 8 + 5.0))
         assert near < far
 
     def test_scores_nonnegative_and_pure(self):
@@ -172,13 +170,13 @@ class TestOneClassElm:
         rng = np.random.default_rng(7)
         feats = _feature_cloud(rng, 30, self.CENTER)
         elm = elm_fit(feats, neurons=10, ridge_lambda=1e-3, seed=0)
-        other = LatentFeatures.from_vector(np.ones(12))
+        other = LatentFeatures(np.ones(12))
         with pytest.raises(ConfigError):
             elm_score(elm, other)
 
     def test_ragged_training_set_rejected(self):
         feats = _feature_cloud(np.random.default_rng(7), 5, self.CENTER)
-        feats.append(LatentFeatures.from_vector(np.ones(12)))
+        feats.append(LatentFeatures(np.ones(12)))
         with pytest.raises(ConfigError, match="feature dimensions differ"):
             elm_fit(feats, neurons=10, ridge_lambda=1e-3, seed=0)
 
@@ -188,7 +186,7 @@ class TestOneClassElm:
         feats = _feature_cloud(np.random.default_rng(7), 20, self.CENTER)
         vec = self.CENTER.copy()
         vec[3] = bad
-        feats.append(LatentFeatures.from_vector(vec))
+        feats.append(LatentFeatures(vec))
         with pytest.raises(ConfigError, match="non-finite"):
             elm_fit(feats, neurons=10, ridge_lambda=1e-3, seed=0)
 
@@ -199,7 +197,7 @@ class TestOneClassElm:
         vec = self.CENTER.copy()
         vec[0] = bad
         with pytest.raises(ConfigError, match="non-finite"):
-            elm_score(elm, LatentFeatures.from_vector(vec))
+            elm_score(elm, LatentFeatures(vec))
 
     @staticmethod
     def _defining_score(elm, x):
@@ -219,7 +217,7 @@ class TestOneClassElm:
         normal = [center + spread * rng.normal(size=dim) for _ in range(60)]
         for row in normal:
             row[-1] = center[-1]  # a constant dimension, passed through unscaled
-        fitted = elm_fit([LatentFeatures.from_vector(v) for v in normal], neurons=neurons,
+        fitted = elm_fit([LatentFeatures(v) for v in normal], neurons=neurons,
                          ridge_lambda=10.0 ** rng.uniform(-6.0, 0.0), seed=seed)
         assert fitted.scaler_std[-1] == 1.0
         drawn = OneClassElm(hidden_weights=rng.normal(size=(dim, neurons)),
@@ -231,7 +229,7 @@ class TestOneClassElm:
                                 for k in (1e3, 1e8, -1e8)]
         for elm in (fitted, drawn):
             for x in probes:
-                got = elm_score(elm, LatentFeatures.from_vector(x))
+                got = elm_score(elm, LatentFeatures(x))
                 assert abs(got - self._defining_score(elm, x)) <= 1e-12
 
     def test_immutable_with_read_only_arrays(self):

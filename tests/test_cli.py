@@ -320,7 +320,7 @@ class TestErrorPaths:
 
     def test_elm_without_neurons_exits_2(self, tmp_path, capsys):
         # an ELM with no hidden neurons would score every window 1.0
-        features = [(f"w:{i}", LatentFeatures.from_vector(np.arange(6.0) + i))
+        features = [(f"w:{i}", LatentFeatures(np.arange(6.0) + i))
                     for i in range(4)]
         feats, elm, out = (str(tmp_path / name) for name in ("f.csv", "elm.json", "s.csv"))
         write_features_csv(features, feats)
@@ -403,7 +403,7 @@ class TestErrorPaths:
                     "classify", "--n-normal", "2", "--n-anomal", "1",
                     "--window", "64"], capsys)[0] == 0
         features = tmp_path / "features.csv"
-        write_features_csv([(f"w:{i}", LatentFeatures.from_vector(np.arange(4.0) * i))
+        write_features_csv([(f"w:{i}", LatentFeatures(np.arange(4.0) * i))
                             for i in range(3)], features)
         argv = {
             "synth": ["--out", str(out), "--window", "64"],
@@ -478,7 +478,7 @@ class TestErrorPaths:
         rng = np.random.default_rng(0)
         features = tmp_path / "features.csv"
         write_features_csv(
-            [(f"w:{i}", LatentFeatures.from_vector(rng.random(6)))
+            [(f"w:{i}", LatentFeatures(rng.random(6)))
              for i in range(10)], features)
         out = tmp_path / "elm.json"
         code, _, err = run(["detect-train", "--features", str(features),
@@ -553,7 +553,7 @@ class TestLibraryOptions:
 
     def test_detect_train_options(self, tmp_path, monkeypatch):
         features = tmp_path / "features.csv"
-        write_features_csv([(f"w:{i}", LatentFeatures.from_vector(np.arange(4.0) * i))
+        write_features_csv([(f"w:{i}", LatentFeatures(np.arange(4.0) * i))
                             for i in range(3)], features)
         target, argv = "wavelearn.analysis.elm_fit", [
             "detect-train", "--features", str(features), "--out", str(tmp_path / "elm.json")]

@@ -208,7 +208,7 @@ def good(tmp_path_factory):
     model = model.with_parameters(model.get_parameters()
                                   + rng.normal(0.0, 0.05, model.parameter_count()))
     persist.save_model(model, out / "model")
-    features = [(f"w{i}.wav:0", LatentFeatures.from_vector(rng.uniform(0.1, 1.0, 6)))
+    features = [(f"w{i}.wav:0", LatentFeatures(rng.uniform(0.1, 1.0, 6)))
                 for i in range(3)]
     persist.write_features_csv(features, out / "features")
     persist.save_elm(elm_fit([f for _, f in features], neurons=4, seed=1), out / "elm")

@@ -29,4 +29,13 @@ def test_a_moved_or_missing_array_is_counted():
     rows = {group: rest for group, *rest in outputs.compare(base, head)}
     assert rows["trace"] == [2, 1, 2.0 ** -42]
     assert rows["train"] == [1, 0, math.inf]
-    assert rows["backward"] == rows["read"] == [0, 0, 0.0]
+    assert rows["backward"] == rows["read"] == rows["documents"] == [0, 0, 0.0]
+
+
+def test_a_changed_byte_of_a_document_is_counted():
+    # a byte one lower moves by one, not by a wrapped 255
+    doc = np.frombuffer(b'{"a": 2}', np.uint8)
+    moved = np.frombuffer(b'{"a": 1}', np.uint8)
+    rows = {group: rest for group, *rest in outputs.compare(
+        {"documents/m": doc, "documents/n": doc}, {"documents/m": moved, "documents/n": doc})}
+    assert rows["documents"] == [2, 1, 1 / 125]

@@ -468,8 +468,8 @@ class TestTablePersistence:
             assert np.array_equal(fa.vector(), fb.vector())
 
     def test_inconsistent_feature_rows_write_nothing(self, tmp_path):
-        rows = [("a:0", LatentFeatures.from_vector(np.arange(6.0))),
-                ("a:1", LatentFeatures.from_vector(np.arange(8.0)))]
+        rows = [("a:0", LatentFeatures(np.arange(6.0))),
+                ("a:1", LatentFeatures(np.arange(8.0)))]
         with pytest.raises(ConfigError, match="inconsistent"):
             write_features_csv(rows, tmp_path / "features.csv")
         assert not (tmp_path / "features.csv").exists()
@@ -498,7 +498,7 @@ class TestTablePersistence:
                                       "scaler_std"])
     def test_elm_with_inconsistent_shapes_rejected(self, name, tmp_path):
         rng = np.random.default_rng(6)
-        feats = [LatentFeatures.from_vector(rng.normal(size=6)) for _ in range(20)]
+        feats = [LatentFeatures(rng.normal(size=6)) for _ in range(20)]
         path = tmp_path / "elm.json"
         save_elm(elm_fit(feats, neurons=5, seed=1), path)
         doc = json.loads(path.read_text())
@@ -510,7 +510,7 @@ class TestTablePersistence:
     def test_elm_without_neurons_rejected(self, tmp_path):
         # `elm_fit` draws at least one neuron; with none every score is 1.0
         rng = np.random.default_rng(6)
-        feats = [LatentFeatures.from_vector(rng.normal(size=6)) for _ in range(20)]
+        feats = [LatentFeatures(rng.normal(size=6)) for _ in range(20)]
         path = tmp_path / "elm.json"
         save_elm(elm_fit(feats, neurons=5, seed=1), path)
         doc = json.loads(path.read_text())

@@ -382,16 +382,21 @@ class TestCascadePlans:
 
 
 class TestCallCounts:
-    """Exact call counts of one warm pass at (8, 1 024), L = 10, despawn,
-    measured with numpy 2.4.6; they include numpy's own Python wrappers, so
-    another numpy version may move them. Before the level ops took plans
-    and precomputed operands, the forward made 95 Python-level and 214
-    C-level calls and the backward 256 and 494, db4-ht's backward 255 and
+    """Exact call counts of one warm call at L = 10, measured with numpy
+    2.4.6; they include numpy's own Python wrappers, so another numpy
+    version may move them.
+
+    History, at (8, 1 024) unless said. Before the level ops took plans and
+    precomputed operands, despawn's forward made 95 Python-level and 214
+    C-level calls and its backward 256 and 494, db4-ht's backward 255 and
     495. Before a model derived its level-first operands in one pass and
     `upsample_conv` padded its gradient operand inline, despawn's backward
     made 193 and 384 (153 and 156 with a plan), and a new model's first
     planned backward 196 and 202 (db4-ht), 208 and 213 (decwn), 216 and 211
-    (despawn), 205 and 204 (despawn2), 206 and 204 (free)."""
+    (despawn), 205 and 204 (despawn2), 206 and 204 (free). Before the fixed
+    scheme's db4 bank was derived once at import, db4-ht's first planned
+    backward made 179 and 186. Before `LatentFeatures` held one vector built
+    in one concatenate, `extract_features` at (1 024,) made 97 and 212."""
 
     @staticmethod
     def _tally(calls):
@@ -411,8 +416,37 @@ class TestCallCounts:
         assert self._tally(count_calls(forward_trace, model, x, *plan)) == forward
         assert self._tally(count_calls(backward_full, x, model, *plan)) == backward
 
+    @pytest.mark.parametrize("mode, planned, forward, backward", [
+        ("despawn", False, (86, 199), (199, 418)),
+        ("despawn", True, (66, 74), (159, 168)),
+        ("db4-ht", False, (86, 199), (194, 405)),
+        ("db4-ht", True, (66, 74), (154, 155)),
+    ])
+    def test_counts_over_three_tiles(self, count_calls, mode, planned, forward, backward):
+        # level 1 of a (1, 40 000) window has 20 000 outputs per channel, so
+        # its level ops run three tiles of `TILE`, level 2's two
+        model = _perturbed(SharingMode(mode), 10, np.random.default_rng(0))
+        x = np.random.default_rng(1).normal(size=(1, 40000))
+        plan = (CascadePlan(x.shape, 10, 8),) if planned else ()
+        assert self._tally(count_calls(forward_trace, model, x, *plan)) == forward
+        assert self._tally(count_calls(backward_full, x, model, *plan)) == backward
+
+    @pytest.mark.parametrize("mode, adam, step", [
+        ("despawn", (16, 15), (311, 427)), ("db4-ht", (16, 15), (287, 402))])
+    def test_an_adam_step_and_a_train_step(self, count_calls, mode, adam, step):
+        # the step is a `train` run of one epoch over one batch of 8 windows:
+        # a new model and plan, one backward and one Adam step
+        mode = SharingMode(mode)
+        model = _perturbed(mode, 10, np.random.default_rng(0))
+        config = TrainConfig(epochs=1, batch_size=8, levels=10)
+        grads = np.random.default_rng(2).normal(size=model.parameter_count())
+        state = AdamState.zeros(grads.size)
+        assert self._tally(count_calls(adam_step, model, grads, state, config)) == adam
+        windows = list(np.random.default_rng(3).normal(size=(8, 1024)))
+        assert self._tally(count_calls(train, windows, mode, config)) == step
+
     @pytest.mark.parametrize("mode, counts", [
-        ("db4-ht", (179, 186)), ("decwn", (181, 197)), ("despawn", (180, 195)),
+        ("db4-ht", (158, 172)), ("decwn", (181, 197)), ("despawn", (180, 195)),
         ("despawn2", (169, 188)), ("free", (170, 188)),
     ])
     def test_a_new_models_first_backward(self, count_calls, mode, counts):
@@ -432,7 +466,7 @@ class TestCallCounts:
             c: _perturbed(SharingMode.PER_LEVEL_CQF_HT, 10, np.random.default_rng(i))
             for i, c in enumerate("AB")})
         x = np.random.default_rng(1).normal(size=1024)
-        assert self._tally(count_calls(extract_features, x, model)) == (97, 212)
+        assert self._tally(count_calls(extract_features, x, model)) == (94, 209)
         assert self._tally(count_calls(dict_classify, x, dictionary)) == (105, 208)
 
 

@@ -19,7 +19,10 @@ groups are:
 * ``backward``: `backward_full`'s loss triple and gradient;
 * ``train``: a 2-epoch `train` run's parameters and loss history;
 * ``read``: each window's features, its one-class score under an ELM fitted
-  on the shape's windows, and its losses under a 2-class dictionary.
+  on the shape's windows, and its losses under a 2-class dictionary;
+* ``documents``: the bytes, as uint8, of the files that `save_model` (the
+  perturbed model), `save_elm`, `save_dictionary` and `write_features_csv`
+  write for the ``read`` group's objects.
 
 It reads only the package's public names, so a tree whose API moved needs
 this script to follow. numpy and the standard library only.
@@ -41,7 +44,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = [(1024,), (8, 1024), (7,), (3, 100), (1, 20000)]
-GROUPS = ("trace", "backward", "train", "read")
+GROUPS = ("trace", "backward", "train", "read", "documents")
 
 
 def _perturbed(wl, mode, levels, rng):
@@ -90,6 +93,15 @@ def run_grid() -> dict[str, np.ndarray]:
             out[f"read/{tag}/scores"] = np.array([wl.elm_score(elm, f) for f in features])
             out[f"read/{tag}/losses"] = np.array(
                 [list(wl.dict_classify(w, dictionary)[1].values()) for w in windows])
+
+            rows = [(f"w{i}", f) for i, f in enumerate(features)]
+            with tempfile.TemporaryDirectory() as tmp:
+                for name, save, obj in (("model", wl.save_model, model), ("elm", wl.save_elm, elm),
+                                        ("dictionary", wl.save_dictionary, dictionary),
+                                        ("features", wl.write_features_csv, rows)):
+                    save(obj, Path(tmp) / name)
+                    out[f"documents/{tag}/{name}"] = np.frombuffer(
+                        (Path(tmp) / name).read_bytes(), np.uint8)
     return out
 
 
@@ -112,7 +124,8 @@ def relative_move(base: np.ndarray, head: np.ndarray) -> float:
     """max |head - base| over max |base|; inf when the shapes differ."""
     if base.shape != head.shape:
         return math.inf
-    diff = np.max(np.abs(head - base), initial=0.0)
+    # in floats, so that the bytes of a document do not wrap
+    diff = np.max(np.abs(np.subtract(head, base, dtype=float)), initial=0.0)
     scale = np.max(np.abs(base), initial=0.0)
     return float(diff / scale) if scale else (0.0 if diff == 0 else math.inf)
 
