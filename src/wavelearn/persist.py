@@ -221,9 +221,10 @@ def _read_table(path, header_for) -> list[tuple[str, np.ndarray]]:
     with open(path, newline="") as fh:
         records = list(csv.reader(fh))
     header = records[0] if records else []
-    if header != header_for(len(header)) or len(records) < 2:
-        expected = ",".join(header_for(len(header)))
-        raise FormatError(f"{path} lacks a row under the header {expected}")
+    if header != header_for(len(header)):
+        raise FormatError(f"{path} line 1: not the header {','.join(header_for(len(header)))}")
+    if len(records) < 2:
+        raise FormatError(f"{path} line 2: no row under the header")
     rows = []
     for line, rec in enumerate(records[1:], start=2):
         try:
@@ -239,8 +240,9 @@ def _read_table(path, header_for) -> list[tuple[str, np.ndarray]]:
 
 
 def read_features_csv(path) -> list[tuple[str, LatentFeatures]]:
-    return [(row_id, LatentFeatures(vec))
-            for row_id, vec in _read_table(path, lambda n: feature_header((n - 3) // 2))]
+    # n columns hold L = (n - 3) / 2 levels, and a table holds at least one
+    return [(row_id, LatentFeatures(vec)) for row_id, vec
+            in _read_table(path, lambda n: feature_header(max(1, (n - 3) // 2)))]
 
 
 def write_scores_csv(rows: list[tuple[str, float]], path) -> None:

@@ -34,6 +34,13 @@ Conventions used throughout:
   a multiple of its kernels' column blocking, as the power of two `TILE`
   is; a gradient of several tiles sums in another order than one of a
   single tile does;
+* a block of at most `GATHER` zero-padded samples over all its rows, or
+  one whose kernel outgrows its input, gathers its copy as one tile in one
+  ``take`` through a read-only index of its windows' samples, which wraps
+  them around the input as often as they outgrow it (im2col: Chellapilla,
+  Puri and Simard, IWFHR 2006): at the deep levels a strided copy's set-up
+  costs more than its arithmetic. The index is shape-only, derived once per
+  (rows, N, K, direction) in a bounded module cache that threads share;
 * reversal of a finite kernel means ``h[-n] == h[K-1-n]``;
 * the level ops alone zero-pad an odd-length level input by one sample:
   `strided_corr` its input, `upsample_conv` its gradient operand; a caller
@@ -41,16 +48,18 @@ Conventions used throughout:
 * `strided_corr` and `upsample_conv` define one level each way, and on one
   stack each is the other's transpose: the backward pass runs analysis on
   the decoder stack and synthesis on the encoder stack;
-* a level op fills its periodic extension and tile copy in fresh buffers,
-  or in a `CascadePlan`'s, planned once per shape (rows, N, L, K) in one
-  arena that level 1 sizes, as one level op runs at a time (FFTW's split of
-  planning from running: Frigo and Johnson, Proc. IEEE 93(2), 2005). The
-  caller that repeats a shape owns the plan; two threads take two. No
-  array a level op returns is scratch, so it outlives later calls.
+* a level op that does not gather fills its periodic extension and tile
+  copy in fresh buffers, or in a `CascadePlan`'s, planned once per shape
+  (rows, N, L, K) in one arena that the first such level sizes, as one
+  level op runs at a time (FFTW's split of planning from running: Frigo
+  and Johnson, Proc. IEEE 93(2), 2005). The caller that repeats a shape
+  owns the plan; two threads take two. No array a level op returns is
+  scratch, so it outlives later calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -120,6 +129,9 @@ def cqf_fold(grad: np.ndarray) -> np.ndarray:
 # outputs per row in one tile of a level op's tap-major copy (module notes):
 # with K = 8 taps one row's tile is a 512 KiB copy
 TILE = 8192
+# the most zero-padded samples, over all rows, of a block whose level ops
+# gather their copy (module notes)
+GATHER = 64
 
 
 def polyphase(stack: np.ndarray) -> np.ndarray:
@@ -131,21 +143,38 @@ def polyphase(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(pairs).reshape(*stack.shape[:-2], stack.shape[-1], 2)
 
 
+@functools.lru_cache(maxsize=256)
+def _gather_index(rows: int, m: int, taps: int, synthesis: bool) -> np.ndarray | None:
+    """The read-only (K, m/2) index whose ``take`` from a level op's input,
+    `rows` rows zero-padded to even length `m`, is its tap-major copy, or
+    None where the op makes its copy strided (module notes). In analysis
+    ``copy[s, k] = x[(2k + s) mod m]``; in synthesis, from the two channels
+    joined, ``copy[c K/2 + s, k] = v[c][(k + s - K/2 + 1) mod m/2]``. The
+    cache keeps the answer to `GATHER`, so a new `GATHER` needs `cache_clear`."""
+    if rows * m > GATHER and m >= taps:
+        return None
+    half, k = m // 2, np.arange(m // 2)
+    if synthesis:
+        s = np.arange(taps // 2)[:, None]
+        idx = np.concatenate([c * half + (k + s - taps // 2 + 1) % half for c in (0, 1)])
+    else:
+        idx = (2 * k + np.arange(taps)[:, None]) % m
+    idx.flags.writeable = False
+    return idx
+
+
 def _scratch(lead, n: int, taps: int, synthesis: bool, arena=None):
-    """One level op's buffers over (*lead, n) inputs, at the start of `arena`
-    or fresh: the periodic extension, (*lead, 2, N/2 + K/2 - 1) in synthesis;
-    the gather that wraps it, or None where slices do; and per tile its
-    bounds, a (*lead, K, cols) copy, contiguous as BLAS needs, that copy in
-    the windows' shape, the read-only view of the overlapping windows, the
-    copy transposed."""
+    """One strided level op's buffers over (*lead, n) inputs, at the start of
+    `arena` or fresh: the periodic extension, (*lead, 2, N/2 + K/2 - 1) in
+    synthesis, and per tile its bounds, a (*lead, K, cols) copy, contiguous
+    as BLAS needs, that copy in the windows' shape, the read-only view of
+    the overlapping windows, the copy transposed."""
     half = (n + 1) // 2
     width, cols = 2 * half + taps - 2, min(TILE, half)
     if synthesis:  # windows[..., c, s, k] = ext[..., c, lo + k + s]
         shape, hop, ext_shape = (*lead, 2, taps // 2), 1, (*lead, 2, width // 2)
-        wrap = np.arange(1 - taps // 2, 0) % half if half < taps // 2 - 1 else None
     else:  # windows[..., s, k] = ext[..., 2 (lo + k) + s]
         shape, hop, ext_shape = (*lead, taps), 2, (*lead, width)
-        wrap = np.arange(2 * half, width) % (2 * half) if 2 * half < taps - 2 else None
     if arena is None:
         ext, copy = np.empty(ext_shape), np.empty((*lead, taps, cols))
     else:
@@ -159,47 +188,63 @@ def _scratch(lead, n: int, taps: int, synthesis: bool, arena=None):
         tiles.append((lo, lo + cols, tile, tile.reshape(*shape, cols) if synthesis else tile,
                       np.ndarray((*shape, cols), float, ext, 8 * hop * lo, strides),
                       tile.swapaxes(-1, -2)))
-    return ext, wrap, tiles
+    return ext, tiles
 
 
 class CascadePlan:
     """Level l's scratch for `strided_corr`, `corr[l]`, and `upsample_conv`,
     `conv[l]`, for `levels` levels over signals of `shape` under `taps`-tap
-    stacks, as views into one arena (module notes)."""
+    stacks, as views into one arena, or None for a level that gathers
+    (module notes)."""
 
     def __init__(self, shape, levels: int, taps: int):
         self.key = (tuple(shape), levels, taps)
         *lead, n = shape
-        # level 1's buffers size the arena; level l's input has ceil(N / 2^l) samples
-        ext, _, tiles = _scratch(lead, n, taps, False)
-        arena = np.empty(ext.size + tiles[0][2].size)
-        self.corr = [_scratch(lead, -(-n >> l), taps, False, arena) for l in range(levels)]
-        self.conv = [_scratch(lead, -(-n >> l), taps, True, arena) for l in range(levels)]
+        # level l's input has ceil(N / 2^l) samples; the levels that make a
+        # strided copy come first, and the first of them sizes the arena
+        rows, inputs = math.prod(lead), [-(-n >> l) for l in range(levels)]
+        strided = [i for i in inputs if _gather_index(rows, i + i % 2, taps, False) is None]
+        self.corr, self.conv = [None] * levels, [None] * levels
+        if strided:
+            ext, tiles = _scratch(lead, strided[0], taps, False)
+            arena = np.empty(ext.size + tiles[0][2].size)
+            for l, i in enumerate(strided):
+                self.corr[l] = _scratch(lead, i, taps, False, arena)
+                self.conv[l] = _scratch(lead, i, taps, True, arena)
 
 
 def strided_corr(x: np.ndarray, f: np.ndarray, upstream=None, grad=None, scratch=None):
     """out[..., c, k] = sum_n f[..., c, n] * x[..., (2k + n) mod N] for k in
     [0, N/2), `x` zero-padded to even N: BLAS matmuls on a tap-major window
-    copy, one tile of `TILE` outputs at a time, in `scratch`, a plan's
-    buffers for the level, or fresh ones (module notes), for a (C, K) kernel
-    stack with taps at a unit stride, (..., C, N/2) out, or for a (B, C, K)
-    stack, one per row of a (B, N) block; a (K,) kernel gives (..., N/2).
+    copy, gathered for a small block, else one tile of `TILE` outputs at a
+    time, in `scratch`, a plan's buffers for the level, or fresh ones
+    (module notes), for a (C, K) kernel stack with taps at a unit stride,
+    (..., C, N/2) out, or for a (B, C, K) stack, one per row of a (B, N)
+    block; a (K,) kernel gives (..., N/2).
 
     Given `upstream`, one array per channel of a (..., C, K) stack's `out`,
     also writes into `grad` the gradient of <upstream, out> on f row by row,
     grad[..., c, n] = sum_k upstream[c][..., k] * x[..., (2k + n) mod N],
     summed in tile order."""
     n, taps = x.shape[-1], f.shape[-1]
-    ext, wrap, tiles = scratch or _scratch(x.shape[:-1], n, taps, False)
     m = n + n % 2
-    ext[..., :n] = x
-    if n < m:
-        ext[..., n] = 0.0
-    ext[..., m:] = ext[..., :taps - 2] if wrap is None else ext[..., wrap]
+    idx = _gather_index(x.size // n, m, taps, False)
+    if idx is not None:
+        if n < m:
+            x = np.concatenate((x, np.zeros((*x.shape[:-1], 1))), -1)
+        copy = x.take(idx, -1)
+        tiles = ((0, m // 2, copy, copy, None, copy.swapaxes(-1, -2) if upstream else None),)
+    else:
+        ext, tiles = scratch or _scratch(x.shape[:-1], n, taps, False)
+        ext[..., :n] = x
+        if n < m:
+            ext[..., n] = 0.0
+        ext[..., m:] = ext[..., :taps - 2]
     # one tile's product is the output; several fill a fresh one
     out = np.empty((*x.shape[:-1], *f.shape[-2:-1], m // 2)) if len(tiles) > 1 else None
-    for lo, hi, copy, _, view, copy_t in tiles:
-        np.copyto(copy, view)
+    for lo, hi, copy, shaped, view, copy_t in tiles:
+        if view is not None:
+            np.copyto(shaped, view)
         if out is None:
             out = f @ copy
         else:
@@ -216,9 +261,9 @@ def upsample_conv(v: tuple[np.ndarray, np.ndarray], poly: np.ndarray, x=None, gr
     """out[..., m] = sum_c sum_k v[c][..., k] * f[..., c, (m - 2k) mod 2 half],
     the transpose of `strided_corr` with the same (..., 2, K) kernel stack f,
     given as its polyphase taps `poly`, for the channel pair v = (a, d), each
-    (..., half): BLAS matmuls in polyphase form, tiled and in `scratch` as in
-    `strided_corr`, one per row for (B, K, 2) taps. Kernel indices wrap
-    (fold) when the kernel is longer than the output.
+    (..., half): BLAS matmuls in polyphase form, gathered or tiled and in
+    `scratch` as in `strided_corr`, one per row for (B, K, 2) taps. Kernel
+    indices wrap (fold) when the kernel is longer than the output.
 
     Given `x`, shaped like `out` or one sample shorter (an odd level input,
     zero-padded to `out`'s length), also writes into `grad` the gradient of
@@ -227,16 +272,22 @@ def upsample_conv(v: tuple[np.ndarray, np.ndarray], poly: np.ndarray, x=None, gr
     (2k + n) mod 2 half]."""
     a, d = v
     lead, half, taps = a.shape[:-1], a.shape[-1], poly.shape[-2]
-    ext, wrap, tiles = scratch or _scratch(lead, 2 * half, taps, True)
-    # ext[..., c, i] = v[c][..., (i - K/2 + 1) mod half]
-    ext[..., 0, taps // 2 - 1:], ext[..., 1, taps // 2 - 1:] = a, d
-    ext[..., :taps // 2 - 1] = ext[..., half:] if wrap is None else ext[..., taps // 2 - 1:][..., wrap]
+    idx = _gather_index(a.size // half, 2 * half, taps, True)
+    if idx is not None:
+        copy = np.concatenate((a, d), -1).take(idx, -1)
+        tiles = ((0, half, copy, copy, None, copy.swapaxes(-1, -2)),)
+    else:
+        ext, tiles = scratch or _scratch(lead, 2 * half, taps, True)
+        # ext[..., c, i] = v[c][..., (i - K/2 + 1) mod half]
+        ext[..., 0, taps // 2 - 1:], ext[..., 1, taps // 2 - 1:] = a, d
+        ext[..., :taps // 2 - 1] = ext[..., half:]
     out = np.empty((*lead, half, 2)) if len(tiles) > 1 else None  # as in `strided_corr`
     if x is not None:  # an odd-length `x` zero-padded by one sample
         pairs = np.concatenate([x, np.zeros((*x.shape[:-1], 1))], -1) if x.shape[-1] % 2 else x
         pairs = pairs.reshape(*x.shape[:-1], half, 2)
     for lo, hi, copy, shaped, view, copy_t in tiles:
-        np.copyto(shaped, view)
+        if view is not None:
+            np.copyto(shaped, view)
         if out is None:
             out = copy_t @ poly
         else:

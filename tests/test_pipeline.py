@@ -1,6 +1,7 @@
 """WAV parsing, preprocessing, synthetic data, manifests and persistence."""
 
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -473,6 +474,18 @@ class TestTablePersistence:
         with pytest.raises(ConfigError, match="inconsistent"):
             write_features_csv(rows, tmp_path / "features.csv")
         assert not (tmp_path / "features.csv").exists()
+
+    @pytest.mark.parametrize("table", ["id,res_mean,res_max\nw:0,1.0,2.0\n",
+                                       "id,res_mean\nw:0,1.0\n", "id\nw:0\n"],
+                             ids=["no_levels", "one_statistic", "id_only"])
+    def test_features_csv_without_level_columns_names_its_file_and_line(self, tmp_path,
+                                                                         table):
+        # a feature vector holds at least one level's two statistics
+        path = tmp_path / "features.csv"
+        path.write_text(table)
+        expected = re.escape(f"{path} line 1: ") + ".*l1_mean_1,l1_max_1"
+        with pytest.raises(FormatError, match=expected):
+            read_features_csv(path)
 
     def test_scores_csv_roundtrip(self, tmp_path):
         rows = [("a:0", 0.125), ("b:1", 1.0 / 3.0)]

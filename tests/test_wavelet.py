@@ -427,24 +427,35 @@ class TestPolyphaseSynthesis:
         assert abs(lhs - rhs) <= (taps + x.size) * np.finfo(float).eps * terms
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 40), taps=st.integers(1, 66).map(lambda t: 2 * t))
+    @given(n=st.integers(1, 200), taps=st.integers(1, 66).map(lambda t: 2 * t))
     def test_periodic_ext_is_modular_indexing(self, n, taps):
-        # the extensions the level ops fill in their scratch: the zero-padded
+        # the extensions whose windows the level ops copy: the zero-padded
         # input, then its first K - 2 samples in analysis; each channel after
         # its last K/2 - 1 in synthesis; wrapping several times when the
-        # kernel outgrows the input
+        # kernel outgrows the input. A small block gathers its windows
+        # through a cached index, any other fills the extension in scratch
         rng = np.random.default_rng(n)
         x = rng.normal(size=n)
         m = n + n % 2
+        extended = np.arange(m + taps - 2) % m
+        wrapped = np.arange(1 - taps // 2, m // 2) % (m // 2)
+        v = rng.normal(size=(2, m // 2))
+        corr_index = wavelet._gather_index(1, m, taps, False)
+        if corr_index is not None:
+            k = np.arange(m // 2)
+            assert np.array_equal(corr_index, extended[2 * k + np.arange(taps)[:, None]])
+            conv_index = wavelet._gather_index(1, m, taps, True)
+            s = np.arange(taps // 2)[:, None]
+            assert np.array_equal(conv_index, np.concatenate(
+                [c * (m // 2) + wrapped[k + s] for c in (0, 1)]))
+            return
         corr = wavelet._scratch((), n, taps, False)
         strided_corr(x, np.ones((2, taps)), scratch=corr)
         padded = np.concatenate([x, np.zeros(n % 2)])
-        assert corr[0].tobytes() == padded[np.arange(m + taps - 2) % m].tobytes()
-        v = rng.normal(size=(2, m // 2))
+        assert corr[0].tobytes() == padded[extended].tobytes()
         conv = wavelet._scratch((), n, taps, True)
         upsample_conv(tuple(v), np.ones((taps, 2)), scratch=conv)
-        wrapped = v[:, np.arange(1 - taps // 2, m // 2) % (m // 2)]
-        assert conv[0].tobytes() == wrapped.tobytes()
+        assert conv[0].tobytes() == v[:, wrapped].tobytes()
 
 
 def corr_sum(x, f):
@@ -703,6 +714,65 @@ class TestTiles:
         tiled_losses, tiled_grad = backward_full(x, model)
         assert np.array(tiled_losses).tobytes() == np.array(losses).tobytes()
         assert np.max(np.abs(tiled_grad - grad)) <= 1e-13 * np.max(np.abs(grad))
+
+
+class TestGather:
+    """A level op over a block of at most `GATHER` zero-padded samples, or
+    under a kernel longer than its input, gathers its window copy through a
+    cached read-only index; it is the strided copy's, so every output and
+    kernel gradient keeps its bytes."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 8])
+    @pytest.mark.parametrize("taps", [2, 8, 16])
+    def test_bitwise_equal_to_the_strided_copy(self, monkeypatch, rows, taps):
+        rng = np.random.default_rng(rows * taps)
+        cases = []
+        for n in range(2, 131):
+            for per_row in (False, True):
+                lead = () if rows == 1 and not per_row else (rows,)
+                x = rng.normal(size=(*lead, n))
+                u = rng.normal(size=(*lead, 2, (n + 1) // 2))
+                f = rng.normal(size=(rows, 2, taps) if per_row else (2, taps))
+                cases.append((x, (u[..., 0, :], u[..., 1, :]), f))
+
+        def outputs():
+            return [(*corr(x, f, pair), *synth(pair, f, x)) for x, pair, f in cases]
+
+        gathered = outputs()
+        # with `GATHER` 0 only the inputs a kernel outgrows gather; the index
+        # cache holds the rule's answer, so it starts empty on each side
+        monkeypatch.setattr(wavelet, "GATHER", 0)
+        wavelet._gather_index.cache_clear()
+        try:
+            strided = outputs()
+        finally:
+            monkeypatch.undo()
+            wavelet._gather_index.cache_clear()
+        compared = 0
+        for (x, _, _), got, want in zip(cases, gathered, strided):
+            m = x.shape[-1] + x.shape[-1] % 2
+            compared += rows * m <= wavelet.GATHER and m >= taps
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        # each even m from K to GATHER / rows changes path, in two or more cases
+        assert compared >= 2 * len(range(taps, wavelet.GATHER // rows + 1, 2))
+
+    @pytest.mark.parametrize("synthesis", [False, True], ids=["analysis", "synthesis"])
+    def test_index_is_cached_and_read_only(self, synthesis):
+        idx = wavelet._gather_index(2, 16, 8, synthesis)
+        assert idx.shape == (8, 8) and not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1
+        assert wavelet._gather_index(2, 16, 8, synthesis) is idx
+        assert wavelet._gather_index(2, 1024, 8, synthesis) is None
+
+    def test_a_plan_holds_scratch_for_the_strided_levels_only(self):
+        # (8, 1 024) at L = 10: levels 8 to 10 (inputs of 8, 4 and 2
+        # samples) make at most 64 samples over the block's rows
+        plan = CascadePlan((8, 1024), 10, 8)
+        for levels in (plan.corr, plan.conv):
+            assert [scratch is None for scratch in levels] == [False] * 7 + [True] * 3
+        assert CascadePlan((3,), 2, 2).corr == [None, None]
 
 
 class TestOneBankPerRow:

@@ -10,9 +10,11 @@ group of outputs how many arrays are bitwise equal and the largest move of
 any array relative to its own largest entry. The exit code is 0 only when
 every array is bitwise equal.
 
-The grid runs every sharing mode over windows of the shapes in `SHAPES`, at
-full depth, with 8-tap kernels, perturbed parameters and gamma 0.7. Its
-groups are:
+The grid runs every sharing mode over windows of the shapes in `SHAPES` with
+8-tap kernels, and every mode that does not pin its kernel size over those
+in `LONG_KERNEL_SHAPES` with 16-tap kernels too, which outgrow the inputs
+of their deepest levels; all at full depth, with perturbed parameters and
+gamma 0.7. Its groups are:
 
 * ``trace``: a forward pass's reconstruction chain, details before and
   after the gate, gate terms, approximation and loss triple;
@@ -43,29 +45,32 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SHAPES = [(1024,), (8, 1024), (7,), (3, 100), (1, 20000)]
+SHAPES = [(1024,), (8, 1024), (7,), (4, 33), (3, 100), (625,), (1, 20000)]
+LONG_KERNEL_SHAPES = [(7,), (4, 33)]
 GROUPS = ("trace", "backward", "train", "read", "documents")
 
 
-def _perturbed(wl, mode, levels, rng):
-    model = wl.WaveletNet(levels, 8, mode, gamma=0.7)
+def _perturbed(wl, mode, levels, taps, rng):
+    model = wl.WaveletNet(levels, taps, mode, gamma=0.7)
     vec = model.get_parameters()
     return model.with_parameters(vec + rng.normal(0.0, 0.05, vec.size))
 
 
 def run_grid() -> dict[str, np.ndarray]:
-    """Every output of the grid, keyed ``group/mode/shape/name``, from the
-    `wavelearn` this process imports."""
+    """Every output of the grid, keyed ``group/mode/shape/kK/name``, from
+    the `wavelearn` this process imports."""
     import wavelearn as wl
     from wavelearn.network import forward_trace, loss_terms
     from wavelearn.training import backward_full
     out = {}
     for mode in wl.SharingMode:
-        for shape in SHAPES:
-            tag = f"{mode.value}/{'x'.join(map(str, shape))}"
+        grid = [(shape, 8) for shape in SHAPES]
+        grid += [] if mode.scheme.kernel_size else [(shape, 16) for shape in LONG_KERNEL_SHAPES]
+        for shape, taps in grid:
+            tag = f"{mode.value}/{'x'.join(map(str, shape))}/k{taps}"
             rng = np.random.default_rng(zlib.crc32(tag.encode()))
             levels = wl.max_depth(shape[-1])
-            model = _perturbed(wl, mode, levels, rng)
+            model = _perturbed(wl, mode, levels, taps, rng)
             x = rng.normal(size=shape)
             windows = list(np.atleast_2d(x))
 
@@ -88,7 +93,7 @@ def run_grid() -> dict[str, np.ndarray]:
             features = [wl.extract_features(w, model) for w in windows]
             elm = wl.elm_fit(features, neurons=8, seed=1)
             dictionary = wl.DictionaryModel(class_models={
-                "a": model, "b": _perturbed(wl, mode, levels, rng)})
+                "a": model, "b": _perturbed(wl, mode, levels, taps, rng)})
             out[f"read/{tag}/features"] = np.array([f.vector() for f in features])
             out[f"read/{tag}/scores"] = np.array([wl.elm_score(elm, f) for f in features])
             out[f"read/{tag}/losses"] = np.array(
