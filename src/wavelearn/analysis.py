@@ -188,8 +188,9 @@ def elm_score(model: OneClassElm, features: LatentFeatures) -> float:
 
 def roc_auc(scores, labels) -> float:
     """Probability that a random positive outscores a random negative, ties
-    counted half (rank form of the Mann-Whitney statistic)."""
-    scores = np.asarray(scores, dtype=float)
+    counted half (rank form of the Mann-Whitney statistic). Scores must
+    be real numbers (`as_floats`)."""
+    scores = as_floats(scores, "scores")
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ConfigError("scores and labels must be 1-D and the same length")

@@ -50,7 +50,6 @@ from .errors import ConfigError, InvalidSignalError, as_integer, as_real, as_sig
 from .wavelet import (
     DB4_SCALING,
     HAAR_SCALING,
-    CascadePlan,
     analysis_cascade,
     as_kernel,
     cascade_input,
@@ -350,18 +349,14 @@ class ForwardTrace:
         return [pyramid[..., lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:])]
 
 
-def forward_trace(model: WaveletNet, signal, plan: CascadePlan | None = None) -> ForwardTrace:
+def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
     """Encoder-decoder pass over one window or a (B, N) block of them, every
     row under the same banks, or row r under model r of a row-stacked model
     (module notes): details are gated before being stored and
-    skip-connected, the final approximation is passed through untouched; in
-    the scratch of `plan`, a `wavelet.CascadePlan` for this shape, if given."""
+    skip-connected, the final approximation is passed through untouched."""
     signal = cascade_input(signal, model.levels)
-    if plan is not None and plan.key != (signal.shape, model.levels, model.kernel_size):
-        raise ConfigError(f"a plan for {plan.key} cannot run {signal.shape} under {model.levels}"
-                          f" levels of {model.kernel_size} taps")
     enc, _, _, dec_taps = model.operands
-    inputs, details, approx = analysis_cascade(signal, enc, plan)
+    inputs, details, approx = analysis_cascade(signal, enc)
     sizes = [d.shape[-1] for d in details]
     offsets = list(accumulate(sizes, initial=0))
     details_pre = np.concatenate(details, -1)
@@ -381,8 +376,7 @@ def forward_trace(model: WaveletNet, signal, plan: CascadePlan | None = None) ->
         details=gated,
         gates=gates,
         approx=approx,
-        recon_chain=synthesis_cascade(approx, details, [a.shape[-1] for a in inputs],
-                                      dec_taps, plan),
+        recon_chain=synthesis_cascade(approx, details, [a.shape[-1] for a in inputs], dec_taps),
     )
 
 

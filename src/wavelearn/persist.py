@@ -194,10 +194,10 @@ def feature_header(levels: int) -> list[str]:
 
 
 def write_table(path, header: list[str], rows) -> None:
-    """A CSV table: `header`, then one line per row of the iterable `rows`,
-    each written as it comes, str cells as they are and every other cell as
-    a float in its shortest round-trip repr."""
-    with open(path, "w", newline="") as fh:
+    """A UTF-8 CSV table: `header`, then one line per row of the iterable
+    `rows`, each written as it comes, str cells as they are and every other
+    cell as a float in its shortest round-trip repr."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -216,10 +216,13 @@ def write_features_csv(rows: list[tuple[str, LatentFeatures]], path) -> None:
 
 
 def _read_table(path, header_for) -> list[tuple[str, np.ndarray]]:
-    """The rows of a CSV table, at least one, under the header
+    """The rows of a UTF-8 CSV table, at least one, under the header
     `header_for(n)` of its n columns, as (id, the other cells as floats)."""
-    with open(path, newline="") as fh:
-        records = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
     header = records[0] if records else []
     if header != header_for(len(header)):
         raise FormatError(f"{path} line 1: not the header {','.join(header_for(len(header)))}")

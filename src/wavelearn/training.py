@@ -25,10 +25,10 @@ window) as exactly zero, the kink's subgradient.
 
 `train` feeds each mini-batch to `backward_full` as (B, N) blocks of at most
 `BLOCK_SAMPLES` samples (one window at least): one call for a batch of short
-windows, memory O(N) for any batch size. `train` owns a `wavelet.CascadePlan`
-per block shape and `gradient_check` one for all its passes; a plan lends
-scratch only, so no trace, loss or gradient aliases it. A block whose loss
-or gradient is not finite stops training with `DivergenceError` before the
+windows, memory O(N) for any batch size. The level ops keep their scratch
+in their thread's arena (`wavelet` module notes), so a step repeats no
+set-up and no trace, loss or gradient aliases it. A block whose loss or
+gradient is not finite stops training with `DivergenceError` before the
 update.
 """
 
@@ -48,7 +48,7 @@ from .network import (
     ht_gate_derivatives,
     loss_terms,
 )
-from .wavelet import CascadePlan, polyphase, strided_corr, upsample_conv
+from .wavelet import polyphase, strided_corr, upsample_conv
 
 # most samples `train` passes to one `backward_full` call
 BLOCK_SAMPLES = 2 ** 16
@@ -63,12 +63,12 @@ def residual_sign(signal: np.ndarray, reconstruction: np.ndarray,
     return np.where(np.abs(residual) <= tol, 0.0, np.sign(residual))
 
 
-def backward_full(signal, model: WaveletNet, plan: CascadePlan | None = None):
+def backward_full(signal, model: WaveletNet):
     """Loss triple, under the model's `gamma`, plus the flat gradient
     vector, aligned with `model.get_parameters()`, of one window or, for a
-    (B, N) block, both summed over its rows, in `plan`'s scratch if given."""
+    (B, N) block, both summed over its rows."""
     signal = as_signal(signal)
-    trace = forward_trace(model, signal, plan)
+    trace = forward_trace(model, signal)
     triple = tuple(float(term.sum()) for term in loss_terms(trace, signal, model.gamma))
     scale = model.gamma / (trace.details.shape[-1] + trace.approx.shape[-1])
     _, dec, enc_taps, _ = model.operands
@@ -84,8 +84,7 @@ def backward_full(signal, model: WaveletNet, plan: CascadePlan | None = None):
     g_details = np.empty_like(trace.details)
     for l, g_d in enumerate(trace.levels(g_details)):
         upstream = (trace.recon_chain[l + 1], details[l]) if trains else None
-        out = strided_corr(g_x, dec[l], upstream, bank_grad[..., l, 1, :, :],
-                           plan and plan.corr[l])
+        out = strided_corr(g_x, dec[l], upstream, bank_grad[..., l, 1, :, :])
         g_x, g_d[...] = out[..., 0, :], out[..., 1, :]
     # every detail's sparsity term, then the gate, over the whole pyramid
     # (in place: on a long window each fresh pyramid is a megabyte to fault in)
@@ -108,9 +107,9 @@ def backward_full(signal, model: WaveletNet, plan: CascadePlan | None = None):
     enc_grad = bank_grad[..., 0, :, :]
     for l in range(model.levels - 1, -1, -1):
         x = trace.inputs[l]
+        grad = enc_grad[..., l, :, :].reshape(*x.shape[:-1], -1, 2)
         g_a = upsample_conv((g_a, pre[l]), enc_taps[l], x if trains else None,
-                            enc_grad[..., l, :, :].reshape(*x.shape[:-1], -1, 2),
-                            plan and plan.conv[l])[..., :x.shape[-1]]
+                            grad)[..., :x.shape[-1]]
     enc_grad[...] = polyphase(enc_grad).reshape(enc_grad.shape)
 
     # fold the level-stacked bank gradient onto the kernels it was derived
@@ -124,7 +123,7 @@ def backward_full(signal, model: WaveletNet, plan: CascadePlan | None = None):
     return triple, sum(flat) if flat.ndim > 1 else flat
 
 
-def _bumped_losses(signal, model: WaveletNet, param_index: int, step: float, plan=None):
+def _bumped_losses(signal, model: WaveletNet, param_index: int, step: float):
     """Total loss with one trainable scalar moved by +step and by -step, and
     whether an argument of one of the loss's |.| terms (a residual, gated
     detail or final approximation) changes sign between the two."""
@@ -135,7 +134,7 @@ def _bumped_losses(signal, model: WaveletNet, param_index: int, step: float, pla
     for delta in (step, -step):
         bumped = vec.copy()
         bumped[param_index] += delta
-        trace = forward_trace(model.with_parameters(bumped), signal, plan)
+        trace = forward_trace(model.with_parameters(bumped), signal)
         values.append(float(loss_terms(trace, signal, model.gamma)[0].sum()))
         signs.append([np.sign(t) for t in (signal - trace.reconstruction,
                                            trace.details, trace.approx)])
@@ -143,15 +142,14 @@ def _bumped_losses(signal, model: WaveletNet, param_index: int, step: float, pla
     return values, straddles
 
 
-def kink_free_difference(signal, model: WaveletNet, param_index: int,
-                         steps, plan: CascadePlan | None = None) -> float | None:
+def kink_free_difference(signal, model: WaveletNet, param_index: int, steps) -> float | None:
     """Central difference of the total loss along one trainable scalar, the
     brute-force oracle for `backward_full`, at the first of the decreasing
     `steps` across which no |.| term of the loss changes sign, or None when
     every step straddles one: the scalar is at a kink, where the difference
     mixes the slopes of both sides and no subgradient has to match it."""
     for step in steps:
-        values, straddles = _bumped_losses(signal, model, param_index, step, plan)
+        values, straddles = _bumped_losses(signal, model, param_index, step)
         if not straddles:
             return (values[0] - values[1]) / (2.0 * step)
     return None
@@ -202,19 +200,17 @@ def gradient_check(mode: SharingMode, seed: int = 0, n_seeds: int = 5,
     failures, kinks = [], []
     checked = 0
     max_ratio = 0.0
-    # every pass of the check has one shape, so one plan serves them all
     start = WaveletNet(default_levels_for(GRAD_CHECK_LENGTH), 8, mode)
-    plan = CascadePlan((GRAD_CHECK_LENGTH,), start.levels, start.kernel_size)
     for s in seeds:
         rng = np.random.default_rng(s)
         vec = start.get_parameters()
         model = start.with_parameters(vec + rng.normal(0.0, GRAD_CHECK_PERTURB, vec.size))
         signal = rng.normal(size=GRAD_CHECK_LENGTH)
         vec = model.get_parameters()
-        _, grads = backward_full(signal, model, plan)
+        _, grads = backward_full(signal, model)
         for i in range(vec.size):
             steps = [step * max(1.0, abs(vec[i])) for step in GRAD_CHECK_STEPS]
-            fd = kink_free_difference(signal, model, i, steps, plan)
+            fd = kink_free_difference(signal, model, i, steps)
             if fd is None:
                 kinks.append((s, i))
                 continue
@@ -313,7 +309,6 @@ def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
     start = time.perf_counter()
     n = len(signals)
     rows = max(1, BLOCK_SAMPLES // signals[0].size)
-    plans = {}  # one per block shape
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_losses = np.zeros(3)
@@ -322,9 +317,7 @@ def train(signals, mode: SharingMode, config: TrainConfig) -> TrainReport:
             grad_sum = np.zeros_like(state.m)
             for first in range(0, batch.size, rows):
                 block = np.stack([signals[i] for i in batch[first:first + rows]])
-                if block.shape not in plans:
-                    plans[block.shape] = CascadePlan(block.shape, levels, model.kernel_size)
-                triple, flat = backward_full(block, model, plans[block.shape])
+                triple, flat = backward_full(block, model)
                 if not (np.all(np.isfinite(triple)) and np.all(np.isfinite(flat))):
                     raise DivergenceError(
                         f"training diverged at epoch {epoch + 1}, batch "

@@ -49,18 +49,23 @@ Conventions used throughout:
   stack each is the other's transpose: the backward pass runs analysis on
   the decoder stack and synthesis on the encoder stack;
 * a level op that does not gather fills its periodic extension and tile
-  copy in fresh buffers, or in a `CascadePlan`'s, planned once per shape
-  (rows, N, L, K) in one arena that the first such level sizes, as one
-  level op runs at a time (FFTW's split of planning from running: Frigo
-  and Johnson, Proc. IEEE 93(2), 2005). The caller that repeats a shape
-  owns the plan; two threads take two. No array a level op returns is
-  scratch, so it outlives later calls.
+  copy in its thread's scratch arena: one private buffer, mapped outside
+  the malloc heap, copied on write into a forked child, and views into it
+  made once per (rows, N, K, direction), which every op of that key
+  shares, as one level op runs at a time (FFTW's split of planning from
+  running: Frigo and Johnson, Proc. IEEE 93(2), 2005). The buffer is sized
+  by the largest such op the thread has run and kept until the thread
+  exits, so one large call holds its scratch for the thread's life; a new
+  `TILE` needs the views dropped. No array a level op returns is scratch,
+  so it outlives later calls.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import mmap
+import threading
 
 import numpy as np
 
@@ -163,64 +168,61 @@ def _gather_index(rows: int, m: int, taps: int, synthesis: bool) -> np.ndarray |
     return idx
 
 
-def _scratch(lead, n: int, taps: int, synthesis: bool, arena=None):
-    """One strided level op's buffers over (*lead, n) inputs, at the start of
-    `arena` or fresh: the periodic extension, (*lead, 2, N/2 + K/2 - 1) in
-    synthesis, and per tile its bounds, a (*lead, K, cols) copy, contiguous
-    as BLAS needs, that copy in the windows' shape, the read-only view of
-    the overlapping windows, the copy transposed."""
+class _Arena(threading.local):
+    """One thread's scratch (module notes): `buffer`, and in `views` the
+    views into it of at most 256 strided level ops, keyed by `_scratch`'s
+    arguments. Thread-local, so a finished thread's buffer goes with it."""
+
+    def __init__(self):
+        self.buffer, self.views = np.empty(0), {}
+
+
+_ARENA = _Arena()
+
+
+def _scratch(lead, n: int, taps: int, synthesis: bool):
+    """One strided level op's views over (*lead, n) inputs into this thread's
+    arena, made on a miss and kept there: the periodic extension at the
+    start, (*lead, 2, N/2 + K/2 - 1) in synthesis, and per tile of `TILE`
+    outputs its bounds, a (*lead, K, cols) copy after the extension,
+    contiguous as BLAS needs, that copy in the windows' shape, the read-only
+    view of the overlapping windows, the copy transposed. An op larger than
+    the buffer replaces it, and its views with it."""
     half = (n + 1) // 2
     width, cols = 2 * half + taps - 2, min(TILE, half)
+    rows, arena = math.prod(lead), _ARENA
+    size = rows * (width + taps * cols)
+    if arena.buffer.size < size:
+        # private, and outside the malloc heap, which a buffer that outlives
+        # its call would split (`_keep_freed_heap_mapped`)
+        arena.buffer = np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), float)
+        arena.views = {}
+    elif len(arena.views) >= 256:
+        arena.views = {}
     if synthesis:  # windows[..., c, s, k] = ext[..., c, lo + k + s]
         shape, hop, ext_shape = (*lead, 2, taps // 2), 1, (*lead, 2, width // 2)
     else:  # windows[..., s, k] = ext[..., 2 (lo + k) + s]
         shape, hop, ext_shape = (*lead, taps), 2, (*lead, width)
-    if arena is None:
-        ext, copy = np.empty(ext_shape), np.empty((*lead, taps, cols))
-    else:
-        rows = math.prod(lead)
-        ext = arena[:rows * width].reshape(ext_shape)
-        copy = arena[rows * width:rows * (width + taps * cols)].reshape(*lead, taps, cols)
+    ext = arena.buffer[:rows * width].reshape(ext_shape)
+    copy = arena.buffer[rows * width:size].reshape(*lead, taps, cols)
     strides, tiles = (*ext.strides[:-1], 8, 8 * hop), []
     for lo in range(0, half, cols):
-        tile = copy if half - lo >= cols else copy[..., :half - lo]  # the last tile is short
-        cols = tile.shape[-1]
-        tiles.append((lo, lo + cols, tile, tile.reshape(*shape, cols) if synthesis else tile,
+        part = copy if half - lo >= cols else copy[..., :half - lo]  # the last tile is short
+        cols = part.shape[-1]
+        tiles.append((lo, lo + cols, part, part.reshape(*shape, cols) if synthesis else part,
                       np.ndarray((*shape, cols), float, ext, 8 * hop * lo, strides),
-                      tile.swapaxes(-1, -2)))
+                      part.swapaxes(-1, -2)))
+    arena.views[lead, n, taps, synthesis] = ext, tiles
     return ext, tiles
 
 
-class CascadePlan:
-    """Level l's scratch for `strided_corr`, `corr[l]`, and `upsample_conv`,
-    `conv[l]`, for `levels` levels over signals of `shape` under `taps`-tap
-    stacks, as views into one arena, or None for a level that gathers
-    (module notes)."""
-
-    def __init__(self, shape, levels: int, taps: int):
-        self.key = (tuple(shape), levels, taps)
-        *lead, n = shape
-        # level l's input has ceil(N / 2^l) samples; the levels that make a
-        # strided copy come first, and the first of them sizes the arena
-        rows, inputs = math.prod(lead), [-(-n >> l) for l in range(levels)]
-        strided = [i for i in inputs if _gather_index(rows, i + i % 2, taps, False) is None]
-        self.corr, self.conv = [None] * levels, [None] * levels
-        if strided:
-            ext, tiles = _scratch(lead, strided[0], taps, False)
-            arena = np.empty(ext.size + tiles[0][2].size)
-            for l, i in enumerate(strided):
-                self.corr[l] = _scratch(lead, i, taps, False, arena)
-                self.conv[l] = _scratch(lead, i, taps, True, arena)
-
-
-def strided_corr(x: np.ndarray, f: np.ndarray, upstream=None, grad=None, scratch=None):
+def strided_corr(x: np.ndarray, f: np.ndarray, upstream=None, grad=None):
     """out[..., c, k] = sum_n f[..., c, n] * x[..., (2k + n) mod N] for k in
     [0, N/2), `x` zero-padded to even N: BLAS matmuls on a tap-major window
     copy, gathered for a small block, else one tile of `TILE` outputs at a
-    time, in `scratch`, a plan's buffers for the level, or fresh ones
-    (module notes), for a (C, K) kernel stack with taps at a unit stride,
-    (..., C, N/2) out, or for a (B, C, K) stack, one per row of a (B, N)
-    block; a (K,) kernel gives (..., N/2).
+    time in the thread's arena (module notes), for a (C, K) kernel stack
+    with taps at a unit stride, (..., C, N/2) out, or for a (B, C, K) stack,
+    one per row of a (B, N) block; a (K,) kernel gives (..., N/2).
 
     Given `upstream`, one array per channel of a (..., C, K) stack's `out`,
     also writes into `grad` the gradient of <upstream, out> on f row by row,
@@ -235,7 +237,8 @@ def strided_corr(x: np.ndarray, f: np.ndarray, upstream=None, grad=None, scratch
         copy = x.take(idx, -1)
         tiles = ((0, m // 2, copy, copy, None, copy.swapaxes(-1, -2) if upstream else None),)
     else:
-        ext, tiles = scratch or _scratch(x.shape[:-1], n, taps, False)
+        key = (x.shape[:-1], n, taps, False)  # looked up inline: a hit makes no call
+        ext, tiles = _ARENA.views[key] if key in _ARENA.views else _scratch(*key)
         ext[..., :n] = x
         if n < m:
             ext[..., n] = 0.0
@@ -256,13 +259,12 @@ def strided_corr(x: np.ndarray, f: np.ndarray, upstream=None, grad=None, scratch
     return out
 
 
-def upsample_conv(v: tuple[np.ndarray, np.ndarray], poly: np.ndarray, x=None, grad=None,
-                  scratch=None):
+def upsample_conv(v: tuple[np.ndarray, np.ndarray], poly: np.ndarray, x=None, grad=None):
     """out[..., m] = sum_c sum_k v[c][..., k] * f[..., c, (m - 2k) mod 2 half],
     the transpose of `strided_corr` with the same (..., 2, K) kernel stack f,
     given as its polyphase taps `poly`, for the channel pair v = (a, d), each
-    (..., half): BLAS matmuls in polyphase form, gathered or tiled and in
-    `scratch` as in `strided_corr`, one per row for (B, K, 2) taps. Kernel
+    (..., half): BLAS matmuls in polyphase form, gathered or tiled in the
+    arena as in `strided_corr`, one per row for (B, K, 2) taps. Kernel
     indices wrap (fold) when the kernel is longer than the output.
 
     Given `x`, shaped like `out` or one sample shorter (an odd level input,
@@ -277,7 +279,8 @@ def upsample_conv(v: tuple[np.ndarray, np.ndarray], poly: np.ndarray, x=None, gr
         copy = np.concatenate((a, d), -1).take(idx, -1)
         tiles = ((0, half, copy, copy, None, copy.swapaxes(-1, -2)),)
     else:
-        ext, tiles = scratch or _scratch(lead, 2 * half, taps, True)
+        key = (lead, 2 * half, taps, True)
+        ext, tiles = _ARENA.views[key] if key in _ARENA.views else _scratch(*key)
         # ext[..., c, i] = v[c][..., (i - K/2 + 1) mod half]
         ext[..., 0, taps // 2 - 1:], ext[..., 1, taps // 2 - 1:] = a, d
         ext[..., :taps // 2 - 1] = ext[..., half:]
@@ -307,28 +310,28 @@ def max_depth(length: int) -> int:
     return (int(length) - 1).bit_length() if length >= 2 else 0
 
 
-def analysis_cascade(signal: np.ndarray, stacks, plan: CascadePlan | None = None):
+def analysis_cascade(signal: np.ndarray, stacks):
     """Encoder: level l analyses the previous approximation with the encoder
-    stack `stacks[l]`, in `plan`'s scratch when given. Returns (each level's
-    input, details, final approximation)."""
+    stack `stacks[l]`. Returns (each level's input, details, final
+    approximation)."""
     inputs, details = [], []
     a = signal
-    for l, stack in enumerate(stacks):
+    for stack in stacks:
         inputs.append(a)
-        out = strided_corr(a, stack, scratch=plan and plan.corr[l])
+        out = strided_corr(a, stack)
         a = out[..., 0, :]
         details.append(out[..., 1, :])
     return inputs, details, a
 
 
-def synthesis_cascade(approx, details, lengths, taps, plan: CascadePlan | None = None) -> list:
+def synthesis_cascade(approx, details, lengths, taps) -> list:
     """Decoder from the deepest level up, level l under the decoder stack's
-    polyphase taps `taps[l]` cut to `lengths[l]` samples, in `plan`'s scratch
-    when given. Entry l of the result is the signal at depth l (entry 0 the
-    reconstruction, the last one `approx`)."""
+    polyphase taps `taps[l]` cut to `lengths[l]` samples. Entry l of the
+    result is the signal at depth l (entry 0 the reconstruction, the last
+    one `approx`)."""
     chain = [approx]
     for l in range(len(taps) - 1, -1, -1):
-        out = upsample_conv((chain[-1], details[l]), taps[l], scratch=plan and plan.conv[l])
+        out = upsample_conv((chain[-1], details[l]), taps[l])
         chain.append(out[..., :lengths[l]])
     return chain[::-1]
 

@@ -1,4 +1,5 @@
-"""Session fixtures shared by the acceptance suite, and a call counter.
+"""Session fixtures shared by the acceptance suite, a call counter, and a
+runner of cold calls.
 
 The expensive pipelines (training, feature extraction, scoring) run once per
 tag; the determinism criterion compares the two tagged runs bit for bit.
@@ -7,6 +8,7 @@ tag; the determinism criterion compares the two tagged runs bit for bit.
 import gc
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -137,3 +139,15 @@ def _count_calls(fn, *args):
 @pytest.fixture
 def count_calls():
     return _count_calls
+
+
+def _in_new_thread(fn, *args):
+    """`fn(*args)` run in a thread of its own, whose scratch arena
+    (`wavelet` module notes) starts empty: a cold call."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result()
+
+
+@pytest.fixture(scope="session")  # session-wide, so hypothesis tests may take it
+def in_new_thread():
+    return _in_new_thread

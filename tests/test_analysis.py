@@ -369,6 +369,14 @@ class TestRocAuc:
         with pytest.raises(UndefinedMetricError):
             roc_auc([0.1, np.nan, 0.2, np.nan], [0, 1, 1, 0])
 
+    @pytest.mark.parametrize("scores", [
+        [[0.1, 0.2], [0.3]], {"a": 0.1, "b": 0.2}, b"\x01\x02", "0.1", ["0.1", "0.2"],
+        np.array([0.1 + 1j, 0.2]), [None, 0.2],
+    ], ids=["ragged", "dict", "bytes", "str", "str_list", "complex", "none"])
+    def test_scores_that_are_not_real_numbers_rejected(self, scores):
+        with pytest.raises(ConfigError, match="scores must hold real numbers"):
+            roc_auc(scores, [0, 1])
+
 
 class TestDictClassify:
     def test_identical_models_tie_break_lexicographic(self):

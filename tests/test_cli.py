@@ -267,6 +267,10 @@ class TestErrorPaths:
         (["eval-auc", "--scores", "{bad}", "--manifest", "{manifest}"], ""),
         (["eval-auc", "--scores", "{bad}", "--manifest", "{manifest}"],
          "id,score\nw:0,high\n"),
+        # 0xC6 opens a two-byte UTF-8 sequence that the comma does not continue
+        (["detect-train", "--features", "{bad}", "--out", "{out}"],
+         b"id,res_mean,res_max,l1_mean_1,l1_max_1\nw\xc6,1.0,2.0,0.5,0.5\n"),
+        (["eval-auc", "--scores", "{bad}", "--manifest", "{manifest}"], b"id,score\nw\xc6,1.0\n"),
         (["classify", "--dict", "{bad}", "--manifest", "{manifest}",
           "--out", "{out}"], "{}"),
         (["train", "--manifest", "{bad}", "--epochs", "1", "--out", "{out}"],
@@ -299,7 +303,8 @@ class TestErrorPaths:
         (["reconstruct", "--model", "{bad}", "--input", "{wav}"], "[" * 100_000),
     ], ids=["model_kernel_not_numeric", "model_not_json", "elm_empty",
             "features_cell_not_numeric", "features_cell_not_finite", "features_empty",
-            "scores_empty", "score_not_numeric", "dictionary_empty", "manifest_decimate_not_int",
+            "scores_empty", "score_not_numeric", "features_not_utf8", "scores_not_utf8",
+            "dictionary_empty", "manifest_decimate_not_int",
             "manifest_not_json", "manifest_rate_zero", "wav_block_align_below_frame",
             "wav_block_align_odd", "dictionary_no_classes",
             "dictionary_one_class", "dictionary_mixed_levels",
@@ -316,7 +321,8 @@ class TestErrorPaths:
                  "{out}": tmp_path / "out"}
         code, _, err = run([str(paths.get(a, a)) for a in argv], capsys)
         assert code == 2
-        assert "error" in err and "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "Traceback" not in err
 
     def test_elm_without_neurons_exits_2(self, tmp_path, capsys):
         # an ELM with no hidden neurons would score every window 1.0

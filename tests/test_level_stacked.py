@@ -54,7 +54,6 @@ from wavelearn.network import (
 )
 from wavelearn.training import backward_full, residual_sign
 from wavelearn.wavelet import (
-    CascadePlan,
     analysis_cascade,
     cascade_input,
     max_depth,
@@ -264,7 +263,7 @@ class TestAgainstPerLevelOracle:
     @settings(max_examples=150, deadline=None)
     @given(rows=st.sampled_from([None, 1, 4]),
            gamma=st.sampled_from([0.0, 0.5, 1.0]), **DRAWS)
-    def test_window_and_block(self, mode, n, k, depth, thresholds, zeros, seed,
+    def test_window_and_block(self, in_new_thread, mode, n, k, depth, thresholds, zeros, seed,
                               rows, gamma):
         # rows None is one window, else a (rows, n) block under one model
         rng = np.random.default_rng(seed)
@@ -281,11 +280,10 @@ class TestAgainstPerLevelOracle:
             assert_near(got, want, LOSS_REL * (np.abs(want) + m))
 
         triple, grads = backward_full(signal, model)
-        # a plan's scratch changes no bit of the trace, losses or gradient
-        plan = CascadePlan(signal.shape, model.levels, model.kernel_size)
-        assert_same_trace(forward_trace(model, signal, plan), trace)
-        planned_triple, planned_grads = backward_full(signal, model, plan)
-        assert planned_triple == triple and planned_grads.tobytes() == grads.tobytes()
+        # a cold arena's scratch changes no bit of the trace, losses or gradient
+        assert_same_trace(in_new_thread(forward_trace, model, signal), trace)
+        cold_triple, cold_grads = in_new_thread(backward_full, signal, model)
+        assert cold_triple == triple and cold_grads.tobytes() == grads.tobytes()
         expect_triple, expect_grads = oracle_backward(signal, model, gamma)
         assert_near(np.array(triple), np.array(expect_triple),
                     LOSS_REL * (np.abs(expect_triple) + (rows or 1) * m))
@@ -295,7 +293,7 @@ class TestAgainstPerLevelOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(classes=st.integers(2, 5), **DRAWS)
-    def test_row_stacked_models(self, mode, n, k, depth, thresholds, zeros, seed,
+    def test_row_stacked_models(self, in_new_thread, mode, n, k, depth, thresholds, zeros, seed,
                                 classes):
         # C models stacked row by row, a different window per row
         rng = np.random.default_rng(seed)
@@ -306,8 +304,7 @@ class TestAgainstPerLevelOracle:
         trace = forward_trace(model, block)
         expect = oracle_forward(model, block)
         assert_matches_oracle(model, trace, expect, block)
-        plan = CascadePlan(block.shape, model.levels, model.kernel_size)
-        assert_same_trace(forward_trace(model, block, plan), trace)
+        assert_same_trace(in_new_thread(forward_trace, model, block), trace)
         for got, want in zip(loss_terms(trace, block, 1.0),
                              oracle_loss_terms(expect, block, 1.0)):
             assert_near(got, want, LOSS_REL * (np.abs(want) + magnitude(trace, block)))

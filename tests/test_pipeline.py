@@ -456,11 +456,14 @@ class TestTablePersistence:
     def test_features_csv_schema_and_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
         model = WaveletNet(5, 8, SharingMode.DB4_FIXED)
-        rows = [(f"sig:{i}", extract_features(rng.normal(size=128), model))
+        # ids are written as UTF-8, whatever the locale
+        rows = [(f"sig{'-é窓' * (i % 2)}:{i}", extract_features(rng.normal(size=128), model))
                 for i in range(7)]
         path = tmp_path / "features.csv"
         write_features_csv(rows, path)
-        header = path.read_text().splitlines()[0].split(",")
+        lines = path.read_bytes().decode("utf-8").splitlines()
+        assert lines[2].startswith("sig-é窓:1,")
+        header = lines[0].split(",")
         assert header == feature_header(5)
         assert len(header) == 3 + 2 * 5
         back = read_features_csv(path)
@@ -487,8 +490,14 @@ class TestTablePersistence:
         with pytest.raises(FormatError, match=expected):
             read_features_csv(path)
 
+    def test_table_not_utf8_names_its_file(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"id,score\nw\xc6,1.0\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path} is not UTF-8 text")):
+            read_scores_csv(path)
+
     def test_scores_csv_roundtrip(self, tmp_path):
-        rows = [("a:0", 0.125), ("b:1", 1.0 / 3.0)]
+        rows = [("a:0", 0.125), ("b-é窓:1", 1.0 / 3.0)]
         path = tmp_path / "scores.csv"
         write_scores_csv(rows, path)
         assert read_scores_csv(path) == rows

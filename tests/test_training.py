@@ -1,7 +1,9 @@
 """Gradient correctness against the finite-difference oracle, optimizer
 behavior, and the training loop contract."""
 
+import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from wavelearn.network import (
 )
 from wavelearn import training, wavelet
 from wavelearn.wavelet import (
-    CascadePlan,
     max_depth,
     polyphase,
     strided_corr,
@@ -71,8 +72,8 @@ class TestBackward:
     def test_scalar_at_a_kink_is_neither_checked_nor_failed(self, monkeypatch):
         real = training.kink_free_difference
 
-        def kink_at_zero(signal, model, index, steps, plan=None):
-            return None if index == 0 else real(signal, model, index, steps, plan)
+        def kink_at_zero(signal, model, index, steps):
+            return None if index == 0 else real(signal, model, index, steps)
 
         monkeypatch.setattr(training, "kink_free_difference", kink_at_zero)
         report = gradient_check(SharingMode.SHARED_CQF, seed=0, n_seeds=2)
@@ -277,7 +278,7 @@ class TestBlockPath:
         real = training.backward_full
         windows = []
 
-        def per_window(block, model, plan=None):
+        def per_window(block, model):
             total, grad = np.zeros(3), 0.0
             for x in block:
                 triple, flat = real(x, model)
@@ -307,24 +308,36 @@ def _assert_same_bytes(got, want):
 
 
 class TestCascadePlans:
-    """A plan only lends scratch: every array of a trace, the loss triple and
-    the gradient are byte for byte those of the no-plan path, and none of
-    them is part of the plan, so later calls on it leave them alone."""
+    """The level ops plan their scratch once per shape, as views into their
+    thread's arena (`wavelet` module notes). Every array of a trace, the
+    loss triple and the gradient are byte for byte the same whether the
+    arena is cold, warm, or grown by a larger shape, and none of them is
+    scratch, so later calls leave them alone."""
 
     @pytest.mark.parametrize("mode", list(SharingMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("shape", [(7,), (33,), (3, 100), (625,), (2, 1024)])
     @pytest.mark.parametrize("k", [2, 8])
-    def test_equal_to_the_no_plan_path(self, mode, shape, k):
-        # full depth, where the deepest kernels wrap around their inputs
+    def test_equal_to_the_no_plan_path(self, in_new_thread, mode, shape, k):
+        # full depth, where the deepest kernels wrap around their inputs; a
+        # new thread's first pass plans every view, its second reuses them,
+        # and its third runs in the buffer a larger op replaced
         rng = np.random.default_rng(shape[-1] + k)
         model = _perturbed(mode, max_depth(shape[-1]), rng, k)
         x = rng.normal(size=shape)
-        plan = CascadePlan(shape, model.levels, model.kernel_size)
-        want = _trace_arrays(forward_trace(model, x))
-        triple, grad = backward_full(x, model)
-        for _ in range(2):  # a fresh plan and a used one
-            _assert_same_bytes(_trace_arrays(forward_trace(model, x, plan)), want)
-            got_triple, got_grad = backward_full(x, model, plan)
+
+        def run():
+            return _trace_arrays(forward_trace(model, x)), backward_full(x, model)
+
+        def cold_warm_grown():
+            runs = [run(), run()]
+            size = wavelet._ARENA.buffer.size
+            strided_corr(np.ones((4, 8192)), np.ones((2, 8)))
+            assert wavelet._ARENA.buffer.size > size
+            return runs + [run()]
+
+        want_trace, (triple, grad) = run()
+        for got_trace, (got_triple, got_grad) in in_new_thread(cold_warm_grown):
+            _assert_same_bytes(got_trace, want_trace)
             assert got_triple == triple
             assert got_grad.tobytes() == grad.tobytes()
 
@@ -332,38 +345,59 @@ class TestCascadePlans:
         rng = np.random.default_rng(1)
         model = _perturbed(SharingMode.PER_LEVEL_CQF_HT, 10, rng)
         x, y, z = rng.normal(size=(3, 8, 1024))
-        plan = CascadePlan(x.shape, 10, 8)
-        trace = forward_trace(model, x, plan)
+        trace = forward_trace(model, x)
         kept = [a.copy() for a in _trace_arrays(trace)]
-        _, grad = backward_full(x, model, plan)
+        _, grad = backward_full(x, model)
         kept_grad = grad.copy()
-        forward_trace(model, y, plan)
-        backward_full(z, model, plan)
+        forward_trace(model, y)
+        backward_full(z, model)
         _assert_same_bytes(_trace_arrays(trace), kept)
         assert grad.tobytes() == kept_grad.tobytes()
+
+    @staticmethod
+    def _concurrently(run, count):
+        """[run(t) for t in range(count)], each in a thread of its own,
+        started together."""
+        start, results = threading.Barrier(count), [None] * count
+
+        def target(t):
+            start.wait()
+            results[t] = run(t)
+
+        threads = [threading.Thread(target=target, args=(t,)) for t in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        return results
 
     def test_two_threads_with_two_plans_give_the_serial_results(self):
         rng = np.random.default_rng(2)
         model = _perturbed(SharingMode.FREE_HT, 8, rng)
         blocks = rng.normal(size=(2, 6, 4, 300))
         serial = [[backward_full(x, model)[1] for x in rows] for rows in blocks]
-        results = [[], []]
-
-        def run(t):
-            plan = CascadePlan(blocks[t, 0].shape, 8, 8)
-            for _ in range(5):
-                results[t].append([backward_full(x, model, plan)[1] for x in blocks[t]])
-
-        threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
+        results = self._concurrently(
+            lambda t: [[backward_full(x, model)[1] for x in blocks[t]] for _ in range(5)], 2)
         for t in range(2):
             assert len(results[t]) == 5
             for grads in results[t]:
                 _assert_same_bytes(grads, serial[t])
+
+    def test_two_threads_training_concurrently_give_the_serial_parameters(self):
+        # windows of two lengths, so the threads' arenas hold other shapes
+        sets = [_sinusoid_set(n_signals=6, n=n, seed=n) for n in (300, 512)]
+        config = TrainConfig(epochs=3, batch_size=4, levels=6)
+
+        def run(t):
+            report = train(sets[t], SharingMode.PER_LEVEL_CQF_HT, config)
+            return report.final_model.get_parameters(), report.loss_history
+
+        serial = [run(t) for t in range(2)]
+        for (params, history), (want_params, want_history) in zip(
+                self._concurrently(run, 2), serial):
+            assert params.tobytes() == want_params.tobytes()
+            assert history == want_history
 
     def test_two_threads_scoring_one_model_without_a_plan_give_the_serial_results(self):
         # the read path: one window's features and a 2-row block's trace per
@@ -378,39 +412,42 @@ class TestCascadePlans:
 
         serial = [score(blocks) for blocks in windows]
         wavelet._gather_index.cache_clear()
-        start, results = threading.Barrier(2), [[], []]
-
-        def run(t):
-            start.wait()
-            for _ in range(5):
-                results[t].append(score(windows[t]))
-
-        threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
+        results = self._concurrently(lambda t: [score(windows[t]) for _ in range(5)], 2)
         for t in range(2):
             assert len(results[t]) == 5
             for scored in results[t]:
                 for got, want in zip(scored, serial[t]):
                     _assert_same_bytes(got, want)
 
-    @pytest.mark.parametrize("shape, levels, taps", [
-        ((8, 1024), 10, 8), ((1024,), 10, 8), ((8, 512), 10, 8), ((8, 1024), 9, 8),
-        ((8, 1024), 10, 4)])
-    def test_plan_of_another_shape_rejected(self, shape, levels, taps):
-        model = WaveletNet(10, 8, SharingMode.PER_LEVEL_CQF_HT)
-        x = np.zeros((8, 1024))
-        plan = CascadePlan(shape, levels, taps)
-        if plan.key == (x.shape, 10, 8):
-            assert forward_trace(model, x, plan).reconstruction.shape == x.shape
-            return
-        with pytest.raises(ConfigError, match="plan"):
-            forward_trace(model, x, plan)
-        with pytest.raises(ConfigError, match="plan"):
-            backward_full(x, model, plan)
+    def test_a_finished_threads_buffer_is_freed(self, in_new_thread):
+        def run():
+            backward_full(np.ones((2, 1024)), WaveletNet(10, 8, SharingMode.PER_LEVEL_CQF_HT))
+            assert wavelet._ARENA.buffer.size > 0
+            return weakref.ref(wavelet._ARENA.buffer)
+
+        assert in_new_thread(run)() is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_writes_its_own_copy_of_the_arena(self):
+        # the parent's views stay warm across the fork, so the child's level
+        # op of the same shape writes through them
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(2, 2, 1024))
+        f = rng.normal(size=(2, 8))
+        out = strided_corr(x, f)
+        ext = wavelet._ARENA.views[(2,), 1024, 8, False][0]
+        kept = ext.copy()
+        pid = os.fork()
+        if pid == 0:  # the child exits at once, past pytest's own handlers
+            code = 1
+            try:
+                strided_corr(y, f)
+                code = int(ext.tobytes() == kept.tobytes())  # 0: it wrote its copy
+            finally:
+                os._exit(code)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert ext.tobytes() == kept.tobytes()
+        assert strided_corr(x, f).tobytes() == out.tobytes()
 
 
 class TestCallCounts:
@@ -439,46 +476,47 @@ class TestCallCounts:
     94 and 209 and `dict_classify` 105 and 208. A gathered level makes more
     C-level calls than a planned strided one (the ``take``, in synthesis the
     channels' concatenate, and the transposed view) and fewer Python-level
-    ones than an unplanned one, so the planned C-level counts rose."""
+    ones than an unplanned one, so the planned C-level counts rose. Before
+    the level ops kept their scratch in a per-thread arena, a call with no
+    plan built it per strided level: despawn's forward made 71 and 156 and
+    its backward 165 and 331, db4-ht's backward 164 and 319, and over three
+    tiles 86 and 199 (forward), 199 and 418 (despawn), 194 and 405 (db4-ht);
+    a train step, which planned per call, 299 and 406 (despawn) and 275 and
+    378 (db4-ht); `extract_features` 76 and 157 and `dict_classify` 90 and
+    164. Warm, the arena's counts are the planned ones."""
 
     @staticmethod
     def _tally(calls):
         return (sum(kind == "python" for kind, _ in calls),
                 sum(kind == "c" for kind, _ in calls))
 
-    @pytest.mark.parametrize("mode, planned, forward, backward", [
-        ("despawn", False, (71, 156), (165, 331)),
-        ("despawn", True, (57, 79), (137, 177)),
-        ("db4-ht", False, (71, 156), (164, 319)),
-        ("db4-ht", True, (57, 79), (136, 165)),
+    @pytest.mark.parametrize("mode, forward, backward", [
+        ("despawn", (57, 79), (137, 177)),
+        ("db4-ht", (57, 79), (136, 165)),
     ])
-    def test_counts(self, count_calls, mode, planned, forward, backward):
+    def test_counts(self, count_calls, mode, forward, backward):
         model = _perturbed(SharingMode(mode), 10, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(8, 1024))
-        plan = (CascadePlan(x.shape, 10, 8),) if planned else ()
-        assert self._tally(count_calls(forward_trace, model, x, *plan)) == forward
-        assert self._tally(count_calls(backward_full, x, model, *plan)) == backward
+        assert self._tally(count_calls(forward_trace, model, x)) == forward
+        assert self._tally(count_calls(backward_full, x, model)) == backward
 
-    @pytest.mark.parametrize("mode, planned, forward, backward", [
-        ("despawn", False, (86, 199), (199, 418)),
-        ("despawn", True, (66, 74), (159, 168)),
-        ("db4-ht", False, (86, 199), (194, 405)),
-        ("db4-ht", True, (66, 74), (154, 155)),
+    @pytest.mark.parametrize("mode, forward, backward", [
+        ("despawn", (66, 74), (159, 168)),
+        ("db4-ht", (66, 74), (154, 155)),
     ])
-    def test_counts_over_three_tiles(self, count_calls, mode, planned, forward, backward):
+    def test_counts_over_three_tiles(self, count_calls, mode, forward, backward):
         # level 1 of a (1, 40 000) window has 20 000 outputs per channel, so
         # its level ops run three tiles of `TILE`, level 2's two
         model = _perturbed(SharingMode(mode), 10, np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(1, 40000))
-        plan = (CascadePlan(x.shape, 10, 8),) if planned else ()
-        assert self._tally(count_calls(forward_trace, model, x, *plan)) == forward
-        assert self._tally(count_calls(backward_full, x, model, *plan)) == backward
+        assert self._tally(count_calls(forward_trace, model, x)) == forward
+        assert self._tally(count_calls(backward_full, x, model)) == backward
 
     @pytest.mark.parametrize("mode, adam, step", [
-        ("despawn", (16, 15), (299, 406)), ("db4-ht", (16, 15), (275, 378))])
+        ("despawn", (16, 15), (281, 308)), ("db4-ht", (16, 15), (257, 280))])
     def test_an_adam_step_and_a_train_step(self, count_calls, mode, adam, step):
         # the step is a `train` run of one epoch over one batch of 8 windows:
-        # a new model and plan, one backward and one Adam step
+        # a new model, one backward and one Adam step
         mode = SharingMode(mode)
         model = _perturbed(mode, 10, np.random.default_rng(0))
         config = TrainConfig(epochs=1, batch_size=8, levels=10)
@@ -498,8 +536,7 @@ class TestCallCounts:
         model = _perturbed(SharingMode(mode), 10, np.random.default_rng(0))
         vec = model.get_parameters()
         x = np.random.default_rng(1).normal(size=(8, 1024))
-        plan = CascadePlan(x.shape, 10, 8)
-        calls = count_calls(lambda: backward_full(x, model.with_parameters(vec), plan))
+        calls = count_calls(lambda: backward_full(x, model.with_parameters(vec)))
         assert self._tally(calls) == counts
 
     def test_read_path(self, count_calls):
@@ -509,8 +546,8 @@ class TestCallCounts:
             c: _perturbed(SharingMode.PER_LEVEL_CQF_HT, 10, np.random.default_rng(i))
             for i, c in enumerate("AB")})
         x = np.random.default_rng(1).normal(size=1024)
-        assert self._tally(count_calls(extract_features, x, model)) == (76, 157)
-        assert self._tally(count_calls(dict_classify, x, dictionary)) == (90, 164)
+        assert self._tally(count_calls(extract_features, x, model)) == (68, 113)
+        assert self._tally(count_calls(dict_classify, x, dictionary)) == (80, 109)
 
 
 class TestProperties:
@@ -713,27 +750,30 @@ class TestTrainLoop:
                   TrainConfig(epochs=1, levels=5))
         assert not steps
 
-    def test_a_batch_runs_in_blocks_of_at_most_block_samples(self,
-                                                             monkeypatch):
-        real = training.backward_full
-        shapes, plans = [], {}
+    def test_a_batch_runs_in_blocks_of_at_most_block_samples(self, monkeypatch,
+                                                             in_new_thread):
+        real, real_scratch = training.backward_full, wavelet._scratch
+        shapes, planned = [], []
 
-        def recorded(block, model, plan=None):
+        def recorded(block, model):
             shapes.append(block.shape)
-            assert plans.setdefault(block.shape, plan) is plan
-            return real(block, model, plan)
+            return real(block, model)
+
+        def scratch(*key):
+            planned.append(key)
+            return real_scratch(*key)
 
         monkeypatch.setattr("wavelearn.training.backward_full", recorded)
         monkeypatch.setattr("wavelearn.training.BLOCK_SAMPLES", 3 * 256)
-        train(_sinusoid_set(n_signals=12), SharingMode.PER_LEVEL_CQF_HT,
-              TrainConfig(epochs=1, levels=5, batch_size=8))
+        monkeypatch.setattr(wavelet, "_scratch", scratch)
+        # in a new thread, whose arena starts empty
+        in_new_thread(train, _sinusoid_set(n_signals=12), SharingMode.PER_LEVEL_CQF_HT,
+                      TrainConfig(epochs=1, levels=5, batch_size=8))
         assert shapes == [(3, 256), (3, 256), (2, 256), (3, 256), (1, 256)]
-        # one plan per block shape, kept for the whole run
-        assert {shape: plan.key for shape, plan in plans.items()} == {
-            shape: (shape, 5, 8) for shape in shapes}
-        assert len(set(map(id, plans.values()))) == 3
+        # each block shape's scratch planned once, and kept for the whole run
+        assert len(set(planned)) == len(planned)
+        assert {key[0] for key in planned} == {(3,), (2,), (1,)}
         shapes.clear()
-        plans.clear()
         monkeypatch.setattr("wavelearn.training.BLOCK_SAMPLES", 100)
         train(_sinusoid_set(n_signals=3), SharingMode.PER_LEVEL_CQF_HT,
               TrainConfig(epochs=1, levels=5, batch_size=2))

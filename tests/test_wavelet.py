@@ -17,7 +17,6 @@ from wavelearn.training import backward_full
 from wavelearn.wavelet import (
     DB4_SCALING,
     HAAR_SCALING,
-    CascadePlan,
     analysis_cascade,
     cascade_input,
     cqf_from_scaling,
@@ -35,22 +34,22 @@ two_kernel_bank = SharingMode.PER_LEVEL_TWO_KERNEL_HT.scheme.derive
 DB4_BANK = cqf_from_scaling(DB4_SCALING)
 
 
-def corr(x, f, upstream=None, **kwargs):
+def corr(x, f, upstream=None):
     """`strided_corr`; given `upstream`, (out, the kernel gradient it writes)."""
     if upstream is None:
-        return strided_corr(x, f, **kwargs)
+        return strided_corr(x, f)
     grad = np.empty((*x.shape[:-1], len(upstream), f.shape[-1]))
-    return strided_corr(x, f, upstream, grad, **kwargs), grad
+    return strided_corr(x, f, upstream, grad), grad
 
 
-def synth(v, f, x=None, **kwargs):
+def synth(v, f, x=None):
     """`upsample_conv` under the (..., 2, K) kernel stack `f`, through its
     polyphase taps; given `x`, (out, the kernel gradient it writes, mapped
     back onto the stack by `polyphase` as well)."""
     if x is None:
-        return upsample_conv(v, polyphase(f), **kwargs)
+        return upsample_conv(v, polyphase(f))
     grad = np.empty((*v[0].shape[:-1], f.shape[-1], 2))
-    out = upsample_conv(v, polyphase(f), x, grad, **kwargs)
+    out = upsample_conv(v, polyphase(f), x, grad)
     stack = grad.reshape(*grad.shape[:-2], 2, -1)
     return out, polyphase(stack).reshape(stack.shape)
 
@@ -354,7 +353,7 @@ class TestPolyphaseSynthesis:
            seed=st.integers(0, 2**32 - 1),
            zeros=st.floats(0.0, 1.0),
            reversed_view=st.booleans())
-    def test_equal_to_roll_loop_within_rounding(self, half, taps, seed, zeros,
+    def test_equal_to_roll_loop_within_rounding(self, in_new_thread, half, taps, seed, zeros,
                                                 reversed_view):
         rng = np.random.default_rng(seed)
         v = rng.normal(size=(2, half))
@@ -369,8 +368,8 @@ class TestPolyphaseSynthesis:
         # roundoff eps/2 per addition); the two differ by at most K eps
         bound = taps * np.finfo(float).eps * roll_sum(np.abs(v), np.abs(f))
         assert np.all(np.abs(got - roll_sum(v, f)) <= bound)
-        planned = synth(tuple(v), f, scratch=CascadePlan((2 * half,), 1, taps).conv[0])
-        assert planned.tobytes() == got.tobytes()
+        # a cold arena's scratch gives the bytes of a warm one's
+        assert in_new_thread(synth, tuple(v), f).tobytes() == got.tobytes()
 
     def test_negative_zero_gradient_gives_the_roll_loop_values(self):
         # with 8 samples every product is exact (g = +-1/8) and at most two
@@ -433,7 +432,8 @@ class TestPolyphaseSynthesis:
         # input, then its first K - 2 samples in analysis; each channel after
         # its last K/2 - 1 in synthesis; wrapping several times when the
         # kernel outgrows the input. A small block gathers its windows
-        # through a cached index, any other fills the extension in scratch
+        # through a cached index, any other fills the extension in the
+        # arena, at the start of its buffer
         rng = np.random.default_rng(n)
         x = rng.normal(size=n)
         m = n + n % 2
@@ -449,13 +449,13 @@ class TestPolyphaseSynthesis:
             assert np.array_equal(conv_index, np.concatenate(
                 [c * (m // 2) + wrapped[k + s] for c in (0, 1)]))
             return
-        corr = wavelet._scratch((), n, taps, False)
-        strided_corr(x, np.ones((2, taps)), scratch=corr)
+        strided_corr(x, np.ones((2, taps)))
+        ext = wavelet._ARENA.views[(), n, taps, False][0]
         padded = np.concatenate([x, np.zeros(n % 2)])
-        assert corr[0].tobytes() == padded[extended].tobytes()
-        conv = wavelet._scratch((), n, taps, True)
-        upsample_conv(tuple(v), np.ones((taps, 2)), scratch=conv)
-        assert conv[0].tobytes() == v[:, wrapped].tobytes()
+        assert ext.tobytes() == padded[extended].tobytes()
+        upsample_conv(tuple(v), np.ones((taps, 2)))
+        ext = wavelet._ARENA.views[(), m, taps, True][0]
+        assert ext.tobytes() == v[:, wrapped].tobytes()
 
 
 def corr_sum(x, f):
@@ -638,10 +638,37 @@ TILE_CASES = [((), 11, 8, False), ((3,), 13, 4, False), ((3,), 12, 8, True),
               ((3,), 7, 2, False), ((2,), 3, 16, False), ((2,), 2, 32, True)]
 
 
+@pytest.fixture
+def no_gather():
+    """`GATHER` at 0 for one test, so only the inputs a kernel outgrows
+    gather; the index cache holds the rule's answer, so it starts empty on
+    each side."""
+    saved = wavelet.GATHER
+    wavelet.GATHER = 0
+    wavelet._gather_index.cache_clear()
+    yield
+    wavelet.GATHER = saved
+    wavelet._gather_index.cache_clear()
+
+
+@pytest.fixture
+def set_tile():
+    """`set_tile(t)` sets `TILE` for one test. The arena's views do not key
+    on it, so this thread's go on each side."""
+    saved = wavelet.TILE
+
+    def set_(tile):
+        wavelet.TILE, wavelet._ARENA.views = tile, {}
+
+    yield set_
+    wavelet.TILE, wavelet._ARENA.views = saved, {}
+
+
 class TestTiles:
     """A level op makes its window copy one tile of `TILE` outputs per row at
     a time. With `TILE` patched small, short inputs span several tiles, the
-    last of them a remainder."""
+    last of them a remainder; with `GATHER` patched to 0 as well, every
+    input its kernel does not outgrow takes the tiled path."""
 
     @staticmethod
     def operands(lead, half, taps, per_row):
@@ -653,19 +680,23 @@ class TestTiles:
 
     @pytest.mark.parametrize("tile", [1, 3, 5])
     @pytest.mark.parametrize("lead, half, taps, per_row", TILE_CASES)
-    def test_equal_to_written_out_sums_within_rounding(self, monkeypatch, tile, lead,
-                                                       half, taps, per_row):
+    def test_equal_to_written_out_sums_within_rounding(self, set_tile, no_gather,
+                                                       in_new_thread, tile, lead, half, taps,
+                                                       per_row):
         # the bounds of the untiled tests: K products per output, N/2 per
         # gradient entry, whatever the order of their sums
         x, u, f = self.operands(lead, half, taps, per_row)
         pair = (u[..., 0, :], u[..., 1, :])
         eps = np.finfo(float).eps
-        monkeypatch.setattr(wavelet, "TILE", tile)
+        set_tile(tile)
+        # only a kernel that outgrows its input still gathers
+        assert (wavelet._gather_index(x.size // x.shape[-1], 2 * half, taps, False)
+                is None) == (2 * half >= taps)
         out, corr_grad = corr(x, f, pair)
         assert out.tobytes() == strided_corr(x, f).tobytes()
-        plan = CascadePlan(x.shape, 1, taps)
-        for got, want in ((corr(x, f, pair, scratch=plan.corr[0]), (out, corr_grad)),
-                          (synth(pair, f, x, scratch=plan.conv[0]), synth(pair, f, x))):
+        # a cold arena's scratch gives the bytes of a warm one's
+        for got, want in ((in_new_thread(corr, x, f, pair), (out, corr_grad)),
+                          (in_new_thread(synth, pair, f, x), synth(pair, f, x))):
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
         assert np.all(np.abs(out - corr_sum(x, f))
@@ -680,7 +711,8 @@ class TestTiles:
             assert np.all(np.abs(got - want) <= half * eps * grad_sum(np.abs(u), np.abs(x), taps))
 
     @pytest.mark.parametrize("lead, per_row", [((), False), ((3,), False), ((3,), True)])
-    def test_aligned_tiles_keep_every_output_bit(self, monkeypatch, lead, per_row):
+    def test_aligned_tiles_keep_every_output_bit(self, set_tile, in_new_thread, lead,
+                                                 per_row):
         # 197 outputs per row are three tiles of 64 and a remainder of 5.
         # BLAS rounds a column the same in any tile whose width is a multiple
         # of its kernels' column blocking, a power of two, as is the default
@@ -688,29 +720,27 @@ class TestTiles:
         x, u, f = self.operands(lead, 197, 8, per_row)
         pair = (u[..., 0, :], u[..., 1, :])
         untiled = (corr(x, f, pair), synth(pair, f, x))
-        monkeypatch.setattr(wavelet, "TILE", 64)
+        set_tile(64)
         tiled = (corr(x, f, pair), synth(pair, f, x))
         for (out, grad), (want_out, want_grad) in zip(tiled, untiled):
             assert out.tobytes() == want_out.tobytes()
             assert np.max(np.abs(grad - want_grad)) <= 1e-13 * np.max(np.abs(want_grad))
-        # the four tiles of a plan's scratch keep every bit of the tiled ops
-        plan = CascadePlan(x.shape, 1, 8)
-        planned = (corr(x, f, pair, scratch=plan.corr[0]),
-                   synth(pair, f, x, scratch=plan.conv[0]))
-        for got, want in zip(planned, tiled):
+        # the four tiles of a cold arena's scratch keep every bit of the tiled ops
+        cold = (in_new_thread(corr, x, f, pair), in_new_thread(synth, pair, f, x))
+        for got, want in zip(cold, tiled):
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("mode", [m for m in SharingMode if m.scheme.kinds],
                              ids=lambda m: m.value)
-    def test_backward_full_under_aligned_tiles(self, monkeypatch, mode):
+    def test_backward_full_under_aligned_tiles(self, set_tile, mode):
         rng = np.random.default_rng(4)
         model = WaveletNet(12, 8, mode, gamma=0.1)
         model = model.with_parameters(model.get_parameters()
                                       + rng.normal(0.0, 0.01, model.parameter_count()))
         x = rng.normal(size=(2, 4096))
         losses, grad = backward_full(x, model)
-        monkeypatch.setattr(wavelet, "TILE", 64)
+        set_tile(64)
         tiled_losses, tiled_grad = backward_full(x, model)
         assert np.array(tiled_losses).tobytes() == np.array(losses).tobytes()
         assert np.max(np.abs(tiled_grad - grad)) <= 1e-13 * np.max(np.abs(grad))
@@ -766,13 +796,19 @@ class TestGather:
         assert wavelet._gather_index(2, 16, 8, synthesis) is idx
         assert wavelet._gather_index(2, 1024, 8, synthesis) is None
 
-    def test_a_plan_holds_scratch_for_the_strided_levels_only(self):
+    def test_a_plan_holds_scratch_for_the_strided_levels_only(self, in_new_thread):
         # (8, 1 024) at L = 10: levels 8 to 10 (inputs of 8, 4 and 2
-        # samples) make at most 64 samples over the block's rows
-        plan = CascadePlan((8, 1024), 10, 8)
-        for levels in (plan.corr, plan.conv):
-            assert [scratch is None for scratch in levels] == [False] * 7 + [True] * 3
-        assert CascadePlan((3,), 2, 2).corr == [None, None]
+        # samples) make at most 64 samples over the block's rows, so a
+        # thread's arena holds views for levels 1 to 7 each way and no others
+        def views(shape, levels, taps):
+            model = WaveletNet(levels, taps, SharingMode.PER_LEVEL_CQF_HT)
+            backward_full(np.ones(shape), model)
+            return set(wavelet._ARENA.views)
+
+        assert in_new_thread(views, (8, 1024), 10, 8) == {
+            ((8,), 1024 >> l, 8, synthesis)
+            for l in range(7) for synthesis in (False, True)}
+        assert in_new_thread(views, (3,), 2, 2) == set()
 
 
 class TestOneBankPerRow:
@@ -783,7 +819,7 @@ class TestOneBankPerRow:
     @given(rows=st.integers(1, 5), n=st.integers(2, 300),
            k=st.sampled_from([2, 4, 8, 16]), two_kernels=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
-    def test_level_ops_equal_their_rows(self, rows, n, k, two_kernels, seed):
+    def test_level_ops_equal_their_rows(self, in_new_thread, rows, n, k, two_kernels, seed):
         rng = np.random.default_rng(seed)
         h = rng.normal(size=(rows, k))
         g = rng.normal(size=(rows, k))
@@ -796,9 +832,9 @@ class TestOneBankPerRow:
         out = strided_corr(x, bank[:, 0])
         a, d = out[..., 0, :], out[..., 1, :]
         back = synth((a, d), bank[:, 1])[..., :n]
-        plan = CascadePlan(x.shape, 1, k)
-        assert strided_corr(x, bank[:, 0], scratch=plan.corr[0]).tobytes() == out.tobytes()
-        assert synth((a, d), bank[:, 1], scratch=plan.conv[0])[..., :n].tobytes() == back.tobytes()
+        # a cold arena's scratch gives the bytes of a warm one's
+        assert in_new_thread(strided_corr, x, bank[:, 0]).tobytes() == out.tobytes()
+        assert in_new_thread(synth, (a, d), bank[:, 1])[..., :n].tobytes() == back.tobytes()
         for r in range(rows):
             for got, want in zip(kernels(bank), kernels(lone[r])):
                 assert got[r].tobytes() == want.tobytes()

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SHAPES = [(1024,), (8, 1024), (7,), (4, 33), (3, 100), (625,), (1, 20000)]
+SHAPES = [(1024,), (8, 1024), (7,), (4, 33), (3, 100), (625,), (1, 20000), (2, 5000)]
 LONG_KERNEL_SHAPES = [(7,), (4, 33)]
 GROUPS = ("trace", "backward", "train", "read", "documents")
 
