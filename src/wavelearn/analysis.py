@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (ConfigError, InvalidSignalError, UndefinedMetricError, as_floats, as_integer,
                      as_real, as_signal)
-from .network import SharingMode, WaveletNet, loss_terms, model_forward
+from .network import SharingMode, WaveletNet, model_forward
 from .training import TrainConfig, TrainReport, train
 
 
@@ -54,7 +54,7 @@ def extract_features(signal, model: WaveletNet) -> LatentFeatures:
     if signal.ndim != 1:
         raise InvalidSignalError("extract_features takes one 1-D signal")
     record = model_forward(signal, model)
-    residual = np.abs(signal - record.reconstruction)
+    residual = np.abs(record.residual)
     magnitude = np.abs(record.details)
     starts = record.offsets[:-1]
     return LatentFeatures(np.concatenate([
@@ -189,12 +189,13 @@ def elm_score(model: OneClassElm, features: LatentFeatures) -> float:
 def roc_auc(scores, labels) -> float:
     """Probability that a random positive outscores a random negative, ties
     counted half (rank form of the Mann-Whitney statistic). Scores must
-    be real numbers (`as_floats`)."""
-    scores = as_floats(scores, "scores")
-    labels = np.asarray(labels)
+    be real numbers (`as_floats`), labels bools or numbers exactly 0 or 1."""
+    scores, labels = as_floats(scores, "scores"), as_floats(labels, "labels")
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ConfigError("scores and labels must be 1-D and the same length")
-    pos = labels.astype(bool)
+    pos = labels == 1.0
+    if not (pos | (labels == 0.0)).all():
+        raise ConfigError("labels must be 0 or 1")
     n_pos = int(pos.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -286,8 +287,7 @@ def dict_classify(signal, dictionary: DictionaryModel) -> tuple[str, dict[str, f
         raise InvalidSignalError("dict_classify takes one 1-D signal")
     labels = dictionary.labels()
     block = np.broadcast_to(signal, (len(labels), signal.size))
-    rows = dictionary.stacked()
-    totals = loss_terms(model_forward(block, rows), block, rows.gamma)[0]
+    totals = model_forward(block, dictionary.stacked()).losses[0]
     losses = dict(zip(labels, totals.tolist()))
     best = min(labels, key=lambda lab: (losses[lab], lab))
     return best, losses

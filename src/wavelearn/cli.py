@@ -107,7 +107,7 @@ def cmd_reconstruct(args) -> int:
     model = persist.load_model(args.model)
     samples, rate = read_wav(args.input)
     record = model_forward(samples, model)
-    residual = np.abs(samples - record.reconstruction)
+    residual = np.abs(record.residual)
     if args.out:
         write_wav(args.out, record.reconstruction, rate)
     print(json.dumps({

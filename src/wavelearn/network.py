@@ -3,7 +3,9 @@
 A model owns its filter kernels and a pair of soft hard-threshold biases per
 level. The forward pass is a cascade encoder (strided correlations, details
 gated by the threshold activation) followed by the mirror decoder fed
-through skip connections.
+through skip connections. A forward trace owns the residual x - x^ of the
+input as the cascade read it and the model's gamma, and so the loss
+(`ForwardTrace.losses`): no caller forms either again.
 
 Only the level ops run once per level. The details of every level sit in
 one ``(..., M)`` pyramid buffer, level 1 first (`ForwardTrace.levels` gives
@@ -46,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, InvalidSignalError, as_integer, as_real, as_signal
+from .errors import ConfigError, InvalidSignalError, as_integer, as_real
 from .wavelet import (
     DB4_SCALING,
     HAAR_SCALING,
@@ -227,8 +229,7 @@ class WaveletNet:
     for short kernels) with zero thresholds, so its forward pass is a plain
     fixed-filter transform. Row-stacked parameters (module notes) give one
     bank and one threshold pair per row. `gamma` weighs the sparsity term of
-    the model's training loss; the gradient and the dictionary classifier
-    read it from here.
+    the model's training loss, which its forward traces carry.
     """
 
     def __init__(self, levels: int, kernel_size: int, mode: SharingMode,
@@ -330,7 +331,8 @@ class ForwardTrace:
     besides the model's operands, the level inputs unpadded. Arrays keep the
     input's leading axis, ``(n,)`` for one window, ``(B, n)`` for a block.
     The details of all levels sit in one ``(..., M)`` pyramid, level 1 (the
-    highest frequency) first, level l at ``[..., offsets[l]:offsets[l + 1]]``."""
+    highest frequency) first, level l at ``[..., offsets[l]:offsets[l + 1]]``.
+    It owns its residual and its model's gamma, and so its `losses`."""
 
     inputs: list[np.ndarray]          # encoder input of each level, odd lengths unpadded
     offsets: list[int]                # where each level's details start in a pyramid, then M
@@ -339,10 +341,23 @@ class ForwardTrace:
     gates: tuple                      # (t, u) tanh gate terms over the pyramid; empty without HT
     approx: np.ndarray
     recon_chain: list[np.ndarray]     # decoder outputs, index l = signal at depth l
+    residual: np.ndarray              # inputs[0] - recon_chain[0]
+    gamma: float                      # the traced model's sparsity weight
 
     @property
     def reconstruction(self) -> np.ndarray:
         return self.recon_chain[0]
+
+    @property
+    def losses(self):
+        """(total, reconstruction, sparsity) of each row, as arrays of the
+        input's leading shape: mean absolute residual plus `gamma` times the
+        mean absolute value over all retained coefficients (details and
+        final approximation together)."""
+        recon = np.abs(self.residual).mean(-1)
+        coeff_sum = np.abs(self.details).sum(-1) + np.abs(self.approx).sum(-1)
+        sparsity = coeff_sum / (self.details.shape[-1] + self.approx.shape[-1])
+        return recon + self.gamma * sparsity, recon, sparsity
 
     def levels(self, pyramid: np.ndarray) -> list[np.ndarray]:
         """Per-level views of a pyramid laid out like `details`."""
@@ -369,6 +384,7 @@ def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
             np.repeat(model.params["b_minus"], sizes, axis=-1))
         gates = (t, u)
         details = [gated[..., lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+    chain = synthesis_cascade(approx, details, [a.shape[-1] for a in inputs], dec_taps)
     return ForwardTrace(
         inputs=inputs,
         offsets=offsets,
@@ -376,30 +392,15 @@ def forward_trace(model: WaveletNet, signal) -> ForwardTrace:
         details=gated,
         gates=gates,
         approx=approx,
-        recon_chain=synthesis_cascade(approx, details, [a.shape[-1] for a in inputs], dec_taps),
+        recon_chain=chain,
+        residual=signal - chain[0],
+        gamma=model.gamma,
     )
 
 
 def model_forward(signal, model: WaveletNet) -> ForwardTrace:
     """`forward_trace` taking the signal first, like the analysis helpers."""
     return forward_trace(model, signal)
-
-
-def loss_terms(trace: ForwardTrace, signal, gamma: float):
-    """(total, reconstruction, sparsity) of each row, as arrays of the
-    input's leading shape: mean absolute residual plus gamma times the mean
-    absolute value over all retained coefficients (details and final
-    approximation together)."""
-    signal = as_signal(signal)
-    if signal.shape != trace.reconstruction.shape:
-        raise InvalidSignalError(
-            f"signal shape {signal.shape} != reconstruction "
-            f"{trace.reconstruction.shape}"
-        )
-    recon = np.abs(signal - trace.reconstruction).mean(-1)
-    coeff_sum = np.abs(trace.details).sum(-1) + np.abs(trace.approx).sum(-1)
-    sparsity = coeff_sum / (trace.details.shape[-1] + trace.approx.shape[-1])
-    return recon + gamma * sparsity, recon, sparsity
 
 
 def default_levels_for(length: int) -> int:

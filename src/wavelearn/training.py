@@ -19,7 +19,7 @@ independent brute-force oracle `kink_free_difference` verifies all of it.
 
 Where the cascade reconstructs perfectly (a fresh model does) the residual
 is rounding noise, and its sign would steer the gradient: one ulp on one
-tap could flip it. So `residual_sign` counts a residual within
+tap could flip it. So `residual_sign` counts a trace's residual within
 ``eps * L * max|x|`` of zero (float64 epsilon, depth L, ``max|x|`` per
 window) as exactly zero, the kink's subgradient.
 
@@ -41,12 +41,12 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, as_integer, as_real, as_signal
 from .network import (
+    ForwardTrace,
     SharingMode,
     WaveletNet,
     default_levels_for,
     forward_trace,
     ht_gate_derivatives,
-    loss_terms,
 )
 from .wavelet import polyphase, strided_corr, upsample_conv
 
@@ -54,31 +54,30 @@ from .wavelet import polyphase, strided_corr, upsample_conv
 BLOCK_SAMPLES = 2 ** 16
 
 
-def residual_sign(signal: np.ndarray, reconstruction: np.ndarray,
-                  levels: int) -> np.ndarray:
-    """sign(signal - reconstruction), with residuals within
-    eps * levels * max|signal| of their window counted as zero."""
-    residual = signal - reconstruction
-    tol = np.finfo(float).eps * levels * np.max(np.abs(signal), axis=-1, keepdims=True)
-    return np.where(np.abs(residual) <= tol, 0.0, np.sign(residual))
+def residual_sign(trace: ForwardTrace) -> np.ndarray:
+    """sign of the trace's residual, with residuals within
+    eps * depth * max|x| of their window counted as zero, x the traced input."""
+    tol = np.finfo(float).eps * len(trace.inputs) * np.max(
+        np.abs(trace.inputs[0]), axis=-1, keepdims=True)
+    return np.where(np.abs(trace.residual) <= tol, 0.0, np.sign(trace.residual))
 
 
 def backward_full(signal, model: WaveletNet):
     """Loss triple, under the model's `gamma`, plus the flat gradient
     vector, aligned with `model.get_parameters()`, of one window or, for a
     (B, N) block, both summed over its rows."""
-    signal = as_signal(signal)
     trace = forward_trace(model, signal)
-    triple = tuple(float(term.sum()) for term in loss_terms(trace, signal, model.gamma))
+    triple = tuple(float(term.sum()) for term in trace.losses)
     scale = model.gamma / (trace.details.shape[-1] + trace.approx.shape[-1])
     _, dec, enc_taps, _ = model.operands
     details = trace.levels(trace.details)
     # the levels' bank gradients, keeping the block's row axis until the rows
     # are added; a fixed bank's level ops get no operand and make none
     trains = bool(model.mode.scheme.kinds)
-    bank_grad = np.empty((*signal.shape[:-1], model.levels, 2, 2, model.kernel_size))
+    *rows, n = trace.residual.shape
+    bank_grad = np.empty((*rows, model.levels, 2, 2, model.kernel_size))
 
-    g_x = -residual_sign(signal, trace.reconstruction, model.levels) / signal.shape[-1]
+    g_x = -residual_sign(trace) / n
     # decoder, shallow to deep: chain[l] was built from chain[l+1] and
     # details[l]; the details' gradients fill one pyramid
     g_details = np.empty_like(trace.details)
@@ -135,9 +134,8 @@ def _bumped_losses(signal, model: WaveletNet, param_index: int, step: float):
         bumped = vec.copy()
         bumped[param_index] += delta
         trace = forward_trace(model.with_parameters(bumped), signal)
-        values.append(float(loss_terms(trace, signal, model.gamma)[0].sum()))
-        signs.append([np.sign(t) for t in (signal - trace.reconstruction,
-                                           trace.details, trace.approx)])
+        values.append(float(trace.losses[0].sum()))
+        signs.append([np.sign(t) for t in (trace.residual, trace.details, trace.approx)])
     straddles = any(np.any(up != down) for up, down in zip(*signs))
     return values, straddles
 

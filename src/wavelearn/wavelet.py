@@ -54,10 +54,11 @@ Conventions used throughout:
   made once per (rows, N, K, direction), which every op of that key
   shares, as one level op runs at a time (FFTW's split of planning from
   running: Frigo and Johnson, Proc. IEEE 93(2), 2005). The buffer is sized
-  by the largest such op the thread has run and kept until the thread
-  exits, so one large call holds its scratch for the thread's life; a new
-  `TILE` needs the views dropped. No array a level op returns is scratch,
-  so it outlives later calls.
+  by the largest such op the thread has run, up to `ARENA_FLOATS`, and kept
+  until the thread exits; an op above that ceiling makes its scratch for
+  that call alone, and keeps neither it nor its views. A new `TILE` needs
+  the views dropped. No array a level op returns is scratch, so it
+  outlives later calls.
 """
 
 from __future__ import annotations
@@ -137,6 +138,10 @@ TILE = 8192
 # the most zero-padded samples, over all rows, of a block whose level ops
 # gather their copy (module notes)
 GATHER = 64
+# the most floats a thread's arena keeps (module notes): above the scratch of
+# the blocks `train` makes at up to 16 taps (590 720 at (64, 1 024)) and of
+# one (1, 160 000) window (225 542 at 8 taps)
+ARENA_FLOATS = 2 ** 20
 
 
 def polyphase(stack: np.ndarray) -> np.ndarray:
@@ -187,15 +192,20 @@ def _scratch(lead, n: int, taps: int, synthesis: bool):
     outputs its bounds, a (*lead, K, cols) copy after the extension,
     contiguous as BLAS needs, that copy in the windows' shape, the read-only
     view of the overlapping windows, the copy transposed. An op larger than
-    the buffer replaces it, and its views with it."""
+    the buffer replaces it, and its views with it; one above `ARENA_FLOATS`
+    gets a buffer of its own, which goes with its views."""
     half = (n + 1) // 2
     width, cols = 2 * half + taps - 2, min(TILE, half)
     rows, arena = math.prod(lead), _ARENA
     size = rows * (width + taps * cols)
-    if arena.buffer.size < size:
+    buffer = arena.buffer
+    if size > ARENA_FLOATS:
+        buffer = np.empty(size)
+    elif buffer.size < size:
         # private, and outside the malloc heap, which a buffer that outlives
         # its call would split (`_keep_freed_heap_mapped`)
-        arena.buffer = np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), float)
+        buffer = arena.buffer = np.frombuffer(
+            mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), float)
         arena.views = {}
     elif len(arena.views) >= 256:
         arena.views = {}
@@ -203,8 +213,8 @@ def _scratch(lead, n: int, taps: int, synthesis: bool):
         shape, hop, ext_shape = (*lead, 2, taps // 2), 1, (*lead, 2, width // 2)
     else:  # windows[..., s, k] = ext[..., 2 (lo + k) + s]
         shape, hop, ext_shape = (*lead, taps), 2, (*lead, width)
-    ext = arena.buffer[:rows * width].reshape(ext_shape)
-    copy = arena.buffer[rows * width:size].reshape(*lead, taps, cols)
+    ext = buffer[:rows * width].reshape(ext_shape)
+    copy = buffer[rows * width:size].reshape(*lead, taps, cols)
     strides, tiles = (*ext.strides[:-1], 8, 8 * hop), []
     for lo in range(0, half, cols):
         part = copy if half - lo >= cols else copy[..., :half - lo]  # the last tile is short
@@ -212,7 +222,8 @@ def _scratch(lead, n: int, taps: int, synthesis: bool):
         tiles.append((lo, lo + cols, part, part.reshape(*shape, cols) if synthesis else part,
                       np.ndarray((*shape, cols), float, ext, 8 * hop * lo, strides),
                       part.swapaxes(-1, -2)))
-    arena.views[lead, n, taps, synthesis] = ext, tiles
+    if buffer is arena.buffer:
+        arena.views[lead, n, taps, synthesis] = ext, tiles
     return ext, tiles
 
 

@@ -19,7 +19,7 @@ from wavelearn.analysis import (
     roc_auc,
 )
 from wavelearn.errors import ConfigError, InvalidSignalError, UndefinedMetricError
-from wavelearn.network import SharingMode, WaveletNet, forward_trace, loss_terms, model_forward
+from wavelearn.network import SharingMode, WaveletNet, forward_trace, model_forward
 from wavelearn.training import TrainConfig
 from wavelearn.wavelet import max_depth
 
@@ -358,6 +358,21 @@ class TestRocAuc:
         assert roc_auc(np.exp(scores), labels) == base
         assert roc_auc(3 * scores + 11, labels) == base
 
+    @pytest.mark.parametrize("labels", [
+        [False, True, True, False], [0, 1, 1, 0], np.array([0, 1, 1, 0], np.uint8),
+        [0.0, 1.0, 1.0, 0.0], np.array([0.0, 1.0, 1.0, 0.0], np.float32),
+    ], ids=["bool", "int", "uint8", "float", "float32"])
+    def test_bool_and_zero_one_labels_agree(self, labels):
+        assert roc_auc([0.2, 0.8, 0.4, 0.6], labels) == 0.75
+
+    @pytest.mark.parametrize("labels", [["0", "1"], [0.5, 1.0], [0, 2], [0.0, np.nan]],
+                             ids=["text", "half", "two", "nan"])
+    def test_labels_other_than_zero_or_one_rejected(self, labels):
+        # read as truth values, "0" and 0.5 were positives, so the first two
+        # had one class, and 2 counted as a positive without a word
+        with pytest.raises(ConfigError, match="labels"):
+            roc_auc([0.1, 0.9], labels)
+
     def test_single_class_undefined(self):
         with pytest.raises(UndefinedMetricError):
             roc_auc([0.1, 0.2], [1, 1])
@@ -543,8 +558,7 @@ def _per_model_classify(signal, dictionary):
     signal = np.asarray(signal, dtype=float)
     losses = {}
     for label in dictionary.labels():
-        record = model_forward(signal, dictionary.class_models[label])
-        losses[label] = float(loss_terms(record, signal, dictionary.class_models[label].gamma)[0])
+        losses[label] = float(model_forward(signal, dictionary.class_models[label]).losses[0])
     best = min(dictionary.labels(), key=lambda lab: (losses[lab], lab))
     return best, losses
 
@@ -624,4 +638,5 @@ def _trace_arrays(model, trace):
     """Every level's operands of the model and every array its forward
     trace holds, in a fixed order."""
     return ([level for operand in model.operands for level in operand] + trace.inputs
-            + [trace.details_pre, trace.details, *trace.gates, trace.approx] + trace.recon_chain)
+            + [trace.details_pre, trace.details, *trace.gates, trace.approx, trace.residual]
+            + trace.recon_chain)

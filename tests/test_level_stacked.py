@@ -1,7 +1,7 @@
 """The level-stacked forward and backward passes against the per-level code
 they replaced.
 
-The oracle below is the earlier `forward_trace`, `loss_terms` and
+The oracle below is the earlier `forward_trace`, loss and
 `backward_full`: one bank derivation, one gate call and one gate backward
 per level, the gate in sigmoid form with an exact-identity branch for zero
 thresholds. The level ops (`strided_corr`, `upsample_conv`, with the
@@ -49,10 +49,9 @@ from wavelearn.network import (
     SharingMode,
     WaveletNet,
     forward_trace,
-    loss_terms,
     sigmoid,
 )
-from wavelearn.training import backward_full, residual_sign
+from wavelearn.training import backward_full
 from wavelearn.wavelet import (
     analysis_cascade,
     cascade_input,
@@ -118,6 +117,14 @@ def oracle_forward(model, signal):
                                               [polyphase(b[..., 1, :, :]) for b in banks]))
 
 
+def oracle_residual_sign(signal, reconstruction, levels):
+    """sign(signal - reconstruction), with residuals within
+    eps * levels * max|signal| of their window counted as zero."""
+    residual = signal - reconstruction
+    tol = EPS * levels * np.max(np.abs(signal), axis=-1, keepdims=True)
+    return np.where(np.abs(residual) <= tol, 0.0, np.sign(residual))
+
+
 def oracle_loss_terms(trace, signal, gamma):
     recon = np.abs(signal - trace["recon_chain"][0]).mean(-1)
     coeff_sum = sum(np.abs(d).sum(-1) for d in trace["details"])
@@ -139,7 +146,7 @@ def oracle_backward(signal, model, gamma):
              for name in model.trainable_names()}
     dec_grads = [None] * model.levels
     bank_grads = [None] * model.levels
-    g_x = -residual_sign(signal, trace["recon_chain"][0], model.levels) / signal.shape[-1]
+    g_x = -oracle_residual_sign(signal, trace["recon_chain"][0], model.levels) / signal.shape[-1]
     grad_d = []
     for l in range(model.levels):
         upstream = (trace["recon_chain"][l + 1], details[l])
@@ -186,7 +193,7 @@ def assert_near(got, want, scale):
 
 def assert_same_trace(got, want):
     """Every array of two forward traces byte for byte equal."""
-    for name in ("inputs", "details_pre", "details", "gates", "approx", "recon_chain"):
+    for name in ("inputs", "details_pre", "details", "gates", "approx", "recon_chain", "residual"):
         a, b = getattr(got, name), getattr(want, name)
         a, b = (a, b) if isinstance(a, (list, tuple)) else ([a], [b])
         assert len(a) == len(b)
@@ -275,8 +282,7 @@ class TestAgainstPerLevelOracle:
         expect = oracle_forward(model, signal)
         m = magnitude(trace, signal)
         assert_matches_oracle(model, trace, expect, signal)
-        for got, want in zip(loss_terms(trace, signal, gamma),
-                             oracle_loss_terms(expect, signal, gamma)):
+        for got, want in zip(trace.losses, oracle_loss_terms(expect, signal, gamma)):
             assert_near(got, want, LOSS_REL * (np.abs(want) + m))
 
         triple, grads = backward_full(signal, model)
@@ -305,8 +311,7 @@ class TestAgainstPerLevelOracle:
         expect = oracle_forward(model, block)
         assert_matches_oracle(model, trace, expect, block)
         assert_same_trace(in_new_thread(forward_trace, model, block), trace)
-        for got, want in zip(loss_terms(trace, block, 1.0),
-                             oracle_loss_terms(expect, block, 1.0)):
+        for got, want in zip(trace.losses, oracle_loss_terms(expect, block, 1.0)):
             assert_near(got, want, LOSS_REL * (np.abs(want) + magnitude(trace, block)))
 
     @settings(max_examples=60, deadline=None)
@@ -336,7 +341,7 @@ def test_dictionary_stack_matches_the_oracle_rows():
     x = rng.normal(size=256)
     block = np.broadcast_to(x, (3, x.size))
     trace = forward_trace(dictionary.stacked(), block)
-    totals = loss_terms(trace, block, 1.0)[0]
+    totals = trace.losses[0]
     for total, label in zip(totals, dictionary.labels()):
         want = oracle_loss_terms(oracle_forward(models[label], x), x, 1.0)[0]
         assert abs(total - want) <= LOSS_REL * (abs(want) + magnitude(trace, block))

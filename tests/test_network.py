@@ -18,7 +18,6 @@ from wavelearn.network import (
     WaveletNet,
     ht_activation,
     ht_gate_derivatives,
-    loss_terms,
     model_forward,
 )
 from wavelearn.training import backward_full
@@ -479,7 +478,6 @@ _SIGNAL_READERS = {
     "train": lambda x: training.train([x], SharingMode.DB4_FIXED, training.TrainConfig(epochs=1)),
     "backward_full": lambda x: backward_full(x, _TWO_CLASSES["a"]),
     "forward_trace": lambda x: network.forward_trace(_TWO_CLASSES["a"], x),
-    "loss_terms": lambda x: loss_terms(model_forward(np.zeros(8), _TWO_CLASSES["a"]), x, 1.0),
     "extract_features": lambda x: analysis.extract_features(x, _TWO_CLASSES["a"]),
     "dict_classify": lambda x: analysis.dict_classify(
         x, analysis.DictionaryModel(class_models=_TWO_CLASSES)),
@@ -502,48 +500,44 @@ class TestLoss:
         x = np.zeros(8)
         model = WaveletNet(2, 8, SharingMode.DB4_FIXED)
         rec = model_forward(x, model)
-        assert loss_terms(rec, x, 1.0) == (0.0, 0.0, 0.0)
+        assert rec.losses == (0.0, 0.0, 0.0)
 
     def test_mean_absolute_residual(self):
-        rec = _record(details=[np.zeros(2)], approx=np.zeros(2),
-                      lengths=[4], recon=np.zeros(4))
-        total, recon, spars = loss_terms(rec, np.ones(4), 0.0)
+        rec = _record(np.ones(4), details=[np.zeros(2)], approx=np.zeros(2),
+                      recon=np.zeros(4), gamma=0.0)
+        total, recon, spars = rec.losses
         assert recon == 1.0 and total == 1.0 and spars == 0.0
 
     def test_hand_computed_sparsity(self):
         signal = np.array([1.0, 2.0, 3.0, 4.0])
-        rec = _record(details=[np.array([1.0, -1.0]), np.array([0.0])],
-                      approx=np.array([2.0]), lengths=[4, 2], recon=signal.copy())
-        total, recon, spars = loss_terms(rec, signal, 1.0)
+        rec = _record(signal, details=[np.array([1.0, -1.0]), np.array([0.0])],
+                      approx=np.array([2.0]), recon=signal.copy(), gamma=1.0)
+        total, recon, spars = rec.losses
         assert recon == 0.0
         assert spars == pytest.approx(1.0, abs=0)
         assert total == pytest.approx(1.0, abs=0)
 
     def test_non_negativity(self):
         rng = np.random.default_rng(5)
-        model = WaveletNet(5, 8, SharingMode.PER_LEVEL_CQF_HT)
+        model = WaveletNet(5, 8, SharingMode.PER_LEVEL_CQF_HT, gamma=0.7)
         model = model.with_parameters(
             model.get_parameters() + rng.normal(0, 0.1, model.parameter_count()))
         for _ in range(10):
             x = rng.normal(size=128)
-            total, recon, spars = loss_terms(model_forward(x, model), x, 0.7)
+            total, recon, spars = model_forward(x, model).losses
             assert total >= 0 and recon >= 0 and spars >= 0
             assert total == pytest.approx(recon + 0.7 * spars, rel=1e-15)
 
-    def test_length_mismatch_rejected(self):
-        model = WaveletNet(2, 8, SharingMode.DB4_FIXED)
-        rec = model_forward(np.ones(16), model)
-        with pytest.raises(InvalidSignalError):
-            loss_terms(rec, np.ones(17), 1.0)
 
-
-def _record(details, approx, lengths, recon):
+def _record(signal, details, approx, recon, gamma):
+    """A trace of `signal` with the given coefficients and reconstruction;
+    each deeper level's input is zeros, twice its details' length."""
     from wavelearn.network import ForwardTrace
 
     pyramid = np.concatenate(details)
     return ForwardTrace(
-        inputs=[np.zeros(n) for n in lengths],
+        inputs=[signal] + [np.zeros(2 * d.size) for d in details[1:]],
         offsets=np.cumsum([0] + [d.size for d in details]).tolist(),
         details_pre=pyramid, details=pyramid, gates=(), approx=approx,
-        recon_chain=[recon],
+        recon_chain=[recon], residual=signal - recon, gamma=gamma,
     )

@@ -45,7 +45,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-SHAPES = [(1024,), (8, 1024), (7,), (4, 33), (3, 100), (625,), (1, 20000), (2, 5000)]
+SHAPES = [(1024,), (8, 1024), (7,), (4, 33), (3, 100), (625,), (1, 20000), (2, 5000),
+          (1, 160000)]
 LONG_KERNEL_SHAPES = [(7,), (4, 33)]
 GROUPS = ("trace", "backward", "train", "read", "documents")
 
@@ -60,7 +61,7 @@ def run_grid() -> dict[str, np.ndarray]:
     """Every output of the grid, keyed ``group/mode/shape/kK/name``, from
     the `wavelearn` this process imports."""
     import wavelearn as wl
-    from wavelearn.network import forward_trace, loss_terms
+    from wavelearn.network import forward_trace
     from wavelearn.training import backward_full
     out = {}
     for mode in wl.SharingMode:
@@ -77,8 +78,7 @@ def run_grid() -> dict[str, np.ndarray]:
             trace = forward_trace(model, x)
             arrays = {f"chain{l}": a for l, a in enumerate(trace.recon_chain)}
             arrays.update(details_pre=trace.details_pre, details=trace.details,
-                          approx=trace.approx,
-                          loss=np.array(loss_terms(trace, x, model.gamma)))
+                          approx=trace.approx, loss=np.array(trace.losses))
             arrays.update({f"gate{i}": g for i, g in enumerate(trace.gates)})
             out.update({f"trace/{tag}/{name}": a for name, a in arrays.items()})
 
